@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 
 namespace rdo::core {
@@ -49,8 +48,7 @@ EffectiveWeightBackend::EffectiveWeightBackend(const DeploymentPlan& plan,
 }
 
 void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
-  rdo::obs::ScopedTimer timer(&stats_.program_s);
-  rdo::obs::TraceSpan span("deploy:program", "deploy");
+  rdo::obs::TraceSpan span("deploy:program", "deploy", &stats_.program_s);
   span.arg("cycle", static_cast<std::int64_t>(cycle_salt));
   rdo::nn::Rng rng =
       rdo::nn::Rng(plan_.opt.seed).split(0xC0DEull + cycle_salt * 7919ull);
@@ -142,8 +140,7 @@ void EffectiveWeightBackend::tune(const rdo::nn::DataView& train) {
   if (!scheme_uses_pwt(plan_.opt.scheme)) return;
   RDO_CHECK(weights_deployed_,
             "EffectiveWeightBackend: program_cycle() first");
-  rdo::obs::ScopedTimer timer(&stats_.tune_s);
-  rdo::obs::TraceSpan span("deploy:tune", "deploy");
+  rdo::obs::TraceSpan span("deploy:tune", "deploy", &stats_.tune_s);
   const float lo = static_cast<float>(plan_.opt.offsets.offset_min());
   const float hi = static_cast<float>(plan_.opt.offsets.offset_max());
   if (plan_.opt.pwt.mean_init) {
@@ -187,12 +184,10 @@ float EffectiveWeightBackend::evaluate(const rdo::nn::DataView& test,
                                        std::int64_t batch) {
   RDO_CHECK(weights_deployed_,
             "EffectiveWeightBackend: program_cycle() first");
-  rdo::obs::ScopedTimer timer(&stats_.eval_s);
-  rdo::obs::TraceSpan span("deploy:evaluate", "deploy");
+  rdo::obs::TraceSpan span("deploy:evaluate", "deploy", &stats_.eval_s);
   span.arg("batch", batch);
-  rdo::obs::Stopwatch watch;
   const float acc = rdo::nn::evaluate(*net_, test, batch).accuracy;
-  stats_.eval_seconds.push_back(watch.seconds());
+  stats_.eval_seconds.push_back(span.seconds());
   span.arg("accuracy", static_cast<double>(acc));
   stats_.eval_accuracy.push_back(acc);
   return acc;

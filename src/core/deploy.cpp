@@ -106,41 +106,15 @@ SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
                         const rdo::nn::DataView& train,
                         const rdo::nn::DataView& test, int repeats,
                         std::int64_t eval_batch) {
-  const DeploymentPlan plan = compile_plan(net, opt, train);
-  EffectiveWeightBackend backend(plan, net);
-  SchemeResult res;
-  double total = 0.0;
-  for (int cycle = 0; cycle < repeats; ++cycle) {
-    rdo::obs::Stopwatch watch;
-    backend.program_cycle(static_cast<std::uint64_t>(cycle));
-    backend.tune(train);
-    const float acc = backend.evaluate(test, eval_batch);
-    res.per_cycle.push_back(acc);
-    res.trial_seconds.push_back(watch.seconds());
-    total += acc;
-  }
-  res.mean_accuracy =
-      static_cast<float>(total / std::max(1, repeats));
-  res.stats = plan.compile_stats;
-  res.stats.merge(backend.stats());
-  res.errors.assign(static_cast<std::size_t>(std::max(0, repeats)), "");
-  return res;
-}
-
-SchemeResult run_scheme_parallel(const rdo::nn::Layer& net,
-                                 const DeployOptions& opt,
-                                 const rdo::nn::DataView& train,
-                                 const rdo::nn::DataView& test, int repeats,
-                                 std::int64_t eval_batch) {
-  SchemeResult res;
-  if (repeats <= 0) return res;
   // Compile once; the plan is read-only afterwards and shared by every
   // trial's backend.
   const DeploymentPlan plan = compile_plan(net, opt, train);
-  res.per_cycle.assign(static_cast<std::size_t>(repeats), 0.0f);
-  res.trial_seconds.assign(static_cast<std::size_t>(repeats), 0.0);
-  res.errors.assign(static_cast<std::size_t>(repeats), "");
-  std::vector<DeployStats> trial_stats(static_cast<std::size_t>(repeats));
+  const auto n = static_cast<std::size_t>(std::max(0, repeats));
+  SchemeResult res;
+  res.per_cycle.assign(n, 0.0f);
+  res.trial_seconds.assign(n, 0.0);
+  res.errors.assign(n, "");
+  std::vector<DeployStats> trial_stats(n);
   rdo::nn::parallel_for(repeats, [&](std::int64_t t0, std::int64_t t1) {
     for (std::int64_t trial = t0; trial < t1; ++trial) {
       rdo::obs::Stopwatch watch;
@@ -153,13 +127,13 @@ SchemeResult run_scheme_parallel(const rdo::nn::Layer& net,
       res.trial_seconds[static_cast<std::size_t>(trial)] = watch.seconds();
     }
   });
-  // Merge in trial order so the aggregated traces are identical to the
-  // serial run for any thread count.
+  // Merge and sum in trial order so the aggregated traces and the mean
+  // are identical for any thread count.
   res.stats = plan.compile_stats;
   for (const DeployStats& s : trial_stats) res.stats.merge(s);
   double total = 0.0;
   for (float a : res.per_cycle) total += a;
-  res.mean_accuracy = static_cast<float>(total / repeats);
+  res.mean_accuracy = static_cast<float>(total / std::max(1, repeats));
   return res;
 }
 

@@ -175,8 +175,7 @@ struct SchemeResult {
   /// volatile, slot order matches per_cycle for any thread count).
   std::vector<double> trial_seconds;
   /// Pipeline stats: the shared compile stage folded together with the
-  /// cycles (run_scheme) or with the independent trials in trial order
-  /// (parallel harnesses).
+  /// independent trials in trial order.
   DeployStats stats;
   /// One entry per cycle/trial: empty string when the trial succeeded,
   /// the exception message otherwise (bench::run_grid records failures
@@ -191,26 +190,18 @@ struct SchemeResult {
   }
 };
 
-/// Convenience harness: compile the plan once, then run `repeats`
-/// program/tune/evaluate cycles with distinct CCV draws on an
-/// EffectiveWeightBackend. `net` is cloned internally and never modified.
+/// Monte-Carlo harness: compile the plan once, then run `repeats`
+/// program/tune/evaluate trials with distinct CCV draws. The plan is
+/// shared read-only; trials are embarrassingly parallel (each trial's
+/// devices are drawn from Rng(seed).split(trial)-derived streams and
+/// trials share no mutable state), so each runs as an independent
+/// EffectiveWeightBackend over its own private clone of `net` on the
+/// thread pool. `net` is never modified. Every per-cycle accuracy is
+/// bit-identical for any thread count, and to one backend running the
+/// cycles in order (asserted in tests/test_parallel.cpp).
 SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
                         const rdo::nn::DataView& train,
                         const rdo::nn::DataView& test, int repeats,
                         std::int64_t eval_batch = 64);
-
-/// Parallel Monte-Carlo variant of run_scheme: the plan is compiled once
-/// and shared read-only; the `repeats` programming cycles are
-/// embarrassingly parallel (each cycle's devices are drawn from
-/// Rng(seed).split(cycle)-derived streams and cycles share no mutable
-/// state), so each trial runs as an independent EffectiveWeightBackend
-/// over its own private clone of `net`. Every per-cycle accuracy is
-/// bit-identical to the serial run_scheme for any thread count
-/// (asserted in tests/test_parallel.cpp).
-SchemeResult run_scheme_parallel(const rdo::nn::Layer& net,
-                                 const DeployOptions& opt,
-                                 const rdo::nn::DataView& train,
-                                 const rdo::nn::DataView& test, int repeats,
-                                 std::int64_t eval_batch = 64);
 
 }  // namespace rdo::core

@@ -12,7 +12,6 @@
 #include "obs/envvar.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 #include "quant/act_quant.h"
 
@@ -28,8 +27,7 @@ namespace {
 /// sharing a cache directory only ever observe complete tables.
 rdo::rram::RLut make_lut(const rdo::rram::WeightProgrammer& prog,
                          const DeployOptions& opt, DeployStats& stats) {
-  rdo::obs::ScopedTimer timer(&stats.lut_build_s);
-  rdo::obs::TraceSpan span("deploy:lut_build", "deploy");
+  rdo::obs::TraceSpan span("deploy:lut_build", "deploy", &stats.lut_build_s);
   span.arg("k_sets", opt.lut_k_sets);
   span.arg("j_cycles", opt.lut_j_cycles);
   const rdo::nn::Rng lut_rng = rdo::nn::Rng(opt.seed).split(0x11A7);
@@ -154,8 +152,8 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
   }
   RDO_CHECK(!ops.empty(), "compile_plan: network has no crossbar layers");
 
-  rdo::obs::ScopedTimer timer(&plan.compile_stats.prepare_s);
-  rdo::obs::TraceSpan span("deploy:prepare", "deploy");
+  rdo::obs::TraceSpan span("deploy:prepare", "deploy",
+                           &plan.compile_stats.prepare_s);
   span.arg("layers", static_cast<std::int64_t>(ops.size()));
 
   // 1. Quantize every crossbar layer and move the twin to the quantized
@@ -192,8 +190,8 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
     vopt.offsets = opt.offsets;
     vopt.use_complement = scheme_uses_complement(opt.scheme);
     vopt.penalize_bias = opt.penalize_bias;
-    rdo::obs::ScopedTimer solve_timer(&plan.compile_stats.vawo_solve_s);
-    rdo::obs::TraceSpan solve_span("deploy:vawo_solve", "deploy");
+    rdo::obs::TraceSpan solve_span("deploy:vawo_solve", "deploy",
+                                   &plan.compile_stats.vawo_solve_s);
     // Every layer is quantized to the same weight width, so one dense
     // target-value cost table (see core/vawo.h) serves the whole plan;
     // build it once here, timed inside the solve phase.

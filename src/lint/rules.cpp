@@ -10,7 +10,6 @@
 //   float-reduce-order PR 1: shared accumulators inside parallel_for
 //                      bodies break bit-determinism
 //   metric-name        PR 8: MetricsRegistry naming convention
-//   unspanned-phase    PR 3: phase timers must be trace-visible
 //   pass-invariant     PR 9: every optimizer pass asserts an invariant
 //   naked-getenv       env knobs read through one blessed choke point
 //
@@ -428,49 +427,6 @@ class MetricName final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// unspanned-phase — PR 3: timed phases must be trace-visible
-
-class UnspannedPhase final : public Rule {
- public:
-  [[nodiscard]] const char* name() const override {
-    return "unspanned-phase";
-  }
-  [[nodiscard]] const char* description() const override {
-    return "a ScopedTimer accumulating a DeployStats phase needs a "
-           "TraceSpan in the same scope so the phase shows up in "
-           "RDO_TRACE output";
-  }
-  void run(const FileContext& ctx, std::vector<Finding>& out) const override {
-    for (int i = 0; i < ctx.ncode(); ++i) {
-      // A declaration `ScopedTimer name(...)` — not the class definition,
-      // constructors or deleted copies in obs/stopwatch.h.
-      if (!ctx.ident(i, "ScopedTimer")) continue;
-      if (ctx.code(i + 1).kind != TokKind::Identifier ||
-          !ctx.punct(i + 2, "(")) {
-        continue;
-      }
-      const int line = ctx.code(i).line;
-      bool spanned = false;
-      for (int j = 0; j < ctx.ncode(); ++j) {
-        const Token& t = ctx.code(j);
-        if (t.line < line - 5) continue;
-        if (t.line > line + 5) break;
-        if (t.kind == TokKind::Identifier && t.text == "TraceSpan") {
-          spanned = true;
-          break;
-        }
-      }
-      if (!spanned) {
-        ctx.report(out, name(),
-                   "phase timer without a TraceSpan within 5 lines; every "
-                   "timed phase must also be visible in RDO_TRACE",
-                   i);
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // pass-invariant — PR 9: every optimizer pass asserts something
 
 class PassInvariant final : public Rule {
@@ -563,7 +519,6 @@ Engine::Engine() {
   rules_.push_back(std::make_unique<UnbudgetedAlloc>());
   rules_.push_back(std::make_unique<FloatReduceOrder>());
   rules_.push_back(std::make_unique<MetricName>());
-  rules_.push_back(std::make_unique<UnspannedPhase>());
   rules_.push_back(std::make_unique<PassInvariant>());
   rules_.push_back(std::make_unique<NakedGetenv>());
 }

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/recorder.h"
+
 namespace rdo::obs {
 
 namespace metrics_internal {
@@ -64,23 +66,41 @@ void update_extreme(std::atomic<double>& slot, double sample, Cmp better) {
   }
 }
 
+void add_sum(std::atomic<std::int64_t>& sum_ns, double seconds) {
+  const double ns = seconds * 1e9;
+  if (std::isfinite(ns)) {
+    // Clamp before the cast: a single absurd sample must not be UB.
+    const double clamped =
+        std::clamp(ns, -9.0e18, 9.0e18);
+    sum_ns.fetch_add(static_cast<std::int64_t>(clamped),
+                     std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 void Histogram::observe(double seconds) noexcept {
   Shard& s = shards_[metrics_internal::thread_shard()];
   s.buckets[static_cast<std::size_t>(latency_bucket_index(seconds))]
       .fetch_add(1, std::memory_order_relaxed);
-  const double ns = seconds * 1e9;
-  if (std::isfinite(ns)) {
-    // Clamp before the cast: a single absurd sample must not be UB.
-    const double clamped =
-        std::clamp(ns, -9.0e18, 9.0e18);
-    s.sum_ns.fetch_add(static_cast<std::int64_t>(clamped),
-                       std::memory_order_relaxed);
-  }
+  add_sum(s.sum_ns, seconds);
   update_extreme(min_seconds_, seconds,
                  [](double a, double b) { return a < b; });
   update_extreme(max_seconds_, seconds,
+                 [](double a, double b) { return a > b; });
+}
+
+void Histogram::merge(const HistogramSnapshot& other) noexcept {
+  if (other.count <= 0) return;
+  Shard& s = shards_[metrics_internal::thread_shard()];
+  for (int i = 0; i < kLatencyBuckets; ++i) {
+    const auto b = static_cast<std::size_t>(i);
+    s.buckets[b].fetch_add(other.buckets[b], std::memory_order_relaxed);
+  }
+  add_sum(s.sum_ns, other.sum_seconds);
+  update_extreme(min_seconds_, other.min_seconds,
+                 [](double a, double b) { return a < b; });
+  update_extreme(max_seconds_, other.max_seconds,
                  [](double a, double b) { return a > b; });
 }
 
@@ -257,8 +277,7 @@ void absorb_metrics(Recorder& rec, const MetricsRegistry& registry) {
   for (const auto& [name, v] : snap.counters) rec.incr(name, v);
   for (const auto& [name, v] : snap.gauges) rec.set_gauge(name, v);
   for (const auto& [name, h] : snap.histograms) {
-    rec.merge_histogram(name, h.count, h.min_seconds, h.max_seconds,
-                        h.buckets);
+    if (h.count > 0) rec.histogram(name).merge(h);
   }
 }
 

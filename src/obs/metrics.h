@@ -2,21 +2,22 @@
 // latency histograms that can be read *while the process runs*.
 //
 // The Recorder (obs/recorder.h) answers "what happened over this run"
-// at report time; it is mutex-per-operation and serialized once, at the
-// end. Long-running processes — rdo_serve, overnight fault/drift
-// campaigns — additionally need instruments that are cheap enough to
-// sit on the request hot path and can be snapshotted at any moment for
-// a live `stats` request or a periodic dump. That is this registry:
+// at report time; its counters, gauges and phases are
+// mutex-per-operation and serialized once, at the end. Long-running
+// processes — rdo_serve, overnight fault/drift campaigns — additionally
+// need instruments that are cheap enough to sit on the request hot
+// path and can be snapshotted at any moment for a live `stats` request
+// or a periodic dump. That is this registry:
 //
 //   * Counter    monotonic int64; add() lands in one of kMetricShards
 //                cache-line-padded relaxed atomics chosen per thread,
 //                so concurrent increments never contend on one line.
 //   * Gauge      last-write-wins double (atomic store/load).
-//   * Histogram  log2-microsecond latency buckets with the exact
-//                geometry of the Recorder's histograms (obs/recorder.h
-//                kLatencyBuckets), plus a sum track, so a registry
-//                histogram can be absorbed into a BENCH document
-//                without resampling.
+//   * Histogram  log2-microsecond latency buckets plus a sum track.
+//                It is the only latency histogram in the repo: the
+//                Recorder's report histograms are instances too, so a
+//                registry histogram folds into a BENCH document with
+//                one merge() and no resampling.
 //
 // Instruments are created on first use and never destroyed, so a
 // resolved Counter& stays valid for the registry's lifetime — resolve
@@ -31,8 +32,9 @@
 // The Prometheus exposition prepends "rdo_" as the namespace.
 //
 // Recorder bridge: absorb_metrics(rec, registry) folds a snapshot into
-// a Recorder at report time. Harnesses that never touch the registry
-// absorb nothing, so committed BENCH baselines stay byte-identical.
+// a Recorder at report time (counters, gauges, Histogram::merge).
+// Harnesses that never touch the registry absorb nothing, so committed
+// BENCH baselines stay byte-identical.
 #pragma once
 
 #include <array>
@@ -46,9 +48,16 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "obs/recorder.h"
 
 namespace rdo::obs {
+
+class Recorder;
+
+/// Latency histograms use fixed log-scale buckets: bucket i counts
+/// samples in [2^i, 2^(i+1)) microseconds, so 28 buckets span 1 us to
+/// ~4.5 minutes. The fixed geometry keeps the serialized shape stable
+/// regardless of the samples observed.
+inline constexpr int kLatencyBuckets = 28;
 
 /// Shards per counter/histogram. 16 × 64B = 1 KiB per counter: plenty
 /// of isolation for the pool's worker counts without bloating a
@@ -66,8 +75,7 @@ struct alignas(64) ShardedCell {
 }  // namespace metrics_internal
 
 /// Histogram bucket index for a latency in seconds: floor(log2(µs)),
-/// clamped to [0, kLatencyBuckets). Shared with the Recorder so both
-/// instruments bucket identically.
+/// clamped to [0, kLatencyBuckets).
 int latency_bucket_index(double seconds);
 /// Seconds at the geometric midpoint of bucket i.
 double latency_bucket_midpoint_seconds(int i);
@@ -76,7 +84,7 @@ double latency_bucket_midpoint_seconds(int i);
 double latency_bucket_upper_seconds(int i);
 /// Value at quantile q of a bucketed latency distribution: the
 /// geometric midpoint of the rank bucket, clamped to [min_s, max_s].
-/// Shared by Recorder::histograms_json and the registry exports.
+/// Shared by the JSON and Prometheus exports.
 double latency_histogram_quantile(
     const std::array<std::int64_t, kLatencyBuckets>& buckets,
     std::int64_t count, double q, double min_s, double max_s);
@@ -126,6 +134,9 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void observe(double seconds) noexcept;
+  /// Fold another histogram's snapshot in: bucket counts and sums add,
+  /// min/max widen. A zero-count snapshot is a no-op.
+  void merge(const HistogramSnapshot& other) noexcept;
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept;
 
  private:
@@ -190,9 +201,9 @@ MetricsRegistry& global_metrics();
 [[nodiscard]] Json histogram_snapshot_json(const HistogramSnapshot& h);
 
 /// Fold a registry snapshot into a Recorder at report time: counters
-/// incr, gauges set, histograms merge bucket-by-bucket (sum_seconds has
-/// no Recorder slot and is dropped). An empty registry is a no-op, so
-/// reports that never used the registry are byte-identical to before.
+/// incr, gauges set, non-empty histograms Histogram::merge into the
+/// Recorder's. An empty registry is a no-op, so reports that never used
+/// the registry are byte-identical to before.
 void absorb_metrics(Recorder& rec, const MetricsRegistry& registry);
 
 /// Structural validation of a snapshot_json() document: the three

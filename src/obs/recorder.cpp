@@ -1,14 +1,6 @@
 #include "obs/recorder.h"
 
-#include <algorithm>
-
-#include "obs/metrics.h"
-
 namespace rdo::obs {
-
-// Bucket geometry (index mapping, midpoints, quantile walk) is shared
-// with the live registry — see latency_bucket_index and friends in
-// obs/metrics.h — so Recorder and registry histograms merge losslessly.
 
 namespace {
 
@@ -60,46 +52,11 @@ void Recorder::set_gauge(const std::string& name, double value) {
 }
 
 void Recorder::observe(const std::string& name, double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Histogram* h = find_entry(histograms_, name);
-  if (h == nullptr) {
-    histograms_.emplace_back(name, Histogram{});
-    h = &histograms_.back().second;
-  }
-  if (h->count == 0) {
-    h->min_seconds = seconds;
-    h->max_seconds = seconds;
-  } else {
-    h->min_seconds = std::min(h->min_seconds, seconds);
-    h->max_seconds = std::max(h->max_seconds, seconds);
-  }
-  ++h->count;
-  ++h->buckets[static_cast<std::size_t>(latency_bucket_index(seconds))];
+  histograms_.histogram(name).observe(seconds);
 }
 
-void Recorder::merge_histogram(
-    const std::string& name, std::int64_t count, double min_seconds,
-    double max_seconds,
-    const std::array<std::int64_t, kLatencyBuckets>& bucket_counts) {
-  if (count <= 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  Histogram* h = find_entry(histograms_, name);
-  if (h == nullptr) {
-    histograms_.emplace_back(name, Histogram{});
-    h = &histograms_.back().second;
-  }
-  if (h->count == 0) {
-    h->min_seconds = min_seconds;
-    h->max_seconds = max_seconds;
-  } else {
-    h->min_seconds = std::min(h->min_seconds, min_seconds);
-    h->max_seconds = std::max(h->max_seconds, max_seconds);
-  }
-  h->count += count;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    h->buckets[static_cast<std::size_t>(i)] +=
-        bucket_counts[static_cast<std::size_t>(i)];
-  }
+Histogram& Recorder::histogram(const std::string& name) {
+  return histograms_.histogram(name);
 }
 
 double Recorder::phase_seconds(const std::string& name) const {
@@ -141,23 +98,9 @@ Json Recorder::gauges_json() const {
 }
 
 Json Recorder::histograms_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Json obj = Json::object();
-  for (const auto& [name, h] : histograms_) {
-    Json e = Json::object();
-    e["count"] = h.count;
-    e["min_seconds"] = h.min_seconds;
-    e["max_seconds"] = h.max_seconds;
-    e["p50_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.50,
-                                          h.min_seconds, h.max_seconds);
-    e["p95_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.95,
-                                          h.min_seconds, h.max_seconds);
-    e["p99_seconds"] = latency_histogram_quantile(h.buckets, h.count, 0.99,
-                                          h.min_seconds, h.max_seconds);
-    Json buckets = Json::array();
-    for (const std::int64_t c : h.buckets) buckets.push_back(c);
-    e["bucket_counts"] = std::move(buckets);
-    obj[name] = std::move(e);
+  for (const auto& [name, h] : histograms_.snapshot().histograms) {
+    obj[name] = histogram_snapshot_json(h);
   }
   return obj;
 }

@@ -7,9 +7,10 @@
 // A Recorder is thread-safe so parallel Monte-Carlo tasks can report
 // into one instance; merge order never affects the serialized output
 // because entries accumulate under stable insertion-ordered names.
+// Latency histograms are obs::Histogram instances (obs/metrics.h), the
+// same lock-free type the live registry uses, serialized in name order.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -17,15 +18,10 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 
 namespace rdo::obs {
-
-/// Latency histograms use fixed log-scale buckets: bucket i counts
-/// samples in [2^i, 2^(i+1)) microseconds, so 28 buckets span 1 us to
-/// ~4.5 minutes. The fixed geometry keeps the serialized shape stable
-/// regardless of the samples observed.
-inline constexpr int kLatencyBuckets = 28;
 
 class Recorder {
  public:
@@ -44,14 +40,9 @@ class Recorder {
   /// the top bucket in the last one; min/max track the raw values.
   void observe(const std::string& name, double seconds);
 
-  /// Merge a pre-bucketed histogram (same fixed geometry) into
-  /// histogram `name`: bucket counts add, min/max widen. Used by
-  /// absorb_metrics (obs/metrics.h) to fold a live registry histogram
-  /// into the report without resampling. A zero-count merge is a no-op.
-  void merge_histogram(const std::string& name, std::int64_t count,
-                       double min_seconds, double max_seconds,
-                       const std::array<std::int64_t, kLatencyBuckets>&
-                           bucket_counts);
+  /// Latency histogram `name`, created on first use. absorb_metrics
+  /// merges live registry histograms in through this.
+  Histogram& histogram(const std::string& name);
 
   [[nodiscard]] double phase_seconds(const std::string& name) const;
   [[nodiscard]] std::int64_t counter(const std::string& name) const;
@@ -62,25 +53,19 @@ class Recorder {
   [[nodiscard]] Json counters_json() const;
   /// `{name: value, ...}` — deterministic.
   [[nodiscard]] Json gauges_json() const;
-  /// `{name: {count, min/max_seconds, p50/p95/p99_seconds,
-  /// bucket_counts[kLatencyBuckets]}, ...}` — wall-clock derived, so it
-  /// belongs to the volatile half of the schema. Quantiles are the
-  /// geometric midpoint of the rank bucket, clamped to [min, max].
+  /// `{name: {count, sum/min/max_seconds, p50/p95/p99_seconds,
+  /// bucket_counts[kLatencyBuckets]}, ...}` in name order — the
+  /// histogram_snapshot_json shape. Wall-clock derived, so it belongs
+  /// to the volatile half of the schema. Quantiles are the geometric
+  /// midpoint of the rank bucket, clamped to [min, max].
   [[nodiscard]] Json histograms_json() const;
 
  private:
-  struct Histogram {
-    std::int64_t count = 0;
-    double min_seconds = 0.0;
-    double max_seconds = 0.0;
-    std::array<std::int64_t, kLatencyBuckets> buckets{};
-  };
-
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, double>> phases_;
   std::vector<std::pair<std::string, std::int64_t>> counters_;
   std::vector<std::pair<std::string, double>> gauges_;
-  std::vector<std::pair<std::string, Histogram>> histograms_;
+  MetricsRegistry histograms_;  ///< histograms only; has its own lock
 };
 
 /// RAII helper timing one phase of a Recorder.

@@ -1,4 +1,6 @@
-// Monotonic wall-clock helpers for phase timing. Header-only.
+// Monotonic wall clock for whole-run and per-trial timing. Header-only.
+// A timed *scope* is a TraceSpan with an accumulator (obs/trace.h), which
+// feeds DeployStats and RDO_TRACE from one pair of clock reads.
 //
 // Timing never feeds back into any computation — clocks are read only to
 // fill the volatile `timing` section of a report — so instrumented code
@@ -23,22 +25,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// RAII phase timer: adds the scope's wall time to `*accumulator` on
-/// destruction. Safe against exceptions unwinding through the scope.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* accumulator) : acc_(accumulator) {}
-  ~ScopedTimer() {
-    if (acc_ != nullptr) *acc_ += watch_.seconds();
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* acc_;
-  Stopwatch watch_;
 };
 
 }  // namespace rdo::obs

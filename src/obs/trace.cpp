@@ -251,11 +251,30 @@ void TraceSpan::begin(const char* name, const char* cat) {
   start_ns_ = trace_internal::wall_ns();
 }
 
+TraceSpan::TraceSpan(const char* name, const char* cat, double* add_seconds)
+    : timed_(true), add_seconds_(add_seconds) {
+  if (trace_enabled()) {
+    begin(name, cat);
+  } else {
+    start_ns_ = trace_internal::wall_ns();
+  }
+}
+
+double TraceSpan::seconds() const {
+  if (!live_ && !timed_) return 0.0;
+  return static_cast<double>(trace_internal::wall_ns() - start_ns_) / 1e9;
+}
+
 void TraceSpan::end() {
   const std::int64_t dur = trace_internal::wall_ns() - start_ns_;
-  trace_internal::append_event('X', std::move(name_), cat_, start_ns_, dur,
-                               std::move(args_));
-  live_ = false;
+  if (add_seconds_ != nullptr) {
+    *add_seconds_ += static_cast<double>(dur) / 1e9;
+  }
+  if (live_) {
+    trace_internal::append_event('X', std::move(name_), cat_, start_ns_, dur,
+                                 std::move(args_));
+    live_ = false;
+  }
 }
 
 void TraceSpan::arg(const char* key, std::int64_t v) {

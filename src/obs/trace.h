@@ -78,13 +78,21 @@ void trace_counter(const char* name, std::int64_t value);
 /// one "ph":"X" event on the calling thread's track. When tracing is
 /// off the constructor is a single relaxed atomic check and every other
 /// member is a no-op.
+///
+/// A *timed* span (the three-argument constructor) is also the repo's
+/// timed-scope primitive: it reads the clock once at construction and
+/// once at destruction whether or not tracing is on, adds the duration
+/// to `*add_seconds` (skipped for nullptr) — also when an exception
+/// unwinds the scope — and, when tracing is on, records its event from
+/// those same two reads, so DeployStats and the trace agree exactly.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* cat = "rdo") {
     if (trace_enabled()) begin(name, cat);
   }
+  TraceSpan(const char* name, const char* cat, double* add_seconds);
   ~TraceSpan() {
-    if (live_) end();
+    if (live_ || timed_) end();
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -98,11 +106,17 @@ class TraceSpan {
 
   [[nodiscard]] bool active() const { return live_; }
 
+  /// Seconds elapsed since construction (one clock read); 0 for an
+  /// untimed span while tracing is off.
+  [[nodiscard]] double seconds() const;
+
  private:
   void begin(const char* name, const char* cat);
   void end();
 
   bool live_ = false;
+  bool timed_ = false;
+  double* add_seconds_ = nullptr;
   std::int64_t start_ns_ = 0;
   std::string name_;
   const char* cat_ = "";

@@ -294,68 +294,72 @@ Json InferenceService::stats_result() {
 }
 
 std::string InferenceService::handle_line(const std::string& line) {
-  rdo::obs::Stopwatch watch;
   const auto rid = static_cast<std::int64_t>(
       request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  rdo::obs::TraceSpan span("serve:request", "serve");
-  span.arg("request_id", rid);
-  c_requests_.add();
   const char* op_name = "?";
   const char* status = "ok";
-  Json id;
   std::string out;
-  try {
-    Json doc;
+  // The serve:request span is the request's only timer: it adds the
+  // latency to `seconds` as it closes, from the clock reads that also
+  // time its trace event.
+  double seconds = 0.0;
+  {
+    rdo::obs::TraceSpan span("serve:request", "serve", &seconds);
+    span.arg("request_id", rid);
+    c_requests_.add();
+    Json id;
     try {
-      doc = Json::parse(line);
+      Json doc;
+      try {
+        doc = Json::parse(line);
+      } catch (const std::exception& e) {
+        throw ProtocolError(ErrorCode::BadRequest,
+                            std::string("malformed JSON: ") + e.what());
+      }
+      ServeRequest req = parse_request(doc, base_);
+      id = req.id;
+      switch (req.op) {
+        case Op::Ping: {
+          op_name = "ping";
+          Json r = Json::object();
+          r["pong"] = true;
+          out = ok_response(id, std::move(r));
+          break;
+        }
+        case Op::Stats: {
+          op_name = "stats";
+          out = ok_response(id, stats_result());
+          break;
+        }
+        case Op::Evaluate: {
+          op_name = "evaluate";
+          out = ok_response(id, evaluate(req));
+          break;
+        }
+      }
+      c_ok_.add();
+    } catch (const ProtocolError& e) {
+      status = to_string(e.code);
+      span.arg("error", status);
+      switch (e.code) {
+        case ErrorCode::BadRequest:
+          c_bad_request_.add();
+          break;
+        case ErrorCode::Overloaded:
+          c_overloaded_.add();
+          break;
+        case ErrorCode::Internal:
+          c_internal_.add();
+          break;
+      }
+      out = error_response(id, e.code, e.what());
     } catch (const std::exception& e) {
-      throw ProtocolError(ErrorCode::BadRequest,
-                          std::string("malformed JSON: ") + e.what());
+      status = "internal";
+      span.arg("error", status);
+      c_internal_.add();
+      out = error_response(id, ErrorCode::Internal, e.what());
     }
-    ServeRequest req = parse_request(doc, base_);
-    id = req.id;
-    switch (req.op) {
-      case Op::Ping: {
-        op_name = "ping";
-        Json r = Json::object();
-        r["pong"] = true;
-        out = ok_response(id, std::move(r));
-        break;
-      }
-      case Op::Stats: {
-        op_name = "stats";
-        out = ok_response(id, stats_result());
-        break;
-      }
-      case Op::Evaluate: {
-        op_name = "evaluate";
-        out = ok_response(id, evaluate(req));
-        break;
-      }
-    }
-    c_ok_.add();
-  } catch (const ProtocolError& e) {
-    status = to_string(e.code);
-    span.arg("error", status);
-    switch (e.code) {
-      case ErrorCode::BadRequest:
-        c_bad_request_.add();
-        break;
-      case ErrorCode::Overloaded:
-        c_overloaded_.add();
-        break;
-      case ErrorCode::Internal:
-        c_internal_.add();
-        break;
-    }
-    out = error_response(id, e.code, e.what());
-  } catch (const std::exception& e) {
-    status = "internal";
-    span.arg("error", status);
-    c_internal_.add();
-    out = error_response(id, ErrorCode::Internal, e.what());
   }
-  const double seconds = watch.seconds();
   h_request_seconds_.observe(seconds);
   if (slow_threshold_s_ >= 0.0 && seconds >= slow_threshold_s_) {
     c_slow_requests_.add();

@@ -25,9 +25,12 @@
 // sharded counters and the serve_request_seconds histogram sit on the
 // request hot path; the `stats` op snapshots it live. Each request gets
 // a monotonically increasing request id carried by its "serve:request"
-// trace span and its log lines; requests slower than RDO_SLOW_REQUEST_MS
-// (milliseconds; unset = disabled) are logged at warn level. Harnesses
-// fold the registry into a BENCH report with absorb_metrics at exit.
+// trace span and its log lines. That span is also the request's timer:
+// serve_request_seconds and the slow-request check read the latency it
+// measures. Requests slower than RDO_SLOW_REQUEST_MS (milliseconds;
+// unset = disabled) are logged at warn level. Harnesses fold the
+// registry into a BENCH report with absorb_metrics at exit, which
+// merges its histograms into the report's (one Histogram type).
 #pragma once
 
 #include <atomic>

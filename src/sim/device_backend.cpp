@@ -11,7 +11,6 @@
 #include "nn/im2col.h"
 #include "nn/parallel.h"
 #include "nn/pooling.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 #include "quant/act_quant.h"
 
@@ -292,12 +291,10 @@ float DeviceSimBackend::device_accuracy(const rdo::nn::DataView& test,
 float DeviceSimBackend::evaluate(const rdo::nn::DataView& test,
                                  std::int64_t batch) {
   RDO_CHECK(deployed_, "DeviceSimBackend: program_cycle() first");
-  rdo::obs::ScopedTimer timer(&eval_stats_.eval_s);
-  rdo::obs::TraceSpan span("deploy:evaluate", "deploy");
+  rdo::obs::TraceSpan span("deploy:evaluate", "deploy", &eval_stats_.eval_s);
   span.arg("batch", batch);
-  rdo::obs::Stopwatch watch;
   const float acc = device_accuracy(test, dopt_.eval_max_samples);
-  eval_stats_.eval_seconds.push_back(watch.seconds());
+  eval_stats_.eval_seconds.push_back(span.seconds());
   span.arg("accuracy", static_cast<double>(acc));
   eval_stats_.eval_accuracy.push_back(acc);
   return acc;

@@ -1,4 +1,4 @@
-// Seeded violations for the six contract rules added in the token
+// Seeded violations for the five contract rules added in the token
 // analyzer (plus an unused suppression). Never compiled; the WILL_FAIL
 // ctest entry proves each rule still fires.
 #include <cstdlib>
@@ -27,17 +27,6 @@ void bad_metrics(rdo::obs::MetricsRegistry& reg) {
   reg.counter("requests").inc();
   reg.gauge("serve_latency_ms").set(3);
   reg.histogram("serve_enqueue_micros").observe(1.0);
-}
-
-// unspanned-phase: a ScopedTimer with no TraceSpan anywhere nearby, so
-// the phase is invisible to RDO_TRACE.
-void untraced_phase(rdo::core::DeployStats& stats) {
-  rdo::obs::ScopedTimer timer(&stats.pack_seconds);
-  do_pack();
-  do_more_packing();
-  finish_packing();
-  flush_everything();
-  and_then_some();
 }
 
 // pass-invariant: an opt::Pass with a check() that asserts nothing.

@@ -251,8 +251,8 @@ std::string deterministic_report(int threads) {
   o.pwt.max_samples = 64;
   o.seed = 7;
 
-  const rdo::core::SchemeResult res = rdo::core::run_scheme_parallel(
-      net, o, ds.train(), ds.test(), /*repeats=*/3);
+  const rdo::core::SchemeResult res =
+      rdo::core::run_scheme(net, o, ds.train(), ds.test(), /*repeats=*/3);
 
   rdo::obs::BenchReport rep("determinism_probe", o.seed);
   rep.results()["stats"] = rdo::core::deploy_stats_json(res.stats);

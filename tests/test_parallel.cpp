@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/backend.h"
 #include "core/deploy.h"
 #include "core/plan.h"
 #include "data/synthetic.h"
@@ -189,13 +190,35 @@ core::DeployOptions deploy_opts(rram::CellKind cell) {
   return o;
 }
 
+/// Serial oracle for run_scheme: one backend, the cycles run in order on
+/// the calling thread — the program/tune/evaluate loop the parallel
+/// trials must reproduce exactly.
+core::SchemeResult serial_run(const DeployFixture& f,
+                              const core::DeployOptions& o, int repeats) {
+  const core::DeploymentPlan plan =
+      core::compile_plan(f.net, o, f.ds.train());
+  core::EffectiveWeightBackend backend(plan, f.net);
+  core::SchemeResult res;
+  double total = 0.0;
+  for (int cycle = 0; cycle < repeats; ++cycle) {
+    backend.program_cycle(static_cast<std::uint64_t>(cycle));
+    backend.tune(f.ds.train());
+    res.per_cycle.push_back(backend.evaluate(f.ds.test(), 64));
+    total += res.per_cycle.back();
+  }
+  res.mean_accuracy = static_cast<float>(total / repeats);
+  return res;
+}
+
 }  // namespace
 
 TEST(Determinism, ParallelTrialsMatchSerialRunSchemeSlcAndMlc) {
   // The headline guarantee: same seed, 1 vs N threads, identical
   // per-trial deployment accuracies (exact float equality) — for SLC and
   // MLC2 cells. Each trial's devices are drawn from
-  // Rng(seed).split(trial)-derived streams, never from shared state.
+  // Rng(seed).split(trial)-derived streams, never from shared state, so
+  // run_scheme's fresh backend per trial matches one backend running the
+  // cycles in order.
   auto& f = deploy_fixture();
   const int repeats = 2;
   for (rram::CellKind cell : {rram::CellKind::SLC, rram::CellKind::MLC2}) {
@@ -203,14 +226,12 @@ TEST(Determinism, ParallelTrialsMatchSerialRunSchemeSlcAndMlc) {
     core::SchemeResult serial, par1, par4;
     {
       ThreadGuard guard(1);
-      serial = core::run_scheme(f.net, o, f.ds.train(), f.ds.test(), repeats);
-      par1 = core::run_scheme_parallel(f.net, o, f.ds.train(), f.ds.test(),
-                                       repeats);
+      serial = serial_run(f, o, repeats);
+      par1 = core::run_scheme(f.net, o, f.ds.train(), f.ds.test(), repeats);
     }
     {
       ThreadGuard guard(4);
-      par4 = core::run_scheme_parallel(f.net, o, f.ds.train(), f.ds.test(),
-                                       repeats);
+      par4 = core::run_scheme(f.net, o, f.ds.train(), f.ds.test(), repeats);
     }
     ASSERT_EQ(serial.per_cycle.size(), static_cast<std::size_t>(repeats));
     ASSERT_EQ(par1.per_cycle.size(), static_cast<std::size_t>(repeats));

@@ -1,13 +1,16 @@
-// Execution tracing (obs/trace.h): off-by-default cost model, the
+// Execution tracing (obs/trace.h): off-by-default cost model, timed
+// spans (one clock pair feeds the accumulator and the event), the
 // structural validator, and the end-to-end guarantee — a traced
 // deployment produces a Perfetto-loadable document with at least one
 // span per deploy phase, per-layer spans, and one named track per pool
 // worker.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,6 +65,60 @@ TEST(Trace, SpansAreFreeWhenTracingIsOff) {
   span.arg("ignored", 1);  // must be a no-op, not a crash
   rdo::obs::trace_counter("unit_counter", 42);
   EXPECT_EQ(rdo::obs::trace_stop(), "");
+}
+
+TEST(Trace, TimedSpanAddsToItsAccumulatorWhenTracingIsOff) {
+  ASSERT_EQ(rdo::obs::trace_stop(), "");
+  double seconds = 0.0;
+  {
+    rdo::obs::TraceSpan span("unit:timed", "unit", &seconds);
+    EXPECT_FALSE(span.active());
+    while (span.seconds() <= 0.0) {
+    }
+  }
+  EXPECT_GT(seconds, 0.0);
+  // nullptr: timed, with nowhere to add.
+  const rdo::obs::TraceSpan timed("unit:timed", "unit", nullptr);
+  EXPECT_GE(timed.seconds(), 0.0);
+}
+
+TEST(Trace, TimedSpanAddsToItsAccumulatorWhenAnExceptionUnwinds) {
+  double seconds = 0.0;
+  EXPECT_THROW(
+      {
+        rdo::obs::TraceSpan span("unit:throws", "unit", &seconds);
+        while (span.seconds() <= 0.0) {
+        }
+        throw std::runtime_error("unwind");
+      },
+      std::runtime_error);
+  EXPECT_GT(seconds, 0.0);
+}
+
+TEST(Trace, TimedSpanEventAndAccumulatorShareOneClockPair) {
+  const std::string path = temp_trace_path("timed");
+  double seconds = 0.0;
+  rdo::obs::trace_start(path);
+  {
+    rdo::obs::TraceSpan span("unit:timed", "unit", &seconds);
+    EXPECT_TRUE(span.active());
+    while (span.seconds() < 1e-4) {
+    }
+  }
+  ASSERT_EQ(rdo::obs::trace_stop(), path);
+  const Json doc = rdo::obs::read_json_file(path);
+  const Json* evs = doc.find("traceEvents");
+  int found = 0;
+  for (std::size_t i = 0; i < evs->size(); ++i) {
+    const Json& e = evs->at(i);
+    if (e.find("name")->as_string() != "unit:timed") continue;
+    ++found;
+    // `dur` is in microseconds; both sides come from the same two reads.
+    EXPECT_EQ(std::llround(e.find("dur")->as_double() * 1e3),
+              std::llround(seconds * 1e9));
+  }
+  EXPECT_EQ(found, 1);
+  std::filesystem::remove(path);
 }
 
 TEST(Trace, ValidatorCatchesStructuralViolations) {
