@@ -62,7 +62,7 @@ float dva_train(Layer& net, const DataView& train, const DvaOptions& opt) {
       Tensor logits = net.forward(batch, /*train=*/true);
       loss.forward(logits, labels);
       correct += loss.correct();
-      net.backward(loss.backward());
+      net.backward_params(loss.backward());
 
       // Restore clean weights, then apply the noisy-point gradients.
       for (std::size_t k = 0; k < ops.size(); ++k) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/check.h"
 #include "obs/trace.h"
@@ -73,17 +74,21 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
         ideal_zero.push_back(static_cast<double>(s));
       }
     }
+    // One buffer per layer; with keep_cells_ every weight programs
+    // straight into its own kept cell vector instead.
+    const auto cpw = static_cast<std::size_t>(plan_.prog.cells_per_weight());
+    std::vector<double> scratch(keep_cells_ ? 0 : cpw);
     std::int64_t live = 0;
     for (std::size_t i = 0; i < pl.assign.ctw.size(); ++i) {
-      std::vector<double> cells =
-          plan_.prog.program_cells(pl.assign.ctw[i], lrng);
+      std::vector<double>& cells = keep_cells_ ? ls.cells[i] : scratch;
+      cells.resize(cpw);
+      plan_.prog.program_cells(pl.assign.ctw[i], lrng, cells);
       if (has_dead && pl.dead_cols[i % cols] != 0) {
         ls.crw[i] = static_cast<double>(pl.lq.zero);
-        if (keep_cells_) ls.cells[i] = ideal_zero;
+        if (keep_cells_) cells = ideal_zero;
         continue;
       }
       ls.crw[i] = plan_.prog.compose(cells);
-      if (keep_cells_) ls.cells[i] = std::move(cells);
       ++live;
     }
     stats_.weights_programmed += live;
@@ -103,16 +108,18 @@ void EffectiveWeightBackend::apply_effective_weights() {
     const PlanLayer& pl = plan_.layers[li];
     LayerState& ls = layers_[li];
     const std::int64_t rows = pl.lq.rows, cols = pl.lq.cols;
+    const std::span<float> w = ls.op->weights();
     for (std::int64_t r = 0; r < rows; ++r) {
       const std::int64_t g = group_of_row(r, pl.m);
       for (std::int64_t c = 0; c < cols; ++c) {
         const std::size_t gi = static_cast<std::size_t>(g * cols + c);
+        const std::size_t wi = static_cast<std::size_t>(r * cols + c);
         const float b = ls.offsets[gi];
-        const double v = ls.crw[static_cast<std::size_t>(r * cols + c)];
+        const double v = ls.crw[wi];
         const double nrw = pl.assign.complemented[gi]
                                ? static_cast<double>(maxw) - v - b
                                : v + b;
-        ls.op->set_weight_at(r, c, pl.lq.dequant(static_cast<float>(nrw)));
+        w[wi] = pl.lq.dequant(static_cast<float>(nrw));
       }
     }
   }
@@ -131,8 +138,9 @@ void EffectiveWeightBackend::apply_group_delta(std::size_t li,
   const float dw = sign * pl.lq.scale * delta_b;
   const std::int64_t r0 = g * pl.m;
   const std::int64_t r1 = std::min<std::int64_t>(pl.lq.rows, r0 + pl.m);
+  const std::span<float> w = ls.op->weights();
   for (std::int64_t r = r0; r < r1; ++r) {
-    ls.op->set_weight_at(r, c, ls.op->weight_at(r, c) + dw);
+    w[static_cast<std::size_t>(r * cols + c)] += dw;
   }
 }
 

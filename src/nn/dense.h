@@ -18,6 +18,7 @@ class Dense : public Layer, public MatrixOp {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Dense>(*this);

@@ -29,6 +29,15 @@ class Layer {
   /// returns dL/d(input). Must be called after a matching forward.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Backward pass for a caller that discards dL/d(input), such as the
+  /// loop driving a whole network: accumulates exactly the parameter
+  /// gradients backward() would, but may skip computing the input
+  /// gradient. Sequential skips it for its first parameterised layer and
+  /// the parameter-free layers before it; Dense and Conv2D skip their own.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// All trainable parameters of this layer (including nested layers).
   virtual std::vector<Param*> params() { return {}; }
 

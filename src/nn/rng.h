@@ -30,10 +30,13 @@ class Rng {
     return Rng(z);
   }
 
-  /// Standard normal sample scaled to N(mean, stddev^2).
+  /// Standard normal sample scaled to N(mean, stddev^2). Draws z ~ N(0,1)
+  /// and returns z * stddev + mean, which is libstdc++'s own formula with
+  /// the same engine draws, and also holds for stddev == 0 (a degenerate
+  /// std::normal_distribution is a precondition violation).
   double normal(double mean = 0.0, double stddev = 1.0) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> d;
+    return d(engine_) * stddev + mean;
   }
 
   /// Uniform real in [lo, hi).

@@ -21,6 +21,19 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  // Layers before the first parameterised one accumulate nothing, and
+  // nobody reads the input gradient that one would return.
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->params().empty()) ++first;
+  if (first == layers_.size()) return;
+  Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > first; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_[first]->backward_params(g);
+}
+
 std::vector<Param*> Sequential::params() {
   std::vector<Param*> out;
   for (auto& l : layers_) {

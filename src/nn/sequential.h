@@ -24,6 +24,7 @@ class Sequential : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::vector<Tensor*> buffers() override;
   std::vector<Layer*> children() override;

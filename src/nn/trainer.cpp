@@ -41,7 +41,7 @@ EpochStats train_epoch(Layer& net, SGD& opt, const DataView& data,
     Tensor logits = net.forward(batch, /*train=*/true);
     total_loss += loss.forward(logits, labels);
     total_correct += loss.correct();
-    net.backward(loss.backward());
+    net.backward_params(loss.backward());
     opt.step();
     ++batches;
   }
@@ -95,7 +95,7 @@ void accumulate_mean_gradients(Layer& net, const DataView& data,
     // network's operating point (frozen batch-norm statistics).
     Tensor logits = net.forward(batch, /*train=*/false);
     loss.forward(logits, labels);
-    net.backward(loss.backward());
+    net.backward_params(loss.backward());
     ++batches;
   }
   if (batches > 1) {

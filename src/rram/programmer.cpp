@@ -19,13 +19,17 @@ WeightProgrammer::WeightProgrammer(CellModel cell, int weight_bits,
                 " weight bits not divisible into " +
                 std::to_string(cell_.bits()) + "-bit cells");
   cells_ = weight_bits_ / cell_.bits();
+  RDO_CHECK(weight_bits_ <= 30,
+            "WeightProgrammer: " + std::to_string(weight_bits_) +
+                " weight bits do not fit an int CTW");
 }
 
-std::vector<int> WeightProgrammer::slice(int v) const {
+std::array<int, WeightProgrammer::kMaxCells> WeightProgrammer::slice_states(
+    int v) const {
   RDO_CHECK(v >= 0 && v <= max_weight(),
             "WeightProgrammer::slice: CTW " + std::to_string(v) +
                 " outside [0, " + std::to_string(max_weight()) + "]");
-  std::vector<int> states(static_cast<std::size_t>(cells_));
+  std::array<int, kMaxCells> states{};
   const int mask = cell_.states() - 1;
   for (int k = 0; k < cells_; ++k) {
     states[static_cast<std::size_t>(k)] = (v >> (k * cell_.bits())) & mask;
@@ -33,8 +37,12 @@ std::vector<int> WeightProgrammer::slice(int v) const {
   return states;
 }
 
-double WeightProgrammer::compose(
-    const std::vector<double>& cell_values) const {
+std::vector<int> WeightProgrammer::slice(int v) const {
+  const std::array<int, kMaxCells> states = slice_states(v);
+  return {states.begin(), states.begin() + cells_};
+}
+
+double WeightProgrammer::compose(std::span<const double> cell_values) const {
   double crw = 0.0;
   double radix_pow = 1.0;
   for (double val : cell_values) {
@@ -67,22 +75,27 @@ double WeightProgrammer::programmed_cell_value(int state, double factor,
   return cell_.read_value(state, factor);
 }
 
-std::vector<double> WeightProgrammer::program_cells(int v,
-                                                    rdo::nn::Rng& rng) const {
-  const std::vector<int> states = slice(v);
-  std::vector<double> vals(states.size());
+void WeightProgrammer::program_cells(int v, rdo::nn::Rng& rng,
+                                     std::span<double> out) const {
+  RDO_CHECK(out.size() == static_cast<std::size_t>(cells_),
+            "program_cells: buffer of " + std::to_string(out.size()) +
+                " values for " + std::to_string(cells_) + " cells");
+  const std::array<int, kMaxCells> states = slice_states(v);
   const bool shared =
       variation_.scope == VariationScope::PerWeight;
   const double shared_factor = shared ? variation_.sample_factor(rng) : 1.0;
-  for (std::size_t k = 0; k < states.size(); ++k) {
+  for (std::size_t k = 0; k < out.size(); ++k) {
     const double f = shared ? shared_factor : variation_.sample_factor(rng);
-    vals[k] = programmed_cell_value(states[k], f, rng);
+    out[k] = programmed_cell_value(states[k], f, rng);
   }
-  return vals;
 }
 
 double WeightProgrammer::program(int v, rdo::nn::Rng& rng) const {
-  return compose(program_cells(v, rng));
+  std::array<double, kMaxCells> vals{};
+  const std::span<double> cells(vals.data(),
+                                static_cast<std::size_t>(cells_));
+  program_cells(v, rng, cells);
+  return compose(cells);
 }
 
 double WeightProgrammer::program_with_ddv(
@@ -90,19 +103,19 @@ double WeightProgrammer::program_with_ddv(
   RDO_CHECK(ddv_theta.size() == static_cast<std::size_t>(cells_),
             "program_with_ddv: " + std::to_string(ddv_theta.size()) +
                 " DDV thetas for " + std::to_string(cells_) + " cells");
-  const std::vector<int> states = slice(v);
-  std::vector<double> vals(states.size());
+  const std::array<int, kMaxCells> states = slice_states(v);
+  std::array<double, kMaxCells> vals{};
   const bool shared =
       variation_.scope == VariationScope::PerWeight;
   const double shared_theta =
       shared ? ddv_theta[0] + variation_.sample_ccv_theta(rng) : 0.0;
-  for (std::size_t k = 0; k < states.size(); ++k) {
+  for (std::size_t k = 0; k < ddv_theta.size(); ++k) {
     const double theta =
         shared ? shared_theta
                : ddv_theta[k] + variation_.sample_ccv_theta(rng);
     vals[k] = programmed_cell_value(states[k], std::exp(theta), rng);
   }
-  return compose(vals);
+  return compose({vals.data(), ddv_theta.size()});
 }
 
 double WeightProgrammer::analytic_mean(int v) const {

@@ -7,7 +7,9 @@
 // is injected into the individual bits of the CTW.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/rng.h"
@@ -28,11 +30,14 @@ class WeightProgrammer {
   [[nodiscard]] int weight_bits() const { return weight_bits_; }
   [[nodiscard]] int max_weight() const { return (1 << weight_bits_) - 1; }
 
+  /// Upper bound on cells_per_weight() (a CTW is an int).
+  static constexpr int kMaxCells = 32;
+
   /// Slice integer weight v into cell states, least-significant cell first.
   [[nodiscard]] std::vector<int> slice(int v) const;
 
   /// Radix-weighted composition of per-cell read values into a CRW.
-  [[nodiscard]] double compose(const std::vector<double>& cell_values) const;
+  [[nodiscard]] double compose(std::span<const double> cell_values) const;
 
   /// Program CTW `v` once with lumped DDV+CCV variation; returns the CRW.
   /// PerWeight scope: one factor for the whole weight,
@@ -40,12 +45,12 @@ class WeightProgrammer {
   /// PerCell scope: an independent factor per bit-slice device.
   [[nodiscard]] double program(int v, rdo::nn::Rng& rng) const;
 
-  /// Program CTW `v` and return the individual post-variation cell read
-  /// values (LSB cell first) instead of the composed CRW. Consumes the
-  /// exact same random draws as program(); program(v, rng) is equivalent
-  /// to compose(program_cells(v, rng)).
-  [[nodiscard]] std::vector<double> program_cells(int v,
-                                                  rdo::nn::Rng& rng) const;
+  /// Program CTW `v` and write the individual post-variation cell read
+  /// values (LSB cell first) into `out` (cells_per_weight() entries,
+  /// caller-owned so a layer is programmed without a per-weight
+  /// allocation). Consumes the exact same random draws as program();
+  /// program(v, rng) is equivalent to compose() over the values written.
+  void program_cells(int v, rdo::nn::Rng& rng, std::span<double> out) const;
 
   /// Program CTW `v` for a device group whose persistent DDV component is
   /// `ddv_theta` (one theta per cell; PerWeight scope uses ddv_theta[0]);
@@ -73,6 +78,8 @@ class WeightProgrammer {
   FaultModel faults_;
   int cells_;
 
+  /// Range-checked slice of `v` into a fixed-size buffer (no allocation).
+  [[nodiscard]] std::array<int, kMaxCells> slice_states(int v) const;
   /// Per-cell read value after programming: applies a stuck-at fault draw
   /// (exact stuck state) or the variation factor.
   [[nodiscard]] double programmed_cell_value(int state, double factor,

@@ -274,14 +274,13 @@ std::vector<double> CrossbarLayerExecutor::measure_crw() const {
   rdo::obs::TraceSpan span("sim:measure_crw", "sim");
   const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
   std::vector<double> crw(static_cast<std::size_t>(lq_.rows * lq_.cols));
+  std::vector<double> vals(static_cast<std::size_t>(prog_.cells_per_weight()));
   for (std::int64_t r = 0; r < lq_.rows; ++r) {
     const std::int64_t tr = r / cfg_.xbar.rows;
     const int lr = static_cast<int>(r % cfg_.xbar.rows);
     for (std::int64_t c = 0; c < lq_.cols; ++c) {
       const std::int64_t tc = c / wpr;
       const std::int64_t wc = c % wpr;
-      std::vector<double> vals(
-          static_cast<std::size_t>(prog_.cells_per_weight()));
       for (int k = 0; k < prog_.cells_per_weight(); ++k) {
         vals[static_cast<std::size_t>(k)] = xbar_at(tr, tc).cell_value(
             lr, static_cast<int>(wc * prog_.cells_per_weight() + k));

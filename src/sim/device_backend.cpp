@@ -193,7 +193,9 @@ std::vector<double> DeviceSimBackend::forward_image(
             rdo::nn::conv_out_dim(ww, s.kernel, s.stride, s.pad));
         const std::int64_t fin = pl.lq.rows;
         const std::int64_t oc = pl.lq.cols;
-        // im2col rows, each driven through the crossbars as one VMM.
+        // One receptive field per output position (a column of the
+        // channel-major im2col), each driven through the crossbars as one
+        // VMM.
         std::vector<float> img(h.size());
         for (std::size_t i = 0; i < h.size(); ++i) {
           img[i] = static_cast<float>(h[i]);
@@ -202,7 +204,7 @@ std::vector<double> DeviceSimBackend::forward_image(
         rdo::nn::im2col(img.data(), c, hh, ww, s.kernel, s.kernel, s.stride,
                         s.pad, cols.data());
         std::vector<double> y(static_cast<std::size_t>(oc) * oh * ow, 0.0);
-        // Each im2col row is one independent VMM through the (read-only)
+        // Each position is one independent VMM through the (read-only)
         // crossbars; dispatch them across the pool. Every output
         // position is written by exactly one task, so results are
         // bit-identical for any thread count. Runs inline when already
@@ -214,8 +216,7 @@ std::vector<double> DeviceSimBackend::forward_image(
               for (std::int64_t p = p0; p < p1; ++p) {
                 for (std::int64_t j = 0; j < fin; ++j) {
                   row[static_cast<std::size_t>(j)] =
-                      cols[static_cast<std::size_t>(p) * fin +
-                           static_cast<std::size_t>(j)];
+                      cols[static_cast<std::size_t>(j * oh * ow + p)];
                 }
                 const std::vector<double> out = s.exec->forward(row);
                 for (std::int64_t k = 0; k < oc; ++k) {

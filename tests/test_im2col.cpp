@@ -17,23 +17,21 @@ TEST(Im2Col, OutDim) {
 }
 
 TEST(Im2Col, IdentityKernel1x1) {
-  // 1x1 kernel, stride 1, no pad: cols is just the channel-major pixels.
+  // 1x1 kernel, stride 1, no pad: cols is the image itself.
   const std::int64_t c = 2, h = 2, w = 2;
   std::vector<float> img{1, 2, 3, 4, 5, 6, 7, 8};
   std::vector<float> cols(static_cast<std::size_t>(h * w * c));
   im2col(img.data(), c, h, w, 1, 1, 1, 0, cols.data());
-  // Row p = pixel p, entries = [ch0, ch1].
-  EXPECT_FLOAT_EQ(cols[0], 1.0f);
-  EXPECT_FLOAT_EQ(cols[1], 5.0f);
-  EXPECT_FLOAT_EQ(cols[6], 4.0f);
-  EXPECT_FLOAT_EQ(cols[7], 8.0f);
+  // Row k = channel k, entries = that channel's pixels.
+  EXPECT_EQ(cols, img);
 }
 
 TEST(Im2Col, KnownSmallCase) {
-  // 1 channel 3x3, k=2, stride 1, no pad => 4 positions x 4 elements.
+  // 1 channel 3x3, k=2, stride 1, no pad => 4 taps x 4 positions.
   std::vector<float> img{1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> cols(16);
   im2col(img.data(), 1, 3, 3, 2, 2, 1, 0, cols.data());
+  // Row k = tap (ky, kx) = (0,0), (0,1), (1,0), (1,1) at positions 0..3.
   const std::vector<float> expect{1, 2, 4, 5, 2, 3, 5, 6,
                                   4, 5, 7, 8, 5, 6, 8, 9};
   for (int i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(cols[i], expect[i]);
@@ -45,8 +43,9 @@ TEST(Im2Col, PaddingProducesZeros) {
   std::vector<float> cols(static_cast<std::size_t>(oh * oh * 9));
   im2col(img.data(), 1, 2, 2, 3, 3, 1, 1, cols.data());
   // Position (0,0): top-left of the 3x3 window hangs over the pad.
-  EXPECT_FLOAT_EQ(cols[0], 0.0f);  // (-1,-1)
-  EXPECT_FLOAT_EQ(cols[4], 1.0f);  // center = pixel (0,0)
+  const std::int64_t positions = oh * oh;
+  EXPECT_FLOAT_EQ(cols[0], 0.0f);              // tap 0 = (-1,-1)
+  EXPECT_FLOAT_EQ(cols[4 * positions], 1.0f);  // tap 4 = pixel (0,0)
 }
 
 class Im2ColAdjoint

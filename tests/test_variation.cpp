@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "rram/variation.h"
 
@@ -31,6 +32,25 @@ TEST(Rng, SplitIsDeterministicAndIndependent) {
   Rng c1b = Rng(7).split(3);
   EXPECT_EQ(c1.seed(), c1b.seed());
   EXPECT_NE(c1.seed(), c3.seed());
+}
+
+TEST(Rng, NormalMatchesStdDistributionStream) {
+  // Rng::normal(mean, sd) = z * sd + mean is bit-identical to a
+  // std::normal_distribution(mean, sd) over the same engine.
+  Rng a(13);
+  std::mt19937_64 engine(13);
+  for (int i = 0; i < 100; ++i) {
+    const double mean = 0.1 * i - 3.0, sd = 0.01 + 0.05 * i;
+    std::normal_distribution<double> d(mean, sd);
+    EXPECT_EQ(a.normal(mean, sd), d(engine));
+  }
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMeanAndAdvancesLikeUnitStddev) {
+  Rng a(21), b(21);
+  EXPECT_EQ(a.normal(2.5, 0.0), 2.5);
+  (void)b.normal(2.5, 1.0);
+  EXPECT_EQ(a.engine()(), b.engine()());
 }
 
 TEST(Rng, UniformIntInclusiveRange) {
