@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/plan.h"
@@ -44,6 +45,13 @@ class ExecutionBackend {
   [[nodiscard]] virtual const DeployStats& stats() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
+
+/// Turns the offset gradient G that a crossbar layer accumulated in
+/// MatrixOp's offset-gradient mode ([groups_per_col, cols], see
+/// nn/matrix_op.h) into dL/db for every offset register of `pl`, in
+/// place: a sign flip for complemented groups and the layer's
+/// dequantization scale. Returns the sum of squares of the result.
+double signed_offset_gradient(const PlanLayer& pl, std::span<float> grad);
 
 /// The fast path: CRWs are composed numerically by the WeightProgrammer
 /// and folded, together with offsets and complement flags, into effective
