@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulation kernels: device
 // programming, crossbar VMM, LUT construction, the VAWO group solver, and
-// conv lowering.
+// conv lowering (LeNet's convolutions in forward, training backward and
+// PWT offset-gradient backward).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -231,6 +232,62 @@ void BM_Conv2DForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2DForward);
+
+// LeNet's two convolutions at PWT batch 32 (arg 0: 1 = conv1 1->6 on
+// 28x28 pad 2, 2 = conv2 6->16 on 14x14).
+nn::Conv2D lenet_conv(std::int64_t which, Rng& rng, nn::Tensor& x) {
+  const bool first = which == 1;
+  nn::Conv2D conv(first ? 1 : 6, first ? 6 : 16, 5, 1, first ? 2 : 0, rng);
+  x = nn::Tensor({32, first ? 1 : 6, first ? 28 : 14, first ? 28 : 14});
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(0, 1));
+  }
+  return conv;
+}
+
+void BM_LeNetConvForward(benchmark::State& state) {
+  Rng rng(10);
+  nn::Tensor x;
+  nn::Conv2D conv = lenet_conv(state.range(0), rng, x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x, false));
+  }
+}
+BENCHMARK(BM_LeNetConvForward)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+// Arg 1 is the backward flavour: 0 = training backward (dW, bias grad and
+// input grad), 1 = offset-gradient mode at m = 16 with the input grad (PWT
+// on an inner layer), 2 = offset-gradient mode without it (PWT on the
+// first layer, backward_params).
+void BM_LeNetConvBackward(benchmark::State& state) {
+  Rng rng(11);
+  nn::Tensor x;
+  nn::Conv2D conv = lenet_conv(state.range(0), rng, x);
+  const std::int64_t mode = state.range(1);
+  if (mode > 0) conv.set_offset_group_size(16);
+  const nn::Tensor y = conv.forward(x, false);
+  nn::Tensor g(y.shape());
+  for (std::int64_t i = 0; i < g.size(); ++i) {
+    g[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  for (auto _ : state) {
+    if (mode == 2) {
+      conv.backward_params(g);
+      benchmark::DoNotOptimize(conv.offset_grad().data());
+    } else {
+      benchmark::DoNotOptimize(conv.backward(g));
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LeNetConvBackward)
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({2, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

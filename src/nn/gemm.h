@@ -1,11 +1,14 @@
 // Blocked, parallel GEMM kernels used by Dense and Conv2D layers.
 //
 // Kernels keep the ikj loop order (-O3 auto-vectorized inner j loop),
-// block over k to keep the B panel cache-resident, and tile the M
-// dimension across the nn/parallel.h thread pool. Every output row is
-// owned by exactly one chunk and the per-element accumulation order is
-// unchanged, so results are bit-identical to the serial kernels for any
-// thread count (see tests/test_parallel.cpp). Small problems run inline.
+// block over k to keep the B panel cache-resident, skip zero A entries,
+// apply the remaining terms of a C row four at a time (one load/store of
+// C per four terms, same rounding as four separate updates), and tile the
+// M dimension across the nn/parallel.h thread pool. Every output row is
+// owned by exactly one chunk and every element sums its terms in
+// ascending k, so results are bit-identical to a plain serial triple loop
+// for any thread count (see tests/test_gemm.cpp and
+// tests/test_parallel.cpp). Small problems run inline.
 #pragma once
 
 #include <cstdint>

@@ -121,3 +121,61 @@ TEST(Gemm, SkipsZeroRowsCorrectly) {
   gemm(a.data(), b.data(), c.data(), m, k, n);
   expect_near(c, ref_gemm(a, b, m, k, n));
 }
+
+// Every kernel must round exactly like a plain serial loop that adds one
+// product at a time in ascending p (C += A*B: onto C; C += A*B^T: into a
+// zeroed float accumulator, then onto C). Shapes cover fused-by-four
+// remainders, sparse A and k beyond one B panel.
+class GemmSerialOrder
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(GemmSerialOrder, KernelsRoundLikeTheSerialLoop) {
+  const auto [m, k, n] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n));
+  auto a = random_mat(m, k, rng);
+  for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;  // sparse
+  const auto b = random_mat(k, n, rng);
+  const auto c0 = random_mat(m, n, rng);
+  auto at = std::vector<float>(a.size());  // A^T, [k, m]
+  auto bt = std::vector<float>(b.size());  // B^T, [n, k]
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      at[static_cast<std::size_t>(p * m + i)] =
+          a[static_cast<std::size_t>(i * k + p)];
+    }
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      bt[static_cast<std::size_t>(j * k + p)] =
+          b[static_cast<std::size_t>(p * n + j)];
+    }
+  }
+  std::vector<float> ref = c0, ref_bt = c0;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const auto ij = static_cast<std::size_t>(i * n + j);
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float t = a[static_cast<std::size_t>(i * k + p)] *
+                        b[static_cast<std::size_t>(p * n + j)];
+        ref[ij] += t;
+        acc += t;
+      }
+      ref_bt[ij] += acc;
+    }
+  }
+  std::vector<float> c1 = c0, c2 = c0, c3 = c0;
+  gemm_accumulate(a.data(), b.data(), c1.data(), m, k, n);
+  gemm_at_b_accumulate(at.data(), b.data(), c2.data(), m, k, n);
+  gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
+  EXPECT_EQ(c1, ref);
+  EXPECT_EQ(c2, ref);
+  EXPECT_EQ(c3, ref_bt);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmSerialOrder,
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 7, 5),
+                      std::make_tuple(6, 25, 100), std::make_tuple(5, 9, 33),
+                      std::make_tuple(4, 300, 17),
+                      std::make_tuple(16, 150, 64)));
