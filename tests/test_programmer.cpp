@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "rram/programmer.h"
 #include "rram/rlut.h"
@@ -22,6 +23,28 @@ TEST(Programmer, CellsPerWeight) {
 
 TEST(Programmer, RejectsIndivisibleBits) {
   EXPECT_THROW(WeightProgrammer(kMlc, 7, {0.5, 0.0}), std::invalid_argument);
+}
+
+TEST(Programmer, RejectsWeightBitsBeyondAnIntCtw) {
+  EXPECT_THROW(WeightProgrammer(kSlc, 32, {0.5, 0.0}), std::invalid_argument);
+}
+
+TEST(Programmer, ProgramCellsIntoBufferMatchesProgram) {
+  // program_cells writes into a caller-owned buffer and consumes exactly
+  // the draws program() does, so composing the cells gives the same CRW
+  // and leaves the stream in the same place.
+  for (const CellModel& cell : {kSlc, kMlc}) {
+    WeightProgrammer p(cell, 8, {0.5, 0.0});
+    Rng a(17), b(17);
+    std::vector<double> cells(static_cast<std::size_t>(p.cells_per_weight()));
+    for (int v : {0, 1, 77, 200, 255}) {
+      p.program_cells(v, a, cells);
+      EXPECT_EQ(p.compose(cells), p.program(v, b));
+    }
+    EXPECT_EQ(a.engine()(), b.engine()());
+    std::vector<double> wrong(cells.size() + 1);
+    EXPECT_THROW(p.program_cells(3, a, wrong), std::invalid_argument);
+  }
 }
 
 TEST(Programmer, SliceLsbFirstSlc) {
