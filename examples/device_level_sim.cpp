@@ -5,11 +5,12 @@
 // variation, group-by-group wordline activation, digital Sum+Multi offset
 // units, complement post-processing, the ISAAC weight shift, and digital
 // ReLU/bias between layers. sim::DeviceSimBackend is the
-// slow-but-faithful counterpart to core::EffectiveWeightBackend: both
-// execute the same compiled core::DeploymentPlan, and the parity test
-// suite proves their deterministic pipeline counters are bit-identical.
+// slow-but-faithful counterpart to core::EffectiveWeightBackend: it is an
+// effective-weight backend that evaluates on crossbars, so both execute
+// the same compiled core::DeploymentPlan from one programmed state and
+// their deterministic pipeline counters are equal by construction.
 // This example tells the same accuracy story entirely in devices, plus
-// ISAAC bit-serial input streaming and the energy model.
+// one sample's device-level logits and the energy model.
 #include <cstdio>
 
 #include "arch/energy.h"
@@ -83,15 +84,15 @@ int main() {
   std::printf("device-level, VAWO* + PWT:        %.2f%%\n",
               100 * full.evaluate(ds.test()));
 
-  // ISAAC bit-serial input streaming on one sample (layer 0).
-  std::printf("\nbit-serial check (first test sample, layer 0 outputs):\n");
+  // Device-level logits of one sample, on full-precision inputs.
+  std::printf("\ndevice-level logits (first test sample, VAWO* + PWT):\n");
   const std::int64_t sample = ds.test_images.size() / ds.test_images.dim(0);
   std::vector<double> x(static_cast<std::size_t>(sample));
   for (std::int64_t j = 0; j < sample; ++j) {
     x[static_cast<std::size_t>(j)] = ds.test_images[j];
   }
   const auto logits = full.forward(x);
-  std::printf("  logits[0..3] via full-precision inputs: %.3f %.3f %.3f\n",
+  std::printf("  logits[0..2] via full-precision inputs: %.3f %.3f %.3f\n",
               logits[0], logits[1], logits[2]);
 
   // Energy estimate for one inference.

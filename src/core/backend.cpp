@@ -60,8 +60,8 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     layer_span.arg("layer", static_cast<std::int64_t>(li));
     layer_span.arg("weights", static_cast<std::int64_t>(pl.assign.ctw.size()));
     rdo::nn::Rng lrng = rng.split(li);
-    ls.crw.resize(pl.assign.ctw.size());
-    if (keep_cells_) ls.cells.resize(pl.assign.ctw.size());
+    const std::size_t n = pl.assign.ctw.size();
+    ls.crw.resize(n);
     // Dead columns (eliminate_dead_tiles) are never programmed: the RNG
     // draws are consumed and discarded so every live weight sees exactly
     // the stream it would without the pass, and the column reads back the
@@ -69,23 +69,25 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     const bool has_dead = !pl.dead_cols.empty();
     const auto cols = static_cast<std::size_t>(pl.lq.cols);
     std::vector<double> ideal_zero;
-    if (has_dead && keep_cells_) {
+    if (has_dead) {
       for (int s : plan_.prog.slice(pl.lq.zero)) {
         ideal_zero.push_back(static_cast<double>(s));
       }
     }
-    // One buffer per layer; with keep_cells_ every weight programs
-    // straight into its own kept cell vector instead.
+    // With keep_cells_ every weight programs straight into its slot of
+    // the kept cells; otherwise one weight's buffer is reused.
     const auto cpw = static_cast<std::size_t>(plan_.prog.cells_per_weight());
     std::vector<double> scratch(keep_cells_ ? 0 : cpw);
+    if (keep_cells_) ls.cells.resize(n * cpw);
     std::int64_t live = 0;
-    for (std::size_t i = 0; i < pl.assign.ctw.size(); ++i) {
-      std::vector<double>& cells = keep_cells_ ? ls.cells[i] : scratch;
-      cells.resize(cpw);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<double> cells =
+          keep_cells_ ? std::span<double>(ls.cells).subspan(i * cpw, cpw)
+                      : std::span<double>(scratch);
       plan_.prog.program_cells(pl.assign.ctw[i], lrng, cells);
       if (has_dead && pl.dead_cols[i % cols] != 0) {
         ls.crw[i] = static_cast<double>(pl.lq.zero);
-        if (keep_cells_) cells = ideal_zero;
+        std::copy(ideal_zero.begin(), ideal_zero.end(), cells.begin());
         continue;
       }
       ls.crw[i] = plan_.prog.compose(cells);

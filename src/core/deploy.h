@@ -9,7 +9,7 @@
 //
 // The pipeline is split into a compile stage and an execution stage:
 // compile_plan() (core/plan.h) runs everything scheme-dependent but
-// backend-independent once, and an ExecutionBackend (core/backend.h,
+// backend-independent once, and an execution backend (core/backend.h,
 // sim/device_backend.h) realizes programming cycles from the shared
 // plan:  compile_plan (once)  ->  program_cycle  ->  tune  ->  evaluate.
 // CCV means every cycle lands different CRWs; cycles are independent.

@@ -2,7 +2,7 @@
 //
 // A pass is a named, deterministic transform DeploymentPlan ->
 // DeploymentPlan that runs between core::compile_plan() and the
-// ExecutionBackends (the MIGraphX idiom: small, verifiable rewrites over
+// execution backends (the MIGraphX idiom: small, verifiable rewrites over
 // an immutable program). Every pass carries a machine-checkable
 // invariant: run_pipeline() (core/opt/pipeline.h) calls check() after
 // each transform and aborts compilation on a violation instead of

@@ -8,7 +8,7 @@
 // into an immutable DeploymentPlan.
 //
 // The plan is pure data (copyable, shareable by value or const reference):
-// any number of ExecutionBackends (core::EffectiveWeightBackend,
+// any number of execution backends (core::EffectiveWeightBackend,
 // sim::DeviceSimBackend) can realize independent programming cycles from
 // one plan. Compile once, execute many.
 #pragma once

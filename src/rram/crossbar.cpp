@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/check.h"
 
@@ -16,7 +17,7 @@ Crossbar::Crossbar(CrossbarConfig cfg) : cfg_(cfg) {
                 std::to_string(cfg_.active_wordlines) + " outside [1, " +
                 std::to_string(cfg_.rows) + "]");
   states_.assign(static_cast<std::size_t>(cfg_.rows) * cfg_.cols, 0);
-  factors_.assign(states_.size(), 1.0);
+  values_.assign(states_.size(), cfg_.cell.read_value(0, 1.0));
 }
 
 void Crossbar::program(const std::vector<int>& states, rdo::nn::Rng& rng) {
@@ -24,8 +25,10 @@ void Crossbar::program(const std::vector<int>& states, rdo::nn::Rng& rng) {
             "Crossbar::program: got " + std::to_string(states.size()) +
                 " states for " + std::to_string(states_.size()) + " cells");
   states_ = states;
-  for (auto& f : factors_) f = cfg_.variation.sample_factor(rng);
-  values_.clear();
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    values_[i] =
+        cfg_.cell.read_value(states_[i], cfg_.variation.sample_factor(rng));
+  }
 }
 
 void Crossbar::program_ideal(const std::vector<int>& states) {
@@ -33,35 +36,24 @@ void Crossbar::program_ideal(const std::vector<int>& states) {
             "Crossbar::program_ideal: got " + std::to_string(states.size()) +
                 " states for " + std::to_string(states_.size()) + " cells");
   states_ = states;
-  std::fill(factors_.begin(), factors_.end(), 1.0);
-  values_.clear();
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    values_[i] = cfg_.cell.read_value(states_[i], 1.0);
+  }
 }
 
-void Crossbar::program_with_factors(const std::vector<int>& states,
-                                    const std::vector<double>& factors) {
-  RDO_CHECK(states.size() == states_.size() &&
-                factors.size() == factors_.size(),
-            "Crossbar::program_with_factors: state/factor count mismatch");
-  states_ = states;
-  factors_ = factors;
-  values_.clear();
-}
-
-void Crossbar::program_values(const std::vector<int>& states,
-                              const std::vector<double>& values) {
+void Crossbar::program_values(std::vector<int> states,
+                              std::vector<double> values) {
   RDO_CHECK(states.size() == states_.size() &&
                 values.size() == states_.size(),
             "Crossbar::program_values: state/value count mismatch");
-  states_ = states;
-  std::fill(factors_.begin(), factors_.end(), 1.0);
-  values_ = values;
+  states_ = std::move(states);
+  values_ = std::move(values);
 }
 
 double Crossbar::cell_value(int r, int c) const {
   RDO_DCHECK(r >= 0 && r < cfg_.rows && c >= 0 && c < cfg_.cols,
              "Crossbar::cell_value: (r, c) outside the array");
-  if (!values_.empty()) return values_[idx(r, c)];
-  return cfg_.cell.read_value(states_[idx(r, c)], factors_[idx(r, c)]);
+  return values_[idx(r, c)];
 }
 
 int Crossbar::cycles_per_vmm() const {

@@ -6,10 +6,12 @@
 // as in the paper's 128x128 / 16-active configuration) with an optional
 // finite-resolution ADC per group.
 //
-// The end-to-end accuracy pipeline composes CRWs directly through
-// WeightProgrammer (numerically identical with an ideal ADC — a property
-// the test suite asserts); this class exists to validate that equivalence,
-// to model ADC effects, and for the micro-benchmarks.
+// Every programming path fills one store of per-cell read values, which
+// is all a read sees: program() draws a variation factor per cell,
+// program_ideal() uses none, and program_values() installs values drawn
+// elsewhere (the device backend replays WeightProgrammer::program_cells,
+// faults included, so both backends observe the same devices). The cell
+// states are kept for read-power accounting.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,8 @@ class Crossbar {
   explicit Crossbar(CrossbarConfig cfg);
 
   /// Program the whole array from row-major cell states (size rows*cols);
-  /// draws a fresh variation factor per cell (one programming cycle).
+  /// draws a fresh variation factor per cell, in cell order (one
+  /// programming cycle).
   void program(const std::vector<int>& states, rdo::nn::Rng& rng);
   /// Program without variation (ideal device oracle).
   void program_ideal(const std::vector<int>& states);
@@ -43,18 +46,12 @@ class Crossbar {
   /// Digitized read value of one cell (state-units; exact state if ideal).
   [[nodiscard]] double cell_value(int r, int c) const;
 
-  /// Program from explicit per-cell states and variation factors (used by
-  /// the device-level executor to realize per-weight-correlated factors).
-  void program_with_factors(const std::vector<int>& states,
-                            const std::vector<double>& factors);
-
   /// Program from explicit per-cell read values (state-units), bypassing
   /// the cell model's state->value mapping. Lets the device level replay
   /// the exact post-variation (and post-fault) values produced by
   /// WeightProgrammer::program_cells so both execution backends observe
   /// bit-identical devices. `states` keeps read-power accounting honest.
-  void program_values(const std::vector<int>& states,
-                      const std::vector<double>& values);
+  void program_values(std::vector<int> states, std::vector<double> values);
 
   /// y_j = sum_i x_i * cell_value(i, j), computed per activation group and
   /// accumulated digitally, with optional per-group ADC quantization.
@@ -77,9 +74,8 @@ class Crossbar {
  private:
   CrossbarConfig cfg_;
   std::vector<int> states_;     // row-major
-  std::vector<double> factors_; // per-cell e^theta (1.0 until programmed)
-  std::vector<double> values_;  // explicit read values; empty unless
-                                // program_values() was the last programming
+  std::vector<double> values_;  // row-major read values of the last
+                                // programming (an HRS array until then)
 
   [[nodiscard]] std::size_t idx(int r, int c) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(cfg_.cols) +

@@ -4,7 +4,7 @@
 // An InferenceService owns one trained network plus its registered
 // train/test datasets and answers line-protocol requests
 // (serve/protocol.h). Per request config it compiles (or re-uses) a
-// DeploymentPlan and evaluates on a pooled ExecutionBackend:
+// DeploymentPlan and evaluates on a pooled EffectiveWeightBackend:
 //
 //   request config -> plan_fingerprint -> LRU of hot plans
 //                  -> per-(plan, cycle) pool of programmed backends

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/check.h"
 #include "core/offset.h"
@@ -16,27 +17,12 @@ using rdo::rram::Crossbar;
 
 CrossbarLayerExecutor::CrossbarLayerExecutor(
     const rdo::quant::LayerQuant& lq, const rdo::core::VawoResult& assign,
-    const ExecutorConfig& cfg, rdo::nn::Rng& rng)
-    : lq_(lq),
-      assign_(assign),
-      cfg_(cfg),
-      prog_(cfg.xbar.cell, cfg.weight_bits, cfg.xbar.variation),
-      offsets_(assign.offsets) {
-  build_tiles(&rng);
-}
-
-CrossbarLayerExecutor::CrossbarLayerExecutor(
-    const rdo::quant::LayerQuant& lq, const rdo::core::VawoResult& assign,
     const ExecutorConfig& cfg)
     : lq_(lq),
       assign_(assign),
       cfg_(cfg),
       prog_(cfg.xbar.cell, cfg.weight_bits, cfg.xbar.variation),
       offsets_(assign.offsets) {
-  build_tiles(nullptr);
-}
-
-void CrossbarLayerExecutor::build_tiles(rdo::nn::Rng* rng) {
   RDO_CHECK(cfg_.offsets.m % cfg_.xbar.active_wordlines == 0,
             "CrossbarLayerExecutor: m must be a multiple of the activated "
             "wordlines (paper Sec. III-A)");
@@ -53,6 +39,11 @@ void CrossbarLayerExecutor::build_tiles(rdo::nn::Rng* rng) {
             "CrossbarLayerExecutor: " + std::to_string(assign_.ctw.size()) +
                 " assigned CTWs for " + std::to_string(lq_.q.size()) +
                 " quantized weights");
+  for (int v : assign_.ctw) {
+    RDO_CHECK(v >= 0 && v <= prog_.max_weight(),
+              "CrossbarLayerExecutor: CTW " + std::to_string(v) +
+                  " outside [0, " + std::to_string(prog_.max_weight()) + "]");
+  }
   tiling_ = rdo::rram::compute_tiling(lq_.rows, lq_.cols, cfg_.xbar.rows,
                                       cfg_.xbar.cols,
                                       prog_.cells_per_weight());
@@ -63,67 +54,23 @@ void CrossbarLayerExecutor::build_tiles(rdo::nn::Rng* rng) {
   span.arg("groups", assign_.groups_per_col);
   span.arg("row_tiles", tiling_.row_tiles);
   span.arg("col_tiles", tiling_.col_tiles);
-  // Program each tile: cell states from the CTWs, variation factors drawn
-  // per weight (PerWeight scope: all cells of a weight share the factor)
-  // or per cell (PerCell scope).
-  const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
-  rdo::quant::LayerQuant ctw_view = lq_;
-  ctw_view.q = assign_.ctw;
-  for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
-    for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
-      rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
-      tile_span.arg("tr", tr);
-      tile_span.arg("tc", tc);
-      std::vector<int> states =
-          rdo::rram::tile_states(ctw_view, prog_, cfg_.xbar, tr, tc);
-      Crossbar xb(cfg_.xbar);
-      if (rng == nullptr) {
-        xb.program_ideal(states);
-        xbars_.push_back(std::move(xb));
-        continue;
-      }
-      std::vector<double> factors(states.size(), 1.0);
-      for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
-        const std::int64_t mr = tr * cfg_.xbar.rows + r;
-        if (mr >= lq_.rows) break;
-        for (std::int64_t wc = 0; wc < wpr; ++wc) {
-          const std::int64_t mc = tc * wpr + wc;
-          if (mc >= lq_.cols) break;
-          if (cfg_.xbar.variation.scope ==
-              rdo::rram::VariationScope::PerWeight) {
-            const double f = cfg_.xbar.variation.sample_factor(*rng);
-            for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-              factors[static_cast<std::size_t>(
-                  r * cfg_.xbar.cols + wc * prog_.cells_per_weight() + k)] =
-                  f;
-            }
-          } else {
-            for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-              factors[static_cast<std::size_t>(
-                  r * cfg_.xbar.cols + wc * prog_.cells_per_weight() + k)] =
-                  cfg_.xbar.variation.sample_factor(*rng);
-            }
-          }
-        }
-      }
-      xb.program_with_factors(states, factors);
-      xbars_.push_back(std::move(xb));
-    }
-  }
+  xbars_.assign(static_cast<std::size_t>(tiling_.row_tiles *
+                                         tiling_.col_tiles),
+                Crossbar(cfg_.xbar));
 }
 
 void CrossbarLayerExecutor::program_cell_values(
-    const std::vector<std::vector<double>>& cells) {
-  RDO_CHECK(cells.size() == lq_.q.size(),
-            "program_cell_values: " + std::to_string(cells.size()) +
-                " cell vectors for " + std::to_string(lq_.q.size()) +
-                " weights");
+    std::span<const double> cells) {
   const int cpw = prog_.cells_per_weight();
+  RDO_CHECK(cells.size() == lq_.q.size() * static_cast<std::size_t>(cpw),
+            "program_cell_values: " + std::to_string(cells.size()) +
+                " cell values for " + std::to_string(lq_.q.size()) +
+                " weights of " + std::to_string(cpw) + " cells");
   const std::int64_t wpr = cfg_.xbar.cols / cpw;
   rdo::quant::LayerQuant ctw_view = lq_;
   ctw_view.q = assign_.ctw;
   // Padding cells (beyond the layer's rows/cols) read as an ideally
-  // programmed HRS device, matching the variation-drawn programming path.
+  // programmed HRS device.
   const double pad = cfg_.xbar.cell.read_value(0, 1.0);
   for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
     for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
@@ -139,19 +86,15 @@ void CrossbarLayerExecutor::program_cell_values(
         for (std::int64_t wc = 0; wc < wpr; ++wc) {
           const std::int64_t mc = tc * wpr + wc;
           if (mc >= lq_.cols) break;
-          const std::vector<double>& cv =
-              cells[static_cast<std::size_t>(mr * lq_.cols + mc)];
-          RDO_CHECK(cv.size() == static_cast<std::size_t>(cpw),
-                    "program_cell_values: cells-per-weight mismatch");
-          for (int k = 0; k < cpw; ++k) {
-            values[static_cast<std::size_t>(r * cfg_.xbar.cols +
-                                            wc * cpw + k)] =
-                cv[static_cast<std::size_t>(k)];
-          }
+          const std::span<const double> cv = cells.subspan(
+              static_cast<std::size_t>((mr * lq_.cols + mc) * cpw),
+              static_cast<std::size_t>(cpw));
+          std::copy(cv.begin(), cv.end(),
+                    values.begin() + r * cfg_.xbar.cols + wc * cpw);
         }
       }
       xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
-          .program_values(states, values);
+          .program_values(std::move(states), std::move(values));
     }
   }
 }

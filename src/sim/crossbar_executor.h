@@ -7,17 +7,21 @@
 // post-processing applies (2^n - 1) * sum(x) - z', and the ISAAC weight
 // shift subtracts zero * sum(x).
 //
-// The fast path used by core::Deployment absorbs all of this into
-// effective weights; tests/test_sim.cpp proves the two paths agree on the
-// same measured CRWs (exactly with an ideal ADC, boundedly with a real
-// one), which is what licenses the fast path for the accuracy benches.
+// The executor never draws devices itself: program_cell_values() is the
+// only way its crossbars get values, from cells drawn by
+// WeightProgrammer::program_cells (the effective-weight backend's draw).
+// The fast path (core::EffectiveWeightBackend) absorbs all of the above
+// into effective weights; tests/test_sim.cpp proves the two paths agree
+// on the same measured CRWs (exactly with an ideal ADC, boundedly with a
+// real one), which is what licenses the fast path for the accuracy
+// benches.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/vawo.h"
-#include "nn/rng.h"
 #include "quant/quantizer.h"
 #include "rram/crossbar.h"
 #include "rram/programmer.h"
@@ -33,36 +37,29 @@ struct ExecutorConfig {
 
 class CrossbarLayerExecutor {
  public:
-  /// Tiles `lq` onto crossbars and programs every device once (one CCV
-  /// cycle drawn from `rng`). `assign` supplies CTWs, offsets and
+  /// Validates the geometry and the CTWs, tiles `lq` onto crossbars and
+  /// allocates them (unprogrammed: every cell reads as HRS until
+  /// program_cell_values()). `assign` supplies CTWs, offsets and
   /// complement flags (use core::plain_layer for the plain scheme).
-  CrossbarLayerExecutor(const rdo::quant::LayerQuant& lq,
-                        const rdo::core::VawoResult& assign,
-                        const ExecutorConfig& cfg, rdo::nn::Rng& rng);
-
-  /// Same tiling, but programs every device ideally (no variation draw).
-  /// Used by the device backend, which replays externally drawn cell
-  /// values per programming cycle via program_cell_values().
   CrossbarLayerExecutor(const rdo::quant::LayerQuant& lq,
                         const rdo::core::VawoResult& assign,
                         const ExecutorConfig& cfg);
 
-  /// Re-program every device from explicit per-weight cell read values
-  /// (row-major [rows*cols], each entry cells_per_weight values, LSB cell
-  /// first) — the exact outputs of WeightProgrammer::program_cells, so
-  /// the device level observes bit-identical conductances to the
+  /// Program every device from per-cell read values, flat
+  /// [rows * cols * cells_per_weight] (row-major weights, LSB cell first)
+  /// — the exact outputs of WeightProgrammer::program_cells, so the
+  /// device level observes bit-identical conductances to the
   /// effective-weight path. Padding cells read as ideal HRS.
-  void program_cell_values(
-      const std::vector<std::vector<double>>& cells);
+  void program_cell_values(std::span<const double> cells);
 
   /// Device-level forward: x has lq.rows entries (activation units);
   /// returns lq.cols effective (dequantized) outputs.
   ///
-  /// Thread safety: const and touches only state that is immutable after
-  /// construction (crossbar cells, CTWs, offsets), so any number of
-  /// threads may call forward()/forward_bit_serial()/measure_crw()
-  /// concurrently. set_offsets() is the only mutator and must not race
-  /// with concurrent forwards.
+  /// Thread safety: const and touches only state that is immutable
+  /// between programmings (crossbar cells, CTWs, offsets), so any number
+  /// of threads may call forward()/forward_bit_serial()/measure_crw()
+  /// concurrently. program_cell_values() and set_offsets() are the only
+  /// mutators and must not race with concurrent forwards.
   [[nodiscard]] std::vector<double> forward(
       const std::vector<double>& x) const;
 
@@ -101,11 +98,6 @@ class CrossbarLayerExecutor {
                                                    std::int64_t tc) const {
     return xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)];
   }
-
-  /// Shared ctor body: validate geometry, tile and program each device —
-  /// with per-weight/per-cell variation drawn from `rng`, or ideally when
-  /// `rng` is null.
-  void build_tiles(rdo::nn::Rng* rng);
 };
 
 }  // namespace rdo::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/check.h"
 #include "nn/activations.h"
@@ -22,25 +23,24 @@ using rdo::nn::Dense;
 DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
                                    const rdo::nn::Layer& src,
                                    DeviceSimOptions dopt)
-    : engine_(plan, src, /*keep_cell_values=*/true),
-      plan_(plan),
-      dopt_(dopt) {
+    : EffectiveWeightBackend(plan, src, /*keep_cell_values=*/true) {
   // Device substrate: geometry from dopt, device physics and offset
   // configuration from the shared plan.
   ExecutorConfig cfg;
-  cfg.xbar.rows = dopt_.xbar_rows;
-  cfg.xbar.cols = dopt_.xbar_cols;
-  cfg.xbar.cell = plan_.opt.cell;
-  cfg.xbar.variation = plan_.opt.variation;
-  cfg.xbar.active_wordlines = dopt_.active_wordlines;
-  cfg.xbar.adc_bits = dopt_.adc_bits;
-  cfg.offsets = plan_.opt.offsets;
-  cfg.weight_bits = plan_.opt.weight_bits;
+  cfg.xbar.rows = dopt.xbar_rows;
+  cfg.xbar.cols = dopt.xbar_cols;
+  cfg.xbar.cell = plan.opt.cell;
+  cfg.xbar.variation = plan.opt.variation;
+  cfg.xbar.active_wordlines = dopt.active_wordlines;
+  cfg.xbar.adc_bits = dopt.adc_bits;
+  cfg.offsets = plan.opt.offsets;
+  cfg.weight_bits = plan.opt.weight_bits;
 
-  // Walk the engine's twin (same topology as `src`, already moved to the
+  // Walk the base's twin (same topology as `src`, already moved to the
   // plan's quantized + calibrated operating point) in definition order
-  // and validate the topology.
-  rdo::nn::Layer* root = &engine_.network();
+  // and validate the topology. The base already matched the twin's
+  // crossbar layers one-to-one with plan.layers.
+  rdo::nn::Layer* root = &network();
   std::vector<rdo::nn::Layer*> all;
   collect_layers(root, all);
   std::size_t mi = 0;
@@ -88,10 +88,8 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
           "DeviceSimBackend: unsupported layer at device level: " +
           l->name());
     }
-    RDO_CHECK(mi < plan_.layers.size(),
-              "DeviceSimBackend: network does not match the plan");
     stage.plan_index = mi;
-    const rdo::core::PlanLayer& pl = plan_.layers[mi];
+    const rdo::core::PlanLayer& pl = plan.layers[mi];
     ++mi;
     // Per-layer executor config: the tune_group_size pass may have raised
     // this layer's offset-group size above the global opt.offsets.m.
@@ -107,34 +105,25 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
     }
     stages_.push_back(std::move(stage));
   }
-  RDO_CHECK(mi == plan_.layers.size(),
-            "DeviceSimBackend: network does not match the plan");
-}
-
-void DeviceSimBackend::sync_devices() {
-  const std::vector<rdo::core::EffectiveWeightBackend::LayerState>& states =
-      engine_.layers();
-  for (Stage& s : stages_) {
-    if (!s.exec) continue;
-    s.exec->program_cell_values(states[s.plan_index].cells);
-    s.exec->set_offsets(states[s.plan_index].offsets);
-  }
 }
 
 void DeviceSimBackend::program_cycle(std::uint64_t cycle_salt) {
-  engine_.program_cycle(cycle_salt);
-  sync_devices();
-  deployed_ = true;
+  EffectiveWeightBackend::program_cycle(cycle_salt);
+  for (Stage& s : stages_) {
+    if (!s.exec) continue;
+    s.exec->program_cell_values(layers()[s.plan_index].cells);
+    s.exec->set_offsets(layers()[s.plan_index].offsets);
+  }
 }
 
 void DeviceSimBackend::tune(const rdo::nn::DataView& train) {
-  engine_.tune(train);
-  if (!rdo::core::scheme_uses_pwt(plan_.opt.scheme)) return;
+  EffectiveWeightBackend::tune(train);
+  if (!rdo::core::scheme_uses_pwt(plan().opt.scheme)) return;
   // Install the tuned (register-snapped) offsets into the digital offset
   // units; the devices themselves are untouched by tuning.
   for (Stage& s : stages_) {
     if (!s.exec) continue;
-    s.exec->set_offsets(engine_.layers()[s.plan_index].offsets);
+    s.exec->set_offsets(layers()[s.plan_index].offsets);
   }
 }
 
@@ -183,7 +172,7 @@ std::vector<double> DeviceSimBackend::forward_image(
       }
       case Stage::Kind::Conv: {
         RDO_CHECK(c > 0, "DeviceSimBackend: conv needs an image");
-        const rdo::core::PlanLayer& pl = plan_.layers[s.plan_index];
+        const rdo::core::PlanLayer& pl = plan().layers[s.plan_index];
         rdo::obs::TraceSpan stage_span("sim:conv_stage", "sim");
         stage_span.arg("kernel", s.kernel);
         stage_span.arg("out_channels", pl.lq.cols);
@@ -233,7 +222,7 @@ std::vector<double> DeviceSimBackend::forward_image(
         break;
       }
       case Stage::Kind::Crossbar: {
-        const rdo::core::PlanLayer& pl = plan_.layers[s.plan_index];
+        const rdo::core::PlanLayer& pl = plan().layers[s.plan_index];
         rdo::obs::TraceSpan stage_span("sim:crossbar_stage", "sim");
         stage_span.arg("rows", pl.lq.rows);
         stage_span.arg("cols", pl.lq.cols);
@@ -248,16 +237,21 @@ std::vector<double> DeviceSimBackend::forward_image(
   return h;
 }
 
-float DeviceSimBackend::device_accuracy(const rdo::nn::DataView& test,
-                                        std::int64_t max_samples) const {
-  const std::int64_t n = max_samples > 0
-                             ? std::min<std::int64_t>(max_samples,
-                                                      test.size())
-                             : test.size();
-  const std::int64_t sample = test.images->size() / test.images->dim(0);
-  const int channels = static_cast<int>(test.images->dim(1));
-  const int height = static_cast<int>(test.images->dim(2));
-  const int width = static_cast<int>(test.images->dim(3));
+float DeviceSimBackend::device_accuracy(
+    const rdo::nn::DataView& test) const {
+  const rdo::nn::Tensor& images = *test.images;
+  int channels = 0, height = 0, width = 0;  // rank 2: flat samples
+  if (images.rank() == 4) {
+    channels = static_cast<int>(images.dim(1));
+    height = static_cast<int>(images.dim(2));
+    width = static_cast<int>(images.dim(3));
+  } else if (images.rank() != 2) {
+    throw std::invalid_argument(
+        "DeviceSimBackend::evaluate: test images must be [N, features] or "
+        "[N, C, H, W], got rank " + std::to_string(images.rank()));
+  }
+  const std::int64_t n = test.size();
+  const std::int64_t sample = images.size() / n;
   // Batched inference: forward_image is const and every stage reads only
   // state frozen since the last program_cycle()/tune(), so images
   // classify concurrently. Each image's verdict lands in its own slot
@@ -272,7 +266,7 @@ float DeviceSimBackend::device_accuracy(const rdo::nn::DataView& test,
     chunk_span.arg("end", i1);
     std::vector<double> x(static_cast<std::size_t>(sample));
     for (std::int64_t i = i0; i < i1; ++i) {
-      const float* src = test.images->data() + i * sample;
+      const float* src = images.data() + i * sample;
       for (std::int64_t j = 0; j < sample; ++j) {
         x[static_cast<std::size_t>(j)] = src[j];
       }
@@ -291,23 +285,14 @@ float DeviceSimBackend::device_accuracy(const rdo::nn::DataView& test,
 
 float DeviceSimBackend::evaluate(const rdo::nn::DataView& test,
                                  std::int64_t batch) {
-  RDO_CHECK(deployed_, "DeviceSimBackend: program_cycle() first");
-  rdo::obs::TraceSpan span("deploy:evaluate", "deploy", &eval_stats_.eval_s);
+  RDO_CHECK(weights_deployed_, "DeviceSimBackend: program_cycle() first");
+  rdo::obs::TraceSpan span("deploy:evaluate", "deploy", &stats_.eval_s);
   span.arg("batch", batch);
-  const float acc = device_accuracy(test, dopt_.eval_max_samples);
-  eval_stats_.eval_seconds.push_back(span.seconds());
+  const float acc = device_accuracy(test);
+  stats_.eval_seconds.push_back(span.seconds());
   span.arg("accuracy", static_cast<double>(acc));
-  eval_stats_.eval_accuracy.push_back(acc);
+  stats_.eval_accuracy.push_back(acc);
   return acc;
-}
-
-const rdo::core::DeployStats& DeviceSimBackend::stats() const {
-  // The engine never evaluates (its eval fields stay empty), so the
-  // merged record carries the engine's programming/PWT counters plus the
-  // device-side evaluation trace.
-  merged_ = engine_.stats();
-  merged_.merge(eval_stats_);
-  return merged_;
 }
 
 std::int64_t DeviceSimBackend::crossbar_count() const {

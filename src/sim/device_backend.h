@@ -8,14 +8,13 @@
 // them); ReLU, max-pooling, activation quantization and biases run
 // digitally, as in the real accelerator.
 //
-// The backend consumes the same DeploymentPlan as the fast
-// core::EffectiveWeightBackend and supports the plan's full scheme matrix
-// including gradient PWT: it embeds an effective-weight engine (which is
-// numerically equivalent with an ideal ADC — a property the parity suite
-// asserts) to draw each cycle's per-cell conductances and to run PWT,
-// then replays the exact same cell values and tuned offsets onto the
-// simulated crossbars. Deterministic DeployStats counters are therefore
-// bit-identical across backends; only the ADC model and floating-point
+// The backend is a core::EffectiveWeightBackend that evaluates on
+// crossbars: the base draws each cycle's per-cell conductances (kept
+// cells) and runs PWT on its twin; program_cycle() and tune() then push
+// those cells and offsets into the executors, and evaluate() runs the
+// test set through them. There is one programmed state and one
+// DeployStats record, so the deterministic counters equal the fast
+// path's by construction; only the ADC model and floating-point
 // summation order can move the reported accuracy.
 #pragma once
 
@@ -37,33 +36,32 @@ struct DeviceSimOptions {
   int xbar_cols = 128;
   int active_wordlines = 16;  ///< wordlines driven per read cycle
   int adc_bits = 0;           ///< 0 = ideal ADC
-  /// Device-level evaluation is slow (one VMM per conv output position);
-  /// 0 = the full test set, otherwise evaluate() stops after this many
-  /// samples.
-  std::int64_t eval_max_samples = 0;
 };
 
-class DeviceSimBackend : public rdo::core::ExecutionBackend {
+class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
  public:
-  /// `plan` must outlive the backend; `src` is cloned internally (via the
-  /// embedded effective-weight engine) and never modified. Throws
-  /// std::invalid_argument for network layers that cannot run at device
-  /// level or when the network does not match the plan.
+  /// `plan` must outlive the backend; `src` is cloned into the base's
+  /// twin and never modified. Throws std::invalid_argument for network
+  /// layers that cannot run at device level or when the network does not
+  /// match the plan.
   DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
                    const rdo::nn::Layer& src, DeviceSimOptions dopt = {});
 
-  /// One CCV cycle: draws every weight's cell conductances from the
-  /// plan's seeded stream and programs them into the simulated crossbars.
+  /// One CCV cycle: the base draws every weight's cell conductances from
+  /// the plan's seeded stream; they are programmed into the simulated
+  /// crossbars with the a-priori offsets.
   void program_cycle(std::uint64_t cycle_salt) override;
-  /// PWT on the cycle's measured conductances (runs the gradient loop on
-  /// the numerically-equivalent effective-weight twin, then installs the
-  /// tuned offsets into the digital offset units).
+  /// PWT on the cycle's measured conductances (the base's gradient loop
+  /// on its twin), then the tuned offsets go into the digital offset
+  /// units.
   void tune(const rdo::nn::DataView& train) override;
-  /// Device-level test accuracy. Images classify in parallel across the
-  /// nn/parallel.h pool; bit-identical for any thread count.
+  /// Device-level test accuracy over every sample of `test`: images of
+  /// shape [N, C, H, W] or flat samples [N, features] (MLPs); any other
+  /// rank throws std::invalid_argument. Samples classify in parallel
+  /// across the nn/parallel.h pool; bit-identical for any thread count.
+  /// `batch` is recorded on the trace span only.
   float evaluate(const rdo::nn::DataView& test,
                  std::int64_t batch = 64) override;
-  [[nodiscard]] const rdo::core::DeployStats& stats() const override;
   [[nodiscard]] const char* name() const override { return "device-sim"; }
 
   /// Device-level logits for one flat sample (MLPs; no conv stages).
@@ -91,19 +89,9 @@ class DeviceSimBackend : public rdo::core::ExecutionBackend {
     int pool_window = 2;                  // MaxPool stages
   };
 
-  rdo::core::EffectiveWeightBackend engine_;  ///< draws devices, runs PWT
-  const rdo::core::DeploymentPlan& plan_;
-  DeviceSimOptions dopt_;
   std::vector<Stage> stages_;
-  rdo::core::DeployStats eval_stats_;   ///< device-side evaluate() record
-  mutable rdo::core::DeployStats merged_;  ///< engine + eval, see stats()
-  bool deployed_ = false;
 
-  /// Replay the engine's current cell values and offsets onto the
-  /// simulated crossbars.
-  void sync_devices();
-  [[nodiscard]] float device_accuracy(const rdo::nn::DataView& test,
-                                      std::int64_t max_samples) const;
+  [[nodiscard]] float device_accuracy(const rdo::nn::DataView& test) const;
 };
 
 }  // namespace rdo::sim

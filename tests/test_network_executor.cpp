@@ -59,13 +59,25 @@ struct Fixture {
     return o;
   }
 
-  DeviceSimOptions geometry(std::int64_t max_samples = 0) const {
+  DeviceSimOptions geometry() const {
     DeviceSimOptions d;
     d.xbar_rows = 32;
     d.xbar_cols = 32;
     d.active_wordlines = 8;
-    d.eval_max_samples = max_samples;
     return d;
+  }
+
+  /// The first `n` test samples (device-level CNN evaluation is slow).
+  struct TestSlice {
+    nn::Tensor images;
+    std::vector<int> labels;
+    [[nodiscard]] nn::DataView view() const { return {&images, &labels}; }
+  };
+  [[nodiscard]] TestSlice test_head(std::int64_t n) const {
+    std::vector<std::int64_t> idx;
+    for (std::int64_t i = 0; i < n; ++i) idx.push_back(i);
+    return {nn::gather_batch(ds.test_images, idx),
+            {ds.test_labels.begin(), ds.test_labels.begin() + n}};
   }
 
   /// A backend bundled with the plan it executes (the backend holds a
@@ -78,13 +90,12 @@ struct Fixture {
 
   /// Compile + build + program one cycle in one step.
   Deployed deployed(const nn::Layer& network, double sigma,
-                    core::Scheme scheme,
-                    std::int64_t max_samples = 0) const {
+                    core::Scheme scheme) const {
     Deployed d;
     d.plan = std::make_unique<core::DeploymentPlan>(
         core::compile_plan(network, options(sigma, scheme), ds.train()));
-    d.backend = std::make_unique<DeviceSimBackend>(*d.plan, network,
-                                                  geometry(max_samples));
+    d.backend =
+        std::make_unique<DeviceSimBackend>(*d.plan, network, geometry());
     d.backend->program_cycle(0);
     return d;
   }
@@ -105,6 +116,21 @@ TEST(NetworkExecutor, IdealDevicesMatchFloatAccuracy) {
   DeviceSimBackend exec(plan, f.net, f.geometry());
   exec.program_cycle(0);
   EXPECT_NEAR(exec.evaluate(f.ds.test()), f.ideal, 0.06f);
+}
+
+TEST(NetworkExecutor, FlatTestSetMatchesImageTestSet) {
+  // An MLP classifies [N, features] samples exactly like the [N, 1, H, W]
+  // images they flatten; a test set of any other rank is refused.
+  auto& f = fx();
+  const Fixture::Deployed exec = f.deployed(f.net, 0.5, core::Scheme::VAWOStar);
+  const nn::Tensor& images = f.ds.test_images;
+  const nn::Tensor flat = images.reshaped({images.dim(0), 100});
+  const nn::DataView flat_view{&flat, &f.ds.test_labels};
+  EXPECT_EQ(exec->evaluate(flat_view), exec->evaluate(f.ds.test()));
+
+  const nn::Tensor rank3 = images.reshaped({images.dim(0), 10, 10});
+  const nn::DataView rank3_view{&rank3, &f.ds.test_labels};
+  EXPECT_THROW(exec->evaluate(rank3_view), std::invalid_argument);
 }
 
 TEST(NetworkExecutor, RejectsUnsupportedLayers) {
@@ -178,12 +204,12 @@ TEST(NetworkExecutor, CnnAccuracyMatchesOnIdealDevices) {
 TEST(NetworkExecutor, CnnRecoveryUnderVariation) {
   auto& f = fx();
   nn::Sequential& cnn = trained_cnn();
-  const Fixture::Deployed plain =
-      f.deployed(cnn, 0.5, core::Scheme::Plain, 25);
+  const Fixture::TestSlice head = f.test_head(25);
+  const Fixture::Deployed plain = f.deployed(cnn, 0.5, core::Scheme::Plain);
   const Fixture::Deployed full =
-      f.deployed(cnn, 0.5, core::Scheme::VAWOStarPWT, 25);
+      f.deployed(cnn, 0.5, core::Scheme::VAWOStarPWT);
   full->tune(f.ds.train());
-  EXPECT_GE(full->evaluate(f.ds.test()), plain->evaluate(f.ds.test()));
+  EXPECT_GE(full->evaluate(head.view()), plain->evaluate(head.view()));
 }
 
 TEST(NetworkExecutor, VariationDegradesPlainDeployment) {

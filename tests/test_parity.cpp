@@ -1,16 +1,22 @@
-// Cross-backend parity: core::EffectiveWeightBackend and
-// sim::DeviceSimBackend execute the same compiled core::DeploymentPlan,
-// so their deterministic DeployStats counters must be bit-identical for
-// every scheme and cell kind, and their reported accuracies must agree
-// up to ADC/floating-point summation effects. These tests carry the
-// `parity` ctest label and run in CI under several RDO_THREADS settings.
+// Cross-backend parity: sim::DeviceSimBackend is a
+// core::EffectiveWeightBackend that evaluates on crossbars, so the two
+// execute the same compiled core::DeploymentPlan from one programmed
+// state. Their deterministic DeployStats counters are bit-identical for
+// every scheme and cell kind, their reported accuracies agree up to
+// ADC/floating-point summation effects, and with an ideal ADC the device
+// logits replay the effective twin's to float precision. These tests
+// carry the `parity` ctest label and run in CI under several RDO_THREADS
+// settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "core/backend.h"
+#include "core/opt/pipeline.h"
 #include "core/plan.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
@@ -95,9 +101,32 @@ Fixture& fx() {
   return f;
 }
 
+/// A small MLP trained on the same task, with output column 2 of its
+/// first Dense layer zeroed afterwards so eliminate_dead_tiles has a
+/// column to mask.
+nn::Sequential& trained_mlp() {
+  static nn::Sequential* mlp = [] {
+    auto* net = new nn::Sequential();
+    auto& f = fx();
+    nn::Rng rng(31);
+    net->emplace<nn::Flatten>();
+    net->emplace<nn::Dense>(64, 16, rng);
+    net->emplace<nn::ReLU>();
+    net->emplace<nn::Dense>(16, 4, rng);
+    nn::SGD opt(net->params(), 0.1f);
+    for (int e = 0; e < 8; ++e) {
+      nn::train_epoch(*net, opt, f.ds.train(), 16, rng);
+    }
+    nn::Param* w = net->params()[0];  // [fan_in, fan_out] row-major
+    for (std::int64_t r = 0; r < 64; ++r) w->value[r * 16 + 2] = 0.0f;
+    return net;
+  }();
+  return *mlp;
+}
+
 /// Full program/tune/evaluate pipeline over `cycles` programming cycles
 /// on an already-constructed backend; returns its stats.
-const DeployStats& run_pipeline(ExecutionBackend& backend,
+const DeployStats& run_pipeline(EffectiveWeightBackend& backend,
                                 const nn::DataView& train,
                                 const nn::DataView& test, int cycles) {
   for (int c = 0; c < cycles; ++c) {
@@ -234,7 +263,7 @@ TEST(Parity, ThrowingProgramCycleLeavesBackendDestructibleAndRetryable) {
     EXPECT_THROW(backend.evaluate(f.ds.test()), std::logic_error);
     EXPECT_THROW(backend.program_cycle(0), std::invalid_argument);
   }  // first destruction: the backend, then its twin — must not throw
-  // The device backend lays the nominal CTWs onto crossbars at
+  // The device backend's executors validate the CTW range at
   // construction, so the corrupt plan is rejected before any cycle runs.
   EXPECT_THROW(sim::DeviceSimBackend(corrupt, f.net, f.geometry()),
                std::invalid_argument);
@@ -247,4 +276,60 @@ TEST(Parity, ThrowingProgramCycleLeavesBackendDestructibleAndRetryable) {
   const std::vector<float> after = f.param_bytes();
   EXPECT_EQ(0, std::memcmp(before.data(), after.data(),
                            before.size() * sizeof(float)));
+}
+
+TEST(Parity, DeviceLogitsReplayAnIndependentEffectiveTwin) {
+  // Whole-network replay oracle: with an ideal ADC, the device backend's
+  // logits equal those of an independently built effective-weight twin
+  // at the same plan and cycle salt, so the crossbars hold exactly the
+  // twin's cells, tuned offsets and dead columns. VAWO*+PWT pins the
+  // tuned offsets; eliminate_dead_tiles skips PWT schemes, so VAWO* with
+  // the pass pins the dead column.
+  auto& f = fx();
+  nn::Sequential& mlp = trained_mlp();
+  const std::vector<std::int64_t> samples = {0, 1, 2, 3, 4, 5};
+  const nn::Tensor batch = nn::gather_batch(f.ds.test_images, samples);
+  const std::int64_t features = batch.size() / batch.dim(0);
+  for (Scheme s : {Scheme::VAWOStarPWT, Scheme::VAWOStar}) {
+    SCOPED_TRACE(to_string(s));
+    DeployOptions o = f.options(s, rram::CellKind::MLC2);
+    o.variation.sigma = 0.5;
+    o.pwt.epochs = 2;
+    DeploymentPlan plan = compile_plan(mlp, o, f.ds.train());
+    opt::run_pipeline(plan, {"eliminate_dead_tiles"});
+
+    EffectiveWeightBackend twin(plan, mlp);
+    sim::DeviceSimBackend dev(plan, mlp, f.geometry());
+    for (EffectiveWeightBackend* b :
+         std::initializer_list<EffectiveWeightBackend*>{&twin, &dev}) {
+      b->program_cycle(5);
+      b->tune(f.ds.train());
+    }
+    if (scheme_uses_pwt(s)) {
+      ASSERT_NE(twin.layers()[0].offsets, plan.layers[0].assign.offsets)
+          << "PWT left the offsets untouched; nothing to replay";
+    } else {
+      ASSERT_EQ(plan.layers[0].dead_cols.size(), 16u);
+      ASSERT_EQ(plan.layers[0].dead_cols[2], 1);
+    }
+
+    const nn::Tensor want = twin.network().forward(batch, false);
+    const std::int64_t classes = want.dim(1);
+    for (std::int64_t n = 0; n < batch.dim(0); ++n) {
+      std::vector<double> x(static_cast<std::size_t>(features));
+      for (std::int64_t j = 0; j < features; ++j) {
+        x[static_cast<std::size_t>(j)] = batch[n * features + j];
+      }
+      const std::vector<double> got = dev.forward(x);
+      ASSERT_EQ(static_cast<std::int64_t>(got.size()), classes);
+      for (std::int64_t k = 0; k < classes; ++k) {
+        const double w = want[n * classes + k];
+        // The twin holds float effective weights and sums in float; the
+        // crossbars read double cells and sum in double.
+        EXPECT_NEAR(got[static_cast<std::size_t>(k)], w,
+                    1e-5 * std::max(1.0, std::fabs(w)))
+            << "sample " << n << " class " << k;
+      }
+    }
+  }
 }

@@ -1,6 +1,6 @@
 // Deployment-as-a-service: protocol parsing, the plan LRU, backend
 // pooling, admission control and end-to-end parity of served evaluate()
-// against a directly driven ExecutionBackend.
+// against a directly driven EffectiveWeightBackend.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "sim/crossbar_executor.h"
 
@@ -63,6 +64,25 @@ std::vector<double> fast_path(const quant::LayerQuant& lq,
   return y;
 }
 
+/// Builds the executor and programs every device once from `rng` with
+/// the production draw (WeightProgrammer::program_cells, weight by weight
+/// in row-major order).
+CrossbarLayerExecutor programmed(const quant::LayerQuant& lq,
+                                 const core::VawoResult& assign,
+                                 const ExecutorConfig& cfg, Rng& rng) {
+  CrossbarLayerExecutor exec(lq, assign, cfg);
+  const rram::WeightProgrammer prog(cfg.xbar.cell, cfg.weight_bits,
+                                    cfg.xbar.variation);
+  const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
+  std::vector<double> cells(assign.ctw.size() * cpw);
+  for (std::size_t i = 0; i < assign.ctw.size(); ++i) {
+    prog.program_cells(assign.ctw[i], rng,
+                       std::span<double>(cells).subspan(i * cpw, cpw));
+  }
+  exec.program_cell_values(cells);
+  return exec;
+}
+
 }  // namespace
 
 TEST(Sim, RejectsMisalignedGranularity) {
@@ -71,7 +91,7 @@ TEST(Sim, RejectsMisalignedGranularity) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight, 6);
   Rng rng(2);
-  EXPECT_THROW(CrossbarLayerExecutor(lq, assign, cfg, rng),
+  EXPECT_THROW(programmed(lq, assign, cfg, rng),
                std::invalid_argument);
 }
 
@@ -81,7 +101,7 @@ TEST(Sim, IdealDevicesReproduceIntegerMatrixProduct) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight);
   Rng rng(4);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   Rng xr(5);
   std::vector<double> x(16);
   for (auto& v : x) v = xr.uniform(0.0, 1.0);
@@ -104,7 +124,7 @@ TEST(Sim, MeasuredCrwMatchesCtwOnIdealDevices) {
                                  rram::VariationScope::PerWeight);
   cfg.xbar.cols = 64;  // 8 SLC cells per weight, 8 weights per row
   Rng rng(7);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   const auto crw = exec.measure_crw();
   for (std::size_t i = 0; i < crw.size(); ++i) {
     EXPECT_NEAR(crw[i], static_cast<double>(lq.q[i]), 1e-9);
@@ -137,7 +157,7 @@ TEST_P(SimEquivalence, DeviceLevelForwardEqualsFastPathOnMeasuredCrws) {
   ExecutorConfig cfg = small_cfg(kind, 0.5, scope);
   if (kind == rram::CellKind::SLC) cfg.xbar.cols = 64;
   Rng rng(9);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   const auto crw = exec.measure_crw();
 
   Rng xr(10);
@@ -169,7 +189,7 @@ TEST(Sim, AdcQuantizationBoundsTheFastPathGap) {
                                  rram::VariationScope::PerWeight, 8,
                                  /*adc_bits=*/8);
   Rng rng(12);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   const auto crw = exec.measure_crw();
   Rng xr(13);
   std::vector<double> x(16);
@@ -195,7 +215,7 @@ TEST(Sim, SetOffsetsChangesOutput) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight);
   Rng rng(15);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   std::vector<double> x(16, 1.0);
   const auto y0 = exec.forward(x);
   std::vector<float> offs(assign.offsets.size(), 5.0f);
@@ -215,7 +235,7 @@ TEST(Sim, BitSerialEqualsDirectOnQuantizedInputs) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.4,
                                  rram::VariationScope::PerWeight);
   Rng rng(21);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   Rng xr(22);
   std::vector<double> x(16);
   for (auto& v : x) v = xr.uniform(0.0, 1.0);
@@ -241,7 +261,7 @@ TEST(Sim, BitSerialRejectsBadFormat) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight);
   Rng rng(24);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   std::vector<double> x(16, 0.5);
   EXPECT_THROW(exec.forward_bit_serial(x, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(exec.forward_bit_serial(x, 8, 0.0), std::invalid_argument);
@@ -257,7 +277,7 @@ TEST(Sim, RejectsGroupStraddlingRowTileBoundary) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight, 12);
   Rng rng(26);
-  EXPECT_THROW(CrossbarLayerExecutor(lq, assign, cfg, rng),
+  EXPECT_THROW(programmed(lq, assign, cfg, rng),
                std::invalid_argument);
 }
 
@@ -268,7 +288,7 @@ TEST(Sim, AcceptsWholeTileGroups) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight, 16);
   Rng rng(28);
-  EXPECT_NO_THROW(CrossbarLayerExecutor(lq, assign, cfg, rng));
+  EXPECT_NO_THROW(programmed(lq, assign, cfg, rng));
 }
 
 TEST(Sim, BitSerialRejectsNegativeInputs) {
@@ -279,7 +299,7 @@ TEST(Sim, BitSerialRejectsNegativeInputs) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
                                  rram::VariationScope::PerWeight);
   Rng rng(30);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   std::vector<double> x(16, 0.5);
   x[3] = -0.25;
   EXPECT_THROW(exec.forward_bit_serial(x, 8, 1.0), std::invalid_argument);
@@ -294,6 +314,6 @@ TEST(Sim, CrossbarCountMatchesTiling) {
                                  rram::VariationScope::PerWeight);
   // 16 rows/tile -> 3 row tiles; 8 weights per tile row -> 2 col tiles.
   Rng rng(17);
-  CrossbarLayerExecutor exec(lq, assign, cfg, rng);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   EXPECT_EQ(exec.crossbar_count(), 6);
 }

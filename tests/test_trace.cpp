@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -214,8 +215,17 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
     cfg.xbar.variation.sigma = 0.2;
     cfg.xbar.active_wordlines = 4;
     cfg.offsets.m = 8;
+    sim::CrossbarLayerExecutor exec(lq, assign, cfg);
+    const rram::WeightProgrammer prog(cfg.xbar.cell, cfg.weight_bits,
+                                      cfg.xbar.variation);
+    const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
+    std::vector<double> cells(lq.q.size() * cpw);
     nn::Rng xrng(17);
-    const sim::CrossbarLayerExecutor exec(lq, assign, cfg, xrng);
+    for (std::size_t i = 0; i < assign.ctw.size(); ++i) {
+      prog.program_cells(assign.ctw[i], xrng,
+                         std::span<double>(cells).subspan(i * cpw, cpw));
+    }
+    exec.program_cell_values(cells);
     (void)exec.measure_crw();
   }
   ASSERT_EQ(rdo::obs::trace_stop(), path);
