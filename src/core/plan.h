@@ -127,8 +127,8 @@ struct DeploymentPlan {
   /// Append one complete plan document to `out`. Throws on stream
   /// failure.
   void save(std::ostream& out, std::uint64_t fingerprint) const;
-  /// Save to `path` atomically (temp file + rename, pid+counter temp
-  /// suffix — see core/tmpfile.h) so concurrent loaders sharing
+  /// Save to `path` atomically (codec::publish: a uniquely named temp
+  /// file renamed into place) so concurrent loaders sharing
   /// RDO_PLAN_CACHE_DIR only ever observe complete plans. Throws on I/O
   /// failure.
   void save(const std::string& path, std::uint64_t fingerprint) const;

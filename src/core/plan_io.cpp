@@ -21,9 +21,10 @@
 // never alias an RDP2 fingerprint either.
 //
 // The load path treats the file as untrusted input (it is the payload
-// behind the opt-in RDO_PLAN_CACHE_DIR shared cache): every read is
-// checked against the stream state, every declared count is bounded by
-// the bytes actually remaining before it is believed, enum and range
+// behind the opt-in RDO_PLAN_CACHE_DIR shared cache) and reads through
+// the shared codec (core/codec.h): every read is checked against the
+// stream state, every declared count is bounded by the bytes actually
+// remaining before it is believed, enum and range
 // fields are validated before any object is constructed from them, and
 // trailing bytes are rejected. A damaged file raises PlanError — never a
 // partially-initialized plan, an unbounded resize, or a ContractViolation
@@ -34,20 +35,16 @@
 // hit means (the warm-start test asserts it).
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <vector>
 
+#include "core/codec.h"
 #include "core/opt/pipeline.h"
 #include "core/plan.h"
-#include "core/tmpfile.h"
 #include "nn/matrix_op.h"
 #include "quant/act_quant.h"
 
@@ -67,143 +64,43 @@ constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 24;
 constexpr std::uint64_t kMaxPassSpec = 4096;  ///< pass-list string bytes
 constexpr std::uint64_t kMaxPasses = 64;      ///< applied-pass record entries
 
-/// FNV-1a over a byte span (same construction as RLut::fingerprint).
-void fnv1a(const void* data, std::size_t n, std::uint64_t& h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
+using codec::Fnv1a;
+using codec::Writer;
+using Reader = codec::Reader<PlanError>;
+
+template <typename T>
+T finite(Reader& r) {
+  const auto v = r.scalar<T>();
+  r.require(std::isfinite(v), "non-finite floating-point field");
+  return v;
 }
 
-void fnv1a_u64(std::uint64_t v, std::uint64_t& h) { fnv1a(&v, sizeof(v), h); }
-
-void fnv1a_double(double v, std::uint64_t& h) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv1a_u64(bits, h);
+void hash_options(const DeployOptions& o, Fnv1a& h) {
+  h.u64(static_cast<std::uint64_t>(o.scheme));
+  h.u64(static_cast<std::uint64_t>(o.offsets.m));
+  h.u64(static_cast<std::uint64_t>(o.offsets.offset_bits));
+  h.u64(o.cell.kind == rdo::rram::CellKind::SLC ? 1u : 2u);
+  h.f64(o.cell.on_off_ratio);
+  h.f64(o.variation.sigma);
+  h.f64(o.variation.ddv_fraction);
+  h.u64(o.variation.scope == rdo::rram::VariationScope::PerWeight ? 1u : 2u);
+  h.f64(o.faults.stuck_hrs_rate);
+  h.f64(o.faults.stuck_lrs_rate);
+  h.u64(static_cast<std::uint64_t>(o.weight_bits));
+  h.u64(static_cast<std::uint64_t>(o.pwt.epochs));
+  h.f64(static_cast<double>(o.pwt.lr));
+  h.u64(static_cast<std::uint64_t>(o.pwt.batch_size));
+  h.u64(static_cast<std::uint64_t>(o.pwt.max_samples));
+  h.u64(o.pwt.mean_init ? 1u : 0u);
+  h.u64(o.quantize_activations ? 1u : 0u);
+  h.u64(o.penalize_bias ? 1u : 0u);
+  h.u64(static_cast<std::uint64_t>(o.lut_k_sets));
+  h.u64(static_cast<std::uint64_t>(o.lut_j_cycles));
+  h.u64(static_cast<std::uint64_t>(o.grad_samples));
+  h.u64(static_cast<std::uint64_t>(o.grad_batch));
+  h.u64(o.seed);
+  h.str(o.opt_passes);
 }
-
-void fnv1a_str(const std::string& s, std::uint64_t& h) {
-  fnv1a_u64(s.size(), h);
-  fnv1a(s.data(), s.size(), h);
-}
-
-void hash_options(const DeployOptions& o, std::uint64_t& h) {
-  fnv1a_u64(static_cast<std::uint64_t>(o.scheme), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.offsets.m), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.offsets.offset_bits), h);
-  fnv1a_u64(o.cell.kind == rdo::rram::CellKind::SLC ? 1u : 2u, h);
-  fnv1a_double(o.cell.on_off_ratio, h);
-  fnv1a_double(o.variation.sigma, h);
-  fnv1a_double(o.variation.ddv_fraction, h);
-  fnv1a_u64(o.variation.scope == rdo::rram::VariationScope::PerWeight ? 1u
-                                                                      : 2u,
-            h);
-  fnv1a_double(o.faults.stuck_hrs_rate, h);
-  fnv1a_double(o.faults.stuck_lrs_rate, h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.weight_bits), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.pwt.epochs), h);
-  fnv1a_double(static_cast<double>(o.pwt.lr), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.pwt.batch_size), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.pwt.max_samples), h);
-  fnv1a_u64(o.pwt.mean_init ? 1u : 0u, h);
-  fnv1a_u64(o.quantize_activations ? 1u : 0u, h);
-  fnv1a_u64(o.penalize_bias ? 1u : 0u, h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.lut_k_sets), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.lut_j_cycles), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.grad_samples), h);
-  fnv1a_u64(static_cast<std::uint64_t>(o.grad_batch), h);
-  fnv1a_u64(o.seed, h);
-  fnv1a_str(o.opt_passes, h);
-}
-
-/// Binary writer with stream-state checking.
-class Writer {
- public:
-  explicit Writer(std::ostream& out) : out_(out) {}
-
-  void raw(const void* data, std::size_t n) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(n));
-    if (!out_) {
-      throw std::runtime_error("DeploymentPlan::save: stream write failed");
-    }
-  }
-  template <typename T>
-  void scalar(T v) {
-    raw(&v, sizeof(v));
-  }
-  template <typename T>
-  void array(const std::vector<T>& v) {
-    scalar(static_cast<std::uint64_t>(v.size()));
-    raw(v.data(), v.size() * sizeof(T));
-  }
-
- private:
-  std::ostream& out_;
-};
-
-/// Binary reader with a byte budget: every read is bounded by the bytes
-/// the stream actually holds, so a hostile count can never drive an
-/// allocation or a read past the document.
-class Reader {
- public:
-  Reader(std::istream& in, std::uint64_t total, std::string source)
-      : in_(in), remaining_(total), source_(std::move(source)) {}
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw PlanError("DeploymentPlan::load: " + what + " in " + source_);
-  }
-  void require(bool cond, const char* what) const {
-    if (!cond) fail(what);
-  }
-
-  void raw(void* dst, std::size_t n) {
-    if (n > remaining_) fail("truncated file");
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (!in_ || in_.gcount() != static_cast<std::streamsize>(n)) {
-      fail("truncated file");
-    }
-    remaining_ -= n;
-  }
-  template <typename T>
-  T scalar() {
-    T v;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  /// Length-prefixed array whose count must satisfy `max_count` and the
-  /// byte budget before anything is allocated.
-  template <typename T>
-  std::vector<T> array(std::uint64_t max_count) {
-    const auto n = scalar<std::uint64_t>();
-    require(n <= max_count, "oversized array count");
-    require(n * sizeof(T) <= remaining_, "array count exceeds file size");
-    std::vector<T> v(static_cast<std::size_t>(n));
-    raw(v.data(), static_cast<std::size_t>(n) * sizeof(T));
-    return v;
-  }
-  double finite_double() {
-    const auto v = scalar<double>();
-    require(std::isfinite(v), "non-finite floating-point field");
-    return v;
-  }
-  float finite_float() {
-    const auto v = scalar<float>();
-    require(std::isfinite(v), "non-finite floating-point field");
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t remaining() const { return remaining_; }
-  [[nodiscard]] const std::string& source() const { return source_; }
-
- private:
-  std::istream& in_;
-  std::uint64_t remaining_;
-  std::string source_;
-};
 
 void write_options(Writer& w, const DeployOptions& o) {
   w.scalar(static_cast<std::uint32_t>(o.scheme));
@@ -229,8 +126,7 @@ void write_options(Writer& w, const DeployOptions& o) {
   w.scalar(o.grad_samples);
   w.scalar(o.grad_batch);
   w.scalar(o.seed);
-  w.scalar(static_cast<std::uint64_t>(o.opt_passes.size()));
-  w.raw(o.opt_passes.data(), o.opt_passes.size());
+  w.array(o.opt_passes);
 }
 
 DeployOptions read_options(Reader& r) {
@@ -249,18 +145,18 @@ DeployOptions read_options(Reader& r) {
   const auto kind = r.scalar<std::uint32_t>();
   r.require(kind <= 1, "unknown cell kind");
   o.cell.kind = static_cast<rdo::rram::CellKind>(kind);
-  o.cell.on_off_ratio = r.finite_double();
+  o.cell.on_off_ratio = finite<double>(r);
   r.require(o.cell.on_off_ratio > 1.0, "ON/OFF ratio out of range");
-  o.variation.sigma = r.finite_double();
+  o.variation.sigma = finite<double>(r);
   r.require(o.variation.sigma >= 0.0, "negative sigma");
-  o.variation.ddv_fraction = r.finite_double();
+  o.variation.ddv_fraction = finite<double>(r);
   r.require(o.variation.ddv_fraction >= 0.0 && o.variation.ddv_fraction <= 1.0,
             "DDV fraction out of range");
   const auto scope = r.scalar<std::uint32_t>();
   r.require(scope <= 1, "unknown variation scope");
   o.variation.scope = static_cast<rdo::rram::VariationScope>(scope);
-  o.faults.stuck_hrs_rate = r.finite_double();
-  o.faults.stuck_lrs_rate = r.finite_double();
+  o.faults.stuck_hrs_rate = finite<double>(r);
+  o.faults.stuck_lrs_rate = finite<double>(r);
   r.require(o.faults.stuck_hrs_rate >= 0.0 && o.faults.stuck_hrs_rate <= 1.0 &&
                 o.faults.stuck_lrs_rate >= 0.0 &&
                 o.faults.stuck_lrs_rate <= 1.0,
@@ -272,7 +168,7 @@ DeployOptions read_options(Reader& r) {
   o.weight_bits = wbits;
   o.pwt.epochs = r.scalar<std::int32_t>();
   r.require(o.pwt.epochs >= 0, "negative PWT epoch count");
-  o.pwt.lr = r.finite_float();
+  o.pwt.lr = finite<float>(r);
   o.pwt.batch_size = r.scalar<std::int64_t>();
   o.pwt.max_samples = r.scalar<std::int64_t>();
   r.require(o.pwt.batch_size >= 1 && o.pwt.max_samples >= 0,
@@ -292,10 +188,7 @@ DeployOptions read_options(Reader& r) {
   r.require(o.grad_samples >= 0 && o.grad_batch >= 1,
             "gradient budget out of range");
   o.seed = r.scalar<std::uint64_t>();
-  const auto pass_len = r.scalar<std::uint64_t>();
-  r.require(pass_len <= kMaxPassSpec, "oversized optimizer pass list");
-  std::string spec(static_cast<std::size_t>(pass_len), '\0');
-  if (pass_len > 0) r.raw(spec.data(), spec.size());
+  std::string spec = r.text(kMaxPassSpec);
   std::string err;
   if (!opt::parse_pass_list(spec, &err)) {
     r.fail("invalid optimizer pass list: " + err);
@@ -308,7 +201,7 @@ DeployOptions read_options(Reader& r) {
 
 void DeploymentPlan::save(std::ostream& out,
                           std::uint64_t fingerprint) const {
-  Writer w(out);
+  Writer w(out, "DeploymentPlan::save");
   w.scalar(kPlanMagic);
   w.scalar(fingerprint);
   write_options(w, opt);
@@ -319,9 +212,7 @@ void DeploymentPlan::save(std::ostream& out,
   lut.save(lut_bytes, rdo::rram::RLut::fingerprint(prog, opt.lut_k_sets,
                                                    opt.lut_j_cycles,
                                                    opt.seed));
-  const std::string blob = lut_bytes.str();
-  w.scalar(static_cast<std::uint64_t>(blob.size()));
-  w.raw(blob.data(), blob.size());
+  w.array(lut_bytes.str());
 
   w.scalar(static_cast<std::uint32_t>(layers.size()));
   for (const PlanLayer& pl : layers) {
@@ -353,48 +244,19 @@ void DeploymentPlan::save(std::ostream& out,
   }
 
   w.scalar(static_cast<std::uint32_t>(passes_applied.size()));
-  for (const std::string& name : passes_applied) {
-    w.scalar(static_cast<std::uint64_t>(name.size()));
-    w.raw(name.data(), name.size());
-  }
+  for (const std::string& name : passes_applied) w.array(name);
 }
 
 void DeploymentPlan::save(const std::string& path,
                           std::uint64_t fingerprint) const {
-  const std::string tmp = path + unique_tmp_suffix();
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      throw std::runtime_error("DeploymentPlan::save: cannot open " + tmp);
-    }
-    save(f, fingerprint);
-    if (!f) {
-      throw std::runtime_error("DeploymentPlan::save: write failed for " +
-                               tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("DeploymentPlan::save: cannot rename into " +
-                             path);
-  }
+  codec::publish(path, "DeploymentPlan::save",
+                 [&](std::ostream& out) { save(out, fingerprint); });
 }
 
 std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
                                                    std::uint64_t fingerprint,
                                                    const std::string& source) {
-  // Byte budget: bound every declared count by what the stream holds.
-  const std::istream::pos_type pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(pos);
-  if (pos == std::istream::pos_type(-1) || end == std::istream::pos_type(-1) ||
-      !in || end < pos) {
-    throw PlanError("DeploymentPlan::load: unseekable stream " + source);
-  }
-  Reader r(in, static_cast<std::uint64_t>(end - pos), source);
+  Reader r(in, "DeploymentPlan::load", source);
 
   if (r.scalar<std::uint32_t>() != kPlanMagic) r.fail("bad magic");
   const auto stored_fp = r.scalar<std::uint64_t>();
@@ -410,10 +272,8 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
   // Embedded LUT: extract the length-prefixed blob and feed it to the
   // hardened RLut loader, which re-checks its own header, payload size
   // and fingerprint over exactly this span.
-  const auto lut_blob = r.array<char>(r.remaining());
   {
-    std::istringstream lut_in(std::string(lut_blob.data(), lut_blob.size()),
-                              std::ios::binary);
+    std::istringstream lut_in(r.text(r.remaining()), std::ios::binary);
     const std::uint64_t lut_fp = rdo::rram::RLut::fingerprint(
         plan.prog, opt.lut_k_sets, opt.lut_j_cycles, opt.seed);
     try {
@@ -451,7 +311,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
     const auto bits = r.scalar<std::int32_t>();
     r.require(bits == opt.weight_bits, "layer bit width mismatch");
     pl.lq.bits = bits;
-    pl.lq.scale = r.finite_float();
+    pl.lq.scale = finite<float>(r);
     pl.lq.zero = r.scalar<std::int32_t>();
     pl.lq.rows = r.scalar<std::int64_t>();
     pl.lq.cols = r.scalar<std::int64_t>();
@@ -502,7 +362,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
     r.require(pl.assign.groups_per_col ==
                   groups_per_column(pl.lq.rows, pl.m),
               "group count does not match geometry");
-    pl.assign.total_objective = r.finite_double();
+    pl.assign.total_objective = finite<double>(r);
     pl.dead_cols = r.array<std::uint8_t>(
         static_cast<std::uint64_t>(pl.lq.cols));
     r.require(pl.dead_cols.empty() ||
@@ -538,7 +398,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
     const auto bits = r.scalar<std::int32_t>();
     r.require(bits >= 1 && bits <= 16, "calibration bits out of range");
     plan.act_calib[i].bits = bits;
-    plan.act_calib[i].max_abs = r.finite_float();
+    plan.act_calib[i].max_abs = finite<float>(r);
     r.require(plan.act_calib[i].max_abs >= 0.0f,
               "negative calibration range");
   }
@@ -547,10 +407,8 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
   r.require(n_passes <= kMaxPasses, "applied-pass count out of range");
   plan.passes_applied.reserve(n_passes);
   for (std::uint32_t i = 0; i < n_passes; ++i) {
-    const auto len = r.scalar<std::uint64_t>();
-    r.require(len >= 1 && len <= kMaxPassSpec, "pass name length out of range");
-    std::string name(static_cast<std::size_t>(len), '\0');
-    r.raw(name.data(), name.size());
+    std::string name = r.text(kMaxPassSpec);
+    r.require(!name.empty(), "empty pass name");
     bool known = false;
     for (const std::string& reg : opt::registered_passes()) {
       if (reg == name) {
@@ -562,7 +420,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
     plan.passes_applied.push_back(std::move(name));
   }
 
-  r.require(r.remaining() == 0, "trailing bytes");
+  r.finish();
   return plan;
 }
 
@@ -576,8 +434,8 @@ std::optional<DeploymentPlan> DeploymentPlan::load(const std::string& path,
 std::uint64_t plan_fingerprint(const rdo::nn::Layer& net,
                                const DeployOptions& opt,
                                const rdo::nn::DataView& train) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  fnv1a_u64(kPlanMagic, h);  // format bumps invalidate every cached plan
+  Fnv1a h;
+  h.u64(kPlanMagic);  // format bumps invalidate every cached plan
   hash_options(opt, h);
 
   // Network: structure (layer names + crossbar shapes in traversal
@@ -586,39 +444,39 @@ std::uint64_t plan_fingerprint(const rdo::nn::Layer& net,
   auto& mut = const_cast<rdo::nn::Layer&>(net);
   std::vector<rdo::nn::Layer*> all;
   rdo::nn::collect_layers(&mut, all);
-  fnv1a_u64(all.size(), h);
+  h.u64(all.size());
   for (rdo::nn::Layer* l : all) {
-    fnv1a_str(l->name(), h);
+    h.str(l->name());
     if (const auto* op = dynamic_cast<const rdo::nn::MatrixOp*>(l)) {
-      fnv1a_u64(static_cast<std::uint64_t>(op->fan_in()), h);
-      fnv1a_u64(static_cast<std::uint64_t>(op->fan_out()), h);
+      h.u64(static_cast<std::uint64_t>(op->fan_in()));
+      h.u64(static_cast<std::uint64_t>(op->fan_out()));
     }
     if (const auto* aq = dynamic_cast<const rdo::quant::ActQuant*>(l)) {
-      fnv1a_u64(static_cast<std::uint64_t>(aq->bits()), h);
+      h.u64(static_cast<std::uint64_t>(aq->bits()));
     }
   }
   for (rdo::nn::Param* p : mut.params()) {
-    fnv1a_u64(static_cast<std::uint64_t>(p->value.size()), h);
-    fnv1a(p->value.data(),
-          static_cast<std::size_t>(p->value.size()) * sizeof(float), h);
+    h.u64(static_cast<std::uint64_t>(p->value.size()));
+    h.bytes(p->value.data(),
+            static_cast<std::size_t>(p->value.size()) * sizeof(float));
   }
   for (rdo::nn::Tensor* b : mut.buffers()) {
-    fnv1a_u64(static_cast<std::uint64_t>(b->size()), h);
-    fnv1a(b->data(), static_cast<std::size_t>(b->size()) * sizeof(float), h);
+    h.u64(static_cast<std::uint64_t>(b->size()));
+    h.bytes(b->data(), static_cast<std::size_t>(b->size()) * sizeof(float));
   }
 
   // Calibration/gradient dataset: activation calibration and the VAWO
   // mean-gradient estimate both read it, so two different datasets must
   // never share a plan.
-  fnv1a_u64(static_cast<std::uint64_t>(train.images->size()), h);
+  h.u64(static_cast<std::uint64_t>(train.images->size()));
   for (std::int64_t d : train.images->shape()) {
-    fnv1a_u64(static_cast<std::uint64_t>(d), h);
+    h.u64(static_cast<std::uint64_t>(d));
   }
-  fnv1a(train.images->data(),
-        static_cast<std::size_t>(train.images->size()) * sizeof(float), h);
-  fnv1a_u64(train.labels->size(), h);
-  fnv1a(train.labels->data(), train.labels->size() * sizeof(int), h);
-  return h;
+  h.bytes(train.images->data(),
+          static_cast<std::size_t>(train.images->size()) * sizeof(float));
+  h.u64(train.labels->size());
+  h.bytes(train.labels->data(), train.labels->size() * sizeof(int));
+  return h.value();
 }
 
 }  // namespace rdo::core

@@ -30,7 +30,9 @@ class SerializeError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Save all parameters of `net` to `path`. Throws on I/O failure.
+/// Save all parameters of `net` to `path` atomically (a temp file renamed
+/// into place, see core/codec.h), so a concurrent loader never observes a
+/// half-written model. Throws on I/O failure.
 void save_params(Layer& net, const std::string& path);
 
 /// Load parameters saved by save_params. Returns false if the file does

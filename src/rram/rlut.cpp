@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
-#include <system_error>
 
-#include "core/tmpfile.h"
+#include "core/codec.h"
 
 namespace rdo::rram {
 
@@ -73,139 +69,64 @@ void RLut::enforce_monotone_mean() {
   }
 }
 
-namespace {
-
 // Bumped from "RLU1": version 1 headers carried no config fingerprint,
 // so a cached table could silently load for a different device
 // configuration. A v1 file now fails the magic check and reads as
 // corrupt — callers rebuild, which is the correct recovery either way.
 constexpr std::uint32_t kLutMagic = 0x524C5532;  // "RLU2"
 
-/// FNV-1a over a byte span.
-void fnv1a(const void* data, std::size_t n, std::uint64_t& h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-}
-
-void fnv1a_u64(std::uint64_t v, std::uint64_t& h) { fnv1a(&v, sizeof(v), h); }
-
-void fnv1a_double(double v, std::uint64_t& h) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv1a_u64(bits, h);
-}
-
-}  // namespace
-
 std::uint64_t RLut::fingerprint(const WeightProgrammer& prog, int k_sets,
                                 int j_cycles, std::uint64_t seed) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  fnv1a_u64(static_cast<std::uint64_t>(prog.cell().kind ==
-                                       CellKind::SLC ? 1 : 2), h);
-  fnv1a_double(prog.cell().on_off_ratio, h);
-  fnv1a_u64(static_cast<std::uint64_t>(prog.weight_bits()), h);
+  rdo::core::codec::Fnv1a h;
+  h.u64(prog.cell().kind == CellKind::SLC ? 1u : 2u);
+  h.f64(prog.cell().on_off_ratio);
+  h.u64(static_cast<std::uint64_t>(prog.weight_bits()));
   const VariationModel& var = prog.variation();
-  fnv1a_double(var.sigma, h);
-  fnv1a_double(var.ddv_fraction, h);
-  fnv1a_u64(var.scope == VariationScope::PerWeight ? 1u : 2u, h);
+  h.f64(var.sigma);
+  h.f64(var.ddv_fraction);
+  h.u64(var.scope == VariationScope::PerWeight ? 1u : 2u);
   const FaultModel& faults = prog.faults();
-  fnv1a_double(faults.stuck_hrs_rate, h);
-  fnv1a_double(faults.stuck_lrs_rate, h);
-  fnv1a_u64(static_cast<std::uint64_t>(k_sets), h);
-  fnv1a_u64(static_cast<std::uint64_t>(j_cycles), h);
-  fnv1a_u64(seed, h);
-  return h;
+  h.f64(faults.stuck_hrs_rate);
+  h.f64(faults.stuck_lrs_rate);
+  h.u64(static_cast<std::uint64_t>(k_sets));
+  h.u64(static_cast<std::uint64_t>(j_cycles));
+  h.u64(seed);
+  return h.value();
 }
 
 void RLut::save(std::ostream& out, std::uint64_t fingerprint) const {
-  const std::uint64_t n = mean_.size();
-  out.write(reinterpret_cast<const char*>(&kLutMagic), sizeof(kLutMagic));
-  out.write(reinterpret_cast<const char*>(&fingerprint), sizeof(fingerprint));
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  out.write(reinterpret_cast<const char*>(mean_.data()),
-            static_cast<std::streamsize>(n * sizeof(double)));
-  out.write(reinterpret_cast<const char*>(var_.data()),
-            static_cast<std::streamsize>(n * sizeof(double)));
-  if (!out) throw std::runtime_error("RLut::save: stream write failed");
+  rdo::core::codec::Writer w(out, "RLut::save");
+  w.scalar(kLutMagic);
+  w.scalar(fingerprint);
+  w.scalar(static_cast<std::uint64_t>(mean_.size()));
+  w.raw(mean_.data(), mean_.size() * sizeof(double));
+  w.raw(var_.data(), var_.size() * sizeof(double));
 }
 
 void RLut::save(const std::string& path, std::uint64_t fingerprint) const {
-  // Write-then-rename: concurrent loaders (parallel Monte-Carlo trials
-  // sharing RDO_LUT_CACHE_DIR) only ever see complete tables. The temp
-  // suffix is unique across processes too (see core/tmpfile.h) so
-  // concurrent savers sharing a cache directory never interleave writes
-  // into one temp file.
-  const std::string tmp = path + rdo::core::unique_tmp_suffix();
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) throw std::runtime_error("RLut::save: cannot open " + tmp);
-    save(f, fingerprint);
-    if (!f) throw std::runtime_error("RLut::save: write failed for " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw std::runtime_error("RLut::save: cannot rename into " + path);
-  }
+  // Atomic publish: concurrent loaders (parallel Monte-Carlo trials, or
+  // processes sharing RDO_LUT_CACHE_DIR) only ever see complete tables.
+  rdo::core::codec::publish(path, "RLut::save", [&](std::ostream& out) {
+    save(out, fingerprint);
+  });
 }
-
-namespace {
-
-/// Read exactly `n` bytes or throw — the stream state is checked after
-/// every read, so a truncated file can never feed uninitialized memory
-/// into the table.
-void read_exact(std::istream& f, void* dst, std::size_t n,
-                const std::string& source) {
-  f.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
-  if (!f || f.gcount() != static_cast<std::streamsize>(n)) {
-    throw LutError("RLut::load: truncated file " + source);
-  }
-}
-
-}  // namespace
 
 bool RLut::load(std::istream& in, std::uint64_t fingerprint, RLut& out,
                 const std::string& source) {
-  // Byte budget: every declared count is bounded by what the stream
-  // actually holds before it is believed.
-  const std::istream::pos_type pos = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(pos);
-  if (pos == std::istream::pos_type(-1) || end == std::istream::pos_type(-1) ||
-      !in || end < pos) {
-    throw LutError("RLut::load: unseekable stream " + source);
-  }
-  const std::uint64_t total = static_cast<std::uint64_t>(end - pos);
-  constexpr std::uint64_t kHeaderBytes =
-      sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-  if (total < kHeaderBytes) {
-    throw LutError("RLut::load: corrupt file " + source);
-  }
-  std::uint32_t magic = 0;
-  std::uint64_t stored_fp = 0;
-  std::uint64_t n = 0;
-  read_exact(in, &magic, sizeof(magic), source);
-  read_exact(in, &stored_fp, sizeof(stored_fp), source);
-  read_exact(in, &n, sizeof(n), source);
+  rdo::core::codec::Reader<LutError> r(in, "RLut::load", source);
+  const auto magic = r.scalar<std::uint32_t>();
+  const auto stored_fp = r.scalar<std::uint64_t>();
+  const auto n = r.scalar<std::uint64_t>();
+  r.require(magic == kLutMagic, "bad magic");
   // kMaxEntries: the largest table any supported configuration produces
   // is 2^16 + 1 entries (16-bit CTWs); 2^20 leaves generous headroom
   // while keeping a hostile header from driving a multi-GB resize.
   constexpr std::uint64_t kMaxEntries = 1u << 20;
-  if (magic != kLutMagic || n == 0 || n > kMaxEntries) {
-    throw LutError("RLut::load: corrupt file " + source);
-  }
+  r.require(n >= 1 && n <= kMaxEntries, "entry count out of range");
   // The payload is two double arrays of exactly n entries each; a size
   // mismatch in either direction (truncated or trailing bytes) means the
   // file is damaged.
-  if (total - kHeaderBytes != n * 2 * sizeof(double)) {
-    throw LutError("RLut::load: payload size mismatch in " + source);
-  }
+  r.require(r.remaining() == n * 2 * sizeof(double), "payload size mismatch");
   if (stored_fp != fingerprint) {
     // Stale cache: the table was measured for a different device
     // configuration (or protocol/seed). Not corruption — the caller
@@ -214,8 +135,8 @@ bool RLut::load(std::istream& in, std::uint64_t fingerprint, RLut& out,
   }
   out.mean_.resize(n);
   out.var_.resize(n);
-  read_exact(in, out.mean_.data(), n * sizeof(double), source);
-  read_exact(in, out.var_.data(), n * sizeof(double), source);
+  r.raw(out.mean_.data(), n * sizeof(double));
+  r.raw(out.var_.data(), n * sizeof(double));
   return true;
 }
 

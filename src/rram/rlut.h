@@ -72,10 +72,10 @@ class RLut {
 
   /// Persist the table together with its config fingerprint (device
   /// characterization is expensive on real hardware; cache it). Writes
-  /// atomically via a temp file + rename — with a pid+counter temp
-  /// suffix that is unique across concurrent saver *processes* too — so
-  /// a concurrent load never observes a half-written or interleaved
-  /// table. Throws on I/O failure.
+  /// atomically (core/codec.h publish: a temp file whose name is unique
+  /// across concurrent saver processes too, renamed into place) so a
+  /// concurrent load never observes a half-written or interleaved table.
+  /// Throws on I/O failure.
   void save(const std::string& path, std::uint64_t fingerprint) const;
   /// Stream form of the writer: append one complete save() document to
   /// `out` (used to embed tables inside DeploymentPlan files). Throws on

@@ -1,5 +1,7 @@
 // DeploymentPlan serialization, the RDO_PLAN_CACHE_DIR / RDO_LUT_CACHE_DIR
-// caches and the cross-process-safe temp-file scheme (core/tmpfile.h).
+// caches, and the shared codec (core/codec.h) behind all three on-disk
+// formats: its cross-process-safe atomic publish and its typed rejection
+// of malformed streams, checked for the model, LUT and plan files alike.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -7,19 +9,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/backend.h"
+#include "core/codec.h"
 #include "core/plan.h"
-#include "obs/envvar.h"
-#include "core/tmpfile.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
+#include "nn/serialize.h"
+#include "obs/envvar.h"
 #include "obs/recorder.h"
 #include "rram/rlut.h"
 
@@ -359,20 +366,215 @@ TEST(DeployStats, CacheCountersMergeAndSurfaceConditionally) {
 }
 
 TEST(TmpSuffix, EncodesPidAndNeverRepeats) {
-  const std::string a = core::unique_tmp_suffix();
-  const std::string b = core::unique_tmp_suffix();
+  const std::string a = core::codec::unique_tmp_suffix();
+  const std::string b = core::codec::unique_tmp_suffix();
   EXPECT_NE(a, b);
   EXPECT_NE(a.find(".tmp." + std::to_string(::getpid()) + "."),
             std::string::npos);
 }
 
-TEST(RLutSave, ConcurrentSaversNeverYieldCorruptLoad) {
-  const TempDir dir("rlut_race");
-  const rram::CellModel cell{rram::CellKind::SLC, 200.0};
-  const rram::WeightProgrammer prog(cell, 4, {0.5, 0.0});
-  const rram::RLut lut = rram::RLut::build_analytic(prog);
-  const std::uint64_t fp = rram::RLut::fingerprint(prog, 4, 4, 1);
-  const std::string path = (dir.path() / "rlut.bin").string();
+TEST(Publish, FailureRemovesTempFileAndLeavesTargetAlone) {
+  const TempDir dir("publish_fail");
+  const std::string path = (dir.path() / "doc.bin").string();
+  EXPECT_THROW(core::codec::publish(path, "test",
+                                    [](std::ostream& out) {
+                                      out << "partial";
+                                      throw std::runtime_error("mid-write");
+                                    }),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(path));
+
+  // Rename onto a non-empty directory fails after the temp file is
+  // complete.
+  const fs::path blocker = dir.path() / "blocker";
+  fs::create_directories(blocker / "child");
+  EXPECT_THROW(core::codec::publish(blocker.string(), "test",
+                                    [](std::ostream& out) { out << "doc"; }),
+               std::runtime_error);
+  EXPECT_TRUE(fs::is_directory(blocker));
+  EXPECT_FALSE(has_tmp_files(dir.path()));
+}
+
+// ---------------------------------------------------------------------------
+// The three on-disk formats behind the one codec. Each Format wraps one
+// format's public save/load API; a loader's own typed error (SerializeError,
+// LutError, PlanError) is rethrown as TypedLoadError, so one test body
+// covers all three and any other exception type fails the test.
+
+namespace {
+
+struct TypedLoadError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+struct Format {
+  const char* name;
+  /// One valid document.
+  std::string (*document)();
+  /// `doc` with one declared count larger than the bytes that follow it.
+  std::string (*oversize)(std::string doc);
+  void (*save)(const std::string& path);
+  /// True on a loaded document, false on a stale one.
+  bool (*load)(std::istream& in, const std::string& source);
+  /// False when the file does not exist (or is stale).
+  bool (*load_path)(const std::string& path);
+};
+
+void PrintTo(const Format& f, std::ostream* os) { *os << f.name; }
+
+/// Run one load, rethrowing the format's typed error `E` as
+/// TypedLoadError.
+template <typename E, typename Fn>
+bool typed(Fn&& fn) {
+  try {
+    return fn();
+  } catch (const E& e) {
+    throw TypedLoadError(e.what());
+  }
+}
+
+void put_u64(std::string& doc, std::size_t offset, std::uint64_t v) {
+  ASSERT_LE(offset + sizeof(v), doc.size());
+  std::memcpy(doc.data() + offset, &v, sizeof(v));
+}
+
+std::uint64_t get_u64(const std::string& doc, std::size_t offset) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, doc.data() + offset, sizeof(v));
+  return v;
+}
+
+// Model parameters ("RDO2"): the fuzz/test fixture network.
+std::unique_ptr<nn::Sequential> make_model() {
+  nn::Rng rng(1);
+  auto net = std::make_unique<nn::Sequential>();
+  net->emplace<nn::Dense>(4, 8, rng);
+  net->emplace<nn::Dense>(8, 3, rng);
+  return net;
+}
+
+nn::Sequential& saved_model() {
+  static const std::unique_ptr<nn::Sequential> net = make_model();
+  return *net;
+}
+
+const Format kModel{
+    "model",
+    [] {
+      const TempDir dir("model_doc");
+      const fs::path path = dir.path() / "model.bin";
+      nn::save_params(saved_model(), path.string());
+      return slurp(path);
+    },
+    // Cut right after the first tensor's length prefix (header 20 bytes):
+    // it declares 32 floats and none follow.
+    [](std::string doc) { return doc.substr(0, 28); },
+    [](const std::string& path) { nn::save_params(saved_model(), path); },
+    [](std::istream& in, const std::string& source) {
+      return typed<nn::SerializeError>([&] {
+        nn::load_params(*make_model(), in, source);
+        return true;
+      });
+    },
+    [](const std::string& path) {
+      return typed<nn::SerializeError>(
+          [&] { return nn::load_params(*make_model(), path); });
+    }};
+
+// Statistical LUT ("RLU2").
+const rram::WeightProgrammer& lut_prog() {
+  static const rram::WeightProgrammer prog({rram::CellKind::SLC, 200.0}, 4,
+                                           {0.5, 0.0});
+  return prog;
+}
+const rram::RLut& saved_lut() {
+  static const rram::RLut lut = rram::RLut::build_analytic(lut_prog());
+  return lut;
+}
+std::uint64_t lut_fp() { return rram::RLut::fingerprint(lut_prog(), 4, 4, 1); }
+
+const Format kLut{
+    "lut",
+    [] {
+      std::ostringstream out(std::ios::binary);
+      saved_lut().save(out, lut_fp());
+      return out.str();
+    },
+    // Entry count (after magic and fingerprint) one past the payload.
+    [](std::string doc) {
+      put_u64(doc, 12, get_u64(doc, 12) + 1);
+      return doc;
+    },
+    [](const std::string& path) { saved_lut().save(path, lut_fp()); },
+    [](std::istream& in, const std::string& source) {
+      return typed<rram::LutError>([&] {
+        rram::RLut out;
+        return rram::RLut::load(in, lut_fp(), out, source);
+      });
+    },
+    [](const std::string& path) {
+      return typed<rram::LutError>([&] {
+        rram::RLut out;
+        return rram::RLut::load(path, lut_fp(), out);
+      });
+    }};
+
+// Deployment plan ("RDP2"), compiled once from make_fixture().
+struct SavedPlan {
+  Fixture f = make_fixture();
+  core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt, f.train());
+  std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
+};
+const SavedPlan& saved_plan() {
+  static const SavedPlan p;
+  return p;
+}
+
+const Format kPlan{
+    "plan",
+    [] { return save_bytes(saved_plan().plan, saved_plan().fp); },
+    // Embedded-LUT byte count: magic 4 + fingerprint 8 + 123 fixed-width
+    // option bytes + the 8-byte length of the empty pass list.
+    [](std::string doc) {
+      put_u64(doc, 143, std::uint64_t{1} << 40);
+      return doc;
+    },
+    [](const std::string& path) {
+      saved_plan().plan.save(path, saved_plan().fp);
+    },
+    [](std::istream& in, const std::string& source) {
+      return typed<core::PlanError>([&] {
+        return core::DeploymentPlan::load(in, saved_plan().fp, source)
+            .has_value();
+      });
+    },
+    [](const std::string& path) {
+      return typed<core::PlanError>([&] {
+        return core::DeploymentPlan::load(path, saved_plan().fp).has_value();
+      });
+    }};
+
+/// A stream buffer over `bytes` that cannot seek (std::streambuf's
+/// default seekoff/seekpos fail), like a pipe.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+class CodecFormat : public ::testing::TestWithParam<Format> {};
+
+}  // namespace
+
+TEST_P(CodecFormat, ConcurrentSaversNeverYieldCorruptLoad) {
+  const Format& fmt = GetParam();
+  (void)fmt.document();  // build the shared fixture before the threads
+  const TempDir dir(std::string(fmt.name) + "_race");
+  const std::string path = (dir.path() / "doc.bin").string();
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -382,7 +584,7 @@ TEST(RLutSave, ConcurrentSaversNeverYieldCorruptLoad) {
     savers.emplace_back([&] {
       for (int i = 0; i < 25; ++i) {
         try {
-          lut.save(path, fp);
+          fmt.save(path);
         } catch (const std::exception&) {
           failures.fetch_add(1);
         }
@@ -391,12 +593,11 @@ TEST(RLutSave, ConcurrentSaversNeverYieldCorruptLoad) {
   }
   std::thread loader([&] {
     while (!stop.load()) {
-      rram::RLut out;
       try {
         // Must observe either no file yet (false before the first rename
-        // lands) or a complete, matching table — never a torn write.
-        (void)rram::RLut::load(path, fp, out);
-      } catch (const rram::LutError&) {
+        // lands) or a complete, matching document — never a torn write.
+        (void)fmt.load_path(path);
+      } catch (const std::exception&) {
         failures.fetch_add(1);
       }
     }
@@ -406,11 +607,42 @@ TEST(RLutSave, ConcurrentSaversNeverYieldCorruptLoad) {
   loader.join();
 
   EXPECT_EQ(failures.load(), 0);
-  rram::RLut out;
-  EXPECT_TRUE(rram::RLut::load(path, fp, out));
-  EXPECT_EQ(out.max_weight(), lut.max_weight());
+  EXPECT_TRUE(fmt.load_path(path));
   EXPECT_FALSE(has_tmp_files(dir.path()));
 }
+
+TEST_P(CodecFormat, MalformedStreamsThrowTypedErrorNamingSource) {
+  const Format& fmt = GetParam();
+  const std::string source = std::string("malformed-") + fmt.name;
+  const auto expect_rejected = [&](std::istream& in, const char* what) {
+    try {
+      (void)fmt.load(in, source);
+      ADD_FAILURE() << what << " accepted";
+    } catch (const TypedLoadError& e) {
+      EXPECT_NE(std::string(e.what()).find(source), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+
+  std::istringstream valid(fmt.document(), std::ios::binary);
+  EXPECT_TRUE(fmt.load(valid, source));
+
+  // A valid document behind a buffer that cannot seek: the byte budget
+  // cannot be measured, so nothing in it may be believed.
+  UnseekableBuf buf(fmt.document());
+  std::istream unseekable(&buf);
+  expect_rejected(unseekable, "non-seekable stream");
+
+  std::istringstream oversized(fmt.oversize(fmt.document()),
+                               std::ios::binary);
+  expect_rejected(oversized, "count beyond the remaining bytes");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFormats, CodecFormat,
+                         ::testing::Values(kModel, kLut, kPlan),
+                         [](const ::testing::TestParamInfo<Format>& info) {
+                           return std::string(info.param.name);
+                         });
 
 #ifdef CACHE_WORKER_BIN
 namespace {

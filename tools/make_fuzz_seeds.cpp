@@ -6,7 +6,9 @@
 // plus hand-derived corrupt variants (truncations, bad magic, oversized
 // header counts, trailing bytes), so every branch of the hardened load
 // paths has at least one corpus case from the start. The generator is
-// deterministic: regenerating over an existing corpus is byte-identical.
+// deterministic: regenerating over an existing corpus is byte-identical,
+// which the fuzz_seeds_byte_identical ctest (tools/check_fuzz_seeds.cmake)
+// enforces against fuzz/corpus/ and tests/data/{rlut,serialize}/.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
