@@ -51,7 +51,7 @@ struct Fixture {
   float run(obs::BenchReport& rep, const std::string& label,
             core::DeployOptions o) {
     try {
-      obs::PhaseTimer t(rep.recorder(), "ablation_sweep");
+      obs::TraceSpan t("ablation_sweep", "phase", rep.phase("ablation_sweep"));
       const auto res =
           core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
       record_scheme_result(rep, label, o, res);
@@ -70,7 +70,7 @@ int main() {
 
   std::unique_ptr<Fixture> f;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     f = std::make_unique<Fixture>();
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(f->ideal);

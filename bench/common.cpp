@@ -280,20 +280,16 @@ void record_scheme_result(rdo::obs::BenchReport& rep,
   point["errors"] = std::move(errors);
   rep.results()["grid"].push_back(std::move(point));
 
-  rdo::core::add_deploy_phase_times(rep.recorder(), res.stats);
-  rdo::obs::Recorder& rec = rep.recorder();
-  for (double s : res.trial_seconds) rec.observe("trial_seconds", s);
-  for (double s : res.stats.eval_seconds) {
-    rec.observe("deploy_evaluate_seconds", s);
-  }
-  rec.incr("grid_points");
-  rec.incr("trials", static_cast<std::int64_t>(res.errors.size()));
-  rec.incr("cycles", res.stats.cycles);
-  rec.incr("weights_programmed", res.stats.weights_programmed);
-  rec.incr("device_pulses", res.stats.device_pulses);
-  rec.incr("pwt_epochs", res.stats.pwt_epochs);
-  rec.incr("pwt_batches", res.stats.pwt_batches);
-  rec.incr("pwt_offset_updates", res.stats.pwt_offset_updates);
+  rdo::core::add_scheme_timings(rep, res);
+  rdo::obs::MetricsRegistry& m = rep.metrics();
+  m.counter("bench_grid_points").add();
+  m.counter("bench_trials").add(static_cast<std::int64_t>(res.errors.size()));
+  m.counter("bench_cycles").add(res.stats.cycles);
+  m.counter("bench_weights_programmed").add(res.stats.weights_programmed);
+  m.counter("bench_device_pulses").add(res.stats.device_pulses);
+  m.counter("pwt_epochs").add(res.stats.pwt_epochs);
+  m.counter("pwt_batches").add(res.stats.pwt_batches);
+  m.counter("pwt_offset_updates").add(res.stats.pwt_offset_updates);
 
   for (std::size_t trial = 0; trial < res.errors.size(); ++trial) {
     if (!res.errors[trial].empty()) {

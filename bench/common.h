@@ -22,6 +22,7 @@
 #include "data/synthetic.h"
 #include "nn/sequential.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 
 namespace rdo::bench {
 
@@ -77,8 +78,8 @@ std::vector<rdo::core::SchemeResult> run_grid(
 
 /// Append one grid-point result to rep.results()["grid"] (config,
 /// per-cycle accuracies, deterministic pipeline counters, per-trial
-/// errors), fold its wall times into the recorder's "deploy:*" phases,
-/// aggregate global counters, and register any failed trials so the
+/// errors), fold its timings in with core::add_scheme_timings, add the
+/// bench_* and pwt_* counters, and register any failed trials so the
 /// harness exits nonzero. Call in grid order — the JSON is positional.
 void record_scheme_result(rdo::obs::BenchReport& rep,
                           const std::string& label,

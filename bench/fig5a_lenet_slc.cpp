@@ -6,7 +6,6 @@
 //   m128 ~ m16 | PWT ~ ideal for both m | VAWO*+PWT = ideal.
 // This harness reports the calibrated sigma* (same operating regime on
 // the scaled substrate, see EXPERIMENTS.md) and the nominal sigma = 0.5.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -24,7 +23,7 @@ int main() {
   float ideal = 0.0f;
   std::unique_ptr<nn::Sequential> net;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     net = cached_lenet(ds, &ideal);
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(ideal);
@@ -48,15 +47,12 @@ int main() {
       }
     }
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  double* const sweep_s = rep.phase("deployment_sweep");
   std::vector<core::SchemeResult> grid;
   {
-    obs::PhaseTimer t(rep.recorder(), "deployment_sweep");
+    obs::TraceSpan t("deployment_sweep", "phase", sweep_s);
     grid = run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
   }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   std::size_t j = 0;
   for (double sigma : sigmas) {
@@ -79,7 +75,7 @@ int main() {
     }
   }
   std::fprintf(stderr, "[bench] deployment sweep: %.1f s (RDO_THREADS=%d)\n",
-               secs, nn::thread_count());
+               *sweep_s, nn::thread_count());
   std::printf(
       "\nexpected shape: plain ~ chance; VAWO recovers, degrades with m;\n"
       "VAWO* >= VAWO and flat in m; PWT ~ ideal (LeNet); VAWO*+PWT ~ ideal.\n");

@@ -4,7 +4,6 @@
 // Paper reference (ResNet-18 + CIFAR-10, SLC, sigma = 0.5, ideal 94.14%):
 //   plain collapses; VAWO* alone NOT sufficient; PWT alone ineffective;
 //   VAWO*+PWT recovers to 91.37% at m = 16 (2.77% drop).
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -22,7 +21,7 @@ int main() {
   float ideal = 0.0f;
   std::unique_ptr<nn::Sequential> net;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     net = cached_resnet(ds, &ideal);
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(ideal);
@@ -43,15 +42,12 @@ int main() {
       }
     }
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  double* const sweep_s = rep.phase("deployment_sweep");
   std::vector<core::SchemeResult> grid;
   {
-    obs::PhaseTimer t(rep.recorder(), "deployment_sweep");
+    obs::TraceSpan t("deployment_sweep", "phase", sweep_s);
     grid = run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
   }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   std::size_t j = 0;
   for (double sigma : sigmas) {
@@ -74,7 +70,7 @@ int main() {
     }
   }
   std::fprintf(stderr, "[bench] deployment sweep: %.1f s (RDO_THREADS=%d)\n",
-               secs, nn::thread_count());
+               *sweep_s, nn::thread_count());
   std::printf(
       "\nexpected shape: deeper net => VAWO*/PWT alone leave a larger gap\n"
       "than on LeNet; the combination VAWO*+PWT recovers most of it.\n");

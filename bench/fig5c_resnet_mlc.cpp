@@ -4,7 +4,6 @@
 // Paper reference (ResNet-18 + CIFAR-10, 2-bit MLC, VAWO*+PWT):
 //   m = 16 stays > 90% up to sigma = 0.7; m = 128 stays ~ 80% even at
 //   sigma = 1.0; accuracy decreases with sigma, finer m degrades slower.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -21,7 +20,7 @@ int main() {
   float ideal = 0.0f;
   std::unique_ptr<nn::Sequential> net;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     net = cached_resnet(ds, &ideal);
   }
   rep.results()["ideal_accuracy"] = static_cast<double>(ideal);
@@ -41,15 +40,12 @@ int main() {
       jobs.push_back(o);
     }
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  double* const sweep_s = rep.phase("deployment_sweep");
   std::vector<core::SchemeResult> grid;
   {
-    obs::PhaseTimer t(rep.recorder(), "deployment_sweep");
+    obs::TraceSpan t("deployment_sweep", "phase", sweep_s);
     grid = run_grid(*net, jobs, ds.train(), ds.test(), 2);
   }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 
   std::printf("\n%-8s  m=16    m=128\n", "sigma");
   std::size_t j = 0;
@@ -66,7 +62,7 @@ int main() {
     std::printf("\n");
   }
   std::fprintf(stderr, "[bench] deployment sweep: %.1f s (RDO_THREADS=%d)\n",
-               secs, nn::thread_count());
+               *sweep_s, nn::thread_count());
   std::printf(
       "\nexpected shape: monotone decrease in sigma; m = 16 degrades\n"
       "slower than m = 128 (finer offset sharing).\n");

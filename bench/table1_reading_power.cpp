@@ -35,7 +35,7 @@ int main() {
   const data::SyntheticDataset cifar = bench_cifar();
   std::unique_ptr<nn::Sequential> lenet, resnet;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     lenet = cached_lenet(mnist, nullptr);
     resnet = cached_resnet(cifar, nullptr);
   }
@@ -44,7 +44,7 @@ int main() {
   // as a failure (NaN row) instead of aborting the table.
   auto measure = [&](const char* tag, rdo::nn::Sequential& net,
                      const data::SyntheticDataset& ds, int m) {
-    obs::PhaseTimer t(rep.recorder(), "power_analysis");
+    obs::TraceSpan t("power_analysis", "phase", rep.phase("power_analysis"));
     const std::string label = std::string(tag) + "/m" + std::to_string(m);
     try {
       const double r = ratio_for(net, ds, m);

@@ -24,7 +24,7 @@ int main() {
   const data::SyntheticDataset cifar = bench_cifar();
   std::unique_ptr<nn::Sequential> resnet;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     resnet = cached_resnet(cifar, nullptr);
   }
 
@@ -37,7 +37,8 @@ int main() {
   for (int m : {16, 128}) {
     const std::string tag = "m" + std::to_string(m);
     try {
-      obs::PhaseTimer t(rep.recorder(), "overhead_analysis");
+      obs::TraceSpan t("overhead_analysis", "phase",
+                       rep.phase("overhead_analysis"));
       auto o = bench_options(core::Scheme::VAWOStar, m, rram::CellKind::MLC2,
                              0.5);
       const core::DeploymentPlan plan =

@@ -25,7 +25,7 @@ int main() {
   float dva_ideal = 0.0f;
   std::unique_ptr<nn::Sequential> vgg, vgg_dva;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_models");
+    obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
     vgg = cached_vgg(ds, &ideal);
     vgg_dva = cached_dva_vgg(ds, &dva_ideal);
   }
@@ -51,7 +51,8 @@ int main() {
 
     const auto guard = [&](const char* method, auto&& body) {
       try {
-        obs::PhaseTimer t(rep.recorder(), "method_comparison");
+        obs::TraceSpan t("method_comparison", "phase",
+                         rep.phase("method_comparison"));
         body();
       } catch (const std::exception& e) {
         rep.add_failure(sig + std::string(method), e.what());

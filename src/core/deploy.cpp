@@ -6,6 +6,7 @@
 #include "core/backend.h"
 #include "core/plan.h"
 #include "nn/parallel.h"
+#include "obs/report.h"
 #include "obs/stopwatch.h"
 
 namespace rdo::core {
@@ -54,28 +55,21 @@ rdo::obs::Json deploy_stats_json(const DeployStats& s) {
   return j;
 }
 
-void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s) {
-  rec.add_phase("deploy:lut_build", s.lut_build_s);
-  rec.add_phase("deploy:prepare", s.prepare_s);
-  rec.add_phase("deploy:vawo_solve", s.vawo_solve_s);
-  rec.add_phase("deploy:program", s.program_s);
-  rec.add_phase("deploy:tune", s.tune_s);
-  rec.add_phase("deploy:evaluate", s.eval_s);
-}
-
-void add_deploy_cache_counters(rdo::obs::Recorder& rec,
-                               const DeployStats& s) {
-  if (s.lut_cache_hits == 0 && s.lut_cache_misses == 0 &&
-      s.lut_cache_save_failures == 0 && s.plan_cache_hits == 0 &&
-      s.plan_cache_misses == 0 && s.plan_cache_save_failures == 0) {
-    return;  // no cache configured: keep baseline counter sets unchanged
+void add_scheme_timings(rdo::obs::BenchReport& rep, const SchemeResult& res) {
+  const DeployStats& s = res.stats;
+  *rep.phase("deploy:lut_build") += s.lut_build_s;
+  *rep.phase("deploy:prepare") += s.prepare_s;
+  *rep.phase("deploy:vawo_solve") += s.vawo_solve_s;
+  *rep.phase("deploy:program") += s.program_s;
+  *rep.phase("deploy:tune") += s.tune_s;
+  *rep.phase("deploy:evaluate") += s.eval_s;
+  rdo::obs::MetricsRegistry& m = rep.metrics();
+  for (double t : res.trial_seconds) {
+    m.histogram("bench_trial_seconds").observe(t);
   }
-  rec.incr("lut_cache_hits", s.lut_cache_hits);
-  rec.incr("lut_cache_misses", s.lut_cache_misses);
-  rec.incr("lut_cache_save_failures", s.lut_cache_save_failures);
-  rec.incr("plan_cache_hits", s.plan_cache_hits);
-  rec.incr("plan_cache_misses", s.plan_cache_misses);
-  rec.incr("plan_cache_save_failures", s.plan_cache_save_failures);
+  for (double t : s.eval_seconds) {
+    m.histogram("deploy_evaluate_seconds").observe(t);
+  }
 }
 
 const char* to_string(Scheme s) {

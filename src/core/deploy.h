@@ -25,10 +25,13 @@
 #include "nn/layer.h"
 #include "nn/trainer.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
 #include "rram/cell.h"
 #include "rram/faults.h"
 #include "rram/variation.h"
+
+namespace rdo::obs {
+class BenchReport;
+}  // namespace rdo::obs
 
 namespace rdo::core {
 
@@ -125,9 +128,9 @@ struct DeployStats {
   // (RDO_LUT_CACHE_DIR, RDO_PLAN_CACHE_DIR). They depend on the on-disk
   // cache state, not on the seeded computation, so they belong to the
   // volatile half: excluded from deploy_stats_json() and from the
-  // deterministic BENCH sections. Surface them with
-  // add_deploy_cache_counters() where a shared-cache sweep wants to see
-  // cache effectiveness.
+  // deterministic BENCH sections. Process-wide cache effectiveness is
+  // visible through the deploy_{lut,plan}_cache_* counters of
+  // obs::global_metrics().
   std::int64_t lut_cache_hits = 0;
   std::int64_t lut_cache_misses = 0;
   std::int64_t lut_cache_save_failures = 0;
@@ -156,17 +159,6 @@ struct DeployStats {
 /// result can live in the deterministic `results` section).
 [[nodiscard]] rdo::obs::Json deploy_stats_json(const DeployStats& s);
 
-/// Fold the volatile wall times into a Recorder's phase table under
-/// "deploy:*" names (aggregates across calls).
-void add_deploy_phase_times(rdo::obs::Recorder& rec, const DeployStats& s);
-
-/// Surface the cache-effectiveness counters (lut_cache_* / plan_cache_*)
-/// as Recorder counters. No-op when every counter is zero — a run
-/// without RDO_LUT_CACHE_DIR / RDO_PLAN_CACHE_DIR configured emits no
-/// cache counters at all, so committed BENCH baselines produced without
-/// caches stay byte-identical.
-void add_deploy_cache_counters(rdo::obs::Recorder& rec, const DeployStats& s);
-
 /// Result of running one scheme over several programming cycles.
 struct SchemeResult {
   float mean_accuracy = 0.0f;
@@ -189,6 +181,13 @@ struct SchemeResult {
     return false;
   }
 };
+
+/// Fold one result's volatile timings into a BENCH report: the stats'
+/// wall times into the "deploy:*" phase slots (aggregating across
+/// calls), trial_seconds into the bench_trial_seconds histogram and
+/// stats.eval_seconds into deploy_evaluate_seconds. Call it from one
+/// thread: it writes phase slots (see BenchReport::phase).
+void add_scheme_timings(rdo::obs::BenchReport& rep, const SchemeResult& res);
 
 /// Monte-Carlo harness: compile the plan once, then run `repeats`
 /// program/tune/evaluate trials with distinct CCV draws. The plan is

@@ -46,9 +46,11 @@ struct Differ {
   }
 
   /// Deep compare under gauge/result tolerances. Numbers are compared
-  /// as doubles (Int promotes); everything else must match exactly,
-  /// including container shape and object member order — the writer is
-  /// deterministic, so order drift means the producing code changed.
+  /// as doubles (Int promotes); everything else must match exactly:
+  /// types, array lengths and element order, and each object's key set.
+  /// Objects compare by key, so member order is not a difference
+  /// (counters and gauges serialize in name order, results in insertion
+  /// order).
   void compare_value(const std::string& path, const Json& base,
                      const Json& cur) {
     if (base.is_number() && cur.is_number()) {

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/recorder.h"
-
 namespace rdo::obs {
 
 namespace metrics_internal {
@@ -177,6 +175,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
+void MetricsRegistry::merge(const MetricsRegistry& other) {
+  const MetricsSnapshot snap = other.snapshot();
+  for (const auto& [name, v] : snap.counters) counter(name).add(v);
+  for (const auto& [name, v] : snap.gauges) gauge(name).set(v);
+  for (const auto& [name, h] : snap.histograms) {
+    if (h.count > 0) histogram(name).merge(h);
+  }
+}
+
 Json histogram_snapshot_json(const HistogramSnapshot& h) {
   Json e = Json::object();
   e["count"] = h.count;
@@ -270,15 +277,6 @@ MetricsRegistry& global_metrics() {
   // time.
   static MetricsRegistry* g = new MetricsRegistry();
   return *g;
-}
-
-void absorb_metrics(Recorder& rec, const MetricsRegistry& registry) {
-  const MetricsSnapshot snap = registry.snapshot();
-  for (const auto& [name, v] : snap.counters) rec.incr(name, v);
-  for (const auto& [name, v] : snap.gauges) rec.set_gauge(name, v);
-  for (const auto& [name, h] : snap.histograms) {
-    if (h.count > 0) rec.histogram(name).merge(h);
-  }
 }
 
 namespace {

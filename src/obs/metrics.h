@@ -1,23 +1,19 @@
-// Live operational metrics: a registry of named counters, gauges and
-// latency histograms that can be read *while the process runs*.
+// Metrics: a registry of named counters, gauges and latency histograms,
+// the repo's one metrics store.
 //
-// The Recorder (obs/recorder.h) answers "what happened over this run"
-// at report time; its counters, gauges and phases are
-// mutex-per-operation and serialized once, at the end. Long-running
-// processes — rdo_serve, overnight fault/drift campaigns — additionally
-// need instruments that are cheap enough to sit on the request hot
-// path and can be snapshotted at any moment for a live `stats` request
-// or a periodic dump. That is this registry:
+// Two kinds of owner hold one. A BENCH report (obs/report.h) serializes
+// its registry once, at the end, as the document's `counters`, `gauges`
+// and `histograms` sections. Long-running processes (rdo_serve,
+// overnight fault/drift campaigns) keep registries whose instruments sit
+// on the request hot path and are snapshotted at any moment for a live
+// `stats` request or a periodic dump:
 //
 //   * Counter    monotonic int64; add() lands in one of kMetricShards
 //                cache-line-padded relaxed atomics chosen per thread,
 //                so concurrent increments never contend on one line.
 //   * Gauge      last-write-wins double (atomic store/load).
 //   * Histogram  log2-microsecond latency buckets plus a sum track.
-//                It is the only latency histogram in the repo: the
-//                Recorder's report histograms are instances too, so a
-//                registry histogram folds into a BENCH document with
-//                one merge() and no resampling.
+//                It is the only latency histogram in the repo.
 //
 // Instruments are created on first use and never destroyed, so a
 // resolved Counter& stays valid for the registry's lifetime — resolve
@@ -26,15 +22,16 @@
 // view; exports are a deterministic function of the snapshot (JSON via
 // obs::Json, Prometheus text exposition for scrapers).
 //
-// Naming convention (enforced by convention, validated in exposition):
-// lowercase snake_case, subsystem prefix first ("serve_", "deploy_",
-// "process_"), unit suffix last where one applies ("_seconds", "_bytes").
-// The Prometheus exposition prepends "rdo_" as the namespace.
+// Naming convention (the rdo_lint `metric-name` rule): lowercase
+// snake_case, subsystem prefix first ("serve_", "deploy_", "bench_",
+// "process_"), unit suffix last where one applies ("_seconds",
+// "_bytes"). The Prometheus exposition prepends "rdo_" as the namespace.
 //
-// Recorder bridge: absorb_metrics(rec, registry) folds a snapshot into
-// a Recorder at report time (counters, gauges, Histogram::merge).
-// Harnesses that never touch the registry absorb nothing, so committed
-// BENCH baselines stay byte-identical.
+// merge() folds one registry into another (counters add, gauges set,
+// Histogram::merge, no resampling): rdo_serve moves its live registries
+// into its BENCH report that way at exit. Merging an empty registry is a
+// no-op, so a report whose process never used a live registry is
+// unchanged by it.
 #pragma once
 
 #include <array>
@@ -50,8 +47,6 @@
 #include "obs/json.h"
 
 namespace rdo::obs {
-
-class Recorder;
 
 /// Latency histograms use fixed log-scale buckets: bucket i counts
 /// samples in [2^i, 2^(i+1)) microseconds, so 28 buckets span 1 us to
@@ -175,10 +170,13 @@ class MetricsRegistry {
   /// racing the snapshot land in this view or the next, never torn.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
+  /// Fold `other`'s snapshot in: counters add, gauges set, non-empty
+  /// histograms Histogram::merge. Merging an empty registry is a no-op.
+  void merge(const MetricsRegistry& other);
+
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with
-  /// sorted member names; histogram entries carry the Recorder's
-  /// histogram shape (count/min/max/p50/p95/p99/bucket_counts) plus
-  /// sum_seconds.
+  /// sorted member names; histogram entries are histogram_snapshot_json
+  /// (count/sum/min/max/p50/p95/p99/bucket_counts).
   [[nodiscard]] Json snapshot_json() const;
 
   /// Prometheus text exposition (version 0.0.4): every name prefixed
@@ -199,12 +197,6 @@ MetricsRegistry& global_metrics();
 
 /// JSON form of one HistogramSnapshot (the snapshot_json() entry shape).
 [[nodiscard]] Json histogram_snapshot_json(const HistogramSnapshot& h);
-
-/// Fold a registry snapshot into a Recorder at report time: counters
-/// incr, gauges set, non-empty histograms Histogram::merge into the
-/// Recorder's. An empty registry is a no-op, so reports that never used
-/// the registry are byte-identical to before.
-void absorb_metrics(Recorder& rec, const MetricsRegistry& registry);
 
 /// Structural validation of a snapshot_json() document: the three
 /// sections present, counters int, gauges numeric, histograms carrying

@@ -16,6 +16,14 @@ namespace rdo::obs {
 BenchReport::BenchReport(std::string name, std::uint64_t seed)
     : name_(std::move(name)), seed_(seed) {}
 
+double* BenchReport::phase(const std::string& name) {
+  std::lock_guard<std::mutex> lock(phases_mu_);
+  for (auto& [n, seconds] : phases_) {
+    if (n == name) return &seconds;
+  }
+  return &phases_.emplace_back(name, 0.0).second;
+}
+
 void BenchReport::add_failure(const std::string& where,
                               const std::string& what) {
   Json f = Json::object();
@@ -32,7 +40,17 @@ Json BenchReport::document() const {
 
   Json timing = Json::object();
   timing["total_seconds"] = total_.seconds();
-  timing["phases"] = rec_.phases_json();
+  Json phases = Json::array();
+  {
+    std::lock_guard<std::mutex> lock(phases_mu_);
+    for (const auto& [name, seconds] : phases_) {
+      Json p = Json::object();
+      p["name"] = name;
+      p["seconds"] = seconds;
+      phases.push_back(std::move(p));
+    }
+  }
+  timing["phases"] = std::move(phases);
   doc["timing"] = std::move(timing);
 
   const rdo::nn::PoolStats ps = rdo::nn::pool_stats();
@@ -48,18 +66,20 @@ Json BenchReport::document() const {
                             : 0.0;
   doc["pool"] = std::move(pool);
 
-  doc["histograms"] = rec_.histograms_json();
-  doc["counters"] = rec_.counters_json();
-  doc["gauges"] = rec_.gauges_json();
+  Json metrics = metrics_.snapshot_json();
+  doc["histograms"] = std::move(metrics["histograms"]);
+  doc["counters"] = std::move(metrics["counters"]);
+  doc["gauges"] = std::move(metrics["gauges"]);
   doc["results"] = results_;
   doc["failures"] = failures_;
   return doc;
 }
 
 std::string BenchReport::deterministic_dump() const {
+  Json metrics = metrics_.snapshot_json();
   Json det = Json::object();
-  det["counters"] = rec_.counters_json();
-  det["gauges"] = rec_.gauges_json();
+  det["counters"] = std::move(metrics["counters"]);
+  det["gauges"] = std::move(metrics["gauges"]);
   det["results"] = results_;
   det["failures"] = failures_;
   return det.dump();

@@ -20,14 +20,27 @@
 // `results` and `failures` sections are byte-identical for any
 // RDO_THREADS setting (deterministic_dump() serializes exactly those
 // sections; tests/test_obs.cpp asserts the guarantee end to end).
-// `env`, `timing` and `pool` legitimately vary and are excluded.
+// `env`, `timing`, `pool` and `histograms` legitimately vary and are
+// excluded.
+//
+// One store, one timed scope. Counters, gauges and histograms live in
+// the report's MetricsRegistry (obs/metrics.h) and all three sections
+// come from one snapshot, in name order. A phase is a slot that a timed
+// TraceSpan adds into, so the phase table and RDO_TRACE share one pair
+// of clock reads:
+//
+//   obs::TraceSpan t("train_models", "phase", rep.phase("train_models"));
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
+#include "obs/stopwatch.h"
 
 namespace rdo::obs {
 
@@ -42,8 +55,15 @@ class BenchReport {
   /// in the env block. Total wall time is measured from construction.
   BenchReport(std::string name, std::uint64_t seed);
 
-  /// Phase timers / counters / gauges (thread-safe).
-  Recorder& recorder() { return rec_; }
+  /// Counters, gauges and latency histograms (thread-safe).
+  MetricsRegistry& metrics() { return metrics_; }
+
+  /// Wall-clock seconds slot of phase `name`, created at 0 under the
+  /// report's mutex on first use; `timing.phases` lists the slots in
+  /// first-use order. The pointer stays valid for the report's lifetime.
+  /// Creating a slot is thread-safe; adding to one is not, so each slot
+  /// has one writer at a time and none while document() runs.
+  double* phase(const std::string& name);
 
   /// Deterministic harness-specific payload (mutable root object).
   Json& results() { return results_; }
@@ -75,7 +95,10 @@ class BenchReport {
   std::string name_;
   std::uint64_t seed_;
   Stopwatch total_;
-  Recorder rec_;
+  MetricsRegistry metrics_;
+  mutable std::mutex phases_mu_;  ///< guards phases_, not the slot values
+  /// A deque: push_back never moves the slots phase() handed out.
+  std::deque<std::pair<std::string, double>> phases_;
   Json results_ = Json::object();
   Json failures_ = Json::array();
 };

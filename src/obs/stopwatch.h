@@ -1,6 +1,9 @@
-// Monotonic wall clock for whole-run and per-trial timing. Header-only.
-// A timed *scope* is a TraceSpan with an accumulator (obs/trace.h), which
-// feeds DeployStats and RDO_TRACE from one pair of clock reads.
+// Monotonic wall clock for timings that are not a scope: a BENCH
+// report's whole-run total_seconds, per-trial wall times
+// (SchemeResult::trial_seconds) and a service's uptime. Header-only.
+// A timed *scope* is a TraceSpan with an accumulator (obs/trace.h): it
+// feeds DeployStats, the BENCH phase table (BenchReport::phase) and
+// RDO_TRACE from one pair of clock reads.
 //
 // Timing never feeds back into any computation — clocks are read only to
 // fill the volatile `timing` section of a report — so instrumented code

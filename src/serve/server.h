@@ -29,8 +29,8 @@
 // serve_request_seconds and the slow-request check read the latency it
 // measures. Requests slower than RDO_SLOW_REQUEST_MS (milliseconds;
 // unset = disabled) are logged at warn level. Harnesses fold the
-// registry into a BENCH report with absorb_metrics at exit, which
-// merges its histograms into the report's (one Histogram type).
+// registry into a BENCH report's own registry at exit with
+// MetricsRegistry::merge (one Histogram type on both sides).
 #pragma once
 
 #include <atomic>
@@ -155,7 +155,7 @@ class InferenceService {
   /// drive the gate into deterministic overload states).
   [[nodiscard]] AdmissionGate& gate() { return gate_; }
   /// Live instrument registry: counters, gauges and the request-latency
-  /// histogram. Harnesses absorb it into a Recorder at report time.
+  /// histogram. Harnesses merge it into a BenchReport at report time.
   [[nodiscard]] rdo::obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const rdo::obs::MetricsRegistry& metrics() const {
     return metrics_;

@@ -102,6 +102,34 @@ TEST(BenchDiff, MissingAndExtraMembersRegress) {
   EXPECT_FALSE(diff_bench_documents(a, extra, DiffOptions{}).ok());
 }
 
+TEST(BenchDiff, ObjectMemberOrderIsNotADifference) {
+  // Counters and gauges serialize in name order and results in
+  // insertion order, so objects compare by key: a reordered object is
+  // the same document, even at zero tolerance.
+  const Json a = base_doc();
+  const Json reordered = Json::parse(R"({
+    "failures": [],
+    "results": {"config": {"m": 8}, "per_cycle": [0.9, 0.91, 0.92]},
+    "gauges": {"read_power_ratio": 1.31, "accuracy": 0.912},
+    "counters": {"device_pulses": 1200, "cycles": 3},
+    "histograms": {},
+    "pool": {"chunks_executed": 100},
+    "timing": {"total_seconds": 1.5},
+    "env": {"seed": 7, "threads": 4},
+    "name": "probe",
+    "schema_version": 2
+  })");
+  const DiffReport rep = diff_bench_documents(a, reordered, DiffOptions{});
+  EXPECT_TRUE(rep.ok());
+  EXPECT_TRUE(rep.regressions.empty());
+
+  // Array elements are positional: the same values in another order
+  // still regress.
+  Json swapped = base_doc();
+  swapped["results"]["per_cycle"] = Json::parse("[0.91, 0.9, 0.92]");
+  EXPECT_FALSE(diff_bench_documents(a, swapped, DiffOptions{}).ok());
+}
+
 TEST(BenchDiff, FailuresNeverGetTolerance) {
   const Json a = base_doc();
   Json b = base_doc();

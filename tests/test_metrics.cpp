@@ -1,7 +1,7 @@
 // Live metrics registry (obs/metrics.h) and structured logging
 // (obs/log.h): instrument semantics, concurrent determinism, the JSON /
-// Prometheus exports, the Recorder bridge, and the log line format
-// contract.
+// Prometheus exports, folding one registry into another (merge), and
+// the log line format contract.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +16,6 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 
 using namespace rdo;
 using obs::Json;
@@ -60,7 +59,7 @@ TEST(Metrics, NameClaimsExactlyOneInstrumentKind) {
   EXPECT_THROW(reg.counter("y"), std::logic_error);
 }
 
-TEST(Metrics, BucketGeometryMatchesRecorderContract) {
+TEST(Metrics, BucketGeometryIsLog2Microseconds) {
   // bucket i covers [2^i, 2^(i+1)) microseconds.
   EXPECT_EQ(obs::latency_bucket_index(0.0), 0);
   EXPECT_EQ(obs::latency_bucket_index(-1.0), 0);
@@ -209,42 +208,40 @@ TEST(Metrics, QuantileWalksBucketsAndClamps) {
   EXPECT_EQ(q99, 1.0e-5);
 }
 
-TEST(Metrics, AbsorbFoldsRegistryIntoRecorder) {
+TEST(Metrics, MergeFoldsOneRegistryIntoAnother) {
   obs::MetricsRegistry reg;
   reg.counter("serve_requests").add(5);
   reg.gauge("serve_uptime_seconds").set(1.25);
   obs::Histogram& h = reg.histogram("serve_request_seconds");
   h.observe(3.0e-6);
   h.observe(40.0e-6);
+  reg.histogram("serve_idle_seconds");  // registered, never observed
 
-  obs::Recorder rec;
-  rec.observe("serve_request_seconds", 2.0e-3);  // pre-existing sample
-  obs::absorb_metrics(rec, reg);
+  obs::MetricsRegistry into;
+  into.counter("serve_requests").add(2);  // counters add
+  into.gauge("serve_uptime_seconds").set(9.0);  // gauges are set
+  into.histogram("serve_request_seconds").observe(2.0e-3);
+  into.merge(reg);
 
-  EXPECT_EQ(rec.counter("serve_requests"), 5);
-  const Json gauges = rec.gauges_json();
-  EXPECT_EQ(gauges.find("serve_uptime_seconds")->as_double(), 1.25);
-  const Json hist = rec.histograms_json();
-  const Json* lat = hist.find("serve_request_seconds");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->find("count")->as_int(), 3);  // merged, not resampled
-  EXPECT_EQ(lat->find("min_seconds")->as_double(), 3.0e-6);
-  EXPECT_EQ(lat->find("max_seconds")->as_double(), 2.0e-3);
+  EXPECT_EQ(into.counter("serve_requests").value(), 7);
+  EXPECT_EQ(into.gauge("serve_uptime_seconds").value(), 1.25);
+  const obs::HistogramSnapshot lat =
+      into.histogram("serve_request_seconds").snapshot();
+  EXPECT_EQ(lat.count, 3);  // merged, not resampled
+  EXPECT_EQ(lat.min_seconds, 3.0e-6);
+  EXPECT_EQ(lat.max_seconds, 2.0e-3);
+  // Empty histograms are not carried over.
+  EXPECT_EQ(into.snapshot().histograms.size(), 1u);
 }
 
-TEST(Metrics, AbsorbOfEmptyRegistryIsByteIdenticalNoOp) {
-  obs::Recorder rec;
-  rec.incr("existing", 2);
-  rec.observe("lat", 1.0e-4);
-  const std::string before = rec.counters_json().dump() +
-                             rec.gauges_json().dump() +
-                             rec.histograms_json().dump();
+TEST(Metrics, MergeOfEmptyRegistryIsByteIdenticalNoOp) {
+  obs::MetricsRegistry reg;
+  reg.counter("bench_existing").add(2);
+  reg.histogram("bench_lat_seconds").observe(1.0e-4);
+  const std::string before = reg.snapshot_json().dump();
   const obs::MetricsRegistry empty;
-  obs::absorb_metrics(rec, empty);
-  const std::string after = rec.counters_json().dump() +
-                            rec.gauges_json().dump() +
-                            rec.histograms_json().dump();
-  EXPECT_EQ(before, after);
+  reg.merge(empty);
+  EXPECT_EQ(reg.snapshot_json().dump(), before);
 }
 
 TEST(Metrics, ValidateMetricsJsonRejectsStructuralDamage) {

@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs): JSON round-trips, the
-// recorder, BENCH document schema validation, and the end-to-end
-// determinism contract — the deterministic sections of a report are
-// byte-identical across RDO_THREADS settings for a fixed seed.
+// BENCH report's metrics and phase table, document schema validation,
+// and the end-to-end determinism contract — the deterministic sections
+// of a report are byte-identical across RDO_THREADS settings for a
+// fixed seed, also when pool threads write into one report.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +24,7 @@
 #include "nn/sequential.h"
 #include "obs/env.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "quant/act_quant.h"
@@ -142,30 +143,34 @@ TEST(Json, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
-TEST(Recorder, AccumulatesPhasesCountersGauges) {
-  rdo::obs::Recorder rec;
-  rec.add_phase("alpha", 1.5);
-  rec.add_phase("alpha", 0.5);
-  rec.add_phase("beta", 0.25);
-  rec.incr("widgets");
-  rec.incr("widgets", 4);
-  rec.set_gauge("ratio", 0.75);
-  rec.set_gauge("ratio", 0.5);  // last write wins
-  EXPECT_DOUBLE_EQ(rec.phase_seconds("alpha"), 2.0);
-  EXPECT_DOUBLE_EQ(rec.phase_seconds("beta"), 0.25);
-  EXPECT_EQ(rec.counter("widgets"), 5);
-  EXPECT_EQ(rec.counters_json().dump(), "{\"widgets\":5}");
-  EXPECT_EQ(rec.gauges_json().dump(), "{\"ratio\":0.5}");
+TEST(BenchReport, AccumulatesPhasesCountersGauges) {
+  rdo::obs::BenchReport rep("unit_test", 1);
+  double* alpha = rep.phase("alpha");
+  *alpha += 1.5;
+  *rep.phase("alpha") += 0.5;
+  *rep.phase("beta") += 0.25;
+  EXPECT_EQ(rep.phase("alpha"), alpha);  // one stable slot per name
+  EXPECT_DOUBLE_EQ(*alpha, 2.0);
+  rdo::obs::MetricsRegistry& m = rep.metrics();
+  m.counter("bench_widgets").add();
+  m.counter("bench_widgets").add(4);
+  m.gauge("bench_ratio").set(0.75);
+  m.gauge("bench_ratio").set(0.5);  // last write wins
+  const Json doc = rep.document();
+  EXPECT_EQ(doc.find("counters")->dump(), "{\"bench_widgets\":5}");
+  EXPECT_EQ(doc.find("gauges")->dump(), "{\"bench_ratio\":0.5}");
   // Phases keep first-use order.
-  const Json phases = rec.phases_json();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases.at(0).find("name")->as_string(), "alpha");
+  const Json* phases = doc.find("timing")->find("phases");
+  ASSERT_EQ(phases->size(), 2u);
+  EXPECT_EQ(phases->at(0).find("name")->as_string(), "alpha");
+  EXPECT_DOUBLE_EQ(phases->at(0).find("seconds")->as_double(), 2.0);
+  EXPECT_EQ(phases->at(1).find("name")->as_string(), "beta");
 }
 
 TEST(BenchReport, DocumentValidatesAgainstSchema) {
   rdo::obs::BenchReport rep("unit_test", 99);
-  rep.recorder().incr("things", 3);
-  rep.recorder().set_gauge("level", 0.5);
+  rep.metrics().counter("bench_things").add(3);
+  rep.metrics().gauge("bench_level").set(0.5);
   rep.results()["answer"] = 42;
   const Json doc = rep.document();
   std::string err;
@@ -259,9 +264,9 @@ std::string deterministic_report(int threads) {
   Json per_cycle = Json::array();
   for (float a : res.per_cycle) per_cycle.push_back(static_cast<double>(a));
   rep.results()["per_cycle"] = std::move(per_cycle);
-  rep.recorder().incr("cycles", res.stats.cycles);
-  rep.recorder().incr("device_pulses", res.stats.device_pulses);
-  rdo::core::add_deploy_phase_times(rep.recorder(), res.stats);
+  rep.metrics().counter("bench_cycles").add(res.stats.cycles);
+  rep.metrics().counter("bench_device_pulses").add(res.stats.device_pulses);
+  rdo::core::add_scheme_timings(rep, res);
   for (const std::string& e : res.errors) {
     if (!e.empty()) rep.add_failure("trial", e);
   }
@@ -276,13 +281,13 @@ TEST(Determinism, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
   // Sanity: the probe actually ran the pipeline.
   const Json doc = Json::parse(serial);
-  EXPECT_EQ(doc.find("counters")->find("cycles")->as_int(), 3);
-  EXPECT_GT(doc.find("counters")->find("device_pulses")->as_int(), 0);
+  EXPECT_EQ(doc.find("counters")->find("bench_cycles")->as_int(), 3);
+  EXPECT_GT(doc.find("counters")->find("bench_device_pulses")->as_int(), 0);
 }
 
 TEST(Determinism, TracingDoesNotPerturbTheReport) {
   // Tracing must never feed back into the computation or the report:
-  // trace counters go to the trace file, not the recorder, and spans
+  // trace counters go to the trace file, not the report, and spans
   // only read the clock. The deterministic sections (which include the
   // counters) must be byte-identical with tracing on and off.
   const std::string untraced = deterministic_report(2);
@@ -294,6 +299,53 @@ TEST(Determinism, TracingDoesNotPerturbTheReport) {
   ASSERT_EQ(rdo::obs::trace_stop(), path);
   EXPECT_EQ(traced, untraced);
   std::filesystem::remove(path);
+}
+
+namespace {
+
+constexpr std::int64_t kWriterTasks = 64;
+
+/// Writes a fixed workload into `rep` from `threads` pool threads: every
+/// task adds to two shared counters, sets its own gauge, observes one
+/// shared histogram and times its own phase.
+void concurrent_writes(rdo::obs::BenchReport& rep, int threads) {
+  ThreadGuard guard(threads);
+  rdo::nn::parallel_for(kWriterTasks, [&](std::int64_t begin,
+                                          std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      const std::string tag = "bench_task_" + std::to_string(i);
+      rdo::obs::TraceSpan t(tag.c_str(), "phase", rep.phase(tag));
+      rdo::obs::MetricsRegistry& m = rep.metrics();
+      m.counter("bench_tasks").add();
+      m.counter("bench_task_index_sum").add(i);
+      m.gauge(tag + "_value").set(0.5 * static_cast<double>(i));
+      m.histogram("bench_task_seconds")
+          .observe(1e-6 * static_cast<double>(i + 1));
+    }
+  });
+}
+
+}  // namespace
+
+TEST(Determinism, ConcurrentReportWritersMatchASerialRun) {
+  rdo::obs::BenchReport serial("bench_writers", 1);
+  concurrent_writes(serial, 1);
+  rdo::obs::BenchReport parallel("bench_writers", 1);
+  concurrent_writes(parallel, 4);
+
+  EXPECT_EQ(parallel.deterministic_dump(), serial.deterministic_dump());
+  const Json s = serial.document();
+  const Json p = parallel.document();
+  EXPECT_EQ(p.find("histograms")->dump(), s.find("histograms")->dump());
+  EXPECT_EQ(p.find("counters")->find("bench_tasks")->as_int(), kWriterTasks);
+  EXPECT_EQ(p.find("histograms")
+                ->find("bench_task_seconds")
+                ->find("count")
+                ->as_int(),
+            kWriterTasks);
+  // One slot per task; their order is first use, so it may differ.
+  EXPECT_EQ(p.find("timing")->find("phases")->size(),
+            static_cast<std::size_t>(kWriterTasks));
 }
 
 TEST(Json, NanAndInfinitySerializeAsNull) {
@@ -317,15 +369,16 @@ TEST(Json, NanAndInfinitySerializeAsNull) {
   EXPECT_EQ(Json::parse(back.dump()).dump(), back.dump());
 }
 
-TEST(Recorder, HistogramPlacesSamplesInPowerOfTwoBuckets) {
-  rdo::obs::Recorder rec;
-  rec.observe("lat", 2e-6);    // 2 us -> bucket 1
-  rec.observe("lat", 1e-3);    // 1000 us -> bucket 9
-  rec.observe("lat", 1.0);     // 1e6 us -> bucket 19
-  rec.observe("lat", 1e-7);    // sub-microsecond clamps to bucket 0
-  rec.observe("lat", 1e9);     // beyond the range clamps to the last bucket
-  const Json h = rec.histograms_json();
-  const Json* lat = h.find("lat");
+TEST(BenchReport, HistogramPlacesSamplesInPowerOfTwoBuckets) {
+  rdo::obs::BenchReport rep("unit_test", 1);
+  rdo::obs::Histogram& h = rep.metrics().histogram("bench_lat_seconds");
+  h.observe(2e-6);    // 2 us -> bucket 1
+  h.observe(1e-3);    // 1000 us -> bucket 9
+  h.observe(1.0);     // 1e6 us -> bucket 19
+  h.observe(1e-7);    // sub-microsecond clamps to bucket 0
+  h.observe(1e9);     // beyond the range clamps to the last bucket
+  const Json doc = rep.document();
+  const Json* lat = doc.find("histograms")->find("bench_lat_seconds");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->find("count")->as_int(), 5);
   EXPECT_DOUBLE_EQ(lat->find("min_seconds")->as_double(), 1e-7);
@@ -346,15 +399,18 @@ TEST(Recorder, HistogramPlacesSamplesInPowerOfTwoBuckets) {
   EXPECT_EQ(buckets->at(rdo::obs::kLatencyBuckets - 1).as_int(), 1);
 }
 
-TEST(Recorder, HistogramQuantilesAreBucketMidpointsClampedToRange) {
-  rdo::obs::Recorder rec;
+TEST(BenchReport, HistogramQuantilesAreBucketMidpointsClampedToRange) {
+  rdo::obs::BenchReport rep("unit_test", 1);
+  rdo::obs::MetricsRegistry& m = rep.metrics();
   // All mass in one bucket: every quantile collapses to the observed
   // value because the midpoint is clamped to [min, max].
-  for (int i = 0; i < 100; ++i) rec.observe("tight", 1e-3);
+  rdo::obs::Histogram& tight_h = m.histogram("bench_tight_seconds");
+  for (int i = 0; i < 100; ++i) tight_h.observe(1e-3);
   // Bind the document: find() returns a pointer into it, so calling it
   // on the temporary would dangle (caught by the ASan preset).
-  const Json tight_doc = rec.histograms_json();
-  const Json* tight = tight_doc.find("tight");
+  const Json tight_doc = rep.document();
+  const Json* tight =
+      tight_doc.find("histograms")->find("bench_tight_seconds");
   ASSERT_NE(tight, nullptr);
   EXPECT_DOUBLE_EQ(tight->find("p50_seconds")->as_double(), 1e-3);
   EXPECT_DOUBLE_EQ(tight->find("p95_seconds")->as_double(), 1e-3);
@@ -362,11 +418,13 @@ TEST(Recorder, HistogramQuantilesAreBucketMidpointsClampedToRange) {
 
   // Spread mass: p50 lands on the middle sample's bucket midpoint,
   // p95/p99 on the top bucket; ordering and bounds must hold.
-  rec.observe("spread", 2e-6);
-  rec.observe("spread", 1e-3);
-  rec.observe("spread", 1.0);
-  const Json spread_doc = rec.histograms_json();
-  const Json* spread = spread_doc.find("spread");
+  rdo::obs::Histogram& spread_h = m.histogram("bench_spread_seconds");
+  spread_h.observe(2e-6);
+  spread_h.observe(1e-3);
+  spread_h.observe(1.0);
+  const Json spread_doc = rep.document();
+  const Json* spread =
+      spread_doc.find("histograms")->find("bench_spread_seconds");
   ASSERT_NE(spread, nullptr);
   const double p50 = spread->find("p50_seconds")->as_double();
   const double p95 = spread->find("p95_seconds")->as_double();
@@ -381,12 +439,12 @@ TEST(Recorder, HistogramQuantilesAreBucketMidpointsClampedToRange) {
 
 TEST(BenchReport, HistogramsAreVolatileButValidated) {
   rdo::obs::BenchReport rep("unit_test", 1);
-  rep.recorder().observe("trial_seconds", 0.25);
+  rep.metrics().histogram("bench_trial_seconds").observe(0.25);
   const Json doc = rep.document();
   std::string err;
   EXPECT_TRUE(rdo::obs::validate_bench_document(doc, &err)) << err;
   ASSERT_NE(doc.find("histograms"), nullptr);
-  EXPECT_NE(doc.find("histograms")->find("trial_seconds"), nullptr);
+  EXPECT_NE(doc.find("histograms")->find("bench_trial_seconds"), nullptr);
   // Histograms are wall-clock derived, so they are excluded from the
   // deterministic sections.
   EXPECT_EQ(rep.deterministic_dump().find("histograms"), std::string::npos);
@@ -400,7 +458,7 @@ TEST(BenchReport, HistogramsAreVolatileButValidated) {
   bad["histograms"] = 5;
   EXPECT_FALSE(rdo::obs::validate_bench_document(bad, &err));
   Json bad_entry = rep.document();
-  bad_entry["histograms"]["trial_seconds"]["bucket_counts"] = "nope";
+  bad_entry["histograms"]["bench_trial_seconds"]["bucket_counts"] = "nope";
   EXPECT_FALSE(rdo::obs::validate_bench_document(bad_entry, &err));
 }
 

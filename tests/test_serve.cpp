@@ -19,7 +19,7 @@
 #include "nn/sequential.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -421,7 +421,7 @@ TEST(Serve, BackendPoolIsKeyedByCycle) {
   EXPECT_EQ(c.plan_hits, 2);
 }
 
-TEST(Serve, LatencyAndCountersLandInRecorder) {
+TEST(Serve, LatencyAndCountersMergeIntoABenchReport) {
   const ServeFixture f;
   serve::InferenceService svc = f.make_service();
   const Json ev = reply(svc, R"({"op": "evaluate"})");
@@ -430,17 +430,18 @@ TEST(Serve, LatencyAndCountersLandInRecorder) {
   ASSERT_TRUE(ping.find("ok")->as_bool());
   expect_bad_request(reply(svc, "nope"), "nope");
 
-  // Report-time bridge: the live registry folds into a Recorder once,
-  // instead of the service writing the Recorder per event.
-  obs::Recorder rec;
-  obs::absorb_metrics(rec, svc.metrics());
+  // Report-time fold: the live registry merges into the report's once,
+  // instead of the service writing the report per event.
+  obs::BenchReport rep("bench_serve_probe", 1);
+  rep.metrics().merge(svc.metrics());
 
-  EXPECT_EQ(rec.counter("serve_requests"), 3);
-  EXPECT_EQ(rec.counter("serve_ok"), 2);
-  EXPECT_EQ(rec.counter("serve_bad_request"), 1);
-  EXPECT_EQ(rec.counter("serve_plan_misses"), 1);
-  const Json hist = rec.histograms_json();
-  const Json* lat = hist.find("serve_request_seconds");
+  const Json doc = rep.document();
+  const Json* counters = doc.find("counters");
+  EXPECT_EQ(counters->find("serve_requests")->as_int(), 3);
+  EXPECT_EQ(counters->find("serve_ok")->as_int(), 2);
+  EXPECT_EQ(counters->find("serve_bad_request")->as_int(), 1);
+  EXPECT_EQ(counters->find("serve_plan_misses")->as_int(), 1);
+  const Json* lat = doc.find("histograms")->find("serve_request_seconds");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->find("count")->as_int(), 3);
 }

@@ -33,6 +33,7 @@
 #include "nn/dense.h"
 #include "nn/optimizer.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "quant/act_quant.h"
 
 using namespace rdo;
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
   std::printf("training %s ...\n", a.model.c_str());
   float ideal = 0.0f;
   {
-    obs::PhaseTimer t(rep.recorder(), "train_model");
+    obs::TraceSpan t("train_model", "phase", rep.phase("train_model"));
     nn::SGD opt(net->params(), lr, 0.9f, 1e-4f);
     for (int e = 0; e < epochs; ++e) {
       nn::train_epoch(*net, opt, ds.train(), 32, rng);
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
   try {
     core::SchemeResult res;
     {
-      obs::PhaseTimer t(rep.recorder(), "deployment");
+      obs::TraceSpan t("deployment", "phase", rep.phase("deployment"));
       res = core::run_scheme(*net, o, ds.train(), ds.test(), a.repeats);
     }
     std::printf("\naccuracy under variation: %.2f%% (loss vs ideal: %.2f%%)\n",
@@ -170,17 +171,12 @@ int main(int argc, char** argv) {
     }
     rep.results()["per_cycle"] = std::move(per_cycle);
     rep.results()["stats"] = core::deploy_stats_json(res.stats);
-    core::add_deploy_phase_times(rep.recorder(), res.stats);
-    for (double s : res.trial_seconds) {
-      rep.recorder().observe("trial_seconds", s);
-    }
-    for (double s : res.stats.eval_seconds) {
-      rep.recorder().observe("deploy_evaluate_seconds", s);
-    }
+    core::add_scheme_timings(rep, res);
 
     // Hardware accounting for the chosen configuration, read off a
     // compiled plan (the network itself is left untouched).
-    obs::PhaseTimer t(rep.recorder(), "hardware_accounting");
+    obs::TraceSpan t("hardware_accounting", "phase",
+                     rep.phase("hardware_accounting"));
     const core::DeploymentPlan plan = core::compile_plan(*net, o, ds.train());
     const double ratio = plan.assigned_read_power() / plan.plain_read_power();
     std::printf("\ncrossbars (128x128): %lld\n",

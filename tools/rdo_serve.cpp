@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     net->emplace<nn::Dense>(64, 10, rng);
   }
   {
-    obs::PhaseTimer t(rep.recorder(), "train_model");
+    obs::TraceSpan t("train_model", "phase", rep.phase("train_model"));
     nn::SGD opt(net->params(), lr, 0.9f, 1e-4f);
     for (int e = 0; e < a.epochs; ++e) {
       nn::train_epoch(*net, opt, ds.train(), 32, rng);
@@ -401,10 +401,10 @@ int main(int argc, char** argv) {
       .with("plan_misses", c.plan_misses)
       .with("plan_evictions", c.plan_evictions);
   if (a.bench) {
-    // Fold the live registry (serve_* instruments plus the process-wide
-    // deploy cache counters) into the report's recorder.
-    obs::absorb_metrics(rep.recorder(), svc.metrics());
-    obs::absorb_metrics(rep.recorder(), obs::global_metrics());
+    // Fold the live registries (serve_* instruments plus the process-wide
+    // deploy cache counters) into the report's.
+    rep.metrics().merge(svc.metrics());
+    rep.metrics().merge(obs::global_metrics());
     try {
       const std::string path = rep.write();
       obs::log_info("serve", "wrote bench report").with("path", path);
