@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulation kernels: device
-// programming, crossbar VMM, LUT construction, the VAWO group solver, and
-// conv lowering (LeNet's convolutions in forward, training backward and
-// PWT offset-gradient backward).
+// programming, crossbar VMM, LUT construction, the VAWO group solver, the
+// GEMM kernels, and conv lowering (LeNet's im2col, and its convolutions in
+// forward, training backward and PWT offset-gradient backward).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -9,6 +9,7 @@
 #include "core/vawo.h"
 #include "nn/conv2d.h"
 #include "nn/gemm.h"
+#include "nn/im2col.h"
 #include "nn/parallel.h"
 #include "rram/crossbar.h"
 #include "rram/rlut.h"
@@ -205,6 +206,29 @@ void BM_GemmAtB(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmAtB)->Args({256, 1})->Args({256, 4});
 
+// Args: {m, k, n} of C[m, n] += A[m, k] * B^T with B stored [n, k], on
+// one thread. The shapes are PWT's per-sample offset-gradient reductions
+// for LeNet at m = 16: conv1 (2 groups, 784 positions, 6 channels) and
+// conv2 (10 groups, 100 positions, 16 channels).
+void BM_GemmABt(benchmark::State& state) {
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  nn::set_thread_count(1);
+  Rng rng(12);
+  std::vector<float> a(static_cast<std::size_t>(m * k)),
+      b(static_cast<std::size_t>(n * k)),
+      c(static_cast<std::size_t>(m * n), 0.0f);
+  for (auto& v : a) v = static_cast<float>(rng.uniform(0, 1));
+  for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
+  for (auto _ : state) {
+    nn::gemm_a_bt_accumulate(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n * 2);
+  nn::set_thread_count(0);
+}
+BENCHMARK(BM_GemmABt)->Args({2, 784, 6})->Args({10, 100, 16});
+
 // Dispatch overhead of one parallel_for over a trivial body: the floor
 // under which kernels should not bother going parallel.
 void BM_ParallelForDispatch(benchmark::State& state) {
@@ -244,6 +268,28 @@ nn::Conv2D lenet_conv(std::int64_t which, Rng& rng, nn::Tensor& x) {
   }
   return conv;
 }
+
+// The lowering alone: one im2col per image of a LeNet batch of 32.
+void BM_Im2col(benchmark::State& state) {
+  Rng rng(13);
+  nn::Tensor x;
+  const nn::Conv2D conv = lenet_conv(state.range(0), rng, x);
+  const std::int64_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t k = conv.kernel(), pad = conv.pad();
+  const std::int64_t positions = nn::conv_out_dim(h, k, 1, pad) *
+                                 nn::conv_out_dim(w, k, 1, pad);
+  std::vector<float> cols(static_cast<std::size_t>(conv.fan_in() * positions));
+  for (auto _ : state) {
+    for (std::int64_t s = 0; s < x.dim(0); ++s) {
+      nn::im2col(x.data() + s * c * h * w, c, h, w, k, k, 1, pad,
+                 cols.data());
+      benchmark::DoNotOptimize(cols.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * x.dim(0) *
+                          static_cast<std::int64_t>(cols.size()));
+}
+BENCHMARK(BM_Im2col)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_LeNetConvForward(benchmark::State& state) {
   Rng rng(10);

@@ -75,6 +75,14 @@ class EffectiveWeightBackend {
   /// Per-phase wall times and deterministic pipeline counters accumulated
   /// since construction (compile-stage times live in the plan, not here).
   [[nodiscard]] const DeployStats& stats() const { return stats_; }
+  /// Drops the per-call evaluate() records (stats().eval_seconds and
+  /// eval_accuracy); the eval_s sum and every counter stay. A backend
+  /// that is reused without bound calls this so its memory does not grow
+  /// with the number of evaluations.
+  void clear_eval_records() {
+    stats_.eval_seconds.clear();
+    stats_.eval_accuracy.clear();
+  }
   [[nodiscard]] virtual const char* name() const {
     return "effective-weight";
   }

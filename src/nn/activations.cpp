@@ -2,22 +2,27 @@
 
 namespace rdo::nn {
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  Tensor y = x;
-  mask_ = Tensor(x.shape());
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      y[i] = 0.0f;
-    }
+void relu_with_mask(const float* x, float* y, float* mask, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const bool pass = x[i] > 0.0f;
+    mask[i] = pass ? 1.0f : 0.0f;
+    y[i] = pass ? x[i] : 0.0f;
   }
+}
+
+Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
+  Tensor y(x.shape());
+  if (mask_.shape() != x.shape()) mask_ = Tensor(x.shape());
+  relu_with_mask(x.data(), y.data(), mask_.data(), x.size());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (std::int64_t i = 0; i < g.size(); ++i) g[i] *= mask_[i];
+  Tensor g(grad_out.shape());
+  const float* go = grad_out.data();
+  const float* m = mask_.data();
+  float* gd = g.data();
+  for (std::int64_t i = 0; i < g.size(); ++i) gd[i] = go[i] * m[i];
   return g;
 }
 

@@ -5,6 +5,11 @@
 
 namespace rdo::nn {
 
+/// y[i] = x[i] > 0 ? x[i] : +0.0 and mask[i] = x[i] > 0 ? 1 : 0, without a
+/// branch per element (NaN and -0.0 map to +0.0 with mask 0). `y` may
+/// alias `x`.
+void relu_with_mask(const float* x, float* y, float* mask, std::int64_t n);
+
 /// Rectified linear unit.
 class ReLU : public Layer {
  public:

@@ -73,23 +73,30 @@ void Conv2D::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   const std::int64_t fin = fan_in();
   const bool offset_mode = offset_m_ > 0;
 
-  std::vector<float> cols(static_cast<std::size_t>(fin * positions));
-  // [positions, out_ch] in dW mode, [groups, positions] in offset mode.
+  const std::int64_t groups =
+      offset_mode ? (fin + offset_m_ - 1) / offset_m_ : 0;
+  // cols [fin, positions] and gmat [positions, out_ch] in dW mode;
+  // gcols [groups, positions] in offset mode.
+  std::vector<float> cols(
+      offset_mode ? 0 : static_cast<std::size_t>(fin * positions));
   std::vector<float> work(
-      offset_mode
-          ? static_cast<std::size_t>((fin + offset_m_ - 1) / offset_m_ *
-                                     positions)
-          : static_cast<std::size_t>(positions * out_ch_));
+      offset_mode ? static_cast<std::size_t>(groups * positions)
+                  : static_cast<std::size_t>(positions * out_ch_));
   std::vector<float> dcols(
       grad_in != nullptr ? static_cast<std::size_t>(fin * positions) : 0);
   for (std::int64_t s = 0; s < n; ++s) {
-    // Recompute im2col (cheaper than caching it for every layer).
-    im2col(x.data() + s * in_ch_ * h * w, in_ch_, h, w, kernel_, kernel_,
-           stride_, pad_, cols.data());
+    const float* xs = x.data() + s * in_ch_ * h * w;
     const float* gs = grad_out.data() + s * out_ch_ * positions;
     if (offset_mode) {
-      accumulate_offset_grad(cols.data(), gs, positions, work.data());
+      // G[groups, out_ch] += Cg * grad_out[s]^T, with Cg[g, :] the sum of
+      // the im2col rows of group g.
+      im2col_group_sum(xs, in_ch_, h, w, kernel_, kernel_, stride_, pad_,
+                       offset_m_, work.data());
+      gemm_a_bt_accumulate(work.data(), gs, offset_grad_.data(), groups,
+                           positions, out_ch_);
     } else {
+      // Recompute im2col (cheaper than caching it for every layer).
+      im2col(xs, in_ch_, h, w, kernel_, kernel_, stride_, pad_, cols.data());
       accumulate_weight_grad(cols.data(), gs, positions, work.data());
     }
     if (grad_in == nullptr) continue;
@@ -120,22 +127,6 @@ void Conv2D::accumulate_weight_grad(const float* cols, const float* gs,
       bias_.grad[oc] += acc;
     }
   }
-}
-
-void Conv2D::accumulate_offset_grad(const float* cols, const float* gs,
-                                    std::int64_t positions, float* gcols) {
-  // G[groups, out_ch] += Cg * grad_out[s]^T, with Cg[g, :] the sum of the
-  // im2col rows of group g.
-  const std::int64_t fin = fan_in();
-  const std::int64_t groups = (fin + offset_m_ - 1) / offset_m_;
-  std::fill(gcols, gcols + groups * positions, 0.0f);
-  for (std::int64_t k = 0; k < fin; ++k) {
-    const float* src = cols + k * positions;
-    float* dst = gcols + (k / offset_m_) * positions;
-    for (std::int64_t p = 0; p < positions; ++p) dst[p] += src[p];
-  }
-  gemm_a_bt_accumulate(gcols, gs, offset_grad_.data(), groups, positions,
-                       out_ch_);
 }
 
 std::vector<Param*> Conv2D::params() {

@@ -25,6 +25,8 @@ namespace rdo::nn {
 /// position-major lowering would, so results do not depend on the layout.
 /// In MatrixOp's offset-gradient mode the weight gradient is replaced by
 ///   offset grad  G[grp, oc]  += sum_p (sum_{k in grp} cols[k, p]) * g[oc, p]
+/// where the group sums come straight from the image (im2col_group_sum),
+/// so `cols` is never built.
 class Conv2D : public Layer, public MatrixOp {
  public:
   Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,
@@ -76,10 +78,6 @@ class Conv2D : public Layer, public MatrixOp {
   /// scratch).
   void accumulate_weight_grad(const float* cols, const float* gs,
                               std::int64_t positions, float* gmat);
-  /// One sample's offset gradient in offset-gradient mode (`gcols`:
-  /// [groups, positions] scratch).
-  void accumulate_offset_grad(const float* cols, const float* gs,
-                              std::int64_t positions, float* gcols);
 };
 
 }  // namespace rdo::nn

@@ -14,13 +14,13 @@ Dense::Dense(std::int64_t in, std::int64_t out, Rng& rng, bool bias)
 }
 
 Tensor Dense::forward(const Tensor& x, bool /*train*/) {
-  Tensor flat = x.rank() == 2 ? x : x.reshaped({x.dim(0), x.size() / x.dim(0)});
-  RDO_CHECK(flat.dim(1) == in_,
-            "Dense::forward: fan-in mismatch " + flat.shape_str());
-  cached_in_ = flat;
-  const std::int64_t n = flat.dim(0);
+  cached_in_ =
+      x.rank() == 2 ? x : x.reshaped({x.dim(0), x.size() / x.dim(0)});
+  RDO_CHECK(cached_in_.dim(1) == in_,
+            "Dense::forward: fan-in mismatch " + cached_in_.shape_str());
+  const std::int64_t n = cached_in_.dim(0);
   Tensor y({n, out_});
-  gemm(flat.data(), weight_.value.data(), y.data(), n, in_, out_);
+  gemm(cached_in_.data(), weight_.value.data(), y.data(), n, in_, out_);
   if (has_bias_) {
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = 0; j < out_; ++j) y.at(i, j) += bias_.value[j];

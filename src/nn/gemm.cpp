@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "nn/parallel.h"
@@ -66,6 +67,67 @@ void gemm_rows(const float* a, std::int64_t a_row, std::int64_t a_col,
   }
 }
 
+/// Four floats in one SIMD register, and the matching lane mask (GCC and
+/// Clang vector extensions).
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+
+/// Register tile of the A·B^T kernel: up to kTileM rows of C by up to
+/// kTileV * 4 columns.
+constexpr std::int64_t kTileM = 2;
+constexpr std::int64_t kTileV = 4;
+
+/// C[i + r, j0 + j] += sum_p A[i + r, p] * B^T[p, j0 + j] for r < R and
+/// j < 4 * V (clipped to n), with B^T given as [K, ldb] zero-padded rows.
+/// The R x V vector sums start at zero, take their terms in ascending p
+/// and are added onto C once, exactly like a per-element dot product. A
+/// zero A entry contributes +0.0 instead of its product, which is the
+/// same as skipping it: a sum that starts at +0.0 never becomes -0.0
+/// under round-to-nearest, so adding +0.0 leaves it unchanged, while the
+/// product 0 * inf or 0 * NaN would not.
+template <int R, int V>
+void a_bt_tile(const float* a, const float* bt, float* c, std::int64_t i,
+               std::int64_t j0, std::int64_t k, std::int64_t n,
+               std::int64_t ldb) {
+  F4 acc[R][V] = {};
+  for (std::int64_t p = 0; p < k; ++p) {
+    F4 b[V];
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(&b[v], bt + p * ldb + j0 + 4 * v, sizeof(F4));
+    }
+    for (int r = 0; r < R; ++r) {
+      const float av = a[(i + r) * k + p];
+      const F4 avv = {av, av, av, av};
+      const I4 keep = avv != F4{};
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] += reinterpret_cast<F4>(
+            reinterpret_cast<I4>(avv * b[v]) & keep);
+      }
+    }
+  }
+  float sums[R][4 * V];
+  std::memcpy(sums, acc, sizeof sums);
+  const std::int64_t cols = std::min<std::int64_t>(4 * V, n - j0);
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + (i + r) * n + j0;
+    for (std::int64_t j = 0; j < cols; ++j) crow[j] += sums[r][j];
+  }
+}
+
+/// Every column tile of C rows [i, i + R).
+template <int R>
+void a_bt_rows(const float* a, const float* bt, float* c, std::int64_t i,
+               std::int64_t k, std::int64_t n, std::int64_t ldb) {
+  for (std::int64_t j0 = 0; j0 < n; j0 += 4 * kTileV) {
+    switch (std::min(kTileV, (n - j0 + 3) / 4)) {
+      case 1: a_bt_tile<R, 1>(a, bt, c, i, j0, k, n, ldb); break;
+      case 2: a_bt_tile<R, 2>(a, bt, c, i, j0, k, n, ldb); break;
+      case 3: a_bt_tile<R, 3>(a, bt, c, i, j0, k, n, ldb); break;
+      default: a_bt_tile<R, kTileV>(a, bt, c, i, j0, k, n, ldb); break;
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
@@ -98,27 +160,34 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c,
 
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
-  // B is [N, K]; we compute C[i, j] += sum_p A[i, p] * B[j, p]. B is
-  // transposed once so each C row is a row sweep over contiguous B^T rows.
-  // Every element sums its products in ascending p into a zeroed
-  // accumulator that is then added to C, exactly as a per-element dot
-  // product would.
-  std::vector<float> bt_buf(static_cast<std::size_t>(k * n));
-  float* bt = bt_buf.data();
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+  // B is [N, K]. It is transposed once into B^T [K, ldb], each row
+  // zero-padded to whole vectors, so a tile's B values for one p are
+  // contiguous. The transpose reads four B rows side by side; rows past
+  // N read a zero row.
+  const std::int64_t ldb = (n + 3) / 4 * 4;
+  const auto bt_buf = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(k * ldb));
+  float* bt = bt_buf.get();
+  const std::vector<float> zero_row(
+      n == ldb ? 0 : static_cast<std::size_t>(k), 0.0f);
+  for (std::int64_t j0 = 0; j0 < ldb; j0 += 4) {
+    const float* rows[4];
+    for (std::int64_t q = 0; q < 4; ++q) {
+      rows[q] = j0 + q < n ? b + (j0 + q) * k : zero_row.data();
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      float* dst = bt + p * ldb + j0;
+      for (std::int64_t q = 0; q < 4; ++q) dst[q] = rows[q][p];
+    }
   }
   parallel_for(
       m,
       [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<float> acc_buf(static_cast<std::size_t>(n));
-        float* acc = acc_buf.data();
-        for (std::int64_t i = i0; i < i1; ++i) {
-          std::fill(acc, acc + n, 0.0f);
-          gemm_rows(a + i * k, 0, 1, bt, acc, 0, 1, k, n);
-          float* crow = c + i * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += acc[j];
+        std::int64_t i = i0;
+        for (; i + kTileM <= i1; i += kTileM) {
+          a_bt_rows<kTileM>(a, bt, c, i, k, n, ldb);
         }
+        for (; i < i1; ++i) a_bt_rows<1>(a, bt, c, i, k, n, ldb);
       },
       row_grain(k, n));
 }

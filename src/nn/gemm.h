@@ -1,14 +1,23 @@
 // Blocked, parallel GEMM kernels used by Dense and Conv2D layers.
 //
-// Kernels keep the ikj loop order (-O3 auto-vectorized inner j loop),
-// block over k to keep the B panel cache-resident, skip zero A entries,
-// apply the remaining terms of a C row four at a time (one load/store of
-// C per four terms, same rounding as four separate updates), and tile the
-// M dimension across the nn/parallel.h thread pool. Every output row is
-// owned by exactly one chunk and every element sums its terms in
-// ascending k, so results are bit-identical to a plain serial triple loop
-// for any thread count (see tests/test_gemm.cpp and
-// tests/test_parallel.cpp). Small problems run inline.
+// C += A*B and C += A^T*B keep the ikj loop order (-O3 auto-vectorized
+// inner j loop), block over k to keep the B panel cache-resident, skip
+// zero A entries, and apply the remaining terms of a C row four at a time
+// (one load/store of C per four terms, same rounding as four separate
+// updates). Every element sums its terms onto C in ascending k.
+//
+// C += A*B^T is register-tiled for PWT's offset-gradient reduction, where
+// C is only out_ch (6 or 16) columns wide: B is transposed once into
+// zero-padded rows, and tiles of 2 rows x up to 16 columns of C sit in
+// four-float vector accumulators that start at zero, take their terms in
+// ascending k (a zero A entry adds +0.0, which equals skipping it) and
+// are added onto C once, exactly like a per-element dot product.
+//
+// All kernels tile the M dimension across the nn/parallel.h thread pool.
+// Every output row is owned by exactly one chunk, so results are
+// bit-identical to a plain serial loop for any thread count (see
+// tests/test_gemm.cpp, GemmSerialOrder, and tests/test_parallel.cpp).
+// Small problems run inline.
 #pragma once
 
 #include <cstdint>

@@ -30,14 +30,14 @@ inline void maxpool2d_image(const T* in, std::int64_t c, std::int64_t h,
         T best = -std::numeric_limits<T>::infinity();
         std::int64_t best_idx = 0;
         for (std::int64_t ky = 0; ky < window; ++ky) {
+          const std::int64_t row = (oy * window + ky) * w + ox * window;
           for (std::int64_t kx = 0; kx < window; ++kx) {
-            const std::int64_t iy = oy * window + ky;
-            const std::int64_t ix = ox * window + kx;
-            const T v = img[iy * w + ix];
-            if (v > best) {
-              best = v;
-              best_idx = ch * h * w + iy * w + ix;
-            }
+            // Selects, not a branch: pooled activations are often ties
+            // at zero, and a mispredicted branch costs more than both.
+            const T v = img[row + kx];
+            const bool take = v > best;
+            best = take ? v : best;
+            best_idx = take ? ch * h * w + row + kx : best_idx;
           }
         }
         out[oi] = best;

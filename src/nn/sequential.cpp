@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include "nn/activations.h"
+
 namespace rdo::nn {
 
 void collect_layers(Layer* layer, std::vector<Layer*>& out) {
@@ -8,8 +10,11 @@ void collect_layers(Layer* layer, std::vector<Layer*>& out) {
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, train);
+  if (layers_.empty()) return x;
+  Tensor h = layers_.front()->forward(x, train);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    h = layers_[i]->forward(h, train);
+  }
   return h;
 }
 
@@ -68,14 +73,8 @@ Tensor Residual::forward(const Tensor& x, bool train) {
   Tensor short_out = shortcut_ ? shortcut_->forward(x, train) : x;
   Tensor y = main_out;
   y.axpy(1.0f, short_out);
-  relu_mask_ = Tensor(y.shape());
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 0.0f) {
-      relu_mask_[i] = 1.0f;
-    } else {
-      y[i] = 0.0f;
-    }
-  }
+  if (relu_mask_.shape() != y.shape()) relu_mask_ = Tensor(y.shape());
+  relu_with_mask(y.data(), y.data(), relu_mask_.data(), y.size());
   return y;
 }
 

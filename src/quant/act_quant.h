@@ -12,7 +12,8 @@ namespace rdo::quant {
 
 class ActQuant : public rdo::nn::Layer {
  public:
-  explicit ActQuant(int bits = 8) : bits_(bits) {}
+  /// `bits` in [1, 22]; throws std::invalid_argument otherwise.
+  explicit ActQuant(int bits = 8);
 
   rdo::nn::Tensor forward(const rdo::nn::Tensor& x, bool train) override;
   rdo::nn::Tensor backward(const rdo::nn::Tensor& grad_out) override;

@@ -93,7 +93,8 @@ std::size_t InferenceService::cached_plans() const {
   return lru_.size();
 }
 
-std::size_t InferenceService::pooled_backends() const {
+template <class F>
+std::size_t InferenceService::sum_over_pooled(F per_backend) const {
   std::vector<std::shared_ptr<PlanEntry>> entries;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -102,9 +103,22 @@ std::size_t InferenceService::pooled_backends() const {
   std::size_t n = 0;
   for (const auto& e : entries) {
     std::lock_guard<std::mutex> lk(e->mu);
-    for (const auto& [cycle, idle] : e->pools) n += idle.size();
+    for (const auto& [cycle, idle] : e->pools) {
+      for (const auto& b : idle) n += per_backend(*b);
+    }
   }
   return n;
+}
+
+std::size_t InferenceService::pooled_backends() const {
+  return sum_over_pooled(
+      [](const rdo::core::EffectiveWeightBackend&) { return std::size_t{1}; });
+}
+
+std::size_t InferenceService::pooled_eval_records() const {
+  return sum_over_pooled([](const rdo::core::EffectiveWeightBackend& b) {
+    return b.stats().eval_seconds.size() + b.stats().eval_accuracy.size();
+  });
 }
 
 std::shared_ptr<InferenceService::PlanEntry> InferenceService::get_plan(
@@ -234,6 +248,9 @@ Json InferenceService::evaluate(const ServeRequest& req) {
     std::lock_guard<std::mutex> lk(entry->mu);
     auto& idle = entry->pools[req.cycle];
     if (idle.size() < cfg_.max_backends_per_plan) {
+      // A pooled backend serves requests for the life of the service:
+      // keep none of their per-call records.
+      backend->clear_eval_records();
       idle.push_back(std::move(backend));
     }
     // else: drop it — the pool is full.

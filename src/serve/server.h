@@ -149,6 +149,10 @@ class InferenceService {
   [[nodiscard]] std::size_t cached_plans() const;
   /// Idle programmed backends pooled across every hot plan and cycle.
   [[nodiscard]] std::size_t pooled_backends() const;
+  /// Per-call evaluate() records (DeployStats::eval_seconds and
+  /// eval_accuracy entries) held by the idle pooled backends (test hook:
+  /// a checked-in backend holds none, however many requests it served).
+  [[nodiscard]] std::size_t pooled_eval_records() const;
   /// Seconds since the service was constructed (monotonic clock).
   [[nodiscard]] double uptime_seconds() const { return uptime_.seconds(); }
   /// Admission gate (test hook: tests hold AdmissionTickets directly to
@@ -177,6 +181,9 @@ class InferenceService {
         pools;
   };
 
+  /// Sum of `per_backend(backend)` over every idle pooled backend.
+  template <class F>
+  std::size_t sum_over_pooled(F per_backend) const;
   std::shared_ptr<PlanEntry> get_plan(const rdo::core::DeployOptions& opt,
                                       bool& lru_hit);
   rdo::obs::Json evaluate(const ServeRequest& req);

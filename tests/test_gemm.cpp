@@ -1,6 +1,8 @@
 // GEMM kernels vs. a naive triple-loop reference, across shapes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -173,9 +175,69 @@ TEST_P(GemmSerialOrder, KernelsRoundLikeTheSerialLoop) {
   EXPECT_EQ(c3, ref_bt);
 }
 
+TEST_P(GemmSerialOrder, ZeroAEntriesSkipInfiniteB) {
+  // A zero A entry is skipped, not multiplied: column p0 of A is all zero
+  // and row p0 of B holds +-inf, so any kernel that forms 0 * inf turns
+  // its C row into NaN. The reference is the serial loop with the skip.
+  const auto [m, k, n] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n + 1));
+  auto a = random_mat(m, k, rng);
+  for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+  auto b = random_mat(k, n, rng);
+  const std::int64_t p0 = k / 2;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < m; ++i) {
+    a[static_cast<std::size_t>(i * k + p0)] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(p0 * n + j)] = j % 2 == 0 ? inf : -inf;
+  }
+  const auto c0 = random_mat(m, n, rng);
+  std::vector<float> at(a.size()), bt(b.size());
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      at[static_cast<std::size_t>(p * m + i)] =
+          a[static_cast<std::size_t>(i * k + p)];
+    }
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      bt[static_cast<std::size_t>(j * k + p)] =
+          b[static_cast<std::size_t>(p * n + j)];
+    }
+  }
+  std::vector<float> ref = c0, ref_bt = c0;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const auto ij = static_cast<std::size_t>(i * n + j);
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = a[static_cast<std::size_t>(i * k + p)];
+        if (av == 0.0f) continue;
+        const float t = av * b[static_cast<std::size_t>(p * n + j)];
+        ref[ij] += t;
+        acc += t;
+      }
+      ref_bt[ij] += acc;
+    }
+  }
+  std::vector<float> c1 = c0, c2 = c0, c3 = c0;
+  gemm_accumulate(a.data(), b.data(), c1.data(), m, k, n);
+  gemm_at_b_accumulate(at.data(), b.data(), c2.data(), m, k, n);
+  gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
+  const auto bytes = ref.size() * sizeof(float);
+  EXPECT_EQ(std::memcmp(c1.data(), ref.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(c2.data(), ref.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(c3.data(), ref_bt.data(), bytes), 0);
+}
+
+// The last three shapes are PWT's offset-gradient reductions for LeNet's
+// conv1 and conv2 at m = 16, and one with several column tiles.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSerialOrder,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 7, 5),
                       std::make_tuple(6, 25, 100), std::make_tuple(5, 9, 33),
                       std::make_tuple(4, 300, 17),
-                      std::make_tuple(16, 150, 64)));
+                      std::make_tuple(16, 150, 64), std::make_tuple(2, 784, 6),
+                      std::make_tuple(10, 100, 16),
+                      std::make_tuple(32, 10, 64)));

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "nn/activations.h"
@@ -206,6 +208,59 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_FLOAT_EQ(gi[1], 5.0f);
 }
 
+TEST(ReLU, MatchesBranchyOracleOnSpecialValues) {
+  // Oracle: the per-element branch form. Copy, then either set the mask
+  // or zero the output; backward copies and scales.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> special{
+      -0.0f, 0.0f,   nan,     -nan,     inf,     -inf,    denorm,
+      -denorm, 1e-40f, -1e-40f, std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(), 1.5f,  -2.5f};
+  const auto n = static_cast<std::int64_t>(special.size());
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+               0;
+  };
+  ReLU relu;
+  // Twice through one layer: the second pass reuses the mask buffer.
+  for (int pass = 0; pass < 2; ++pass) {
+    Tensor x({2, n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      x[i] = special[static_cast<std::size_t>(i)];
+      x[n + i] = special[static_cast<std::size_t>(pass == 0 ? i : n - 1 - i)];
+    }
+    Tensor y_ref = x;
+    Tensor mask({2, n});
+    for (std::int64_t i = 0; i < y_ref.size(); ++i) {
+      if (y_ref[i] > 0.0f) {
+        mask[i] = 1.0f;
+      } else {
+        y_ref[i] = 0.0f;
+      }
+    }
+    const Tensor y = relu.forward(x, true);
+    EXPECT_TRUE(same(y, y_ref)) << "pass " << pass;
+
+    // Special gradients too: 0 * inf and NaN must come out as before.
+    Tensor g({2, n});
+    for (std::int64_t i = 0; i < g.size(); ++i) {
+      g[i] = special[static_cast<std::size_t>((i * 5 + pass) % n)];
+    }
+    Tensor gi_ref = g;
+    for (std::int64_t i = 0; i < gi_ref.size(); ++i) gi_ref[i] *= mask[i];
+    EXPECT_TRUE(same(relu.backward(g), gi_ref)) << "pass " << pass;
+    // The mask itself, read back through a gradient of ones.
+    Tensor ones({2, n});
+    ones.fill(1.0f);
+    EXPECT_TRUE(same(relu.backward(ones), mask)) << "pass " << pass;
+  }
+}
+
 TEST(Flatten, RoundTrip) {
   Flatten f;
   Tensor x = random_input({2, 3, 4, 4}, 9);
@@ -242,6 +297,64 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   Tensor gi = p.backward(g);
   EXPECT_FLOAT_EQ(gi[1], 7.0f);
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
+}
+
+namespace {
+
+// The max-pool window scan as a per-element branch, the oracle for the
+// select form in maxpool2d_image.
+template <typename T>
+void maxpool_oracle(const T* img, std::int64_t h, std::int64_t w,
+                    std::int64_t window, T* out, std::int64_t* argmax) {
+  std::int64_t oi = 0;
+  for (std::int64_t oy = 0; oy < h / window; ++oy) {
+    for (std::int64_t ox = 0; ox < w / window; ++ox, ++oi) {
+      T best = -std::numeric_limits<T>::infinity();
+      std::int64_t best_idx = 0;
+      for (std::int64_t ky = 0; ky < window; ++ky) {
+        for (std::int64_t kx = 0; kx < window; ++kx) {
+          const std::int64_t i = (oy * window + ky) * w + ox * window + kx;
+          if (img[i] > best) {
+            best = img[i];
+            best_idx = i;
+          }
+        }
+      }
+      out[oi] = best;
+      argmax[oi] = best_idx;
+    }
+  }
+}
+
+template <typename T>
+void expect_maxpool_matches_oracle_on_every_special_window() {
+  // Every 2x2 window over eight special values (8^4 windows side by
+  // side): ties, signed zeros, infinities, NaN and denormals.
+  const T inf = std::numeric_limits<T>::infinity();
+  const std::vector<T> special{-inf, T(-1), T(-0.0), T(0),
+                               std::numeric_limits<T>::denorm_min(), T(1),
+                               inf, std::numeric_limits<T>::quiet_NaN()};
+  const std::int64_t windows = 8 * 8 * 8 * 8, w = 2 * windows;
+  std::vector<T> img(static_cast<std::size_t>(2 * w));
+  for (std::int64_t q = 0; q < windows; ++q) {
+    img[static_cast<std::size_t>(2 * q)] = special[q & 7];
+    img[static_cast<std::size_t>(2 * q + 1)] = special[(q >> 3) & 7];
+    img[static_cast<std::size_t>(w + 2 * q)] = special[(q >> 6) & 7];
+    img[static_cast<std::size_t>(w + 2 * q + 1)] = special[(q >> 9) & 7];
+  }
+  std::vector<T> out(static_cast<std::size_t>(windows)), ref(out.size());
+  std::vector<std::int64_t> am(out.size()), am_ref(out.size());
+  maxpool2d_image(img.data(), 1, 2, w, 2, out.data(), am.data());
+  maxpool_oracle(img.data(), 2, w, 2, ref.data(), am_ref.data());
+  EXPECT_EQ(std::memcmp(out.data(), ref.data(), out.size() * sizeof(T)), 0);
+  EXPECT_EQ(am, am_ref);
+}
+
+}  // namespace
+
+TEST(MaxPool2D, MatchesBranchyOracleOnEverySpecialWindow) {
+  expect_maxpool_matches_oracle_on_every_special_window<float>();
+  expect_maxpool_matches_oracle_on_every_special_window<double>();
 }
 
 TEST(MaxPool2D, GradCheck) {
@@ -327,6 +440,27 @@ TEST(Sequential, ChainsAndCollects) {
   std::vector<Layer*> all;
   collect_layers(&s, all);
   EXPECT_EQ(all.size(), 4u);  // sequential + 3 children
+}
+
+TEST(Sequential, ForwardLeavesItsInputUnchanged) {
+  Rng rng(3);
+  Sequential s;
+  s.emplace<ReLU>();
+  s.emplace<Dense>(6, 4, rng);
+  s.emplace<ReLU>();
+  const Tensor x = random_input({3, 6}, 17);
+  const Tensor before = x;
+  const Tensor y = s.forward(x, true);
+  ASSERT_EQ(x.shape(), before.shape());
+  EXPECT_EQ(std::memcmp(x.data(), before.data(),
+                        static_cast<std::size_t>(x.size()) * sizeof(float)),
+            0);
+  // And the result is the layers applied one by one.
+  Tensor h = x;
+  for (Layer* l : s.children()) h = l->forward(h, true);
+  EXPECT_EQ(std::memcmp(y.data(), h.data(),
+                        static_cast<std::size_t>(y.size()) * sizeof(float)),
+            0);
 }
 
 TEST(Sequential, GradCheck) {

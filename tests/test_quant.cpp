@@ -1,7 +1,12 @@
 // Weight quantization (NTW generation) and activation fake-quant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/dense.h"
 #include "quant/act_quant.h"
@@ -166,6 +171,95 @@ TEST(ActQuant, QuantizationErrorBoundedByHalfStep) {
   for (std::int64_t i = 0; i < 100; ++i) {
     EXPECT_LE(std::fabs(y[i] - x[i]), 0.5f * step + 1e-7f);
   }
+}
+
+namespace {
+
+// Oracle: the std::round / std::clamp form of ActQuant::forward.
+float act_quant_oracle(float x, float step, float levels) {
+  float q = std::round(x / step);
+  q = std::clamp(q, 0.0f, levels);
+  return q * step;
+}
+
+}  // namespace
+
+TEST(ActQuant, MatchesRoundAndClampOracleBitForBit) {
+  // The branch-free rounding equals std::clamp(std::round(u), 0, levels)
+  // for all 2^32 floats u (checked exhaustively once at 1, 4, 8, 16 and
+  // 22 bits). This samples that domain: every 4099th bit pattern (NaNs,
+  // infinities, denormals, both zeros included), and every float within
+  // eight ulps of each half-integer tie and integer on the grid and
+  // around it. With step = 1 the layer computes exactly the rounding.
+  for (const int bits : {1, 8}) {
+    const float levels = static_cast<float>((1 << bits) - 1);
+    std::vector<float> u;
+    for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4099) {
+      const auto b32 = static_cast<std::uint32_t>(b);
+      float f = 0.0f;
+      std::memcpy(&f, &b32, sizeof f);
+      u.push_back(f);
+    }
+    for (float k = -3.0f; k <= levels + 3.0f; k += 0.5f) {
+      float lo = k, hi = k;
+      for (int i = 0; i < 8; ++i) {
+        lo = std::nextafter(lo, -1e9f);
+        hi = std::nextafter(hi, 1e9f);
+        u.push_back(lo);
+        u.push_back(hi);
+      }
+      u.push_back(k);
+    }
+    for (const float v : {-0.0f, 0.0f, std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN()}) {
+      u.push_back(v);
+    }
+    ActQuant aq(bits);
+    aq.calibrate(levels);
+    ASSERT_EQ(aq.step(), 1.0f);
+    Tensor x({static_cast<std::int64_t>(u.size())});
+    std::copy(u.begin(), u.end(), x.data());
+    const Tensor y = aq.forward(x, false);
+    std::int64_t mismatches = 0;
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      const float ref = act_quant_oracle(x[i], 1.0f, levels);
+      const float got = y[i];
+      if (std::memcmp(&ref, &got, sizeof ref) != 0 && ++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << bits << ": u = " << x[i] << " gave "
+                      << got << ", oracle " << ref;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "bits " << bits;
+  }
+}
+
+TEST(ActQuant, MatchesOracleAtACalibratedStep) {
+  ActQuant aq(8);
+  aq.calibrate(2.7f);
+  const float levels = 255.0f;
+  Rng rng(23);
+  Tensor x({4096});
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-0.5, 3.5));
+  }
+  // Exact grid points and their half-steps too.
+  for (std::int64_t i = 0; i < 512; ++i) {
+    x[i] = aq.step() * (static_cast<float>(i) * 0.5f);
+  }
+  const Tensor y = aq.forward(x, false);
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    const float ref = act_quant_oracle(x[i], aq.step(), levels);
+    const float got = y[i];
+    ASSERT_EQ(std::memcmp(&ref, &got, sizeof ref), 0) << "x = " << x[i];
+  }
+}
+
+TEST(ActQuant, RejectsBitWidthsOutsideTheExactRange) {
+  EXPECT_THROW(ActQuant(0), std::invalid_argument);
+  EXPECT_THROW(ActQuant(23), std::invalid_argument);
+  EXPECT_NO_THROW(ActQuant(22));
 }
 
 TEST(ActQuant, StraightThroughBackward) {

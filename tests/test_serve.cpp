@@ -421,6 +421,22 @@ TEST(Serve, BackendPoolIsKeyedByCycle) {
   EXPECT_EQ(c.plan_hits, 2);
 }
 
+TEST(Serve, PooledBackendMemoryDoesNotGrowWithRequests) {
+  // A served evaluate() must leave no per-request record
+  // (DeployStats::eval_seconds, eval_accuracy) in the pooled backend, or
+  // a long-running service grows with every request.
+  const ServeFixture f;
+  serve::InferenceService svc = f.make_service();
+  for (int i = 0; i < 25; ++i) {
+    const Json r = reply(svc, R"({"op": "evaluate", "cycle": 0})");
+    ASSERT_TRUE(r.find("ok")->as_bool()) << r.dump();
+  }
+  EXPECT_EQ(svc.counters().backend_creates, 1);
+  EXPECT_EQ(svc.counters().backend_reuses, 24);
+  EXPECT_EQ(svc.pooled_backends(), 1u);
+  EXPECT_EQ(svc.pooled_eval_records(), 0u);
+}
+
 TEST(Serve, LatencyAndCountersMergeIntoABenchReport) {
   const ServeFixture f;
   serve::InferenceService svc = f.make_service();
