@@ -284,51 +284,62 @@ TEST(Parity, DeviceLogitsReplayAnIndependentEffectiveTwin) {
   // at the same plan and cycle salt, so the crossbars hold exactly the
   // twin's cells, tuned offsets and dead columns. VAWO*+PWT pins the
   // tuned offsets; eliminate_dead_tiles skips PWT schemes, so VAWO* with
-  // the pass pins the dead column.
+  // the pass pins the MLP's dead column. The conv net covers the conv
+  // stage (im2col lowering, one VMM per output position), ReLU and
+  // max-pooling.
   auto& f = fx();
-  nn::Sequential& mlp = trained_mlp();
+  struct Net {
+    const char* name;
+    nn::Sequential* net;
+    int channels, height, width;  ///< 0: flat samples
+  };
+  const Net nets[] = {{"mlp", &trained_mlp(), 0, 0, 0},
+                      {"conv", &f.net, 1, 8, 8}};
   const std::vector<std::int64_t> samples = {0, 1, 2, 3, 4, 5};
   const nn::Tensor batch = nn::gather_batch(f.ds.test_images, samples);
   const std::int64_t features = batch.size() / batch.dim(0);
-  for (Scheme s : {Scheme::VAWOStarPWT, Scheme::VAWOStar}) {
-    SCOPED_TRACE(to_string(s));
-    DeployOptions o = f.options(s, rram::CellKind::MLC2);
-    o.variation.sigma = 0.5;
-    o.pwt.epochs = 2;
-    DeploymentPlan plan = compile_plan(mlp, o, f.ds.train());
-    opt::run_pipeline(plan, {"eliminate_dead_tiles"});
+  for (const Net& net : nets) {
+    for (Scheme s : {Scheme::VAWOStarPWT, Scheme::VAWOStar}) {
+      SCOPED_TRACE(std::string(net.name) + "/" + to_string(s));
+      DeployOptions o = f.options(s, rram::CellKind::MLC2);
+      o.variation.sigma = 0.5;
+      o.pwt.epochs = 2;
+      DeploymentPlan plan = compile_plan(*net.net, o, f.ds.train());
+      opt::run_pipeline(plan, {"eliminate_dead_tiles"});
 
-    EffectiveWeightBackend twin(plan, mlp);
-    sim::DeviceSimBackend dev(plan, mlp, f.geometry());
-    for (EffectiveWeightBackend* b :
-         std::initializer_list<EffectiveWeightBackend*>{&twin, &dev}) {
-      b->program_cycle(5);
-      b->tune(f.ds.train());
-    }
-    if (scheme_uses_pwt(s)) {
-      ASSERT_NE(twin.layers()[0].offsets, plan.layers[0].assign.offsets)
-          << "PWT left the offsets untouched; nothing to replay";
-    } else {
-      ASSERT_EQ(plan.layers[0].dead_cols.size(), 16u);
-      ASSERT_EQ(plan.layers[0].dead_cols[2], 1);
-    }
-
-    const nn::Tensor want = twin.network().forward(batch, false);
-    const std::int64_t classes = want.dim(1);
-    for (std::int64_t n = 0; n < batch.dim(0); ++n) {
-      std::vector<double> x(static_cast<std::size_t>(features));
-      for (std::int64_t j = 0; j < features; ++j) {
-        x[static_cast<std::size_t>(j)] = batch[n * features + j];
+      EffectiveWeightBackend twin(plan, *net.net);
+      sim::DeviceSimBackend dev(plan, *net.net, f.geometry());
+      for (EffectiveWeightBackend* b :
+           std::initializer_list<EffectiveWeightBackend*>{&twin, &dev}) {
+        b->program_cycle(5);
+        b->tune(f.ds.train());
       }
-      const std::vector<double> got = dev.forward(x);
-      ASSERT_EQ(static_cast<std::int64_t>(got.size()), classes);
-      for (std::int64_t k = 0; k < classes; ++k) {
-        const double w = want[n * classes + k];
-        // The twin holds float effective weights and sums in float; the
-        // crossbars read double cells and sum in double.
-        EXPECT_NEAR(got[static_cast<std::size_t>(k)], w,
-                    1e-5 * std::max(1.0, std::fabs(w)))
-            << "sample " << n << " class " << k;
+      if (scheme_uses_pwt(s)) {
+        ASSERT_NE(twin.layers()[0].offsets, plan.layers[0].assign.offsets)
+            << "PWT left the offsets untouched; nothing to replay";
+      } else if (net.net == &trained_mlp()) {
+        ASSERT_EQ(plan.layers[0].dead_cols.size(), 16u);
+        ASSERT_EQ(plan.layers[0].dead_cols[2], 1);
+      }
+
+      const nn::Tensor want = twin.network().forward(batch, false);
+      const std::int64_t classes = want.dim(1);
+      for (std::int64_t n = 0; n < batch.dim(0); ++n) {
+        std::vector<double> x(static_cast<std::size_t>(features));
+        for (std::int64_t j = 0; j < features; ++j) {
+          x[static_cast<std::size_t>(j)] = batch[n * features + j];
+        }
+        const std::vector<double> got =
+            dev.forward_image(x, net.channels, net.height, net.width);
+        ASSERT_EQ(static_cast<std::int64_t>(got.size()), classes);
+        for (std::int64_t k = 0; k < classes; ++k) {
+          const double w = want[n * classes + k];
+          // The twin holds float effective weights and sums in float; the
+          // crossbars read double cells and sum in double.
+          EXPECT_NEAR(got[static_cast<std::size_t>(k)], w,
+                      1e-5 * std::max(1.0, std::fabs(w)))
+              << "sample " << n << " class " << k;
+        }
       }
     }
   }
