@@ -6,6 +6,12 @@
 // as in the paper's 128x128 / 16-active configuration) with an optional
 // finite-resolution ADC per group.
 //
+// A read is one batched kernel, vmm_rows(): n inputs share each
+// activation group's conductances, which are loaded once per group and
+// reused across the batch, so a batch streams the array once instead of
+// once per sample. Each output element keeps the single-input summation
+// order, so batching never changes a result.
+//
 // Every programming path fills one store of per-cell read values, which
 // is all a read sees: program() draws a variation factor per cell,
 // program_ideal() uses none, and program_values() installs values drawn
@@ -15,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/rng.h"
@@ -54,14 +61,21 @@ class Crossbar {
   void program_values(std::vector<int> states, std::vector<double> values);
 
   /// y_j = sum_i x_i * cell_value(i, j), computed per activation group and
-  /// accumulated digitally, with optional per-group ADC quantization.
+  /// accumulated digitally, with optional per-group ADC quantization (the
+  /// n = 1 call of vmm_rows over every wordline).
   [[nodiscard]] std::vector<double> vmm(const std::vector<double>& x) const;
 
-  /// Partial VMM over wordlines [r0, r1): the read cycles a digital
-  /// offset group of those rows observes. r0 must be aligned to the
-  /// activation-group size.
-  [[nodiscard]] std::vector<double> vmm_rows(const std::vector<double>& x,
-                                             int r0, int r1) const;
+  /// Batched partial VMM over wordlines [r0, r1): the read cycles a
+  /// digital offset group of those rows observes, for n inputs `x`
+  /// ([n x rows], row-major) into `y` ([n x cols], overwritten). r0 must
+  /// be aligned to the activation-group size. Loop order: activation
+  /// group, sample, row, column tile. For one (sample, column) the rows
+  /// of a group are summed in ascending order from +0.0 (a zero input
+  /// skips its row), the ADC step applies to that group sum, and group
+  /// sums are added in ascending order, so every output is the same for
+  /// any n.
+  void vmm_rows(std::span<const double> x, std::int64_t n, int r0, int r1,
+                std::span<double> y) const;
 
   /// Read cycles needed for one VMM (= ceil(rows / active_wordlines)).
   [[nodiscard]] int cycles_per_vmm() const;

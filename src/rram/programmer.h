@@ -35,6 +35,10 @@ class WeightProgrammer {
 
   /// Slice integer weight v into cell states, least-significant cell first.
   [[nodiscard]] std::vector<int> slice(int v) const;
+  /// The same slice into a fixed-size buffer (no allocation); entries past
+  /// cells_per_weight() are 0. Throws std::invalid_argument for a CTW
+  /// outside [0, max_weight()].
+  [[nodiscard]] std::array<int, kMaxCells> slice_states(int v) const;
 
   /// Radix-weighted composition of per-cell read values into a CRW.
   [[nodiscard]] double compose(std::span<const double> cell_values) const;
@@ -78,8 +82,6 @@ class WeightProgrammer {
   FaultModel faults_;
   int cells_;
 
-  /// Range-checked slice of `v` into a fixed-size buffer (no allocation).
-  [[nodiscard]] std::array<int, kMaxCells> slice_states(int v) const;
   /// Per-cell read value after programming: applies a stuck-at fault draw
   /// (exact stuck state) or the variation factor.
   [[nodiscard]] double programmed_cell_value(int state, double factor,

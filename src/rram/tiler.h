@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "quant/quantizer.h"
 #include "rram/crossbar.h"
 #include "rram/programmer.h"
 
@@ -31,11 +31,13 @@ TilingInfo compute_tiling(std::int64_t matrix_rows, std::int64_t matrix_cols,
                           int crossbar_rows, int crossbar_cols,
                           int cells_per_weight);
 
-/// Expand one tile of a quantized layer into crossbar cell states.
-/// Tile (tr, tc) covers matrix rows [tr*R, ...) and weight columns that fit
-/// in the crossbar given the per-weight cell count. Unused cells are 0.
-std::vector<int> tile_states(const rdo::quant::LayerQuant& lq,
-                             const WeightProgrammer& prog,
+/// Expand one tile of a rows x cols integer weight matrix (row-major
+/// CTWs, e.g. a LayerQuant's q or a VAWO assignment's ctw) into crossbar
+/// cell states. Tile (tr, tc) covers matrix rows [tr*R, ...) and weight
+/// columns that fit in the crossbar given the per-weight cell count.
+/// Unused cells are 0.
+std::vector<int> tile_states(std::span<const int> weights, std::int64_t rows,
+                             std::int64_t cols, const WeightProgrammer& prog,
                              const CrossbarConfig& cfg, std::int64_t tr,
                              std::int64_t tc);
 

@@ -135,7 +135,14 @@ std::vector<double> DeviceSimBackend::forward(
 std::vector<double> DeviceSimBackend::forward_image(
     const std::vector<double>& x, int channels, int height,
     int width) const {
-  std::vector<double> h = x;
+  return forward_batch(x, 1, channels, height, width);
+}
+
+std::vector<double> DeviceSimBackend::forward_batch(std::vector<double> h,
+                                                    std::int64_t n,
+                                                    int channels, int height,
+                                                    int width) const {
+  const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   int c = channels, hh = height, ww = width;
   for (const Stage& s : stages_) {
     switch (s.kind) {
@@ -160,11 +167,15 @@ std::vector<double> DeviceSimBackend::forward_image(
       case Stage::Kind::MaxPool: {
         RDO_CHECK(c > 0, "DeviceSimBackend: pooling needs an image");
         const int oh = hh / s.pool_window, ow = ww / s.pool_window;
-        std::vector<double> y(static_cast<std::size_t>(c) * oh * ow);
+        const std::int64_t in = std::int64_t{c} * hh * ww;
+        const std::int64_t out = std::int64_t{c} * oh * ow;
+        std::vector<double> y(at(n * out));
         // Same kernel as the float nn::MaxPool2D layer, so the device
         // and float paths cannot drift (asserted in test_equivalence).
-        rdo::nn::maxpool2d_image(h.data(), c, hh, ww, s.pool_window,
-                                 y.data());
+        for (std::int64_t i = 0; i < n; ++i) {
+          rdo::nn::maxpool2d_image(h.data() + i * in, c, hh, ww,
+                                   s.pool_window, y.data() + i * out);
+        }
         h = std::move(y);
         hh = oh;
         ww = ow;
@@ -176,45 +187,41 @@ std::vector<double> DeviceSimBackend::forward_image(
         rdo::obs::TraceSpan stage_span("sim:conv_stage", "sim");
         stage_span.arg("kernel", s.kernel);
         stage_span.arg("out_channels", pl.lq.cols);
+        stage_span.arg("n", n);
         const int oh = static_cast<int>(
             rdo::nn::conv_out_dim(hh, s.kernel, s.stride, s.pad));
         const int ow = static_cast<int>(
             rdo::nn::conv_out_dim(ww, s.kernel, s.stride, s.pad));
+        const std::int64_t positions = std::int64_t{oh} * ow;
+        const std::int64_t in = std::int64_t{c} * hh * ww;
         const std::int64_t fin = pl.lq.rows;
         const std::int64_t oc = pl.lq.cols;
-        // One receptive field per output position (a column of the
-        // channel-major im2col), each driven through the crossbars as one
-        // VMM.
-        std::vector<float> img(h.size());
-        for (std::size_t i = 0; i < h.size(); ++i) {
-          img[i] = static_cast<float>(h[i]);
+        std::vector<float> img(at(in));
+        std::vector<float> cols(at(fin * positions));
+        std::vector<double> x(at(positions * fin));
+        std::vector<double> out(at(positions * oc));
+        std::vector<double> y(at(n * oc * positions));
+        for (std::int64_t i = 0; i < n; ++i) {
+          const double* src = h.data() + i * in;
+          std::copy(src, src + in, img.begin());
+          rdo::nn::im2col(img.data(), c, hh, ww, s.kernel, s.kernel,
+                          s.stride, s.pad, cols.data());
+          // One receptive field per output position (a column of the
+          // channel-major im2col) becomes one input row, and all of the
+          // image's positions go through the crossbars as one batch.
+          for (std::int64_t j = 0; j < fin; ++j) {
+            for (std::int64_t p = 0; p < positions; ++p) {
+              x[at(p * fin + j)] = cols[at(j * positions + p)];
+            }
+          }
+          s.exec->forward(x, positions, out);
+          double* yi = y.data() + i * oc * positions;
+          for (std::int64_t p = 0; p < positions; ++p) {
+            for (std::int64_t k = 0; k < oc; ++k) {
+              yi[k * positions + p] = out[at(p * oc + k)] + s.bias[at(k)];
+            }
+          }
         }
-        std::vector<float> cols(static_cast<std::size_t>(oh) * ow * fin);
-        rdo::nn::im2col(img.data(), c, hh, ww, s.kernel, s.kernel, s.stride,
-                        s.pad, cols.data());
-        std::vector<double> y(static_cast<std::size_t>(oc) * oh * ow, 0.0);
-        // Each position is one independent VMM through the (read-only)
-        // crossbars; dispatch them across the pool. Every output
-        // position is written by exactly one task, so results are
-        // bit-identical for any thread count. Runs inline when already
-        // inside evaluate()'s per-image parallelism.
-        rdo::nn::parallel_for(
-            oh * ow,
-            [&](std::int64_t p0, std::int64_t p1) {
-              std::vector<double> row(static_cast<std::size_t>(fin));
-              for (std::int64_t p = p0; p < p1; ++p) {
-                for (std::int64_t j = 0; j < fin; ++j) {
-                  row[static_cast<std::size_t>(j)] =
-                      cols[static_cast<std::size_t>(j * oh * ow + p)];
-                }
-                const std::vector<double> out = s.exec->forward(row);
-                for (std::int64_t k = 0; k < oc; ++k) {
-                  y[static_cast<std::size_t>(k * oh * ow + p)] =
-                      out[static_cast<std::size_t>(k)] +
-                      s.bias[static_cast<std::size_t>(k)];
-                }
-              }
-            });
         h = std::move(y);
         c = static_cast<int>(oc);
         hh = oh;
@@ -226,8 +233,15 @@ std::vector<double> DeviceSimBackend::forward_image(
         rdo::obs::TraceSpan stage_span("sim:crossbar_stage", "sim");
         stage_span.arg("rows", pl.lq.rows);
         stage_span.arg("cols", pl.lq.cols);
-        std::vector<double> y = s.exec->forward(h);
-        for (std::size_t k = 0; k < y.size(); ++k) y[k] += s.bias[k];
+        stage_span.arg("n", n);
+        const std::int64_t oc = pl.lq.cols;
+        std::vector<double> y(at(n * oc));
+        s.exec->forward(h, n, y);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t k = 0; k < oc; ++k) {
+            y[at(i * oc + k)] += s.bias[at(k)];
+          }
+        }
         h = std::move(y);
         c = 0;  // now a flat vector
         break;
@@ -237,8 +251,12 @@ std::vector<double> DeviceSimBackend::forward_image(
   return h;
 }
 
-float DeviceSimBackend::device_accuracy(
-    const rdo::nn::DataView& test) const {
+float DeviceSimBackend::device_accuracy(const rdo::nn::DataView& test,
+                                        std::int64_t batch) const {
+  if (test.images == nullptr || test.labels == nullptr) {
+    throw std::invalid_argument(
+        "DeviceSimBackend::evaluate: test set without images or labels");
+  }
   const rdo::nn::Tensor& images = *test.images;
   int channels = 0, height = 0, width = 0;  // rank 2: flat samples
   if (images.rank() == 4) {
@@ -251,12 +269,27 @@ float DeviceSimBackend::device_accuracy(
         "[N, C, H, W], got rank " + std::to_string(images.rank()));
   }
   const std::int64_t n = test.size();
+  if (n == 0) {
+    throw std::invalid_argument("DeviceSimBackend::evaluate: empty test set");
+  }
+  if (static_cast<std::int64_t>(test.labels->size()) < n) {
+    throw std::invalid_argument(
+        "DeviceSimBackend::evaluate: " +
+        std::to_string(test.labels->size()) + " labels for " +
+        std::to_string(n) + " test images");
+  }
+  if (batch < 1) {
+    throw std::invalid_argument(
+        "DeviceSimBackend::evaluate: batch " + std::to_string(batch) +
+        " < 1");
+  }
   const std::int64_t sample = images.size() / n;
-  // Batched inference: forward_image is const and every stage reads only
-  // state frozen since the last program_cycle()/tune(), so images
-  // classify concurrently. Each image's verdict lands in its own slot
-  // and the final reduction is an integer sum — the accuracy is
-  // bit-identical for any thread count.
+  // Batched inference: forward_batch is const and every stage reads only
+  // state frozen since the last program_cycle()/tune(), so pool chunks
+  // classify concurrently, each `batch` samples at a time. A sample's
+  // logits do not depend on the batch it rides in, each verdict lands in
+  // its own slot, and the final reduction is an integer sum, so the
+  // accuracy is bit-identical for any thread count and batch size.
   std::vector<unsigned char> hit(static_cast<std::size_t>(n), 0);
   rdo::obs::TraceSpan span("sim:evaluate", "sim");
   span.arg("n", n);
@@ -264,18 +297,20 @@ float DeviceSimBackend::device_accuracy(
     rdo::obs::TraceSpan chunk_span("sim:evaluate_chunk", "sim");
     chunk_span.arg("begin", i0);
     chunk_span.arg("end", i1);
-    std::vector<double> x(static_cast<std::size_t>(sample));
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* src = images.data() + i * sample;
-      for (std::int64_t j = 0; j < sample; ++j) {
-        x[static_cast<std::size_t>(j)] = src[j];
-      }
+    for (std::int64_t b0 = i0; b0 < i1; b0 += batch) {
+      const std::int64_t b1 = std::min(i1, b0 + batch);
+      const float* src = images.data() + b0 * sample;
       const std::vector<double> logits =
-          forward_image(x, channels, height, width);
-      const std::int64_t arg = static_cast<std::int64_t>(
-          std::max_element(logits.begin(), logits.end()) - logits.begin());
-      hit[static_cast<std::size_t>(i)] =
-          arg == (*test.labels)[static_cast<std::size_t>(i)] ? 1 : 0;
+          forward_batch(std::vector<double>(src, src + (b1 - b0) * sample),
+                        b1 - b0, channels, height, width);
+      const std::int64_t classes =
+          static_cast<std::int64_t>(logits.size()) / (b1 - b0);
+      for (std::int64_t i = b0; i < b1; ++i) {
+        const double* row = logits.data() + (i - b0) * classes;
+        const std::int64_t arg = std::max_element(row, row + classes) - row;
+        hit[static_cast<std::size_t>(i)] =
+            arg == (*test.labels)[static_cast<std::size_t>(i)] ? 1 : 0;
+      }
     }
   });
   int correct = 0;
@@ -288,7 +323,7 @@ float DeviceSimBackend::evaluate(const rdo::nn::DataView& test,
   RDO_CHECK(weights_deployed_, "DeviceSimBackend: program_cycle() first");
   rdo::obs::TraceSpan span("deploy:evaluate", "deploy", &stats_.eval_s);
   span.arg("batch", batch);
-  const float acc = device_accuracy(test);
+  const float acc = device_accuracy(test, batch);
   stats_.eval_seconds.push_back(span.seconds());
   span.arg("accuracy", static_cast<double>(acc));
   stats_.eval_accuracy.push_back(acc);

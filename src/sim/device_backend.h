@@ -8,6 +8,11 @@
 // them); ReLU, max-pooling, activation quantization and biases run
 // digitally, as in the real accelerator.
 //
+// Samples go through the stages in batches: a Dense stage makes one
+// batched executor call per batch, a conv stage one per image over all
+// of its output positions, so each crossbar is read once per batch. A
+// sample's logits do not depend on the batch it rides in.
+//
 // The backend is a core::EffectiveWeightBackend that evaluates on
 // crossbars: the base draws each cycle's per-cell conductances (kept
 // cells) and runs PWT on its twin; program_cycle() and tune() then push
@@ -57,9 +62,10 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
   void tune(const rdo::nn::DataView& train) override;
   /// Device-level test accuracy over every sample of `test`: images of
   /// shape [N, C, H, W] or flat samples [N, features] (MLPs); any other
-  /// rank throws std::invalid_argument. Samples classify in parallel
-  /// across the nn/parallel.h pool; bit-identical for any thread count.
-  /// `batch` is recorded on the trace span only.
+  /// rank, an empty set, fewer labels than images or a batch below 1
+  /// throws std::invalid_argument. Pool chunks of samples classify in
+  /// parallel across the nn/parallel.h pool, `batch` samples per stage
+  /// call; bit-identical for any thread count and batch.
   float evaluate(const rdo::nn::DataView& test,
                  std::int64_t batch = 64) override;
   [[nodiscard]] const char* name() const override { return "device-sim"; }
@@ -67,7 +73,8 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
   /// Device-level logits for one flat sample (MLPs; no conv stages).
   [[nodiscard]] std::vector<double> forward(
       const std::vector<double>& x) const;
-  /// Device-level logits for one image of the given shape (CNNs).
+  /// Device-level logits for one image of the given shape (CNNs); the
+  /// n = 1 case of the batched forward evaluate() runs.
   /// Thread-safe: const, and every stage reads only state frozen since
   /// the last program_cycle()/tune().
   [[nodiscard]] std::vector<double> forward_image(
@@ -91,7 +98,14 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
 
   std::vector<Stage> stages_;
 
-  [[nodiscard]] float device_accuracy(const rdo::nn::DataView& test) const;
+  /// Logits [n x classes] of n samples `h` ([n x sample], each of the
+  /// given image shape, or flat when channels is 0).
+  [[nodiscard]] std::vector<double> forward_batch(std::vector<double> h,
+                                                  std::int64_t n,
+                                                  int channels, int height,
+                                                  int width) const;
+  [[nodiscard]] float device_accuracy(const rdo::nn::DataView& test,
+                                      std::int64_t batch) const;
 };
 
 }  // namespace rdo::sim

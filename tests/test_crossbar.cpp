@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "rram/crossbar.h"
 #include "rram/programmer.h"
+#include "sim_oracles.h"
 
 using namespace rdo::rram;
 using rdo::nn::Rng;
@@ -227,4 +230,62 @@ TEST(Crossbar, VariationChangesAcrossProgrammingCycles) {
   xb.program(states, rng);
   const double v2 = xb.cell_value(0, 0);
   EXPECT_NE(v1, v2);  // cycle-to-cycle variation
+}
+
+TEST(Crossbar, BatchedVmmMatchesPerSampleOracle) {
+  // The batched kernel (group, sample, row, column tile) reproduces the
+  // per-sample column-outer loop byte for byte: batches of 1, 3 and 64,
+  // an ideal and a 6-bit ADC, all-zero and partly zero inputs (negative
+  // ones too, which the ADC clamps), row ranges with an unaligned end,
+  // and column counts below, at and past the kernel's column tile.
+  for (int cols : {5, 16, 37, 128}) {
+    for (int adc_bits : {0, 6}) {
+      CrossbarConfig cfg = small_cfg(CellKind::MLC2, 0.5, 40, cols, 8);
+      cfg.adc_bits = adc_bits;
+      Crossbar xb(cfg);
+      Rng rng(50 + static_cast<std::uint64_t>(cols));
+      std::vector<int> states(static_cast<std::size_t>(40 * cols));
+      for (auto& s : states) s = static_cast<int>(rng.uniform_int(0, 3));
+      xb.program(states, rng);
+      for (int n : {1, 3, 64}) {
+        std::vector<double> x(static_cast<std::size_t>(n * 40));
+        for (auto& v : x) {
+          const double u = rng.uniform(0.0, 1.0);
+          v = u < 0.4 ? 0.0 : u < 0.5 ? -rng.uniform(0.0, 1.0)
+                                      : rng.uniform(0.0, 3.0);
+        }
+        // The last sample is all zero.
+        std::fill(x.end() - 40, x.end(), 0.0);
+        for (const auto& [r0, r1] :
+             {std::pair{0, 40}, std::pair{8, 29}, std::pair{16, 17},
+              std::pair{24, 24}}) {
+          SCOPED_TRACE("cols " + std::to_string(cols) + " adc " +
+                       std::to_string(adc_bits) + " n " + std::to_string(n) +
+                       " rows [" + std::to_string(r0) + ", " +
+                       std::to_string(r1) + ")");
+          std::vector<double> y(static_cast<std::size_t>(n * cols), -1.0);
+          xb.vmm_rows(x, n, r0, r1, y);
+          for (int i = 0; i < n; ++i) {
+            const std::vector<double> xi(x.begin() + i * 40,
+                                         x.begin() + (i + 1) * 40);
+            const std::vector<double> want =
+                rdo::oracle::vmm_rows(xb, xi, r0, r1);
+            EXPECT_EQ(0, std::memcmp(want.data(), y.data() + i * cols,
+                                     want.size() * sizeof(double)))
+                << "sample " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Crossbar, BatchedVmmRejectsMismatchedBuffers) {
+  Crossbar xb(small_cfg());
+  std::vector<double> x(2 * 16, 1.0), y(2 * 16);
+  EXPECT_NO_THROW(xb.vmm_rows(x, 2, 0, 16, y));
+  EXPECT_THROW(xb.vmm_rows(x, 3, 0, 16, y), std::invalid_argument);
+  std::vector<double> short_y(16);
+  EXPECT_THROW(xb.vmm_rows(x, 2, 0, 16, short_y), std::invalid_argument);
+  EXPECT_THROW(xb.vmm_rows(x, 2, 2, 16, y), std::invalid_argument);
 }

@@ -133,6 +133,40 @@ TEST(NetworkExecutor, FlatTestSetMatchesImageTestSet) {
   EXPECT_THROW(exec->evaluate(rank3_view), std::invalid_argument);
 }
 
+TEST(NetworkExecutor, EvaluateRejectsAnEmptyTestSet) {
+  // An empty set (a zero-sample reshape of an empty tensor) has no
+  // per-sample size and no accuracy; it must be refused, not divided by.
+  auto& f = fx();
+  const Fixture::Deployed exec = f.deployed(f.net, 0.5, core::Scheme::VAWOStar);
+  const std::vector<int> no_labels;
+  const nn::Tensor flat = nn::Tensor().reshaped({0, 100});
+  EXPECT_THROW(exec->evaluate({&flat, &no_labels}), std::invalid_argument);
+  const nn::Tensor images = nn::Tensor().reshaped({0, 1, 10, 10});
+  EXPECT_THROW(exec->evaluate({&images, &no_labels}), std::invalid_argument);
+}
+
+TEST(NetworkExecutor, EvaluateRejectsFewerLabelsThanImages) {
+  auto& f = fx();
+  const Fixture::Deployed exec = f.deployed(f.net, 0.5, core::Scheme::VAWOStar);
+  const std::vector<int> short_labels(f.ds.test_labels.begin(),
+                                      f.ds.test_labels.end() - 1);
+  EXPECT_THROW(exec->evaluate({&f.ds.test_images, &short_labels}),
+               std::invalid_argument);
+}
+
+TEST(NetworkExecutor, EvaluateBatchBoundsTheChunkNotTheAccuracy) {
+  // Samples go through the stages `batch` at a time; a sample's logits
+  // do not depend on the batch it rides in, so neither does the
+  // accuracy. A batch below 1 is refused.
+  auto& f = fx();
+  const Fixture::Deployed exec = f.deployed(f.net, 0.5, core::Scheme::VAWOStar);
+  const float whole = exec->evaluate(f.ds.test(), 64);
+  EXPECT_EQ(exec->evaluate(f.ds.test(), 1), whole);
+  EXPECT_EQ(exec->evaluate(f.ds.test(), 7), whole);
+  EXPECT_EQ(exec->evaluate(f.ds.test(), 1000), whole);
+  EXPECT_THROW(exec->evaluate(f.ds.test(), 0), std::invalid_argument);
+}
+
 TEST(NetworkExecutor, RejectsUnsupportedLayers) {
   nn::Rng rng(1);
   nn::Sequential bn_net;

@@ -2,10 +2,14 @@
 // and its equivalence with the effective-weight fast path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 
 #include "sim/crossbar_executor.h"
+#include "sim_oracles.h"
 
 using namespace rdo;
 using namespace rdo::sim;
@@ -81,6 +85,46 @@ CrossbarLayerExecutor programmed(const quant::LayerQuant& lq,
   }
   exec.program_cell_values(cells);
   return exec;
+}
+
+/// ISAAC bit-serial forward, the DAC oracle: inputs are quantized to
+/// `input_bits` levels over [0, x_max] and streamed one bit per read
+/// pass; partial results are shifted-and-added. The whole pipeline is
+/// linear in x, so with an ideal ADC this equals forward() on the
+/// quantized inputs.
+std::vector<double> forward_bit_serial(const CrossbarLayerExecutor& exec,
+                                       const std::vector<double>& x,
+                                       int input_bits, double x_max) {
+  if (input_bits < 1 || input_bits > 16 || !(x_max > 0.0)) {
+    throw std::invalid_argument("forward_bit_serial: bad input format");
+  }
+  const int levels = (1 << input_bits) - 1;
+  std::vector<int> xq(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    // The DAC streams unsigned magnitudes; clamping a negative input
+    // would corrupt it silently.
+    if (x[i] < 0.0) {
+      throw std::invalid_argument("forward_bit_serial: negative input");
+    }
+    const double q = std::round(x[i] / x_max * levels);
+    xq[i] = static_cast<int>(std::clamp(q, 0.0, static_cast<double>(levels)));
+  }
+  std::vector<double> acc(
+      static_cast<std::size_t>(exec.tiling().matrix_cols), 0.0);
+  std::vector<double> xbit(x.size());
+  for (int b = 0; b < input_bits; ++b) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      xbit[i] = static_cast<double>((xq[i] >> b) & 1);
+    }
+    const std::vector<double> partial = exec.forward(xbit);
+    const double weight = static_cast<double>(1 << b);  // shift-and-add
+    for (std::size_t c = 0; c < acc.size(); ++c) {
+      acc[c] += weight * partial[c];
+    }
+  }
+  const double rescale = x_max / static_cast<double>(levels);
+  for (auto& v : acc) v *= rescale;
+  return acc;
 }
 
 }  // namespace
@@ -247,7 +291,7 @@ TEST(Sim, BitSerialEqualsDirectOnQuantizedInputs) {
   for (std::size_t i = 0; i < 16; ++i) {
     xq[i] = std::round(x[i] * levels) / levels;
   }
-  const auto y_serial = exec.forward_bit_serial(x, input_bits, x_max);
+  const auto y_serial = forward_bit_serial(exec, x, input_bits, x_max);
   const auto y_direct = exec.forward(xq);
   for (std::int64_t c = 0; c < 4; ++c) {
     EXPECT_NEAR(y_serial[static_cast<std::size_t>(c)],
@@ -263,8 +307,8 @@ TEST(Sim, BitSerialRejectsBadFormat) {
   Rng rng(24);
   CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   std::vector<double> x(16, 0.5);
-  EXPECT_THROW(exec.forward_bit_serial(x, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(exec.forward_bit_serial(x, 8, 0.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(exec, x, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(exec, x, 8, 0.0), std::invalid_argument);
 }
 
 TEST(Sim, RejectsGroupStraddlingRowTileBoundary) {
@@ -302,9 +346,9 @@ TEST(Sim, BitSerialRejectsNegativeInputs) {
   CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   std::vector<double> x(16, 0.5);
   x[3] = -0.25;
-  EXPECT_THROW(exec.forward_bit_serial(x, 8, 1.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(exec, x, 8, 1.0), std::invalid_argument);
   x[3] = 0.25;
-  EXPECT_NO_THROW(exec.forward_bit_serial(x, 8, 1.0));
+  EXPECT_NO_THROW(forward_bit_serial(exec, x, 8, 1.0));
 }
 
 TEST(Sim, CrossbarCountMatchesTiling) {
@@ -316,4 +360,78 @@ TEST(Sim, CrossbarCountMatchesTiling) {
   Rng rng(17);
   CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
   EXPECT_EQ(exec.crossbar_count(), 6);
+}
+
+TEST(Sim, ForwardBatchMatchesPerSampleOracle) {
+  // The batched forward (tile, group, sample) reproduces the per-sample
+  // loop byte for byte: SLC and MLC2 on 128x128 crossbars with 16 active
+  // wordlines, m = 16, 64 and 128, an ideal and a 6-bit ADC, a layer
+  // whose 200 rows leave a partial last row tile (and a partial last
+  // offset group for m = 64 and 128), nonzero offsets, complemented
+  // groups, inputs with exact zeros and an all-zero sample, and batches
+  // of 1, 5 and 64 samples.
+  const std::int64_t rows = 200, cols = 20;
+  const auto lq = make_lq(rows, cols, 40);
+  for (rram::CellKind kind : {rram::CellKind::SLC, rram::CellKind::MLC2}) {
+    for (int m : {16, 64, 128}) {
+      for (int adc_bits : {0, 6}) {
+        SCOPED_TRACE(std::string(kind == rram::CellKind::SLC ? "SLC" : "MLC2") +
+                     " m = " + std::to_string(m) +
+                     " adc = " + std::to_string(adc_bits));
+        core::VawoResult assign = core::plain_layer(lq, m);
+        Rng pick(41);
+        for (auto& flag : assign.complemented) {
+          flag = pick.uniform(0.0, 1.0) < 0.4 ? 1 : 0;
+        }
+        ASSERT_GT(std::count(assign.complemented.begin(),
+                             assign.complemented.end(), 1),
+                  0);
+        ExecutorConfig cfg;
+        cfg.xbar.cell = {kind, 200.0};
+        cfg.xbar.variation = {0.5, 0.0, rram::VariationScope::PerWeight};
+        cfg.xbar.adc_bits = adc_bits;
+        cfg.offsets.m = m;
+        Rng rng(42);
+        CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
+        std::vector<float> offsets(assign.offsets.size());
+        for (auto& b : offsets) b = static_cast<float>(pick.uniform(-6.0, 6.0));
+        exec.set_offsets(offsets);
+
+        for (std::int64_t n : {1, 5, 64}) {
+          SCOPED_TRACE("n = " + std::to_string(n));
+          Rng xr(43 + static_cast<std::uint64_t>(n));
+          std::vector<double> x(static_cast<std::size_t>(n * rows));
+          for (auto& v : x) {
+            v = xr.uniform(0.0, 1.0) < 0.45 ? 0.0 : xr.uniform(0.0, 2.0);
+          }
+          if (n > 1) std::fill(x.begin() + rows, x.begin() + 2 * rows, 0.0);
+          std::vector<double> y(static_cast<std::size_t>(n * cols));
+          exec.forward(x, n, y);
+          for (std::int64_t i = 0; i < n; ++i) {
+            const std::vector<double> xi(x.begin() + i * rows,
+                                         x.begin() + (i + 1) * rows);
+            const std::vector<double> want =
+                oracle::forward(exec, lq, assign, offsets, cfg, xi);
+            EXPECT_EQ(0, std::memcmp(want.data(), y.data() + i * cols,
+                                     want.size() * sizeof(double)))
+                << "sample " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Sim, ForwardRejectsMismatchedBatchBuffers) {
+  const auto lq = make_lq(16, 4, 44);
+  const auto assign = core::plain_layer(lq, 8);
+  ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.0,
+                                 rram::VariationScope::PerWeight);
+  Rng rng(45);
+  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, rng);
+  std::vector<double> x(3 * 16, 0.5), y(3 * 4);
+  EXPECT_NO_THROW(exec.forward(x, 3, y));
+  EXPECT_THROW(exec.forward(x, 2, y), std::invalid_argument);
+  std::vector<double> short_y(2 * 4);
+  EXPECT_THROW(exec.forward(x, 3, short_y), std::invalid_argument);
 }

@@ -56,7 +56,7 @@ TEST(Tiler, TileStatesLayout) {
   CrossbarConfig cfg;
   cfg.rows = 4;
   cfg.cols = 16;
-  const auto states = tile_states(lq, prog, cfg, 0, 0);
+  const auto states = tile_states(lq.q, lq.rows, lq.cols, prog, cfg, 0, 0);
   ASSERT_EQ(states.size(), 64u);
   // Weight (0,0) = 0x1B = 00 01 10 11 -> cells LSB-first 3,2,1,0.
   EXPECT_EQ(states[0], 3);
@@ -85,7 +85,7 @@ TEST(Tiler, TileStatesSecondRowTile) {
   CrossbarConfig cfg;
   cfg.rows = 4;
   cfg.cols = 4;
-  const auto states = tile_states(lq, prog, cfg, 1, 0);
+  const auto states = tile_states(lq.q, lq.rows, lq.cols, prog, cfg, 1, 0);
   // Only matrix row 4 (= 0xF0 -> cells 0,0,3,3) lands in this tile.
   EXPECT_EQ(states[0], 0);
   EXPECT_EQ(states[2], 3);
