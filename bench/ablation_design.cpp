@@ -45,21 +45,16 @@ struct Fixture {
     ideal = nn::evaluate(net, ds.test(), 64).accuracy;
   }
 
-  /// Runs one ablation cell, records it under `label`, and turns an
-  /// exception into a recorded failure (NaN accuracy) so one bad cell
-  /// doesn't kill the matrix.
+  /// Runs one ablation cell and records it under `label`. A failed trial
+  /// is registered by record_scheme_result and the cell reads NaN, so one
+  /// bad cell doesn't kill the matrix.
   float run(obs::BenchReport& rep, const std::string& label,
             core::DeployOptions o) {
-    try {
-      obs::TraceSpan t("ablation_sweep", "phase", rep.phase("ablation_sweep"));
-      const auto res =
-          core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
-      record_scheme_result(rep, label, o, res);
-      return res.mean_accuracy;
-    } catch (const std::exception& e) {
-      rep.add_failure(label, e.what());
-      return std::numeric_limits<float>::quiet_NaN();
-    }
+    obs::TraceSpan t("ablation_sweep", "phase", rep.phase("ablation_sweep"));
+    const auto res = core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
+    record_scheme_result(rep, label, o, res);
+    return res.failed() ? std::numeric_limits<float>::quiet_NaN()
+                        : res.mean_accuracy;
   }
 };
 

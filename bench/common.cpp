@@ -4,13 +4,10 @@
 #include <filesystem>
 
 #include "baselines/dva.h"
-#include "core/backend.h"
-#include "core/plan.h"
 #include "models/lenet.h"
 #include "models/resnet.h"
 #include "models/vgg.h"
 #include "nn/optimizer.h"
-#include "nn/parallel.h"
 #include "nn/serialize.h"
 #include "nn/trainer.h"
 
@@ -178,86 +175,6 @@ rdo::core::DeployOptions bench_options(rdo::core::Scheme scheme, int m,
   o.pwt.max_samples = 400;
   o.seed = 2021;  // DATE 2021
   return o;
-}
-
-std::vector<rdo::core::SchemeResult> run_grid(
-    const rdo::nn::Layer& master,
-    const std::vector<rdo::core::DeployOptions>& points,
-    const rdo::nn::DataView& train, const rdo::nn::DataView& test,
-    int repeats) {
-  const std::int64_t npoints = static_cast<std::int64_t>(points.size());
-  std::vector<rdo::core::SchemeResult> results(points.size());
-  for (auto& r : results) {
-    r.per_cycle.assign(static_cast<std::size_t>(repeats), 0.0f);
-    r.trial_seconds.assign(static_cast<std::size_t>(repeats), 0.0);
-    r.errors.assign(static_cast<std::size_t>(repeats), "");
-  }
-  // Compile every grid point once; all of the point's trials share the
-  // plan. A throwing compile is recorded into each of that point's trial
-  // slots — one bad grid point must not discard the rest of the sweep.
-  std::vector<std::unique_ptr<rdo::core::DeploymentPlan>> plans(
-      points.size());
-  std::vector<std::string> compile_errors(points.size());
-  rdo::nn::parallel_for(npoints, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const auto pi = static_cast<std::size_t>(p);
-      try {
-        plans[pi] = std::make_unique<rdo::core::DeploymentPlan>(
-            rdo::core::compile_plan(master, points[pi], train));
-      } catch (const std::exception& e) {
-        compile_errors[pi] = e.what();
-      } catch (...) {
-        compile_errors[pi] = "unknown exception";
-      }
-    }
-  });
-  std::vector<rdo::core::DeployStats> trial_stats(
-      static_cast<std::size_t>(npoints * repeats));
-  // One task per (point, trial): finer than per-point tasks, so a grid
-  // keeps every core busy even when repeats < cores. Each task runs an
-  // EffectiveWeightBackend over a private clone of the trained network;
-  // `master` is only read. A throwing trial is recorded, not propagated.
-  rdo::nn::parallel_for(npoints * repeats, [&](std::int64_t t0,
-                                               std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t point = t / repeats;
-      const std::int64_t trial = t % repeats;
-      const auto pi = static_cast<std::size_t>(point);
-      const auto ti = static_cast<std::size_t>(trial);
-      if (plans[pi] == nullptr) {
-        results[pi].errors[ti] = compile_errors[pi];
-        continue;
-      }
-      rdo::obs::Stopwatch watch;
-      try {
-        rdo::core::EffectiveWeightBackend backend(*plans[pi], master);
-        backend.program_cycle(static_cast<std::uint64_t>(trial));
-        backend.tune(train);
-        results[pi].per_cycle[ti] = backend.evaluate(test);
-        trial_stats[static_cast<std::size_t>(t)] = backend.stats();
-      } catch (const std::exception& e) {
-        results[pi].errors[ti] = e.what();
-      } catch (...) {
-        results[pi].errors[ti] = "unknown exception";
-      }
-      results[pi].trial_seconds[ti] = watch.seconds();
-    }
-  });
-  // Merge stats in (compile, trial...) order outside the parallel region
-  // so aggregated counters and traces are thread-count independent.
-  for (std::int64_t p = 0; p < npoints; ++p) {
-    auto& r = results[static_cast<std::size_t>(p)];
-    if (plans[static_cast<std::size_t>(p)] != nullptr) {
-      r.stats = plans[static_cast<std::size_t>(p)]->compile_stats;
-    }
-    for (std::int64_t trial = 0; trial < repeats; ++trial) {
-      r.stats.merge(trial_stats[static_cast<std::size_t>(p * repeats + trial)]);
-    }
-    double total = 0.0;
-    for (float a : r.per_cycle) total += a;
-    r.mean_accuracy = static_cast<float>(total / std::max(1, repeats));
-  }
-  return results;
 }
 
 void record_scheme_result(rdo::obs::BenchReport& rep,

@@ -56,26 +56,6 @@ std::unique_ptr<rdo::nn::Sequential> blank_lenet();
 std::unique_ptr<rdo::nn::Sequential> blank_resnet();
 std::unique_ptr<rdo::nn::Sequential> blank_vgg();
 
-/// Parallel Monte-Carlo sweep over a figure's grid: each grid point is
-/// compiled once into a shared core::DeploymentPlan, then every (grid
-/// point, programming trial) pair runs as one independent
-/// core::EffectiveWeightBackend task over a private clone of `master`,
-/// spread over the nn/parallel.h pool (RDO_THREADS). `master` is only
-/// read. Cycle randomness derives from Rng(opt.seed).split(trial)
-/// streams, so results[i].per_cycle is bit-identical to calling
-/// core::run_scheme(master, points[i], ...) serially — for any thread
-/// count.
-///
-/// A trial (or a point's compile) that throws does not abort the grid:
-/// its accuracy stays 0, the exception message lands in
-/// results[i].errors[trial], and the harness surfaces it via
-/// record_scheme_result + a nonzero exit code.
-std::vector<rdo::core::SchemeResult> run_grid(
-    const rdo::nn::Layer& master,
-    const std::vector<rdo::core::DeployOptions>& points,
-    const rdo::nn::DataView& train, const rdo::nn::DataView& test,
-    int repeats);
-
 /// Append one grid-point result to rep.results()["grid"] (config,
 /// per-cycle accuracies, deterministic pipeline counters, per-trial
 /// errors), fold its timings in with core::add_scheme_timings, add the

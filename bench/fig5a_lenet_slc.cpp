@@ -51,7 +51,7 @@ int main() {
   std::vector<core::SchemeResult> grid;
   {
     obs::TraceSpan t("deployment_sweep", "phase", sweep_s);
-    grid = run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
+    grid = core::run_grid(*net, jobs, ds.train(), ds.test(), kRepeats);
   }
 
   std::size_t j = 0;

@@ -44,7 +44,7 @@ int main() {
   std::vector<core::SchemeResult> grid;
   {
     obs::TraceSpan t("deployment_sweep", "phase", sweep_s);
-    grid = run_grid(*net, jobs, ds.train(), ds.test(), 2);
+    grid = core::run_grid(*net, jobs, ds.train(), ds.test(), 2);
   }
 
   std::printf("\n%-8s  m=16    m=128\n", "sigma");

@@ -60,16 +60,11 @@ struct Fixture {
 
   float run(obs::BenchReport& rep, const std::string& label,
             core::DeployOptions o) {
-    try {
-      obs::TraceSpan t("parity_sweep", "phase", rep.phase("parity_sweep"));
-      const auto res =
-          core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
-      record_scheme_result(rep, label, o, res);
-      return res.mean_accuracy;
-    } catch (const std::exception& e) {
-      rep.add_failure(label, e.what());
-      return std::numeric_limits<float>::quiet_NaN();
-    }
+    obs::TraceSpan t("parity_sweep", "phase", rep.phase("parity_sweep"));
+    const auto res = core::run_scheme(net, o, ds.train(), ds.test(), kRepeats);
+    record_scheme_result(rep, label, o, res);
+    return res.failed() ? std::numeric_limits<float>::quiet_NaN()
+                        : res.mean_accuracy;
   }
 };
 

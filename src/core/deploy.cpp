@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <exception>
+#include <memory>
 
 #include "core/backend.h"
 #include "core/plan.h"
@@ -96,39 +98,90 @@ std::optional<Scheme> parse_scheme(std::string_view s) {
   return std::nullopt;
 }
 
-SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
-                        const rdo::nn::DataView& train,
-                        const rdo::nn::DataView& test, int repeats,
-                        std::int64_t eval_batch) {
-  // Compile once; the plan is read-only afterwards and shared by every
-  // trial's backend.
-  const DeploymentPlan plan = compile_plan(net, opt, train);
-  const auto n = static_cast<std::size_t>(std::max(0, repeats));
-  SchemeResult res;
-  res.per_cycle.assign(n, 0.0f);
-  res.trial_seconds.assign(n, 0.0);
-  res.errors.assign(n, "");
-  std::vector<DeployStats> trial_stats(n);
-  rdo::nn::parallel_for(repeats, [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t trial = t0; trial < t1; ++trial) {
-      rdo::obs::Stopwatch watch;
-      EffectiveWeightBackend backend(plan, net);
-      backend.program_cycle(static_cast<std::uint64_t>(trial));
-      backend.tune(train);
-      res.per_cycle[static_cast<std::size_t>(trial)] =
-          backend.evaluate(test, eval_batch);
-      trial_stats[static_cast<std::size_t>(trial)] = backend.stats();
-      res.trial_seconds[static_cast<std::size_t>(trial)] = watch.seconds();
+std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,
+                                   const std::vector<DeployOptions>& points,
+                                   const rdo::nn::DataView& train,
+                                   const rdo::nn::DataView& test,
+                                   int repeats) {
+  constexpr std::int64_t kEvalBatch = 64;
+  const auto npoints = static_cast<std::int64_t>(points.size());
+  const std::int64_t trials = std::max(0, repeats);
+  const auto n = static_cast<std::size_t>(trials);
+  std::vector<SchemeResult> results(points.size());
+  for (SchemeResult& r : results) {
+    r.per_cycle.assign(n, 0.0f);
+    r.trial_seconds.assign(n, 0.0);
+    r.errors.assign(n, "");
+  }
+  // Compile every point once; all of the point's trials share the plan,
+  // read-only. A throwing compile is recorded into each of that point's
+  // trial slots, so one bad point does not discard the rest of the grid.
+  // With one point the loop runs inline on the calling thread, so
+  // compile_plan's own pool loops stay parallel.
+  std::vector<std::unique_ptr<DeploymentPlan>> plans(points.size());
+  std::vector<std::string> compile_errors(points.size());
+  rdo::nn::parallel_for(npoints, [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const auto pi = static_cast<std::size_t>(p);
+      try {
+        plans[pi] = std::make_unique<DeploymentPlan>(
+            compile_plan(net, points[pi], train));
+      } catch (const std::exception& e) {
+        compile_errors[pi] = e.what();
+      } catch (...) {
+        compile_errors[pi] = "unknown exception";
+      }
     }
   });
-  // Merge and sum in trial order so the aggregated traces and the mean
-  // are identical for any thread count.
-  res.stats = plan.compile_stats;
-  for (const DeployStats& s : trial_stats) res.stats.merge(s);
-  double total = 0.0;
-  for (float a : res.per_cycle) total += a;
-  res.mean_accuracy = static_cast<float>(total / std::max(1, repeats));
-  return res;
+  // One task per (point, trial), so a grid keeps every core busy even
+  // when repeats < cores. Each task runs an EffectiveWeightBackend over a
+  // private clone of `net`; a throwing trial is recorded, not propagated.
+  std::vector<DeployStats> trial_stats(static_cast<std::size_t>(npoints) * n);
+  rdo::nn::parallel_for(npoints * trials, [&](std::int64_t t0,
+                                              std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const auto pi = static_cast<std::size_t>(t / trials);
+      const auto ti = static_cast<std::size_t>(t % trials);
+      SchemeResult& r = results[pi];
+      if (plans[pi] == nullptr) {
+        r.errors[ti] = compile_errors[pi];
+        continue;
+      }
+      rdo::obs::Stopwatch watch;
+      try {
+        EffectiveWeightBackend backend(*plans[pi], net);
+        backend.program_cycle(static_cast<std::uint64_t>(ti));
+        backend.tune(train);
+        r.per_cycle[ti] = backend.evaluate(test, kEvalBatch);
+        trial_stats[static_cast<std::size_t>(t)] = backend.stats();
+      } catch (const std::exception& e) {
+        r.errors[ti] = e.what();
+      } catch (...) {
+        r.errors[ti] = "unknown exception";
+      }
+      r.trial_seconds[ti] = watch.seconds();
+    }
+  });
+  // Merge stats in (compile, trial...) order and sum in trial order, so
+  // the aggregated traces and the mean are identical for any thread
+  // count.
+  for (std::size_t pi = 0; pi < results.size(); ++pi) {
+    SchemeResult& r = results[pi];
+    if (plans[pi] != nullptr) r.stats = plans[pi]->compile_stats;
+    for (std::size_t ti = 0; ti < n; ++ti) {
+      r.stats.merge(trial_stats[pi * n + ti]);
+    }
+    double total = 0.0;
+    for (float a : r.per_cycle) total += a;
+    r.mean_accuracy = static_cast<float>(total / std::max(1, repeats));
+  }
+  return results;
+}
+
+SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
+                        const rdo::nn::DataView& train,
+                        const rdo::nn::DataView& test, int repeats) {
+  return std::move(run_grid(net, {opt}, train, test, repeats).front());
 }
 
 }  // namespace rdo::core

@@ -170,8 +170,8 @@ struct SchemeResult {
   /// independent trials in trial order.
   DeployStats stats;
   /// One entry per cycle/trial: empty string when the trial succeeded,
-  /// the exception message otherwise (bench::run_grid records failures
-  /// instead of aborting the whole grid).
+  /// the exception message otherwise (run_grid records a failed compile
+  /// or trial here instead of aborting the whole grid).
   std::vector<std::string> errors;
 
   [[nodiscard]] bool failed() const {
@@ -189,18 +189,29 @@ struct SchemeResult {
 /// thread: it writes phase slots (see BenchReport::phase).
 void add_scheme_timings(rdo::obs::BenchReport& rep, const SchemeResult& res);
 
-/// Monte-Carlo harness: compile the plan once, then run `repeats`
-/// program/tune/evaluate trials with distinct CCV draws. The plan is
-/// shared read-only; trials are embarrassingly parallel (each trial's
-/// devices are drawn from Rng(seed).split(trial)-derived streams and
-/// trials share no mutable state), so each runs as an independent
-/// EffectiveWeightBackend over its own private clone of `net` on the
-/// thread pool. `net` is never modified. Every per-cycle accuracy is
+/// Monte-Carlo harness over a grid of deployment points: each point is
+/// compiled once into a DeploymentPlan shared read-only by its trials,
+/// then every (point, trial) pair runs one program/tune/evaluate cycle
+/// as an independent EffectiveWeightBackend over its own private clone
+/// of `net`, spread over the nn/parallel.h pool (RDO_THREADS). `net` is
+/// never modified. Trial t of every point draws its devices from
+/// Rng(seed).split(t)-derived streams, so every per-cycle accuracy is
 /// bit-identical for any thread count, and to one backend running the
 /// cycles in order (asserted in tests/test_parallel.cpp).
+///
+/// A point's compile or a trial that throws does not abort the grid: the
+/// trial's accuracy stays 0 (and still counts in mean_accuracy), and the
+/// exception message lands in results[point].errors[trial]. Stats merge
+/// in (compile, trial...) order.
+std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,
+                                   const std::vector<DeployOptions>& points,
+                                   const rdo::nn::DataView& train,
+                                   const rdo::nn::DataView& test,
+                                   int repeats);
+
+/// run_grid over the single point `opt`.
 SchemeResult run_scheme(const rdo::nn::Layer& net, const DeployOptions& opt,
                         const rdo::nn::DataView& train,
-                        const rdo::nn::DataView& test, int repeats,
-                        std::int64_t eval_batch = 64);
+                        const rdo::nn::DataView& test, int repeats);
 
 }  // namespace rdo::core

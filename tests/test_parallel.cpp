@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -210,6 +212,39 @@ core::SchemeResult serial_run(const DeployFixture& f,
   return res;
 }
 
+/// Identity layer whose clone() throws once a shared budget of clones is
+/// spent: every clone of a network holding it (compile_plan's work copy,
+/// each trial backend's private twin) draws one from the budget.
+class CloneTrap : public nn::Layer {
+ public:
+  explicit CloneTrap(std::shared_ptr<std::atomic<int>> budget)
+      : budget_(std::move(budget)) {}
+  nn::Tensor forward(const nn::Tensor& x, bool) override { return x; }
+  nn::Tensor backward(const nn::Tensor& g) override { return g; }
+  [[nodiscard]] std::unique_ptr<nn::Layer> clone() const override {
+    if (budget_->fetch_sub(1) == 0) {
+      throw std::runtime_error("injected clone failure");
+    }
+    return std::make_unique<CloneTrap>(budget_);
+  }
+  [[nodiscard]] std::string name() const override { return "CloneTrap"; }
+
+ private:
+  std::shared_ptr<std::atomic<int>> budget_;
+};
+
+/// One grid point's result equals another's in every deterministic
+/// field (the errors, the per-cycle accuracies, the mean and the merged
+/// stats).
+void expect_same_result(const core::SchemeResult& a,
+                        const core::SchemeResult& b) {
+  EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.per_cycle, b.per_cycle);
+  EXPECT_EQ(a.mean_accuracy, b.mean_accuracy);
+  EXPECT_EQ(core::deploy_stats_json(a.stats).dump(),
+            core::deploy_stats_json(b.stats).dump());
+}
+
 }  // namespace
 
 TEST(Determinism, ParallelTrialsMatchSerialRunSchemeSlcAndMlc) {
@@ -244,6 +279,85 @@ TEST(Determinism, ParallelTrialsMatchSerialRunSchemeSlcAndMlc) {
           << "trial " << t << " (4 threads) diverged from serial";
     }
     EXPECT_EQ(serial.mean_accuracy, par4.mean_accuracy);
+  }
+}
+
+TEST(Determinism, RunGridRecordsACompileErrorAndKeepsTheOtherPoints) {
+  // The middle point cannot compile (m = 0). Its error lands in each of
+  // its trial slots; the outer points come out exactly as their own
+  // one-point run_scheme calls, at 1 and 4 threads.
+  auto& f = deploy_fixture();
+  const int repeats = 2;
+  core::DeployOptions bad = deploy_opts(rram::CellKind::SLC);
+  bad.offsets.m = 0;
+  const std::vector<core::DeployOptions> points = {
+      deploy_opts(rram::CellKind::SLC), bad,
+      deploy_opts(rram::CellKind::MLC2)};
+  for (int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    const std::vector<core::SchemeResult> grid =
+        core::run_grid(f.net, points, f.ds.train(), f.ds.test(), repeats);
+    ASSERT_EQ(grid.size(), 3u);
+    for (std::size_t p : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE("point " + std::to_string(p) + ", " +
+                   std::to_string(threads) + " threads");
+      const core::SchemeResult single = core::run_scheme(
+          f.net, points[p], f.ds.train(), f.ds.test(), repeats);
+      EXPECT_FALSE(grid[p].failed());
+      expect_same_result(grid[p], single);
+    }
+    const core::SchemeResult& mid = grid[1];
+    ASSERT_EQ(mid.errors.size(), static_cast<std::size_t>(repeats));
+    for (const std::string& e : mid.errors) {
+      EXPECT_NE(e.find("m = 0"), std::string::npos) << e;
+    }
+    EXPECT_EQ(mid.per_cycle, std::vector<float>(repeats, 0.0f));
+    EXPECT_EQ(mid.mean_accuracy, 0.0f);
+  }
+}
+
+TEST(Determinism, RunGridRecordsAThrowingTrialInItsOwnSlot) {
+  // One trial's backend cannot clone the network. That trial alone reads
+  // 0 with the message in its slot (and counts as 0 in the mean); every
+  // other slot of the grid matches an undisturbed run.
+  auto& f = deploy_fixture();
+  const int repeats = 2;
+  const auto budget = std::make_shared<std::atomic<int>>(1 << 30);
+  nn::Sequential net;
+  net.push(f.net.clone());
+  net.emplace<CloneTrap>(budget);
+  const std::vector<core::DeployOptions> points = {
+      deploy_opts(rram::CellKind::SLC), deploy_opts(rram::CellKind::MLC2)};
+  const std::vector<core::SchemeResult> clean =
+      core::run_grid(net, points, f.ds.train(), f.ds.test(), repeats);
+  // Clones one compile takes; the compiles run before any trial, so a
+  // budget of exactly the compiles' clones fails the first trial to start.
+  const int before = budget->load();
+  (void)core::compile_plan(net, points[0], f.ds.train());
+  const int compile_clones = before - budget->load();
+  ASSERT_GT(compile_clones, 0);
+  for (int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    budget->store(compile_clones * static_cast<int>(points.size()));
+    const std::vector<core::SchemeResult> grid =
+        core::run_grid(net, points, f.ds.train(), f.ds.test(), repeats);
+    int failed = 0;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      double total = 0.0;
+      for (std::size_t t = 0; t < grid[p].errors.size(); ++t) {
+        if (grid[p].errors[t].empty()) {
+          EXPECT_EQ(grid[p].per_cycle[t], clean[p].per_cycle[t]);
+        } else {
+          ++failed;
+          EXPECT_EQ(grid[p].errors[t], "injected clone failure");
+          EXPECT_EQ(grid[p].per_cycle[t], 0.0f);
+        }
+        total += grid[p].per_cycle[t];
+      }
+      EXPECT_EQ(grid[p].mean_accuracy,
+                static_cast<float>(total / repeats));
+    }
+    EXPECT_EQ(failed, 1) << threads << " threads";
   }
 }
 

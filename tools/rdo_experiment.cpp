@@ -157,6 +157,13 @@ int main(int argc, char** argv) {
       obs::TraceSpan t("deployment", "phase", rep.phase("deployment"));
       res = core::run_scheme(*net, o, ds.train(), ds.test(), a.repeats);
     }
+    for (std::size_t trial = 0; trial < res.errors.size(); ++trial) {
+      const std::string& err = res.errors[trial];
+      if (err.empty()) continue;
+      rep.add_failure("deployment trial " + std::to_string(trial), err);
+      std::fprintf(stderr, "rdo_experiment: deployment trial %zu failed: %s\n",
+                   trial, err.c_str());
+    }
     std::printf("\naccuracy under variation: %.2f%% (loss vs ideal: %.2f%%)\n",
                 100 * res.mean_accuracy,
                 100 * (ideal - res.mean_accuracy));
