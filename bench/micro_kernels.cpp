@@ -144,53 +144,39 @@ void BM_LutBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LutBuild)->Arg(4)->Arg(16);
 
-// Args: {group size m, engine (0 = table, 1 = reference)}. The weight
-// range is derived from the LUT bit-width, not hardcoded, so changing the
-// programmer's bits keeps the bench honest.
+// Arg: group size m. The weight range is derived from the LUT
+// bit-width, not hardcoded, so changing the programmer's bits keeps the
+// bench honest.
 void BM_VawoSolveGroup(benchmark::State& state) {
   rram::WeightProgrammer prog({rram::CellKind::SLC, 200.0}, 8, {0.5, 0.0});
   const rram::RLut lut = rram::RLut::build_analytic(prog);
   const int levels = lut.max_weight();
   const int m = static_cast<int>(state.range(0));
-  const bool reference = state.range(1) == 1;
   Rng rng(5);
   std::vector<int> ntw;
-  std::vector<double> grad;
+  std::vector<double> g2;
   for (int i = 0; i < m; ++i) {
     ntw.push_back(static_cast<int>(rng.uniform_int(0, levels)));
-    grad.push_back(rng.uniform(0.01, 1.0));
+    const double g = rng.uniform(0.01, 1.0);
+    g2.push_back(g * g);
   }
   core::VawoOptions opt;
   opt.use_complement = true;
   const core::VawoTable table =
       core::VawoTable::build(lut, levels, opt.offsets, opt.penalize_bias);
-  std::vector<double> g2(grad.size());
-  for (std::size_t i = 0; i < grad.size(); ++i) g2[i] = grad[i] * grad[i];
   for (auto _ : state) {
     int b = 0;
     bool comp = false;
     std::vector<int> ctw;
-    if (reference) {
-      benchmark::DoNotOptimize(core::vawo_solve_group(ntw, grad, lut, levels,
-                                                      opt, b, comp, ctw));
-    } else {
-      benchmark::DoNotOptimize(core::vawo_solve_group(
-          ntw, g2, table, opt.use_complement, b, comp, ctw));
-    }
+    benchmark::DoNotOptimize(core::vawo_solve_group(
+        ntw, g2, table, opt.use_complement, b, comp, ctw));
   }
   state.SetItemsProcessed(state.iterations() * m);
 }
-BENCHMARK(BM_VawoSolveGroup)
-    ->Args({16, 0})
-    ->Args({64, 0})
-    ->Args({128, 0})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({128, 1});
+BENCHMARK(BM_VawoSolveGroup)->Arg(16)->Arg(64)->Arg(128);
 
-// Full-layer solve, fast vs reference, where the deploy-time speedup is
-// actually claimed (ROADMAP: `deploy:vawo_solve` dominance). Args:
-// {group size m, engine (0 = table, 1 = reference)}.
+// Full-layer solve over a prebuilt table, as compile_plan runs it. Arg:
+// group size m.
 void BM_VawoLayer(benchmark::State& state) {
   rram::WeightProgrammer prog({rram::CellKind::SLC, 200.0}, 8, {0.5, 0.0});
   const rram::RLut lut = rram::RLut::build_analytic(prog);
@@ -211,19 +197,14 @@ void BM_VawoLayer(benchmark::State& state) {
   core::VawoOptions opt;
   opt.use_complement = true;
   opt.offsets.m = static_cast<int>(state.range(0));
-  opt.engine = state.range(1) == 1 ? core::VawoEngine::kReference
-                                   : core::VawoEngine::kTable;
+  const core::VawoTable table = core::VawoTable::build(
+      lut, lq.levels(), opt.offsets, opt.penalize_bias);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::vawo_layer(lq, grads, lut, opt));
+    benchmark::DoNotOptimize(core::vawo_layer(lq, grads, table, opt));
   }
   state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_VawoLayer)
-    ->Args({16, 0})
-    ->Args({128, 0})
-    ->Args({16, 1})
-    ->Args({128, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VawoLayer)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
 
 // Args: {matrix size, pool threads}. The thread sweep is the speedup
 // table recorded in EXPERIMENTS.md; results are bit-identical across the

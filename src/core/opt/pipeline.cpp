@@ -166,7 +166,7 @@ class TuneGroupSize final : public Pass {
           vopt.offsets.m = m2;
           vopt.use_complement = scheme_uses_complement(plan.opt.scheme);
           vopt.penalize_bias = plan.opt.penalize_bias;
-          cand = vawo_layer(pl.lq, pl.mean_grads, plan.lut, vopt, &table);
+          cand = vawo_layer(pl.lq, pl.mean_grads, table, vopt);
           rezero_dead_columns(pl, cand);
         } else {
           cand = plain_layer(pl.lq, m2);
@@ -348,8 +348,7 @@ class CanonicalizeComplement final : public Pass {
       vopt.offsets.m = pl.m;
       vopt.use_complement = true;
       vopt.penalize_bias = plan.opt.penalize_bias;
-      VawoResult res =
-          vawo_layer(pl.lq, pl.mean_grads, plan.lut, vopt, &table);
+      VawoResult res = vawo_layer(pl.lq, pl.mean_grads, table, vopt);
       rezero_dead_columns(pl, res);
       for (std::size_t i = 0; i < res.complemented.size(); ++i) {
         if (pl.assign.complemented[i] == 1 && res.complemented[i] == 0) {

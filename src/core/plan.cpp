@@ -216,7 +216,7 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
               ops[li]->weight_grad_at(r, c);
         }
       }
-      pl.assign = vawo_layer(pl.lq, pl.mean_grads, plan.lut, vopt, &vtable);
+      pl.assign = vawo_layer(pl.lq, pl.mean_grads, vtable, vopt);
       layer_span.arg("groups", pl.assign.groups_per_col);
     }
   } else {

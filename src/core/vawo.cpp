@@ -16,44 +16,19 @@ namespace {
 /// floored at this fraction of the layer's mean |g| (DESIGN.md §5, item 7).
 constexpr double kGradFloorFrac = 0.05;
 
-/// Objective of one candidate (offset, form) for a group; fills `ctw`.
-/// The literal paper procedure — one LUT inversion per weight — kept as
-/// the oracle the table engine must reproduce bit-for-bit.
-double group_objective(const std::vector<int>& ntw,
-                       const std::vector<double>& grad,
-                       const rdo::rram::RLut& lut, int weight_levels, int b,
-                       bool complemented, bool penalize_bias,
-                       std::vector<int>& ctw) {
-  double obj = 0.0;
-  for (std::size_t i = 0; i < ntw.size(); ++i) {
-    const int target_ntw =
-        complemented ? weight_levels - ntw[i] : ntw[i];
-    const double target_mean = static_cast<double>(target_ntw - b);
-    const int v = lut.invert_mean(target_mean);
-    ctw[i] = v;
-    const double g2 = grad[i] * grad[i];
-    double term = g2 * lut.var(v);
-    if (penalize_bias) {
-      const double bias = lut.mean(v) - target_mean;
-      term += g2 * bias * bias;
-    }
-    obj += term;
-  }
-  return obj;
-}
-
-/// Table-engine core. Accumulates, for each form, the objective of every
+/// Solver core. Accumulates, for each form, the objective of every
 /// offset candidate in one weight-outer/offset-inner sweep: the candidates
 /// of weight i live in the contiguous table slice starting at its target
 /// value tau_i, so the inner loop is a branch-free gather + multiply-add
 /// the compiler can vectorize, and adjacent offsets share all per-weight
 /// table work (offset b = offset_max - j reads element tau_i + j).
 ///
-/// Bit-exactness with group_objective(): for a fixed offset the per-weight
-/// terms are accumulated in the same weight order with identically shaped
-/// expressions (g2*var, then += g2*bias*bias with the raw bias — never a
-/// pre-squared bias, which would round differently), and the winner scan
-/// replicates the reference enumeration order and strict-< tie-breaking.
+/// Bit-exactness with the per-candidate oracle (tests/vawo_oracle.h): for
+/// a fixed offset the per-weight terms are accumulated in the same weight
+/// order with identically shaped expressions (g2*var, then
+/// += g2*bias*bias with the raw bias — never a pre-squared bias, which
+/// would round differently), and the winner scan replicates the oracle's
+/// enumeration order and strict-< tie-breaking.
 /// With penalize_bias off the bias row is all zeros and the += adds +0.0,
 /// which never changes a finite sum.
 double solve_group_table(const int* ntw, const double* g2, std::size_t n,
@@ -145,36 +120,6 @@ VawoTable VawoTable::build(const rdo::rram::RLut& lut, int weight_levels,
 }
 
 double vawo_solve_group(const std::vector<int>& ntw,
-                        const std::vector<double>& grad,
-                        const rdo::rram::RLut& lut, int weight_levels,
-                        const VawoOptions& opt, int& best_offset,
-                        bool& best_complemented, std::vector<int>& best_ctw) {
-  check_group_shape(ntw.size(), grad.size());
-  opt.offsets.validate();
-  double best = -1.0;
-  bool found = false;
-  std::vector<int> ctw(ntw.size());
-  const int forms = opt.use_complement ? 2 : 1;
-  for (int form = 0; form < forms; ++form) {
-    const bool comp = form == 1;
-    for (int b = opt.offsets.offset_min(); b <= opt.offsets.offset_max();
-         ++b) {
-      const double obj = group_objective(ntw, grad, lut, weight_levels, b,
-                                         comp, opt.penalize_bias, ctw);
-      if (best < 0.0 || obj < best) {
-        best = obj;
-        best_offset = b;
-        best_complemented = comp;
-        best_ctw = ctw;
-      }
-      found = true;
-    }
-  }
-  RDO_CHECK(found, "vawo_solve_group: empty offset enumeration range");
-  return best;
-}
-
-double vawo_solve_group(const std::vector<int>& ntw,
                         const std::vector<double>& g2, const VawoTable& table,
                         bool use_complement, int& best_offset,
                         bool& best_complemented, std::vector<int>& best_ctw) {
@@ -193,14 +138,26 @@ double vawo_solve_group(const std::vector<int>& ntw,
 
 VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
                       const std::vector<double>& grads,
-                      const rdo::rram::RLut& lut, const VawoOptions& opt,
-                      const VawoTable* table) {
+                      const VawoTable& table, const VawoOptions& opt) {
   const std::int64_t rows = lq.rows, cols = lq.cols;
   RDO_CHECK(grads.size() == static_cast<std::size_t>(rows * cols),
             "vawo_layer: " + std::to_string(grads.size()) +
                 " gradients for a " + std::to_string(rows) + "x" +
                 std::to_string(cols) + " matrix");
   opt.offsets.validate();
+  RDO_CHECK(table.weight_levels() == lq.levels() &&
+                table.offset_min() == opt.offsets.offset_min() &&
+                table.offset_max() == opt.offsets.offset_max() &&
+                table.penalize_bias() == opt.penalize_bias,
+            "vawo_layer: VawoTable was built for a different LUT/offset "
+            "configuration");
+  // The table is indexed by NTW, so out-of-range quantized weights would
+  // read past it. One pass up front keeps the hot loop check-free.
+  for (int w : lq.q) {
+    RDO_CHECK(w >= 0 && w <= lq.levels(),
+              "vawo_layer: NTW " + std::to_string(w) + " outside [0, " +
+                  std::to_string(lq.levels()) + "]");
+  }
   VawoResult res;
   res.groups_per_col = groups_per_column(rows, opt.offsets.m);
   res.ctw.assign(static_cast<std::size_t>(rows * cols), 0);
@@ -211,41 +168,16 @@ VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
 
   // Per-weight objective weights: |dL/dw| floored at kGradFloorFrac of the
   // layer mean (see the constant above; a gradient-free layer floors at
-  // 1.0 so every weight still counts equally). The table engine consumes
-  // the square directly — hoisted here so the hot loop never re-squares —
-  // while the reference oracle squares internally and takes the magnitude.
+  // 1.0 so every weight still counts equally), squared here so the hot
+  // loop never re-squares.
   double mean_abs = 0.0;
   for (double g : grads) mean_abs += std::fabs(g);
   mean_abs /= static_cast<double>(grads.size());
   const double floor = mean_abs > 0.0 ? kGradFloorFrac * mean_abs : 1.0;
-  const bool fast = opt.engine == VawoEngine::kTable;
-  std::vector<double> gw(grads.size());
+  std::vector<double> g2(grads.size());
   for (std::size_t i = 0; i < grads.size(); ++i) {
-    gw[i] = std::max(std::fabs(grads[i]), floor);
-    if (fast) gw[i] = gw[i] * gw[i];
-  }
-
-  VawoTable local;
-  if (fast && table == nullptr) {
-    local = VawoTable::build(lut, lq.levels(), opt.offsets,
-                             opt.penalize_bias);
-    table = &local;
-  }
-  if (fast) {
-    RDO_CHECK(table->weight_levels() == lq.levels() &&
-                  table->offset_min() == opt.offsets.offset_min() &&
-                  table->offset_max() == opt.offsets.offset_max() &&
-                  table->penalize_bias() == opt.penalize_bias,
-              "vawo_layer: VawoTable was built for a different LUT/offset "
-              "configuration");
-    // The table is indexed by NTW, so out-of-range quantized weights would
-    // read past it (the reference engine merely clamps them through
-    // invert_mean). One pass up front keeps the hot loop check-free.
-    for (int w : lq.q) {
-      RDO_CHECK(w >= 0 && w <= lq.levels(),
-                "vawo_layer: NTW " + std::to_string(w) + " outside [0, " +
-                    std::to_string(lq.levels()) + "]");
-    }
+    const double w = std::max(std::fabs(grads[i]), floor);
+    g2[i] = w * w;
   }
 
   std::vector<int> ntw;
@@ -260,18 +192,13 @@ VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
       grad.clear();
       for (std::int64_t r = r0; r < r1; ++r) {
         ntw.push_back(lq.at(r, c));
-        grad.push_back(gw[static_cast<std::size_t>(r * cols + c)]);
+        grad.push_back(g2[static_cast<std::size_t>(r * cols + c)]);
       }
       int b = 0;
       bool comp = false;
-      if (fast) {
-        res.total_objective +=
-            solve_group_table(ntw.data(), grad.data(), ntw.size(), *table,
-                              opt.use_complement, acc, b, comp, ctw);
-      } else {
-        res.total_objective += vawo_solve_group(ntw, grad, lut, lq.levels(),
-                                                opt, b, comp, ctw);
-      }
+      res.total_objective +=
+          solve_group_table(ntw.data(), grad.data(), ntw.size(), table,
+                            opt.use_complement, acc, b, comp, ctw);
       for (std::int64_t r = r0; r < r1; ++r) {
         res.ctw[static_cast<std::size_t>(r * cols + c)] =
             ctw[static_cast<std::size_t>(r - r0)];

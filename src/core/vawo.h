@@ -17,20 +17,14 @@
 // (2^n - 1 - w_i*) is solved too and the better of the two forms is kept
 // (VAWO*).
 //
-// Two engines implement the same enumeration:
-//
-//   kReference  the literal per-candidate procedure: for every
-//               (offset, form, weight) invert the LUT and re-derive the
-//               variance/bias terms. O(forms * 2^bits * m) LUT binary
-//               searches per group. Kept as the parity oracle.
-//   kTable      the per-weight cost depends only on the integer target
-//               value t = target_ntw - b, so a dense VawoTable of
-//               (ctw, var, bias) indexed by t is built once per solve and
-//               the objective collapses to a gather + dot product. The
-//               enumeration order, floating-point expression shapes and
-//               tie-breaking reproduce kReference bit-for-bit (asserted
-//               exhaustively in tests/test_vawo_parity.cpp), so plans are
-//               byte-identical across engines.
+// The per-weight cost depends only on the integer target value
+// t = target_ntw - b, so a dense VawoTable of (ctw, var, bias) indexed by
+// t is built once per plan and the objective of every candidate collapses
+// to a gather + dot product. The enumeration order, floating-point
+// expression shapes and tie-breaking reproduce the literal per-candidate
+// procedure (one LUT inversion per offset, form and weight) bit-for-bit;
+// that procedure is kept as the oracle in tests/vawo_oracle.h and
+// checked exhaustively in tests/test_vawo_parity.cpp.
 #pragma once
 
 #include <cstdint>
@@ -42,19 +36,13 @@
 
 namespace rdo::core {
 
-/// Solver implementation selector (see file comment). The table engine is
-/// the production default; the reference engine is the oracle the parity
-/// suite and the micro-benchmarks compare against.
-enum class VawoEngine { kTable, kReference };
-
 struct VawoOptions {
   OffsetConfig offsets;
   bool use_complement = false;
   bool penalize_bias = true;
-  VawoEngine engine = VawoEngine::kTable;
 };
 
-/// Dense per-target-value cost table for the fast VAWO engine.
+/// Dense per-target-value cost table of the VAWO solver.
 ///
 /// For every integer target value t = target_ntw - b that the enumeration
 /// can produce — t spans [0 - offset_max, weight_levels - offset_min], one
@@ -115,24 +103,15 @@ struct VawoResult {
   double total_objective = 0.0;
 };
 
-/// Solve one offset group — reference engine (the parity oracle).
+/// Solve one offset group.
 ///
-/// `ntw`/`grad` hold the m' (<= m) weights of the group; returns the chosen
-/// offset, complement flag and CTWs through the out-parameters, and the
-/// objective value achieved. Throws ContractViolation on an invalid
-/// offset config or an empty enumeration range (the out-parameters are
-/// never left unwritten on a successful return).
-double vawo_solve_group(const std::vector<int>& ntw,
-                        const std::vector<double>& grad,
-                        const rdo::rram::RLut& lut, int weight_levels,
-                        const VawoOptions& opt, int& best_offset,
-                        bool& best_complemented, std::vector<int>& best_ctw);
-
-/// Solve one offset group — table engine. Same contract and bit-identical
-/// results as the reference overload, but consumes the precomputed
-/// VawoTable and the already-squared gradient weights `g2` (g2_i =
-/// grad_i^2) directly. All ntw values must lie in
-/// [0, table.weight_levels()].
+/// `ntw`/`g2` hold the m' (<= m) weights of the group and their squared
+/// gradient weights (g2_i = grad_i^2); all ntw values must lie in
+/// [0, table.weight_levels()]. Returns the chosen offset, complement flag
+/// and CTWs through the out-parameters, and the objective value achieved.
+/// Throws ContractViolation on an empty or mismatched group or an
+/// out-of-range NTW (the out-parameters are never left unwritten on a
+/// successful return).
 double vawo_solve_group(const std::vector<int>& ntw,
                         const std::vector<double>& g2, const VawoTable& table,
                         bool use_complement, int& best_offset,
@@ -142,15 +121,12 @@ double vawo_solve_group(const std::vector<int>& ntw,
 ///
 /// `grads` is the row-major [rows*cols] matrix of mean loss gradients
 /// dL/dw (in effective-weight units; only relative magnitudes matter
-/// within a group). `opt.engine` selects the implementation; results are
-/// bit-identical either way. When `table` is non-null it must have been
-/// built for (lut, lq.levels(), opt.offsets, opt.penalize_bias) — pass it
-/// to share one table across the layers of a plan; otherwise the table
-/// engine builds its own.
+/// within a group). `table` must have been built for (lut, lq.levels(),
+/// opt.offsets, opt.penalize_bias); one table serves every layer of a
+/// plan compiled at one weight width.
 VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
                       const std::vector<double>& grads,
-                      const rdo::rram::RLut& lut, const VawoOptions& opt,
-                      const VawoTable* table = nullptr);
+                      const VawoTable& table, const VawoOptions& opt);
 
 /// The "plain" assignment (CTW = NTW, zero offsets) in the same format,
 /// for the baseline scheme.

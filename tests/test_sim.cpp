@@ -194,7 +194,9 @@ TEST_P(SimEquivalence, DeviceLevelForwardEqualsFastPathOnMeasuredCrws) {
     core::VawoOptions vopt;
     vopt.offsets.m = 8;
     vopt.use_complement = true;
-    assign = core::vawo_layer(lq, grads, lut, vopt);
+    const core::VawoTable table = core::VawoTable::build(
+        lut, lq.levels(), vopt.offsets, vopt.penalize_bias);
+    assign = core::vawo_layer(lq, grads, table, vopt);
   } else {
     assign = core::plain_layer(lq, 8);
   }

@@ -30,6 +30,28 @@ rdo::quant::LayerQuant make_lq(std::int64_t rows, std::int64_t cols,
   return lq;
 }
 
+/// One group through the production solver: a table built for (lut,
+/// 8-bit weights, opt) and the squared gradient weights.
+double solve(const std::vector<int>& ntw, const std::vector<double>& grad,
+             const RLut& lut, const VawoOptions& opt, int& b, bool& comp,
+             std::vector<int>& ctw) {
+  const VawoTable table =
+      VawoTable::build(lut, 255, opt.offsets, opt.penalize_bias);
+  std::vector<double> g2;
+  for (double g : grad) g2.push_back(g * g);
+  return vawo_solve_group(ntw, g2, table, opt.use_complement, b, comp, ctw);
+}
+
+/// A whole layer through vawo_layer over a table built for it.
+VawoResult layer(const rdo::quant::LayerQuant& lq,
+                 const std::vector<double>& grads, const RLut& lut,
+                 const VawoOptions& opt) {
+  return vawo_layer(
+      lq, grads,
+      VawoTable::build(lut, lq.levels(), opt.offsets, opt.penalize_bias),
+      opt);
+}
+
 }  // namespace
 
 TEST(Vawo, ZeroVarianceRecoversNtwExactly) {
@@ -42,7 +64,7 @@ TEST(Vawo, ZeroVarianceRecoversNtwExactly) {
   std::vector<int> ctw;
   const std::vector<int> ntw{50, 60, 70, 80};
   const std::vector<double> grad{1.0, 1.0, 1.0, 1.0};
-  const double obj = vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+  const double obj = solve(ntw, grad, lut, opt, b, comp, ctw);
   EXPECT_NEAR(obj, 0.0, 1e-9);
   for (std::size_t i = 0; i < ntw.size(); ++i) {
     EXPECT_EQ(ctw[i] + b, ntw[i]);
@@ -59,7 +81,7 @@ TEST(Vawo, IdenticalWeightsAreAbsorbedByTheOffset) {
   std::vector<int> ctw;
   const std::vector<int> ntw{100, 100, 100, 100};
   const std::vector<double> grad{1.0, 1.0, 1.0, 1.0};
-  vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+  solve(ntw, grad, lut, opt, b, comp, ctw);
   for (std::size_t i = 0; i < ntw.size(); ++i) {
     EXPECT_NEAR(lut.mean(ctw[i]) + b, static_cast<double>(ntw[i]), 1.5);
   }
@@ -83,7 +105,7 @@ TEST(Vawo, ReportedObjectiveMatchesRecomputation) {
     bool comp = false;
     std::vector<int> ctw;
     const double obj =
-        vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+        solve(ntw, grad, lut, opt, b, comp, ctw);
     double recomputed = 0.0;
     for (std::size_t i = 0; i < ntw.size(); ++i) {
       const int target = comp ? 255 - ntw[i] : ntw[i];
@@ -105,7 +127,7 @@ TEST(Vawo, PrefersLowerCtwThanNtw) {
   std::vector<int> ctw;
   const std::vector<int> ntw{180, 190, 200, 210};
   const std::vector<double> grad{1.0, 1.0, 1.0, 1.0};
-  vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+  solve(ntw, grad, lut, opt, b, comp, ctw);
   if (!comp) {
     for (std::size_t i = 0; i < ntw.size(); ++i) EXPECT_LT(ctw[i], ntw[i]);
   }
@@ -126,7 +148,7 @@ TEST(Vawo, ObjectiveNeverWorseThanPlainAssignment) {
     bool comp = false;
     std::vector<int> ctw;
     const double obj =
-        vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+        solve(ntw, grad, lut, opt, b, comp, ctw);
     // Plain: v = ntw, b = 0; objective includes the (large) bias term from
     // the lognormal mean inflation.
     double plain = 0.0;
@@ -150,7 +172,7 @@ TEST(Vawo, ComplementChosenForHighWeights) {
   std::vector<int> ctw;
   const std::vector<int> ntw{250, 252, 248, 255};
   const std::vector<double> grad{1.0, 1.0, 1.0, 1.0};
-  vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+  solve(ntw, grad, lut, opt, b, comp, ctw);
   EXPECT_TRUE(comp);
 }
 
@@ -171,9 +193,9 @@ TEST(Vawo, ComplementObjectiveNeverWorseThanWithout) {
     bool comp = false;
     std::vector<int> ctw;
     const double o1 =
-        vawo_solve_group(ntw, grad, lut, 255, plain_opt, b, comp, ctw);
+        solve(ntw, grad, lut, plain_opt, b, comp, ctw);
     const double o2 =
-        vawo_solve_group(ntw, grad, lut, 255, star_opt, b, comp, ctw);
+        solve(ntw, grad, lut, star_opt, b, comp, ctw);
     EXPECT_LE(o2, o1 + 1e-12);
   }
 }
@@ -193,7 +215,7 @@ TEST(Vawo, OffsetStaysInRegisterRange) {
     int b = 0;
     bool comp = false;
     std::vector<int> ctw;
-    vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+    solve(ntw, grad, lut, opt, b, comp, ctw);
     EXPECT_GE(b, -128);
     EXPECT_LE(b, 127);
   }
@@ -210,9 +232,9 @@ TEST(Vawo, HighGradientWeightGetsLowerVarianceChoice) {
   std::vector<int> ctw;
   const std::vector<int> ntw{128, 128};
   const double o_lo =
-      vawo_solve_group(ntw, {0.1, 0.1}, lut, 255, opt, b, comp, ctw);
+      solve(ntw, {0.1, 0.1}, lut, opt, b, comp, ctw);
   const double o_hi =
-      vawo_solve_group(ntw, {1.0, 1.0}, lut, 255, opt, b, comp, ctw);
+      solve(ntw, {1.0, 1.0}, lut, opt, b, comp, ctw);
   EXPECT_NEAR(o_hi, o_lo * 100.0, o_lo * 5.0);  // scales ~ grad^2
 }
 
@@ -222,38 +244,36 @@ TEST(Vawo, RejectsEmptyOrMismatchedGroup) {
   int b;
   bool comp;
   std::vector<int> ctw;
-  EXPECT_THROW(vawo_solve_group({}, {}, lut, 255, opt, b, comp, ctw),
+  EXPECT_THROW(solve({}, {}, lut, opt, b, comp, ctw), std::invalid_argument);
+  EXPECT_THROW(solve({1, 2}, {1.0}, lut, opt, b, comp, ctw),
                std::invalid_argument);
-  EXPECT_THROW(
-      vawo_solve_group({1, 2}, {1.0}, lut, 255, opt, b, comp, ctw),
-      std::invalid_argument);
 }
 
 TEST(Vawo, RejectsHostileOffsetConfig) {
   // offset_bits = 0 would shift by -1 (UB) and enumerate nothing, leaving
   // the out-parameters uninitialized; >= 31 overflows the register range.
-  // Both must fail loudly at the solver boundary, never solve silently.
+  // Both must fail loudly at the solver boundary, never solve silently:
+  // when the table is built, and when a layer is solved against a table
+  // built for a legal configuration.
   const RLut lut = lut_for(0.5);
-  int b;
-  bool comp;
-  std::vector<int> ctw;
+  const auto lq = make_lq(4, 1, {1, 2, 3, 4});
+  std::vector<double> grads(4, 1.0);
+  const VawoOptions legal;
+  const VawoTable table =
+      VawoTable::build(lut, 255, legal.offsets, legal.penalize_bias);
   for (int bits : {0, -3, 31, 64}) {
     VawoOptions opt;
     opt.offsets.offset_bits = bits;
-    EXPECT_THROW(
-        vawo_solve_group({10, 20}, {1.0, 1.0}, lut, 255, opt, b, comp, ctw),
-        rdo::core::ContractViolation)
+    EXPECT_THROW(VawoTable::build(lut, 255, opt.offsets, opt.penalize_bias),
+                 rdo::core::ContractViolation)
         << "offset_bits = " << bits;
-    EXPECT_THROW(rdo::core::VawoTable::build(lut, 255, opt.offsets,
-                                             opt.penalize_bias),
+    EXPECT_THROW(vawo_layer(lq, grads, table, opt),
                  rdo::core::ContractViolation)
         << "offset_bits = " << bits;
   }
-  const auto lq = make_lq(4, 1, {1, 2, 3, 4});
-  std::vector<double> grads(4, 1.0);
   VawoOptions bad_m;
   bad_m.offsets.m = 0;
-  EXPECT_THROW(vawo_layer(lq, grads, lut, bad_m),
+  EXPECT_THROW(vawo_layer(lq, grads, table, bad_m),
                rdo::core::ContractViolation);
 }
 
@@ -266,7 +286,7 @@ TEST(Vawo, SolveAlwaysWritesOutParameters) {
   int b = -999;
   bool comp = true;
   std::vector<int> ctw;
-  vawo_solve_group({5, 6}, {1.0, 1.0}, lut, 255, opt, b, comp, ctw);
+  solve({5, 6}, {1.0, 1.0}, lut, opt, b, comp, ctw);
   EXPECT_GE(b, -1);
   EXPECT_LE(b, 0);
   EXPECT_FALSE(comp);  // complement disabled
@@ -283,7 +303,7 @@ TEST(Vawo, LayerAssignmentShapes) {
   std::vector<double> grads(q.size(), 0.5);
   VawoOptions opt;
   opt.offsets.m = 8;
-  const VawoResult res = vawo_layer(lq, grads, lut, opt);
+  const VawoResult res = layer(lq, grads, lut, opt);
   EXPECT_EQ(res.groups_per_col, 4);
   EXPECT_EQ(res.ctw.size(), q.size());
   EXPECT_EQ(res.offsets.size(), 12u);
@@ -298,7 +318,7 @@ TEST(Vawo, LayerHandlesRaggedTailGroup) {
   std::vector<double> grads(q.size(), 1.0);
   VawoOptions opt;
   opt.offsets.m = 4;
-  const VawoResult res = vawo_layer(lq, grads, lut, opt);
+  const VawoResult res = layer(lq, grads, lut, opt);
   EXPECT_EQ(res.groups_per_col, 3);
 }
 
@@ -307,7 +327,7 @@ TEST(Vawo, LayerRejectsGradientMismatch) {
   const auto lq = make_lq(4, 1, {1, 2, 3, 4});
   std::vector<double> grads(3, 1.0);
   VawoOptions opt;
-  EXPECT_THROW(vawo_layer(lq, grads, lut, opt), std::invalid_argument);
+  EXPECT_THROW(layer(lq, grads, lut, opt), std::invalid_argument);
 }
 
 TEST(Vawo, PlainLayerIsIdentityAssignment) {
@@ -329,6 +349,6 @@ TEST(Vawo, StrictPaperObjectiveStillSolves) {
   std::vector<int> ctw;
   const std::vector<int> ntw{10, 240};
   const std::vector<double> grad{1.0, 1.0};
-  const double obj = vawo_solve_group(ntw, grad, lut, 255, opt, b, comp, ctw);
+  const double obj = solve(ntw, grad, lut, opt, b, comp, ctw);
   EXPECT_GE(obj, 0.0);
 }

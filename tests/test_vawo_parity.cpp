@@ -1,16 +1,17 @@
-// Fast-vs-reference VAWO parity: the table engine must reproduce the
-// literal per-candidate enumeration (core/vawo.cpp group_objective) BIT
-// FOR BIT — objective, chosen offset, complement flag and CTWs, including
+// VAWO solver parity: the table solver must reproduce the literal
+// per-candidate enumeration (tests/vawo_oracle.h) BIT FOR BIT — objective, chosen offset, complement flag and CTWs, including
 // tie-breaking — across cell kinds, both objective formulations, ragged
 // group sizes and targets outside the representable mean range (the
 // invert_mean clamp paths). This is what lets deployment plans stay
 // byte-identical while the solver got rewritten.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/check.h"
 #include "core/vawo.h"
+#include "vawo_oracle.h"
 
 using namespace rdo::core;
 using namespace rdo::rram;
@@ -41,7 +42,8 @@ std::vector<Config> all_configs() {
   return cfgs;
 }
 
-/// Solve one group with both engines and require bitwise-equal results.
+/// Solve one group with the oracle and the table solver and require
+/// bitwise-equal results.
 void expect_group_parity(const std::vector<int>& ntw,
                          const std::vector<double>& grad, const RLut& lut,
                          const VawoOptions& opt, const VawoTable& table) {
@@ -49,14 +51,14 @@ void expect_group_parity(const std::vector<int>& ntw,
   int b_ref = -12345, b_fast = -12345;
   bool c_ref = false, c_fast = false;
   std::vector<int> ctw_ref, ctw_fast;
-  const double obj_ref = vawo_solve_group(ntw, grad, lut, levels, opt, b_ref,
-                                          c_ref, ctw_ref);
+  const double obj_ref = rdo::oracle::vawo_solve_group(
+      ntw, grad, lut, levels, opt, b_ref, c_ref, ctw_ref);
   std::vector<double> g2(grad.size());
   for (std::size_t i = 0; i < grad.size(); ++i) g2[i] = grad[i] * grad[i];
   const double obj_fast = vawo_solve_group(ntw, g2, table, opt.use_complement,
                                            b_fast, c_fast, ctw_fast);
   // EXPECT_EQ on doubles is exact (==), which is the contract here — no
-  // tolerance, the engines must agree to the last bit.
+  // tolerance, the solvers must agree to the last bit.
   EXPECT_EQ(obj_ref, obj_fast);
   EXPECT_EQ(b_ref, b_fast);
   EXPECT_EQ(c_ref, c_fast);
@@ -110,7 +112,7 @@ TEST(VawoParity, RandomGroupsAcrossConfigsAndRaggedSizes) {
 
 TEST(VawoParity, TieBreakingMatchesOnIdenticalWeightGroups) {
   // sigma = 0 makes many (offset, ctw) candidates achieve an exactly zero
-  // objective; the engines must break those ties identically (first
+  // objective; the solvers must break those ties identically (first
   // encountered in form-major, offset-ascending order wins).
   for (bool comp : {false, true}) {
     const RLut lut = lut_for(0.0, CellKind::SLC);
@@ -151,10 +153,18 @@ TEST(VawoParity, NarrowRegistersStressClampPaths) {
   }
 }
 
+/// Byte-for-byte equality of two vectors' storage.
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
 TEST(VawoParity, LayerEnginesProduceIdenticalResults) {
-  // Whole-layer parity including a ragged tail group (rows % m != 0), a
-  // gradient distribution with dead units (exact zeros, exercising the
-  // floor), and both engine selectors of vawo_layer.
+  // Whole-layer parity, oracle layer vs vawo_layer over a caller-shared
+  // table (the compile_plan path), including a ragged tail group
+  // (rows % m != 0) and a gradient distribution with dead units (exact
+  // zeros, exercising the floor).
   for (const Config& cfg : all_configs()) {
     const RLut lut = lut_for(0.5, cfg.kind);
     rdo::quant::LayerQuant lq;
@@ -175,22 +185,18 @@ TEST(VawoParity, LayerEnginesProduceIdenticalResults) {
     opt.use_complement = cfg.use_complement;
     opt.penalize_bias = cfg.penalize_bias;
 
-    opt.engine = VawoEngine::kReference;
-    const VawoResult ref = vawo_layer(lq, grads, lut, opt);
-    opt.engine = VawoEngine::kTable;
-    const VawoResult fast = vawo_layer(lq, grads, lut, opt);
-    // And through a caller-shared table (the compile_plan path).
+    const VawoResult ref = rdo::oracle::vawo_layer(lq, grads, lut, opt);
     const VawoTable table = VawoTable::build(lut, lq.levels(), opt.offsets,
                                              opt.penalize_bias);
-    const VawoResult shared = vawo_layer(lq, grads, lut, opt, &table);
+    const VawoResult res = vawo_layer(lq, grads, table, opt);
 
-    for (const VawoResult* r : {&fast, &shared}) {
-      EXPECT_EQ(ref.total_objective, r->total_objective);
-      EXPECT_EQ(ref.ctw, r->ctw);
-      EXPECT_EQ(ref.offsets, r->offsets);
-      EXPECT_EQ(ref.complemented, r->complemented);
-      EXPECT_EQ(ref.groups_per_col, r->groups_per_col);
-    }
+    EXPECT_EQ(std::memcmp(&ref.total_objective, &res.total_objective,
+                          sizeof(double)),
+              0);
+    EXPECT_TRUE(same_bytes(ref.ctw, res.ctw));
+    EXPECT_TRUE(same_bytes(ref.offsets, res.offsets));
+    EXPECT_TRUE(same_bytes(ref.complemented, res.complemented));
+    EXPECT_EQ(ref.groups_per_col, res.groups_per_col);
   }
 }
 
@@ -209,12 +215,12 @@ TEST(VawoParity, SharedTableRejectsMismatchedConfiguration) {
   narrow.offset_bits = 4;
   const VawoTable table =
       VawoTable::build(lut, lq.levels(), narrow, opt.penalize_bias);
-  EXPECT_THROW(vawo_layer(lq, grads, lut, opt, &table), ContractViolation);
+  EXPECT_THROW(vawo_layer(lq, grads, table, opt), ContractViolation);
 }
 
 TEST(VawoParity, TableEngineRejectsOutOfRangeNtw) {
-  // The reference engine clamps out-of-range NTWs through invert_mean;
-  // the table engine would index past its rows, so it must fail loudly.
+  // The oracle clamps out-of-range NTWs through invert_mean; the table
+  // solver would index past its rows, so it must fail loudly.
   const RLut lut = lut_for(0.5, CellKind::SLC);
   VawoOptions opt;
   const VawoTable table = VawoTable::build(lut, lut.max_weight(),
