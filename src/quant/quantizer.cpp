@@ -22,10 +22,17 @@ LayerQuant quantize_matrix(const rdo::nn::MatrixOp& op, int bits) {
   // shift is exactly half the integer range, so the zero-weight cluster
   // of a trained layer always sits at 2^(bits-1) — within reach of the
   // signed offset registers regardless of the layer's outlier skew.
+  // A NaN would slip past std::max and an inf would make the scale inf;
+  // either way the layer would compile to zero points without a word.
   float wabs = 0.0f;
   for (std::int64_t r = 0; r < lq.rows; ++r) {
     for (std::int64_t c = 0; c < lq.cols; ++c) {
-      wabs = std::max(wabs, std::fabs(op.weight_at(r, c)));
+      const float w = op.weight_at(r, c);
+      RDO_CHECK(std::isfinite(w),
+                "quantize_matrix: non-finite weight " + std::to_string(w) +
+                    " at row " + std::to_string(r) + ", column " +
+                    std::to_string(c));
+      wabs = std::max(wabs, std::fabs(w));
     }
   }
   if (wabs <= 0.0f) wabs = 0.5f;

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "nn/dense.h"
 #include "quant/act_quant.h"
 #include "quant/quantizer.h"
@@ -115,6 +117,27 @@ TEST(Quantizer, ConstantMatrixDoesNotBlowUp) {
       quantize_matrix(make_dense_with({0.0f, 0.0f, 0.0f, 0.0f}, 4, 1), 8);
   EXPECT_GT(lq.scale, 0.0f);
   EXPECT_NEAR(lq.dequant(static_cast<float>(lq.at(0, 0))), 0.0f, 1e-6f);
+}
+
+TEST(Quantizer, RejectsNonFiniteWeightNamingItsPosition) {
+  // A NaN used to quantize to the zero point and an inf made the scale
+  // inf, sending every weight of the layer to the zero point.
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (float v : bad) {
+    std::vector<float> w(16 * 10, 0.25f);
+    w[5 * 10 + 7] = v;  // row 5, column 7
+    const Dense d = make_dense_with(w, 16, 10);
+    try {
+      (void)quantize_matrix(d, 8);
+      ADD_FAILURE() << "no error for weight " << v;
+    } catch (const rdo::core::ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 5, column 7"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(v)), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ActQuant, DisabledIsIdentity) {
