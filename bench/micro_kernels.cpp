@@ -144,6 +144,36 @@ void BM_LutBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LutBuild)->Arg(4)->Arg(16);
 
+// One LUT device-set stream: split a child Rng off the master and draw
+// 16 normals, as RLut::build does 256 x k_sets times per table for an
+// 8-bit SLC weight (8 DDV thetas, one per cell, and 8 CCV thetas, one per
+// programming at J = 8).
+void BM_RngSplitNormals(benchmark::State& state) {
+  const Rng master(4);
+  std::uint64_t salt = 0;
+  for (auto _ : state) {
+    Rng set_rng = master.split(salt++);
+    double sum = 0.0;
+    for (int i = 0; i < 16; ++i) sum += set_rng.normal();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngSplitNormals);
+
+// Steady-state engine draws (past the first block, so full twists only).
+void BM_RngDraw(benchmark::State& state) {
+  Rng rng(4);
+  for (int i = 0; i < 1000; ++i) benchmark::DoNotOptimize(rng.engine()());
+  for (auto _ : state) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < 1024; ++i) x ^= rng.engine()();
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_RngDraw);
+
 // Arg: group size m. The weight range is derived from the LUT
 // bit-width, not hardcoded, so changing the programmer's bits keeps the
 // bench honest.

@@ -122,6 +122,49 @@ void rezero_dead_columns(const PlanLayer& pl, VawoResult& res) {
   }
 }
 
+/// True when `pl.assign.record` is a VAWO* solve of the layer at its
+/// current group size (a loaded plan carries no record).
+bool has_complement_record(const PlanLayer& pl) {
+  const VawoRecord& rec = pl.assign.record;
+  const auto groups = static_cast<std::size_t>(
+      groups_per_column(pl.lq.rows, pl.m) * pl.lq.cols);
+  return rec.m == pl.m && rec.use_complement &&
+         rec.offsets.size() == groups && rec.complemented.size() == groups;
+}
+
+/// The solver output of a layer rebuilt from its record without a
+/// re-solve: offsets and flags from the record, each CTW read from the
+/// table row of its (mirrored, for a complemented group) NTW at the
+/// recorded offset — exactly what vawo_layer produced.
+VawoResult rebuild_from_record(const PlanLayer& pl, const VawoTable& table) {
+  const VawoRecord& rec = pl.assign.record;
+  const std::int64_t rows = pl.lq.rows, cols = pl.lq.cols;
+  const int levels = table.weight_levels();
+  VawoResult res;
+  res.groups_per_col = groups_per_column(rows, pl.m);
+  res.offsets = rec.offsets;
+  res.complemented = rec.complemented;
+  res.total_objective = rec.total_objective;
+  res.record = rec;
+  res.ctw.resize(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t g = group_of_row(r, pl.m);
+    for (std::int64_t c = 0; c < cols; ++c) {
+      const auto gi = static_cast<std::size_t>(g * cols + c);
+      const auto i = static_cast<std::size_t>(r * cols + c);
+      const int b = static_cast<int>(rec.offsets[gi]);
+      const int ntw = pl.lq.q[i];
+      RDO_CHECK(ntw >= 0 && ntw <= levels && b >= table.offset_min() &&
+                    b <= table.offset_max(),
+                "canonicalize_complement: recorded solve is out of the "
+                "cost table's range");
+      const int tau = rec.complemented[gi] != 0 ? levels - ntw : ntw;
+      res.ctw[i] = table.ctw_row(tau)[table.offset_max() - b];
+    }
+  }
+  return res;
+}
+
 /// Pass 1: per-layer offset-group size auto-tuning.
 ///
 /// Doubles a layer's m while the merged assignment is provably
@@ -317,12 +360,15 @@ class EliminateDeadTiles final : public Pass {
 
 /// Pass 4: complement-form canonicalization.
 ///
-/// Re-solves every VAWO* layer against the shared cost table, which by
-/// the solver's enumeration order (direct form first, strict-< winner)
-/// keeps a complement flag only where the mirrored form is strictly
-/// better. On a solver-produced plan this is the identity; on a plan
-/// whose flags were perturbed (or merged by other tooling) it restores
-/// the canonical assignment.
+/// Restores every VAWO* layer to the solver's assignment, which by the
+/// solver's enumeration order (direct form first, strict-< winner) keeps
+/// a complement flag only where the mirrored form is strictly better. A
+/// layer that still carries the record of its solve (VawoRecord, at its
+/// current m) is rebuilt from it against the shared cost table; any other
+/// layer (a plan loaded from RDP2) is re-solved. On a solver-produced
+/// plan this is the identity; on a plan whose flags or CTWs were
+/// perturbed (or merged by other tooling) it restores the canonical
+/// assignment.
 class CanonicalizeComplement final : public Pass {
  public:
   [[nodiscard]] const char* name() const override {
@@ -343,12 +389,17 @@ class CanonicalizeComplement final : public Pass {
       const auto elems =
           static_cast<std::size_t>(pl.lq.rows * pl.lq.cols);
       if (pl.mean_grads.size() != elems) continue;
-      VawoOptions vopt;
-      vopt.offsets = plan.opt.offsets;
-      vopt.offsets.m = pl.m;
-      vopt.use_complement = true;
-      vopt.penalize_bias = plan.opt.penalize_bias;
-      VawoResult res = vawo_layer(pl.lq, pl.mean_grads, table, vopt);
+      VawoResult res;
+      if (has_complement_record(pl)) {
+        res = rebuild_from_record(pl, table);
+      } else {
+        VawoOptions vopt;
+        vopt.offsets = plan.opt.offsets;
+        vopt.offsets.m = pl.m;
+        vopt.use_complement = true;
+        vopt.penalize_bias = plan.opt.penalize_bias;
+        res = vawo_layer(pl.lq, pl.mean_grads, table, vopt);
+      }
       rezero_dead_columns(pl, res);
       for (std::size_t i = 0; i < res.complemented.size(); ++i) {
         if (pl.assign.complemented[i] == 1 && res.complemented[i] == 0) {

@@ -11,9 +11,11 @@
 //                           across its tiles (accounting-only transform)
 //   eliminate_dead_tiles    skip programming of all-zero weight columns
 //                           (fewer pulses; the column reads back exactly 0)
-//   canonicalize_complement re-solve complement-form groups against the
-//                           cost table and demote any flag that is not
-//                           strictly better than the direct form
+//   canonicalize_complement restore complement-form groups to the solver's
+//                           assignment (rebuilt from the in-memory solve
+//                           record, or re-solved for a loaded plan) and
+//                           demote any flag that is not strictly better
+//                           than the direct form
 //
 // Pass lists are comma-separated name strings ("a,b,c"; the empty string
 // is the empty list and leaves compiled plans untouched). They enter via

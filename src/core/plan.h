@@ -53,7 +53,10 @@ struct PlanLayer {
   std::int64_t fan_out = 0;
   rdo::quant::LayerQuant lq;       ///< NTWs + scale/zero
   std::vector<double> mean_grads;  ///< row-major dL/dw (VAWO schemes only)
-  VawoResult assign;               ///< CTWs, base offsets, complement flags
+  /// CTWs, base offsets, complement flags, and the in-memory record of
+  /// the solve (assign.record). Code that rewrites lq, mean_grads or m
+  /// must refresh the record or drop it.
+  VawoResult assign;
   /// Offset-group size of THIS layer. compile_plan sets it to the global
   /// DeployOptions::offsets.m; the tune_group_size optimizer pass may
   /// raise it per layer. Backends and the serializer read this field,

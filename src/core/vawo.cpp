@@ -1,6 +1,7 @@
 #include "core/vawo.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "core/check.h"
@@ -16,12 +17,55 @@ namespace {
 /// floored at this fraction of the layer's mean |g| (DESIGN.md §5, item 7).
 constexpr double kGradFloorFrac = 0.05;
 
+/// Two doubles in one SIMD register (GCC and Clang vector extensions).
+using D2 = double __attribute__((vector_size(16)));
+
+/// Weights folded into one pass over the offset accumulator.
+constexpr std::size_t kSweepWeights = 4;
+
+/// Adds the cost terms of kW weights (NTWs `ntw`, squared gradient
+/// weights `g`; mirrored to levels - ntw for the complement form) to the
+/// offset accumulator `a`: a[j] += term_t in ascending t, with
+/// term_t = g[t] * var_t[j], then += g[t] * bias_t[j] * bias_t[j]. Offset
+/// pairs (j, j + 1) share one D2 register (the offset count 2^offset_bits
+/// is even), so a[j] is loaded and stored once per kW weights, and each
+/// lane adds the same terms in the same order as a one-weight-at-a-time
+/// loop.
+template <std::size_t kW>
+void sweep_weights(const int* ntw, const double* g, const VawoTable& table,
+                   bool mirrored, double* a) {
+  const double* vr[kW] = {};
+  const double* br[kW] = {};
+  D2 gg[kW] = {};
+  for (std::size_t t = 0; t < kW; ++t) {
+    const int tau = mirrored ? table.weight_levels() - ntw[t] : ntw[t];
+    vr[t] = table.var_row(tau);
+    br[t] = table.bias_row(tau);
+    gg[t] = D2{g[t], g[t]};
+  }
+  const int nb = table.offset_count();
+  for (int j = 0; j < nb; j += 2) {
+    D2 acc = {};
+    std::memcpy(&acc, a + j, sizeof acc);
+    for (std::size_t t = 0; t < kW; ++t) {
+      D2 v = {}, b = {};
+      std::memcpy(&v, vr[t] + j, sizeof v);
+      std::memcpy(&b, br[t] + j, sizeof b);
+      D2 term = gg[t] * v;
+      term += gg[t] * b * b;
+      acc += term;
+    }
+    std::memcpy(a + j, &acc, sizeof acc);
+  }
+}
+
 /// Solver core. Accumulates, for each form, the objective of every
 /// offset candidate in one weight-outer/offset-inner sweep: the candidates
 /// of weight i live in the contiguous table slice starting at its target
-/// value tau_i, so the inner loop is a branch-free gather + multiply-add
-/// the compiler can vectorize, and adjacent offsets share all per-weight
-/// table work (offset b = offset_max - j reads element tau_i + j).
+/// value tau_i, so the inner loop is a branch-free gather + multiply-add,
+/// and adjacent offsets share all per-weight table work (offset
+/// b = offset_max - j reads element tau_i + j). The sweep is register
+/// tiled: each pass over the accumulator folds in kSweepWeights weights.
 ///
 /// Bit-exactness with the per-candidate oracle (tests/vawo_oracle.h): for
 /// a fixed offset the per-weight terms are accumulated in the same weight
@@ -38,21 +82,22 @@ double solve_group_table(const int* ntw, const double* g2, std::size_t n,
   const int nb = table.offset_count();
   const int levels = table.weight_levels();
   const int forms = use_complement ? 2 : 1;
+  RDO_DCHECK(nb % 2 == 0, "vawo: offset count is not even");
   acc.assign(static_cast<std::size_t>(nb) * static_cast<std::size_t>(forms),
              0.0);
   for (int form = 0; form < forms; ++form) {
     double* a = acc.data() + static_cast<std::size_t>(form) *
                                  static_cast<std::size_t>(nb);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int tau = form == 1 ? levels - ntw[i] : ntw[i];
-      const double g = g2[i];
-      const double* vr = table.var_row(tau);
-      const double* br = table.bias_row(tau);
-      for (int j = 0; j < nb; ++j) {
-        double term = g * vr[j];
-        term += g * br[j] * br[j];
-        a[j] += term;
-      }
+    const bool mirrored = form == 1;
+    std::size_t i = 0;
+    for (; i + kSweepWeights <= n; i += kSweepWeights) {
+      sweep_weights<kSweepWeights>(ntw + i, g2 + i, table, mirrored, a);
+    }
+    switch (n - i) {
+      case 3: sweep_weights<3>(ntw + i, g2 + i, table, mirrored, a); break;
+      case 2: sweep_weights<2>(ntw + i, g2 + i, table, mirrored, a); break;
+      case 1: sweep_weights<1>(ntw + i, g2 + i, table, mirrored, a); break;
+      default: break;
     }
   }
   double best = -1.0;
@@ -209,6 +254,11 @@ VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
           comp ? 1 : 0;
     }
   }
+  res.record.m = opt.offsets.m;
+  res.record.use_complement = opt.use_complement;
+  res.record.offsets = res.offsets;
+  res.record.complemented = res.complemented;
+  res.record.total_objective = res.total_objective;
   return res;
 }
 

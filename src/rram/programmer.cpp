@@ -107,13 +107,15 @@ double WeightProgrammer::program_with_ddv(
   std::array<double, kMaxCells> vals{};
   const bool shared =
       variation_.scope == VariationScope::PerWeight;
-  const double shared_theta =
-      shared ? ddv_theta[0] + variation_.sample_ccv_theta(rng) : 0.0;
+  // PerWeight scope: one theta for the whole weight, so one exp.
+  const double shared_factor =
+      shared ? std::exp(ddv_theta[0] + variation_.sample_ccv_theta(rng))
+             : 1.0;
   for (std::size_t k = 0; k < ddv_theta.size(); ++k) {
-    const double theta =
-        shared ? shared_theta
-               : ddv_theta[k] + variation_.sample_ccv_theta(rng);
-    vals[k] = programmed_cell_value(states[k], std::exp(theta), rng);
+    const double factor =
+        shared ? shared_factor
+               : std::exp(ddv_theta[k] + variation_.sample_ccv_theta(rng));
+    vals[k] = programmed_cell_value(states[k], factor, rng);
   }
   return compose({vals.data(), ddv_theta.size()});
 }

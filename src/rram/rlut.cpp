@@ -6,6 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "core/codec.h"
 
@@ -13,12 +14,20 @@ namespace rdo::rram {
 
 RLut RLut::build(const WeightProgrammer& prog, int k_sets, int j_cycles,
                  rdo::nn::Rng rng) {
+  RDO_CHECK(k_sets >= 1 && j_cycles >= 1,
+            "RLut::build: " + std::to_string(k_sets) + " sets x " +
+                std::to_string(j_cycles) + " cycles; both must be >= 1");
+  RDO_CHECK(static_cast<std::int64_t>(k_sets) * j_cycles <= kMaxSamples,
+            "RLut::build: " + std::to_string(k_sets) + " x " +
+                std::to_string(j_cycles) + " samples per CTW exceed " +
+                std::to_string(kMaxSamples));
   RLut lut;
   const int vmax = prog.max_weight();
   lut.mean_.resize(static_cast<std::size_t>(vmax) + 1);
   lut.var_.resize(static_cast<std::size_t>(vmax) + 1);
   const int samples = k_sets * j_cycles;
   std::vector<double> crw(static_cast<std::size_t>(samples));
+  std::vector<double> ddv(static_cast<std::size_t>(prog.cells_per_weight()));
   for (int v = 0; v <= vmax; ++v) {
     // K device sets; each set programmed J times. With the lumped
     // DDV+CCV model every programming is an independent draw, but we keep
@@ -27,7 +36,6 @@ RLut RLut::build(const WeightProgrammer& prog, int k_sets, int j_cycles,
     for (int k = 0; k < k_sets; ++k) {
       rdo::nn::Rng set_rng = rng.split(
           static_cast<std::uint64_t>(v) * 1000003ull + static_cast<std::uint64_t>(k));
-      std::vector<double> ddv(static_cast<std::size_t>(prog.cells_per_weight()));
       for (auto& t : ddv) t = prog.variation().sample_ddv_theta(set_rng);
       for (int j = 0; j < j_cycles; ++j) {
         crw[static_cast<std::size_t>(i++)] =

@@ -31,8 +31,13 @@ class LutError : public std::runtime_error {
 
 class RLut {
  public:
+  /// Largest K x J sample count per CTW value that build() accepts (an
+  /// 8 MiB sample buffer).
+  static constexpr std::int64_t kMaxSamples = std::int64_t{1} << 20;
+
   /// Build the LUT by Monte-Carlo statistical testing (K sets x J cycles
-  /// per CTW value).
+  /// per CTW value). Throws ContractViolation, before allocating, when
+  /// k_sets or j_cycles is below 1 or their product exceeds kMaxSamples.
   static RLut build(const WeightProgrammer& prog, int k_sets, int j_cycles,
                     rdo::nn::Rng rng);
 

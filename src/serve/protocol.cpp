@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/opt/pipeline.h"
+#include "rram/rlut.h"
 
 namespace rdo::serve {
 
@@ -252,9 +253,14 @@ ServeRequest parse_request(const Json& doc,
     }
   }
 
-  // Cross-field check the pipeline would otherwise RDO_CHECK on.
+  // Cross-field checks the pipeline would otherwise RDO_CHECK on.
   if (req.options.weight_bits % req.options.cell.bits() != 0) {
     bad("weight_bits must be divisible by the cell bit width");
+  }
+  if (static_cast<std::int64_t>(req.options.lut_k_sets) *
+          req.options.lut_j_cycles >
+      rdo::rram::RLut::kMaxSamples) {
+    bad("lut_k_sets * lut_j_cycles exceeds 2^20 LUT samples per CTW");
   }
   return req;
 }

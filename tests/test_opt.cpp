@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/plan.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
+#include "obs/metrics.h"
 
 using namespace rdo;
 
@@ -272,6 +274,108 @@ TEST(OptCanonicalize, RepairsTamperedComplementFlags) {
   core::opt::run_pipeline(tampered, {"canonicalize_complement"});
   EXPECT_TRUE(
       assign_equal(tampered.layers[0].assign, base.layers[0].assign));
+}
+
+TEST(OptCanonicalize, RepairsTamperedCtwWithUntouchedFlags) {
+  Fixture f = make_fixture(core::Scheme::VAWOStar);
+  const core::DeploymentPlan base =
+      core::compile_plan(*f.net, f.opt, f.train());
+  core::DeploymentPlan tampered = base;
+  std::vector<int>& ctw = tampered.layers[0].assign.ctw;
+  ctw[0] = ctw[0] == 0 ? 1 : ctw[0] - 1;
+  ctw.back() = ctw.back() == 0 ? 1 : 0;
+  core::opt::run_pipeline(tampered, {"canonicalize_complement"});
+  EXPECT_TRUE(
+      assign_equal(tampered.layers[0].assign, base.layers[0].assign));
+}
+
+namespace {
+
+std::int64_t demoted_total() {
+  return obs::global_metrics().counter("opt_complement_groups_demoted")
+      .value();
+}
+
+/// Raise the first direct-form group's flag (the pass must demote it).
+void promote_first_direct_group(core::DeploymentPlan& plan) {
+  std::vector<std::uint8_t>& flags = plan.layers[0].assign.complemented;
+  for (std::uint8_t& flag : flags) {
+    if (flag == 0) {
+      flag = 1;
+      return;
+    }
+  }
+  FAIL() << "fixture has no direct-form group";
+}
+
+}  // namespace
+
+TEST(OptCanonicalize, LoadedPlanReSolvesToTheInMemoryResult) {
+  Fixture f = make_fixture(core::Scheme::VAWOStar);
+  const core::DeploymentPlan base =
+      core::compile_plan(*f.net, f.opt, f.train());
+  const std::string bytes = save_bytes(base, 5);
+  std::istringstream in(bytes, std::ios::binary);
+  std::optional<core::DeploymentPlan> loaded =
+      core::DeploymentPlan::load(in, 5, "test");
+  ASSERT_TRUE(loaded.has_value());
+  // The solve record is in memory only: RDP2 does not carry it, so the
+  // loaded plan takes the re-solve path.
+  ASSERT_EQ(base.layers[0].assign.record.m, base.layers[0].m);
+  EXPECT_EQ(loaded->layers[0].assign.record.m, 0);
+
+  core::DeploymentPlan in_memory = base;
+  promote_first_direct_group(in_memory);
+  promote_first_direct_group(*loaded);
+  const std::int64_t d0 = demoted_total();
+  core::opt::run_pipeline(in_memory, {"canonicalize_complement"});
+  const std::int64_t d1 = demoted_total();
+  core::opt::run_pipeline(*loaded, {"canonicalize_complement"});
+  const std::int64_t d2 = demoted_total();
+
+  EXPECT_TRUE(assign_equal(in_memory.layers[0].assign, base.layers[0].assign));
+  EXPECT_TRUE(
+      assign_equal(loaded->layers[0].assign, in_memory.layers[0].assign));
+  EXPECT_EQ(loaded->layers[0].assign.total_objective,
+            in_memory.layers[0].assign.total_objective);
+  EXPECT_EQ(d1 - d0, 1);
+  EXPECT_EQ(d2 - d1, d1 - d0);
+  EXPECT_EQ(save_bytes(*loaded, 5), save_bytes(in_memory, 5));
+}
+
+TEST(OptCanonicalize, UsesTheRecordOfTheTunedGroupSize) {
+  // Identical weights give every group the same winner, so
+  // tune_group_size is guaranteed to double m.
+  Fixture f = make_fixture(core::Scheme::VAWOStar);
+  auto* dense = dynamic_cast<nn::Dense*>(f.net->children()[0]);
+  ASSERT_NE(dense, nullptr);
+  nn::Tensor& w = dense->weight_param().value;
+  for (std::int64_t i = 0; i < w.size(); ++i) w[i] = 0.25f;
+  f.opt.opt_passes = "tune_group_size";
+  const core::DeploymentPlan tuned =
+      core::compile_plan(*f.net, f.opt, f.train());
+  const core::PlanLayer& tl = tuned.layers[0];
+  ASSERT_GT(tl.m, f.opt.offsets.m);
+  EXPECT_EQ(tl.assign.record.m, tl.m);
+
+  core::DeploymentPlan canon = tuned;
+  canon.layers[0].assign.ctw[0] ^= 1;
+  canon.layers[0].assign.complemented[0] ^= 1;
+  core::opt::run_pipeline(canon, {"canonicalize_complement"});
+  EXPECT_TRUE(assign_equal(canon.layers[0].assign, tl.assign));
+  EXPECT_EQ(canon.layers[0].assign.record.m, tl.m);
+
+  // A record solved at another m is not used: the layer is re-solved at
+  // its own m, with the same result.
+  f.opt.opt_passes.clear();
+  const core::DeploymentPlan untuned =
+      core::compile_plan(*f.net, f.opt, f.train());
+  core::DeploymentPlan stale = tuned;
+  stale.layers[0].assign.record = untuned.layers[0].assign.record;
+  ASSERT_NE(stale.layers[0].assign.record.m, tl.m);
+  core::opt::run_pipeline(stale, {"canonicalize_complement"});
+  EXPECT_TRUE(assign_equal(stale.layers[0].assign, tl.assign));
+  EXPECT_EQ(stale.layers[0].assign.record.m, tl.m);
 }
 
 TEST(OptPipeline, PwtSchemesAreLeftUntouched) {

@@ -374,6 +374,11 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       R"({"op": "evaluate", "config": {"opt_passes": 3}})",
       R"({"op": "evaluate", "config": )"
       R"({"opt_passes": "tune_group_size,tune_group_size"}})",
+      R"({"op": "evaluate", "config": {"lut_k_sets": 0}})",
+      R"({"op": "evaluate", "config": )"
+      R"({"lut_k_sets": 65536, "lut_j_cycles": 65536}})",
+      R"({"op": "evaluate", "config": )"
+      R"({"lut_k_sets": 1048576, "lut_j_cycles": 2}})",
   };
   for (const std::string& line : bad) {
     expect_bad_request(reply(svc, line), line);

@@ -1,8 +1,12 @@
 // Log-normal variation model statistics and RNG determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "rram/variation.h"
 
@@ -59,6 +63,114 @@ TEST(Rng, UniformIntInclusiveRange) {
     const auto v = rng.uniform_int(2, 5);
     EXPECT_GE(v, 2);
     EXPECT_LE(v, 5);
+  }
+}
+
+// Rng's engine is an in-repo MT19937-64 with a lazily filled first
+// block; std::mt19937_64 is its oracle. The lengths straddle the lazy
+// chunk boundaries, word 156 (where the lazy phase ends), the block end
+// (312) and later full twists.
+namespace {
+
+constexpr std::uint64_t kOracleSeeds[] = {0, 1, 5489, ~std::uint64_t{0}};
+constexpr std::size_t kOracleLengths[] = {1,   155, 156, 157,
+                                          311, 312, 313, 10000};
+
+/// Seeds of child streams, as the LUT and the backends derive them.
+std::vector<std::uint64_t> split_seeds() {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t salt : {0ull, 1ull, 1000003ull, 255000780ull}) {
+    seeds.push_back(Rng(2021).split(salt).seed());
+  }
+  return seeds;
+}
+
+void expect_raw_stream_matches(std::uint64_t seed, std::size_t length) {
+  Rng rng(seed);
+  std::mt19937_64 oracle(seed);
+  for (std::size_t i = 0; i < length; ++i) {
+    ASSERT_EQ(rng.engine()(), oracle()) << "seed " << seed << " draw " << i;
+  }
+}
+
+}  // namespace
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  std::vector<std::uint64_t> seeds(std::begin(kOracleSeeds),
+                                   std::end(kOracleSeeds));
+  for (std::uint64_t s : split_seeds()) seeds.push_back(s);
+  for (std::uint64_t seed : seeds) {
+    for (std::size_t length : kOracleLengths) {
+      expect_raw_stream_matches(seed, length);
+    }
+  }
+}
+
+TEST(Rng, EngineRangeMatchesStdMt19937_64) {
+  using Engine = rdo::nn::Mt19937_64;
+  static_assert(std::uniform_random_bit_generator<Engine>);
+  EXPECT_EQ(Engine::min(), std::mt19937_64::min());
+  EXPECT_EQ(Engine::max(), std::mt19937_64::max());
+}
+
+TEST(Rng, EngineMeetsStandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces this value.
+  Rng rng(std::mt19937_64::default_seed);
+  std::uint64_t x = 0;
+  for (int i = 0; i < 10000; ++i) x = rng.engine()();
+  EXPECT_EQ(x, 9981545732273789042ull);
+}
+
+TEST(Rng, DistributionsMatchStdOverStdEngine) {
+  for (std::uint64_t seed : split_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    std::uniform_real_distribution<double> uniform(-2.0, 3.0);
+    std::uniform_int_distribution<std::int64_t> uniform_int(-7, 1000);
+    // Interleaved so that every distribution runs across the lazy phase,
+    // word 156 and the first full twist. Rng::normal uses a fresh
+    // std::normal_distribution per call (no cached second value).
+    for (int i = 0; i < 400; ++i) {
+      std::normal_distribution<double> normal;
+      ASSERT_EQ(rng.normal(), normal(oracle)) << "draw " << i;
+      ASSERT_EQ(rng.uniform(-2.0, 3.0), uniform(oracle)) << "draw " << i;
+      ASSERT_EQ(rng.uniform_int(-7, 1000), uniform_int(oracle))
+          << "draw " << i;
+    }
+  }
+}
+
+TEST(Rng, ShuffleMatchesStdOverStdEngine) {
+  for (std::size_t n : {1u, 10u, 157u, 1000u}) {
+    std::vector<int> a(n), b(n);
+    std::iota(a.begin(), a.end(), 0);
+    std::iota(b.begin(), b.end(), 0);
+    Rng rng(77);
+    std::mt19937_64 oracle(77);
+    for (int round = 0; round < 3; ++round) {
+      std::shuffle(a.begin(), a.end(), rng.engine());
+      std::shuffle(b.begin(), b.end(), oracle);
+      ASSERT_EQ(a, b) << "n " << n << " round " << round;
+    }
+  }
+}
+
+TEST(Rng, CopyInLazyPhaseContinuesBothStreams) {
+  for (std::size_t taken : {0u, 1u, 15u, 16u, 17u, 100u, 155u, 156u}) {
+    Rng original(5489);
+    std::mt19937_64 oracle(5489);
+    for (std::size_t i = 0; i < taken; ++i) {
+      ASSERT_EQ(original.engine()(), oracle());
+    }
+    Rng copy = original;
+    std::mt19937_64 oracle_copy = oracle;
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(original.engine()(), oracle()) << "taken " << taken;
+    }
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(copy.engine()(), oracle_copy()) << "taken " << taken;
+    }
   }
 }
 

@@ -94,9 +94,10 @@ TEST(VawoParity, RandomGroupsAcrossConfigsAndRaggedSizes) {
     opt.penalize_bias = cfg.penalize_bias;
     const VawoTable table =
         VawoTable::build(lut, levels, opt.offsets, opt.penalize_bias);
-    // Ragged tail sizes (1, 3, 5) next to full groups (16), gradients
-    // including exact zeros (the g2 = 0 degenerate tie-break case).
-    for (int size : {1, 3, 5, 16}) {
+    // Ragged tail sizes next to full groups (16), covering every
+    // remainder of the solver's 4-weight sweep, with gradients including
+    // exact zeros (the g2 = 0 degenerate tie-break case).
+    for (int size : {1, 2, 3, 5, 7, 16}) {
       for (int trial = 0; trial < 8; ++trial) {
         std::vector<int> ntw;
         std::vector<double> grad;
