@@ -52,8 +52,8 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
       stages_.push_back(std::move(stage));
       continue;
     }
-    if (l->name() == "Flatten" || l->name() == "Dropout") {
-      continue;  // shape bookkeeping only / identity at inference
+    if (l->name() == "Flatten") {
+      continue;  // shape bookkeeping only
     }
     if (auto* aq = dynamic_cast<rdo::quant::ActQuant*>(l)) {
       stage.kind = Stage::Kind::ActQuant;

@@ -1,7 +1,7 @@
 // Device-level execution backend over a compiled DeploymentPlan.
 //
 // Runs a trained network (Sequential of Flatten / Dense / Conv2D / ReLU /
-// MaxPool2D / ActQuant / Dropout — i.e. LeNet-class CNNs and MLPs)
+// MaxPool2D / ActQuant — i.e. LeNet-class CNNs and MLPs)
 // entirely on simulated crossbars: every Dense/Conv2D layer is tiled onto
 // Crossbar arrays and executed via CrossbarLayerExecutor (convolutions
 // are lowered to one VMM per output position, exactly how ISAAC drives
