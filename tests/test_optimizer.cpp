@@ -1,9 +1,6 @@
-// SGD / Adam optimizer semantics and convergence.
+// SGD optimizer semantics and convergence.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "nn/adam.h"
 #include "nn/optimizer.h"
 
 using namespace rdo::nn;
@@ -87,73 +84,4 @@ TEST(SGD, ZeroGradClearsAll) {
   opt.zero_grad();
   EXPECT_FLOAT_EQ(a.grad.sum(), 0.0f);
   EXPECT_FLOAT_EQ(b.grad.sum(), 0.0f);
-}
-
-TEST(Adam, FirstStepMovesByLr) {
-  // With bias correction, the very first Adam step moves ~lr in the
-  // gradient direction regardless of gradient magnitude.
-  Param p({2});
-  p.grad[0] = 100.0f;
-  p.grad[1] = -0.001f;
-  Adam opt({&p}, 0.1f);
-  opt.step();
-  EXPECT_NEAR(p.value[0], -0.1f, 1e-4f);
-  EXPECT_NEAR(p.value[1], 0.1f, 1e-3f);
-}
-
-TEST(Adam, StepZeroesGradientAndCounts) {
-  Param p({1});
-  p.grad[0] = 1.0f;
-  Adam opt({&p}, 0.1f);
-  opt.step();
-  EXPECT_FLOAT_EQ(p.grad[0], 0.0f);
-  EXPECT_EQ(opt.step_count(), 1);
-}
-
-TEST(Adam, ConvergesOnQuadratic) {
-  Param p({1});
-  p.value[0] = 10.0f;
-  Adam opt({&p}, 0.3f);
-  for (int i = 0; i < 300; ++i) {
-    p.grad[0] = 2.0f * (p.value[0] - 3.0f);
-    opt.step();
-  }
-  EXPECT_NEAR(p.value[0], 3.0f, 0.05f);
-}
-
-TEST(Adam, SkipsNonTrainableParams) {
-  Param p({1});
-  p.value[0] = 1.0f;
-  p.grad[0] = 1.0f;
-  p.trainable = false;
-  Adam opt({&p}, 0.1f);
-  opt.step();
-  EXPECT_FLOAT_EQ(p.value[0], 1.0f);
-}
-
-TEST(Adam, WeightDecayShrinks) {
-  Param p({1});
-  p.value[0] = 10.0f;
-  Adam opt({&p}, 0.1f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.1f);
-  opt.step();  // gradient comes purely from decay; must move toward 0
-  EXPECT_LT(p.value[0], 10.0f);
-}
-
-TEST(Adam, AdaptsPerParameterScale) {
-  // Two coordinates with wildly different gradient scales should make
-  // similar per-step progress (the point of Adam).
-  Param p({2});
-  p.value[0] = 1.0f;
-  p.value[1] = 1.0f;
-  Adam opt({&p}, 0.05f);
-  for (int i = 0; i < 50; ++i) {
-    p.grad[0] = 1000.0f * p.value[0];
-    p.grad[1] = 0.01f * p.value[1];
-    opt.step();
-  }
-  // Both decay toward 0 at nearly the same (normalized) rate despite the
-  // 10^5 gradient-scale difference.
-  EXPECT_LT(std::fabs(p.value[0]), 0.2f);
-  EXPECT_LT(std::fabs(p.value[1]), 0.2f);
-  EXPECT_NEAR(p.value[0], p.value[1], 0.05f);
 }
