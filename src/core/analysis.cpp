@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/check.h"
-
 namespace rdo::core {
 
 LayerRisk assignment_risk(const rdo::quant::LayerQuant& lq,
@@ -56,44 +54,6 @@ double network_risk(const DeploymentPlan& plan) {
   }
   const int maxw = plan.layers.front().lq.levels();
   return std::sqrt(total / weights) / static_cast<double>(maxw);
-}
-
-GranularityChoice choose_granularity(const rdo::nn::Layer& net,
-                                     DeployOptions base,
-                                     const rdo::nn::DataView& train,
-                                     const std::vector<int>& candidate_ms,
-                                     double max_risk) {
-  GranularityChoice choice;
-  RDO_CHECK(!candidate_ms.empty(), "choose_granularity: no candidates");
-  double best_risk = -1.0;
-  int best_m = candidate_ms.front();
-  int coarsest_ok = -1;
-  double coarsest_ok_risk = 0.0;
-  for (int m : candidate_ms) {
-    DeployOptions o = base;
-    o.offsets.m = m;
-    const DeploymentPlan plan = compile_plan(net, o, train);
-    const double r = network_risk(plan);
-    choice.candidates.emplace_back(m, r);
-    if (best_risk < 0.0 || r < best_risk) {
-      best_risk = r;
-      best_m = m;
-    }
-    if (r <= max_risk && m > coarsest_ok) {
-      coarsest_ok = m;
-      coarsest_ok_risk = r;
-    }
-  }
-  if (coarsest_ok > 0) {
-    choice.m = coarsest_ok;
-    choice.risk = coarsest_ok_risk;
-    choice.within_budget = true;
-  } else {
-    choice.m = best_m;
-    choice.risk = best_risk;
-    choice.within_budget = false;
-  }
-  return choice;
 }
 
 }  // namespace rdo::core

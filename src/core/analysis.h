@@ -37,24 +37,4 @@ std::vector<LayerRisk> deployment_risk(const DeploymentPlan& plan);
 /// the whole network).
 double network_risk(const DeploymentPlan& plan);
 
-/// Result of the granularity auto-tuner.
-struct GranularityChoice {
-  int m = 16;
-  double risk = 0.0;
-  /// (m, predicted risk) for every candidate, in candidate order.
-  std::vector<std::pair<int, double>> candidates;
-  bool within_budget = false;
-};
-
-/// Pick the coarsest (fewest-registers, Eq. 9) sharing granularity whose
-/// predicted network risk stays within `max_risk`; falls back to the
-/// minimum-risk candidate when none qualifies. Candidates are evaluated
-/// by compiling a plan (quantization + VAWO) per m — no device is
-/// programmed and `net` is never modified.
-GranularityChoice choose_granularity(const rdo::nn::Layer& net,
-                                     DeployOptions base,
-                                     const rdo::nn::DataView& train,
-                                     const std::vector<int>& candidate_ms,
-                                     double max_risk);
-
 }  // namespace rdo::core
