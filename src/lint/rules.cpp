@@ -356,7 +356,7 @@ class MetricName final : public Rule {
   [[nodiscard]] const char* description() const override {
     return "MetricsRegistry instrument names must be snake_case with a "
            "known subsystem prefix and SI unit suffixes (_seconds, "
-           "_bytes); the Prometheus exposition prepends rdo_ itself";
+           "_bytes), without an rdo_ namespace prefix";
   }
   void run(const FileContext& ctx, std::vector<Finding>& out) const override {
     for (int i = 0; i < ctx.ncode(); ++i) {
@@ -393,8 +393,8 @@ class MetricName final : public Rule {
       return "is not well-formed snake_case (leading/trailing/double _)";
     }
     if (starts_with(m, "rdo_")) {
-      return "must not carry the rdo_ prefix; the Prometheus exposition "
-             "prepends the namespace itself";
+      return "must not carry the rdo_ prefix; the subsystem prefix comes "
+             "first";
     }
     bool prefixed = false;
     for (const char* p : {"serve_", "deploy_", "opt_", "pool_", "process_",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -31,10 +30,6 @@ int latency_bucket_index(double seconds) {
 
 double latency_bucket_midpoint_seconds(int i) {
   return std::exp2(i + 0.5) * 1e-6;
-}
-
-double latency_bucket_upper_seconds(int i) {
-  return std::exp2(i + 1) * 1e-6;
 }
 
 double latency_histogram_quantile(
@@ -217,58 +212,6 @@ Json MetricsRegistry::snapshot_json() const {
   }
   doc["histograms"] = std::move(hists);
   return doc;
-}
-
-namespace {
-
-/// Prometheus metric name: "rdo_" namespace + the registry name with
-/// every character outside [A-Za-z0-9_] replaced by '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "rdo_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string prom_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::prometheus_text() const {
-  const MetricsSnapshot snap = snapshot();
-  std::string out;
-  for (const auto& [name, v] : snap.counters) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " counter\n";
-    out += p + ' ' + std::to_string(v) + '\n';
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " gauge\n";
-    out += p + ' ' + prom_double(v) + '\n';
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    const std::string p = prom_name(name);
-    out += "# TYPE " + p + " histogram\n";
-    std::int64_t cumulative = 0;
-    for (int i = 0; i < kLatencyBuckets; ++i) {
-      cumulative += h.buckets[static_cast<std::size_t>(i)];
-      out += p + "_bucket{le=\"" +
-             prom_double(latency_bucket_upper_seconds(i)) + "\"} " +
-             std::to_string(cumulative) + '\n';
-    }
-    out += p + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + '\n';
-    out += p + "_sum " + prom_double(h.sum_seconds) + '\n';
-    out += p + "_count " + std::to_string(h.count) + '\n';
-  }
-  return out;
 }
 
 MetricsRegistry& global_metrics() {

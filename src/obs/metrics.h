@@ -19,13 +19,13 @@
 // resolved Counter& stays valid for the registry's lifetime — resolve
 // once, then add() with no lock. snapshot() walks every instrument in
 // name order under the registration lock, giving one stable, sorted
-// view; exports are a deterministic function of the snapshot (JSON via
-// obs::Json, Prometheus text exposition for scrapers).
+// view; the one export, JSON via obs::Json, is a deterministic function
+// of the snapshot.
 //
 // Naming convention (the rdo_lint `metric-name` rule): lowercase
 // snake_case, subsystem prefix first ("serve_", "deploy_", "bench_",
 // "process_"), unit suffix last where one applies ("_seconds",
-// "_bytes"). The Prometheus exposition prepends "rdo_" as the namespace.
+// "_bytes").
 //
 // merge() folds one registry into another (counters add, gauges set,
 // Histogram::merge, no resampling): rdo_serve moves its live registries
@@ -74,12 +74,9 @@ struct alignas(64) ShardedCell {
 int latency_bucket_index(double seconds);
 /// Seconds at the geometric midpoint of bucket i.
 double latency_bucket_midpoint_seconds(int i);
-/// Upper bound of bucket i in seconds (2^(i+1) µs) — the Prometheus
-/// `le` label.
-double latency_bucket_upper_seconds(int i);
 /// Value at quantile q of a bucketed latency distribution: the
 /// geometric midpoint of the rank bucket, clamped to [min_s, max_s].
-/// Shared by the JSON and Prometheus exports.
+/// The p50/p95/p99 of the JSON export.
 double latency_histogram_quantile(
     const std::array<std::int64_t, kLatencyBuckets>& buckets,
     std::int64_t count, double q, double min_s, double max_s);
@@ -178,10 +175,6 @@ class MetricsRegistry {
   /// sorted member names; histogram entries are histogram_snapshot_json
   /// (count/sum/min/max/p50/p95/p99/bucket_counts).
   [[nodiscard]] Json snapshot_json() const;
-
-  /// Prometheus text exposition (version 0.0.4): every name prefixed
-  /// "rdo_", histograms as cumulative _bucket{le=...}/_sum/_count.
-  [[nodiscard]] std::string prometheus_text() const;
 
  private:
   mutable std::mutex mu_;  ///< guards the maps (not the instruments)

@@ -1,13 +1,12 @@
 // Live metrics registry (obs/metrics.h) and structured logging
-// (obs/log.h): instrument semantics, concurrent determinism, the JSON /
-// Prometheus exports, folding one registry into another (merge), and
-// the log line format contract.
+// (obs/log.h): instrument semantics, concurrent determinism, the JSON
+// export, folding one registry into another (merge), and the log line
+// format contract.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,16 +18,6 @@
 
 using namespace rdo;
 using obs::Json;
-
-namespace {
-
-std::string prom_g(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 TEST(Metrics, CounterAddsAndSumsAcrossShards) {
   obs::MetricsRegistry reg;
@@ -69,8 +58,6 @@ TEST(Metrics, BucketGeometryIsLog2Microseconds) {
   EXPECT_EQ(obs::latency_bucket_index(4.0e-6), 2);
   EXPECT_EQ(obs::latency_bucket_index(1e9), obs::kLatencyBuckets - 1);
   for (int i = 0; i < obs::kLatencyBuckets; ++i) {
-    EXPECT_EQ(obs::latency_bucket_upper_seconds(i),
-              std::exp2(i + 1) * 1e-6);
     const double mid = obs::latency_bucket_midpoint_seconds(i);
     EXPECT_EQ(obs::latency_bucket_index(mid), i);
   }
@@ -160,40 +147,6 @@ TEST(Metrics, SnapshotJsonIsSortedAndValid) {
   EXPECT_EQ(counters[1].second.as_int(), 3);
   // Identical state serializes identically (snapshot determinism).
   EXPECT_EQ(doc.dump(), reg.snapshot_json().dump());
-}
-
-TEST(Metrics, PrometheusExpositionGolden) {
-  obs::MetricsRegistry reg;
-  reg.counter("serve_requests").add(7);
-  reg.gauge("serve_queue.depth").set(2.5);  // '.' sanitized to '_'
-  reg.histogram("serve_request_seconds").observe(3.0e-6);
-
-  // Expected text built with the same bucket-boundary formatting the
-  // exposition promises (le = 2^(i+1) µs rendered with %g).
-  const obs::HistogramSnapshot hs =
-      reg.histogram("serve_request_seconds").snapshot();
-  std::string expected;
-  expected += "# TYPE rdo_serve_requests counter\n";
-  expected += "rdo_serve_requests 7\n";
-  expected += "# TYPE rdo_serve_queue_depth gauge\n";
-  expected += "rdo_serve_queue_depth 2.5\n";
-  expected += "# TYPE rdo_serve_request_seconds histogram\n";
-  std::int64_t cumulative = 0;
-  for (int i = 0; i < obs::kLatencyBuckets; ++i) {
-    cumulative += hs.buckets[static_cast<std::size_t>(i)];
-    expected += "rdo_serve_request_seconds_bucket{le=\"" +
-                prom_g(obs::latency_bucket_upper_seconds(i)) + "\"} " +
-                std::to_string(cumulative) + "\n";
-  }
-  expected += "rdo_serve_request_seconds_bucket{le=\"+Inf\"} 1\n";
-  expected += "rdo_serve_request_seconds_sum " + prom_g(hs.sum_seconds) +
-              "\n";
-  expected += "rdo_serve_request_seconds_count 1\n";
-
-  EXPECT_EQ(reg.prometheus_text(), expected);
-  // The 3 µs sample lands in bucket [2µs, 4µs): cumulative goes 0 then 1.
-  EXPECT_NE(expected.find("le=\"2e-06\"} 0\n"), std::string::npos);
-  EXPECT_NE(expected.find("le=\"4e-06\"} 1\n"), std::string::npos);
 }
 
 TEST(Metrics, QuantileWalksBucketsAndClamps) {
