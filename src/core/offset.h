@@ -48,10 +48,4 @@ inline std::int64_t groups_per_column(std::int64_t rows, int m) {
 /// Group index of matrix row `r`.
 inline std::int64_t group_of_row(std::int64_t r, int m) { return r / m; }
 
-/// Offset-register count for a crossbar with S rows storing l weight
-/// columns at sharing granularity m (paper Eq. 9: H = S*l/m).
-inline std::int64_t register_count(std::int64_t s, std::int64_t l, int m) {
-  return s * l / m;
-}
-
 }  // namespace rdo::core
