@@ -1,7 +1,5 @@
 #include "rram/tiler.h"
 
-#include <algorithm>
-#include <array>
 #include <string>
 
 #include "core/check.h"
@@ -26,34 +24,6 @@ TilingInfo compute_tiling(std::int64_t matrix_rows, std::int64_t matrix_cols,
   t.col_tiles =
       (matrix_cols + weights_per_xbar_row - 1) / weights_per_xbar_row;
   return t;
-}
-
-std::vector<int> tile_states(std::span<const int> weights, std::int64_t rows,
-                             std::int64_t cols, const WeightProgrammer& prog,
-                             const CrossbarConfig& cfg, std::int64_t tr,
-                             std::int64_t tc) {
-  RDO_CHECK(static_cast<std::int64_t>(weights.size()) == rows * cols,
-            "tile_states: " + std::to_string(weights.size()) +
-                " weights for a " + std::to_string(rows) + "x" +
-                std::to_string(cols) + " matrix");
-  const int cpw = prog.cells_per_weight();
-  const std::int64_t weights_per_row = cfg.cols / cpw;
-  std::vector<int> states(
-      static_cast<std::size_t>(cfg.rows) * static_cast<std::size_t>(cfg.cols),
-      0);
-  for (std::int64_t r = 0; r < cfg.rows; ++r) {
-    const std::int64_t mr = tr * cfg.rows + r;
-    if (mr >= rows) break;
-    for (std::int64_t wc = 0; wc < weights_per_row; ++wc) {
-      const std::int64_t mc = tc * weights_per_row + wc;
-      if (mc >= cols) break;
-      const std::array<int, WeightProgrammer::kMaxCells> cells =
-          prog.slice_states(weights[static_cast<std::size_t>(mr * cols + mc)]);
-      std::copy(cells.begin(), cells.begin() + cpw,
-                states.begin() + r * cfg.cols + wc * cpw);
-    }
-  }
-  return states;
 }
 
 }  // namespace rdo::rram

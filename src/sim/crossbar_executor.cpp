@@ -73,9 +73,9 @@ void CrossbarLayerExecutor::program_cell_values(
       rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
       tile_span.arg("tr", tr);
       tile_span.arg("tc", tc);
-      std::vector<int> states = rdo::rram::tile_states(
-          assign_.ctw, lq_.rows, lq_.cols, prog_, cfg_.xbar, tr, tc);
-      std::vector<double> values(states.size(), pad);
+      std::vector<double> values(static_cast<std::size_t>(cfg_.xbar.rows) *
+                                     static_cast<std::size_t>(cfg_.xbar.cols),
+                                 pad);
       for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
         const std::int64_t mr = tr * cfg_.xbar.rows + r;
         if (mr >= lq_.rows) break;
@@ -90,7 +90,7 @@ void CrossbarLayerExecutor::program_cell_values(
         }
       }
       xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
-          .program_values(std::move(states), std::move(values));
+          .program_values(std::move(values));
     }
   }
 }

@@ -65,6 +65,14 @@ TEST(Programmer, SliceLsbFirstMlc) {
   EXPECT_EQ(s[1], 1);
   EXPECT_EQ(s[2], 3);
   EXPECT_EQ(s[3], 2);
+  // The allocation-free form programming slices with: the same order,
+  // and entries past cells_per_weight() zero.
+  const auto a = p.slice_states(0x1B);  // 00 01 10 11 -> 3,2,1,0
+  EXPECT_EQ(a[0], 3);
+  EXPECT_EQ(a[1], 2);
+  EXPECT_EQ(a[2], 1);
+  EXPECT_EQ(a[3], 0);
+  for (std::size_t k = 4; k < a.size(); ++k) EXPECT_EQ(a[k], 0) << k;
 }
 
 TEST(Programmer, SliceRejectsOutOfRange) {

@@ -364,6 +364,51 @@ TEST(Sim, CrossbarCountMatchesTiling) {
   EXPECT_EQ(exec.crossbar_count(), 6);
 }
 
+TEST(Sim, CellLayoutAndPaddingReadAsIdealHrs) {
+  // 20 x 5 MLC2 weights on 16 x 32 crossbars: 2 row tiles of 8 weights
+  // per row. Weight (mr, mc)'s cells sit LSB first at row mr % 16,
+  // columns 4 * mc.. of tile mr / 16; every other cell is padding and
+  // reads as an ideally programmed HRS device even under variation.
+  const auto lq = make_lq(20, 5, 18);
+  const auto assign = core::plain_layer(lq, 8);
+  const ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2, 0.5,
+                                       rram::VariationScope::PerCell);
+  const rram::WeightProgrammer prog(cfg.xbar.cell, cfg.weight_bits,
+                                    cfg.xbar.variation);
+  const int cpw = prog.cells_per_weight();
+  std::vector<double> cells(assign.ctw.size() * static_cast<std::size_t>(cpw));
+  Rng rng(19);
+  for (std::size_t i = 0; i < assign.ctw.size(); ++i) {
+    prog.program_cells(
+        assign.ctw[i], rng,
+        std::span<double>(cells).subspan(i * static_cast<std::size_t>(cpw),
+                                         static_cast<std::size_t>(cpw)));
+  }
+  CrossbarLayerExecutor exec(lq, assign, cfg);
+  exec.program_cell_values(cells);
+  ASSERT_EQ(exec.crossbar_count(), 2);
+  const double hrs = cfg.xbar.cell.read_value(0, 1.0);
+  int padding = 0;
+  for (int tr = 0; tr < 2; ++tr) {
+    const rram::Crossbar& xb = exec.crossbar(tr, 0);
+    for (int r = 0; r < cfg.xbar.rows; ++r) {
+      const std::int64_t mr = tr * cfg.xbar.rows + r;
+      for (int c = 0; c < cfg.xbar.cols; ++c) {
+        const std::int64_t mc = c / cpw;
+        if (mr < lq.rows && mc < lq.cols) {
+          const auto i = static_cast<std::size_t>((mr * lq.cols + mc) * cpw +
+                                                  c % cpw);
+          EXPECT_EQ(xb.cell_value(r, c), cells[i]) << r << "," << c;
+        } else {
+          EXPECT_EQ(xb.cell_value(r, c), hrs) << r << "," << c;
+          ++padding;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(padding, 2 * 16 * 32 - 20 * 5 * 4);
+}
+
 TEST(Sim, ForwardBatchMatchesPerSampleOracle) {
   // The batched forward (tile, group, sample) reproduces the per-sample
   // loop byte for byte: SLC and MLC2 on 128x128 crossbars with 16 active
