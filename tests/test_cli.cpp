@@ -64,6 +64,9 @@ TEST(CliArgs, ParsesAFullValidCommandLine) {
 TEST(CliArgs, BoundaryValuesAreAccepted) {
   ExperimentArgs a;
   EXPECT_TRUE(parse({"--sigma", "0"}, a).ok);
+  EXPECT_TRUE(parse({"--sigma", "8"}, a).ok);
+  EXPECT_TRUE(parse({"--seed", "18446744073709551615"}, a).ok);
+  EXPECT_EQ(a.seed, 18446744073709551615ull);
   EXPECT_TRUE(parse({"--ddv", "1"}, a).ok);
   EXPECT_TRUE(parse({"--m", "1"}, a).ok);
   EXPECT_TRUE(parse({"--bits", "1"}, a).ok);
@@ -82,6 +85,19 @@ TEST(CliArgs, RejectsNonNumericValues) {
   EXPECT_FALSE(parse({"--repeats", "3three"}).ok);
   EXPECT_FALSE(parse({"--seed", "-3"}).ok);
   EXPECT_FALSE(parse({"--seed", "12ab"}).ok);
+  // strtod reads these as NaN / infinity; NaN also slips past every
+  // ordered bounds check.
+  EXPECT_FALSE(parse({"--sigma", "nan"}).ok);
+  EXPECT_FALSE(parse({"--sigma", "inf"}).ok);
+  EXPECT_FALSE(parse({"--sigma", "infinity"}).ok);
+  EXPECT_FALSE(parse({"--ddv", "nan"}).ok);
+  // strto* skip leading whitespace and take a sign; strtoull wraps a
+  // negative seed to 2^64 - 1.
+  EXPECT_FALSE(parse({"--seed", " -1"}).ok);
+  EXPECT_FALSE(parse({"--seed", "+1"}).ok);
+  EXPECT_FALSE(parse({"--m", " 16"}).ok);
+  EXPECT_FALSE(parse({"--repeats", "+2"}).ok);
+  EXPECT_FALSE(parse({"--sigma", " 0.5"}).ok);
 }
 
 TEST(CliArgs, RejectsOutOfBoundsValues) {
@@ -94,6 +110,9 @@ TEST(CliArgs, RejectsOutOfBoundsValues) {
   EXPECT_FALSE(parse({"--ddv", "-0.5"}).ok);
   EXPECT_FALSE(parse({"--repeats", "0"}).ok);
   EXPECT_FALSE(parse({"--m", "99999999999999999999"}).ok);
+  // The serve protocol's sigma range.
+  EXPECT_FALSE(parse({"--sigma", "8.5"}).ok);
+  EXPECT_FALSE(parse({"--sigma", "1e300"}).ok);
 }
 
 TEST(CliArgs, RejectsUnknownNamesAndFlags) {

@@ -1,6 +1,8 @@
 #include "experiment_args.h"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <initializer_list>
 
@@ -12,20 +14,32 @@ namespace {
 
 ParseOutcome fail(const std::string& msg) { return {false, msg}; }
 
-/// Strict strtod: the whole token must parse, no overflow.
+/// Every numeric flag is non-negative, so a token may carry no leading
+/// whitespace or sign: strto* would skip the one and take the other
+/// (strtoull wraps "-1" to 2^64 - 1).
+bool plain_start(const char* s) {
+  return s != nullptr && *s != '\0' &&
+         std::isspace(static_cast<unsigned char>(*s)) == 0 && *s != '+' &&
+         *s != '-';
+}
+
+/// Strict strtod: the whole token must parse to a finite value, no
+/// overflow.
 bool parse_double(const char* s, double& out) {
-  if (s == nullptr || *s == '\0') return false;
+  if (!plain_start(s)) return false;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
   out = v;
   return true;
 }
 
 /// Strict strtoll confined to int range.
 bool parse_int(const char* s, int& out) {
-  if (s == nullptr || *s == '\0') return false;
+  if (!plain_start(s)) return false;
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s, &end, 10);
@@ -36,7 +50,7 @@ bool parse_int(const char* s, int& out) {
 }
 
 bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
+  if (!plain_start(s)) return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
@@ -61,7 +75,7 @@ const char* experiment_usage() {
       "  --scheme  plain | vawo | vawo* | pwt | vawo*+pwt\n"
       "  --cell    slc | mlc2                        (default slc)\n"
       "  --scope   per-weight | per-cell             (default per-weight)\n"
-      "  --sigma   <double>   log-normal sigma, >= 0 (default 0.5)\n"
+      "  --sigma   <double>   log-normal sigma, in [0, 8] (default 0.5)\n"
       "  --ddv     <double>   DDV share, in [0, 1]   (default 0)\n"
       "  --m       <int>      sharing granularity, >= 1 (default 16)\n"
       "  --bits    <int>      offset width, 1..16    (default 8)\n"
@@ -114,8 +128,9 @@ ParseOutcome parse_experiment_args(int argc, const char* const* argv,
       }
     } else if (flag == "--sigma") {
       if ((value = next()) == nullptr) return missing();
-      if (!parse_double(value, out.sigma) || out.sigma < 0.0) {
-        return fail(std::string("--sigma expects a number >= 0, got '") +
+      if (!parse_double(value, out.sigma) || out.sigma < 0.0 ||
+          out.sigma > 8.0) {
+        return fail(std::string("--sigma expects a number in [0, 8], got '") +
                     value + "'");
       }
     } else if (flag == "--ddv") {

@@ -2,8 +2,10 @@
 // drive it without spawning the binary (tests/test_cli.cpp).
 //
 // Parsing is strict: numeric values must consume the whole token
-// (end-pointer checked, no atof/atoi silent-zero fallbacks), enum-like
-// strings must name a known choice, and every value is bounds-checked.
+// (end-pointer checked, no atof/atoi silent-zero fallbacks), carry no
+// leading whitespace or sign and be finite, enum-like
+// strings must name a known choice, and every value is bounds-checked
+// (sigma and DDV as the serve protocol bounds them).
 // Any violation produces `ok == false` plus a one-line diagnostic; the
 // binary prints it and exits 2.
 #pragma once
@@ -18,7 +20,7 @@ struct ExperimentArgs {
   std::string scheme = "vawo*+pwt"; // plain | vawo | vawo* | pwt | vawo*+pwt
   std::string cell = "slc";         // slc | mlc2
   std::string scope = "per-weight"; // per-weight | per-cell
-  double sigma = 0.5;               // >= 0
+  double sigma = 0.5;               // in [0, 8]
   double ddv = 0.0;                 // in [0, 1]
   int m = 16;                       // >= 1
   int repeats = 3;                  // >= 1
