@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <utility>
 
 #include "core/check.h"
 
@@ -38,13 +37,6 @@ void Crossbar::program_ideal(const std::vector<int>& states) {
   for (std::size_t i = 0; i < values_.size(); ++i) {
     values_[i] = cfg_.cell.read_value(states[i], 1.0);
   }
-}
-
-void Crossbar::program_values(std::vector<double> values) {
-  RDO_CHECK(values.size() == values_.size(),
-            "Crossbar::program_values: got " + std::to_string(values.size()) +
-                " values for " + std::to_string(values_.size()) + " cells");
-  values_ = std::move(values);
 }
 
 double Crossbar::cell_value(int r, int c) const {

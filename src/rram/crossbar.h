@@ -14,9 +14,10 @@
 //
 // Every programming path fills one store of per-cell read values, which
 // is all a read sees: program() draws a variation factor per cell,
-// program_ideal() uses none, and program_values() installs values drawn
-// elsewhere (the device backend replays WeightProgrammer::program_cells,
-// faults included, so both backends observe the same devices).
+// program_ideal() uses none, and the span program_values() returns is
+// overwritten in place with values drawn elsewhere (the device backend
+// replays WeightProgrammer::program_cells, faults included, so both
+// backends observe the same devices).
 #pragma once
 
 #include <cstdint>
@@ -52,12 +53,13 @@ class Crossbar {
   /// Digitized read value of one cell (state-units; exact state if ideal).
   [[nodiscard]] double cell_value(int r, int c) const;
 
-  /// Program from explicit per-cell read values (state-units, row-major,
-  /// size rows*cols), bypassing the cell model's state->value mapping.
-  /// Lets the device level replay the exact post-variation (and
-  /// post-fault) values produced by WeightProgrammer::program_cells so
-  /// both execution backends observe bit-identical devices.
-  void program_values(std::vector<double> values);
+  /// The per-cell read values (state-units, row-major, size rows*cols),
+  /// for programming the array in place from values drawn elsewhere,
+  /// bypassing the cell model's state->value mapping. Lets the device
+  /// level replay the exact post-variation (and post-fault) values
+  /// produced by WeightProgrammer::program_cells so both execution
+  /// backends observe bit-identical devices.
+  [[nodiscard]] std::span<double> program_values() { return values_; }
 
   /// y_j = sum_i x_i * cell_value(i, j), computed per activation group and
   /// accumulated digitally, with optional per-group ADC quantization (the

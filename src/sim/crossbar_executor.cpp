@@ -73,9 +73,10 @@ void CrossbarLayerExecutor::program_cell_values(
       rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
       tile_span.arg("tr", tr);
       tile_span.arg("tc", tc);
-      std::vector<double> values(static_cast<std::size_t>(cfg_.xbar.rows) *
-                                     static_cast<std::size_t>(cfg_.xbar.cols),
-                                 pad);
+      const std::span<double> values =
+          xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
+              .program_values();
+      std::fill(values.begin(), values.end(), pad);
       for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
         const std::int64_t mr = tr * cfg_.xbar.rows + r;
         if (mr >= lq_.rows) break;
@@ -89,8 +90,6 @@ void CrossbarLayerExecutor::program_cell_values(
                     values.begin() + r * cfg_.xbar.cols + wc * cpw);
         }
       }
-      xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
-          .program_values(std::move(values));
     }
   }
 }
