@@ -236,50 +236,53 @@ void BM_VawoLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_VawoLayer)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
 
-// Args: {matrix size, pool threads}. The thread sweep is the speedup
+// Args: {m, k, n, pool threads}. The square thread sweep is the speedup
 // table recorded in EXPERIMENTS.md; results are bit-identical across the
-// sweep (asserted in tests/test_parallel.cpp).
-void BM_Gemm(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  nn::set_thread_count(static_cast<int>(state.range(1)));
-  std::vector<float> a(static_cast<std::size_t>(n * n)),
-      b(static_cast<std::size_t>(n * n)), c(static_cast<std::size_t>(n * n));
-  Rng rng(6);
+// sweep (asserted in tests/test_parallel.cpp). The LeNet shapes (PWT
+// batch 32): BM_Gemm {32, 400, 120} is the 400 -> 120 dense forward and
+// {150, 16, 100} conv2's input gradient; BM_GemmAtB {6, 25, 784} and
+// {16, 150, 100} are the conv1 and conv2 forwards.
+template <bool kAtB>
+void gemm_bench(benchmark::State& state, std::uint64_t seed) {
+  const std::int64_t m = state.range(0), k = state.range(1),
+                     n = state.range(2);
+  nn::set_thread_count(static_cast<int>(state.range(3)));
+  std::vector<float> a(static_cast<std::size_t>(m * k)),
+      b(static_cast<std::size_t>(k * n)),
+      c(static_cast<std::size_t>(m * n), 0.0f);
+  Rng rng(seed);
   for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto _ : state) {
-    nn::gemm(a.data(), b.data(), c.data(), n, n, n);
+    if constexpr (kAtB) {
+      nn::gemm_at_b_accumulate(a.data(), b.data(), c.data(), m, k, n);
+    } else {
+      nn::gemm(a.data(), b.data(), c.data(), m, k, n);
+    }
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n * 2);
+  state.SetItemsProcessed(state.iterations() * m * k * n * 2);
   nn::set_thread_count(0);
 }
-BENCHMARK(BM_Gemm)
-    ->Args({64, 1})
-    ->Args({128, 1})
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({512, 1})
-    ->Args({512, 4});
 
-void BM_GemmAtB(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  nn::set_thread_count(static_cast<int>(state.range(1)));
-  std::vector<float> a(static_cast<std::size_t>(n * n)),
-      b(static_cast<std::size_t>(n * n)),
-      c(static_cast<std::size_t>(n * n), 0.0f);
-  Rng rng(8);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto _ : state) {
-    nn::gemm_at_b_accumulate(a.data(), b.data(), c.data(), n, n, n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n * 2);
-  nn::set_thread_count(0);
-}
-BENCHMARK(BM_GemmAtB)->Args({256, 1})->Args({256, 4});
+void BM_Gemm(benchmark::State& state) { gemm_bench<false>(state, 6); }
+BENCHMARK(BM_Gemm)
+    ->Args({64, 64, 64, 1})
+    ->Args({128, 128, 128, 1})
+    ->Args({256, 256, 256, 1})
+    ->Args({256, 256, 256, 2})
+    ->Args({256, 256, 256, 4})
+    ->Args({512, 512, 512, 1})
+    ->Args({512, 512, 512, 4})
+    ->Args({32, 400, 120, 1})
+    ->Args({150, 16, 100, 1});
+
+void BM_GemmAtB(benchmark::State& state) { gemm_bench<true>(state, 8); }
+BENCHMARK(BM_GemmAtB)
+    ->Args({256, 256, 256, 1})
+    ->Args({256, 256, 256, 4})
+    ->Args({6, 25, 784, 1})
+    ->Args({16, 150, 100, 1});
 
 // Args: {m, k, n} of C[m, n] += A[m, k] * B^T with B stored [n, k], on
 // one thread. The shapes are PWT's per-sample offset-gradient reductions

@@ -30,9 +30,11 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
 /// terms are gathered per row and B panel and applied four at a time as
 /// (((c + t0) + t1) + t2) + t3, which rounds exactly like four separate
 /// `c += t` steps, so every element still sums its terms in ascending p.
-void gemm_rows(const float* a, std::int64_t a_row, std::int64_t a_col,
-               const float* b, float* c, std::int64_t i0, std::int64_t i1,
-               std::int64_t k, std::int64_t n) {
+/// The one source body of both instruction-set copies below.
+[[gnu::always_inline]] inline void gemm_rows_body(
+    const float* a, std::int64_t a_row, std::int64_t a_col, const float* b,
+    float* c, std::int64_t i0, std::int64_t i1, std::int64_t k,
+    std::int64_t n) {
   float av[kPanelK];
   const float* brow[kPanelK];
   for (std::int64_t p0 = 0; p0 < k; p0 += kPanelK) {
@@ -65,6 +67,34 @@ void gemm_rows(const float* a, std::int64_t a_row, std::int64_t a_col,
       }
     }
   }
+}
+
+using RowsFn = void (*)(const float*, std::int64_t, std::int64_t,
+                       const float*, float*, std::int64_t, std::int64_t,
+                       std::int64_t, std::int64_t);
+
+void gemm_rows_baseline(const float* a, std::int64_t a_row,
+                        std::int64_t a_col, const float* b, float* c,
+                        std::int64_t i0, std::int64_t i1, std::int64_t k,
+                        std::int64_t n) {
+  gemm_rows_body(a, a_row, a_col, b, c, i0, i1, k, n);
+}
+
+#if RDO_NN_AVX_COPY
+[[gnu::target("avx")]] void gemm_rows_avx(const float* a, std::int64_t a_row,
+                                          std::int64_t a_col, const float* b,
+                                          float* c, std::int64_t i0,
+                                          std::int64_t i1, std::int64_t k,
+                                          std::int64_t n) {
+  gemm_rows_body(a, a_row, a_col, b, c, i0, i1, k, n);
+}
+#endif
+
+RowsFn gemm_rows([[maybe_unused]] KernelIsa isa) {
+#if RDO_NN_AVX_COPY
+  if (isa == KernelIsa::avx) return gemm_rows_avx;
+#endif
+  return gemm_rows_baseline;
 }
 
 /// Four floats in one SIMD register, and the matching lane mask (GCC and
@@ -130,14 +160,38 @@ void a_bt_rows(const float* a, const float* bt, float* c, std::int64_t i,
 
 }  // namespace
 
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t k, std::int64_t n) {
+namespace detail {
+
+void gemm_accumulate(KernelIsa isa, const float* a, const float* b, float* c,
+                     std::int64_t m, std::int64_t k, std::int64_t n) {
+  const RowsFn rows = gemm_rows(isa);
   parallel_for(
       m,
       [&](std::int64_t i0, std::int64_t i1) {
-        gemm_rows(a, k, 1, b, c, i0, i1, k, n);
+        rows(a, k, 1, b, c, i0, i1, k, n);
       },
       row_grain(k, n));
+}
+
+void gemm_at_b_accumulate(KernelIsa isa, const float* a, const float* b,
+                          float* c, std::int64_t m, std::int64_t k,
+                          std::int64_t n) {
+  // A is [K, M]: A(i, p) = a[p * m + i]. Each chunk owns rows [i0, i1)
+  // of C and walks p in the serial order.
+  const RowsFn rows = gemm_rows(isa);
+  parallel_for(
+      m,
+      [&](std::int64_t i0, std::int64_t i1) {
+        rows(a, 1, m, b, c, i0, i1, k, n);
+      },
+      row_grain(k, n));
+}
+
+}  // namespace detail
+
+void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
+                     std::int64_t k, std::int64_t n) {
+  detail::gemm_accumulate(kernel_isa(), a, b, c, m, k, n);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
@@ -148,14 +202,7 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 
 void gemm_at_b_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
-  // A is [K, M]: A(i, p) = a[p * m + i]. Each chunk owns rows [i0, i1)
-  // of C and walks p in the serial order.
-  parallel_for(
-      m,
-      [&](std::int64_t i0, std::int64_t i1) {
-        gemm_rows(a, 1, m, b, c, i0, i1, k, n);
-      },
-      row_grain(k, n));
+  detail::gemm_at_b_accumulate(kernel_isa(), a, b, c, m, k, n);
 }
 
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c,

@@ -4,7 +4,12 @@
 // inner j loop), block over k to keep the B panel cache-resident, skip
 // zero A entries, and apply the remaining terms of a C row four at a time
 // (one load/store of C per four terms, same rounding as four separate
-// updates). Every element sums its terms onto C in ascending k.
+// updates). Every element sums its terms onto C in ascending k. Their
+// row kernel has one source body compiled twice, for the baseline
+// instruction set and for AVX; kernel_isa() (nn/kernel_isa.h) picks the
+// copy once per process. Vector width changes how many elements one
+// instruction updates, not any element's arithmetic, and no copy fuses a
+// multiply and an add, so both copies give the same bytes.
 //
 // C += A*B^T is register-tiled for PWT's offset-gradient reduction, where
 // C is only out_ch (6 or 16) columns wide: B is transposed once into
@@ -21,6 +26,8 @@
 #pragma once
 
 #include <cstdint>
+
+#include "nn/kernel_isa.h"
 
 namespace rdo::nn {
 
@@ -39,5 +46,18 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c,
 /// C[M,N] += A[M,K] * B^T[K,N] where B is stored as [N,K] row-major.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n);
+
+namespace detail {
+
+/// The public C += A*B and C += A^T*B above on one instruction-set copy;
+/// they call these with kernel_isa(). `isa` must be supported
+/// (kernel_isa_supported), so tests can hold both copies to one oracle.
+void gemm_accumulate(KernelIsa isa, const float* a, const float* b, float* c,
+                     std::int64_t m, std::int64_t k, std::int64_t n);
+void gemm_at_b_accumulate(KernelIsa isa, const float* a, const float* b,
+                          float* c, std::int64_t m, std::int64_t k,
+                          std::int64_t n);
+
+}  // namespace detail
 
 }  // namespace rdo::nn

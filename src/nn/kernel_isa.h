@@ -1,0 +1,38 @@
+// Instruction-set copies of the hot nn kernels.
+//
+// The library builds for the baseline instruction set of its target. On
+// x86 the GEMM row kernel behind gemm, gemm_accumulate and
+// gemm_at_b_accumulate (nn/gemm.h) is compiled a second time for AVX
+// from the same always-inline source body, and kernel_isa() picks the
+// copy once per process with a CPU check (CPUID plus the OS's YMM state
+// support). There is no option or environment variable to choose it.
+//
+// Both copies give the same bytes. Every output element sums its terms in
+// the same order with the same float operations; only the number of
+// elements per vector instruction differs. AVX has no fused multiply-add,
+// and the libraries build with -ffp-contract=off (src/CMakeLists.txt) so
+// no copy fuses a multiply and an add; the tier-1 ctest `no_fma_in_libs`
+// checks the archives for FMA instructions.
+#pragma once
+
+namespace rdo::nn {
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define RDO_NN_AVX_COPY 1
+#else
+#define RDO_NN_AVX_COPY 0
+#endif
+
+enum class KernelIsa { baseline, avx };
+
+/// The copy this process runs: avx on an x86 build whose CPU and OS
+/// support AVX, baseline otherwise. Chosen on first use.
+[[nodiscard]] KernelIsa kernel_isa();
+
+/// True if this build has the copy and this CPU can run it.
+[[nodiscard]] bool kernel_isa_supported(KernelIsa isa);
+
+/// "avx" or "baseline".
+[[nodiscard]] const char* kernel_isa_name(KernelIsa isa);
+
+}  // namespace rdo::nn

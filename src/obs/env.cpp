@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "nn/kernel_isa.h"
 #include "nn/parallel.h"
 #include "obs/envvar.h"
 
@@ -29,6 +30,7 @@ Json capture_env(std::uint64_t seed) {
   env["build_type"] = build_type();
   env["git_sha"] = build_git_sha();
   env["seed"] = seed;
+  env["kernel_isa"] = rdo::nn::kernel_isa_name(rdo::nn::kernel_isa());
 #if defined(__clang__)
   env["compiler"] = std::string("clang ") + __clang_version__;
 #elif defined(__GNUC__)

@@ -3,9 +3,11 @@
 // Records everything needed to interpret (and distrust) a BENCH_*.json
 // file later: the resolved thread-pool width, the raw RDO_THREADS
 // setting, build type and git sha (baked in at configure time), the
-// master seed, and toolchain identification. The whole block is
-// *volatile* — it legitimately differs across machines and thread
-// settings — and is therefore excluded from the determinism contract.
+// master seed, which instruction-set copy of the nn kernels ran
+// (`kernel_isa`: "avx" or "baseline", nn/kernel_isa.h), and toolchain
+// identification. The whole block is *volatile* — it legitimately
+// differs across machines and thread settings — and is therefore
+// excluded from the determinism contract.
 #pragma once
 
 #include <cstdint>

@@ -20,6 +20,7 @@
 #include "data/synthetic.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
+#include "nn/kernel_isa.h"
 #include "nn/parallel.h"
 #include "nn/sequential.h"
 #include "obs/env.h"
@@ -221,6 +222,8 @@ TEST(Env, CaptureHasTheContractedKeys) {
   EXPECT_GE(env.find("threads")->as_int(), 1);
   EXPECT_FALSE(env.find("build_type")->as_string().empty());
   EXPECT_FALSE(env.find("git_sha")->as_string().empty());
+  EXPECT_EQ(env.find("kernel_isa")->as_string(),
+            rdo::nn::kernel_isa_name(rdo::nn::kernel_isa()));
 }
 
 namespace {
