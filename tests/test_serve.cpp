@@ -560,11 +560,49 @@ TEST(ServeTcp, EndToEndOverRealSocket) {
   EXPECT_EQ(::pclose(proc), 0);
 }
 
+namespace {
+
+/// A running `rdo_serve --port 0` with `env` (VAR=value words) set and
+/// stderr sent to `errfile`. `echo $$; exec env ... bin` makes the popen'd
+/// shell print its own PID and then *become* the server, so stdout line 1
+/// is the PID to signal and line 2 the advertised port.
+struct ServeProcess {
+  std::FILE* proc = nullptr;
+  int pid = 0;
+  int port = 0;
+};
+
+void spawn_serve(const std::string& env, const std::string& errfile,
+                 ServeProcess& sp) {
+  const std::string cmd = "echo $$; exec env " + env + " '" +
+                          RDO_SERVE_BIN +
+                          "' --port 0 --epochs 0 --train-per-class 3"
+                          " --test-per-class 3 2>'" +
+                          errfile + "'";
+  sp.proc = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(sp.proc, nullptr);
+  char line[256] = {0};
+  ASSERT_NE(std::fgets(line, sizeof(line), sp.proc), nullptr);
+  ASSERT_EQ(std::sscanf(line, "%d", &sp.pid), 1) << line;
+  ASSERT_GT(sp.pid, 0);
+  ASSERT_NE(std::fgets(line, sizeof(line), sp.proc), nullptr);
+  ASSERT_EQ(
+      std::sscanf(line, "rdo_serve: listening on 127.0.0.1:%d", &sp.port), 1)
+      << line;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
 // Graceful shutdown end-to-end: SIGTERM must exit 0 after draining, the
 // RDO_TRACE file must be flushed and valid (not lost to the signal), and
 // stderr must carry the shutdown, slow-request and final-snapshot log
-// lines. `echo $$; exec env ... bin` makes the popen'd shell print its
-// own PID and then *become* the server, so line 1 is the PID to kill.
+// lines.
 TEST(ServeTcp, SigtermDrainsFlushesTraceAndSnapshot) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "rdo_serve_sigterm";
@@ -572,30 +610,15 @@ TEST(ServeTcp, SigtermDrainsFlushesTraceAndSnapshot) {
   fs::create_directories(dir);
   const std::string trace = (dir / "trace.json").string();
   const std::string errfile = (dir / "stderr.log").string();
-  const std::string cmd = "echo $$; exec env RDO_TRACE='" + trace +
-                          "' RDO_METRICS_INTERVAL_S=0.1"
-                          " RDO_SLOW_REQUEST_MS=0 '" +
-                          RDO_SERVE_BIN +
-                          "' --port 0 --epochs 0 --train-per-class 3"
-                          " --test-per-class 3 2>'" +
-                          errfile + "'";
-  std::FILE* proc = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(proc, nullptr);
-
-  char line[256] = {0};
-  ASSERT_NE(std::fgets(line, sizeof(line), proc), nullptr);
-  int pid = 0;
-  ASSERT_EQ(std::sscanf(line, "%d", &pid), 1) << line;
-  ASSERT_GT(pid, 0);
-  ASSERT_NE(std::fgets(line, sizeof(line), proc), nullptr);
-  int port = 0;
-  ASSERT_EQ(std::sscanf(line, "rdo_serve: listening on 127.0.0.1:%d", &port),
-            1)
-      << line;
+  ServeProcess sp;
+  ASSERT_NO_FATAL_FAILURE(spawn_serve("RDO_TRACE='" + trace +
+                                          "' RDO_METRICS_INTERVAL_S=0.1"
+                                          " RDO_SLOW_REQUEST_MS=0",
+                                      errfile, sp));
 
   {
     TcpClient client;
-    ASSERT_TRUE(client.connect_to(port));
+    ASSERT_TRUE(client.connect_to(sp.port));
     const Json pong = Json::parse(client.request(R"({"op": "ping"})"));
     EXPECT_TRUE(pong.find("ok")->as_bool());
     const Json stats = Json::parse(client.request(R"({"op": "stats"})"));
@@ -605,16 +628,14 @@ TEST(ServeTcp, SigtermDrainsFlushesTraceAndSnapshot) {
   // Give the periodic dumper (0.1 s interval) time to fire at least once,
   // then interrupt the accept() wait.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-  EXPECT_EQ(::pclose(proc), 0);  // graceful: drained and exited 0
+  ASSERT_EQ(::kill(sp.pid, SIGTERM), 0);
+  EXPECT_EQ(::pclose(sp.proc), 0);  // graceful: drained and exited 0
 
   std::string err;
   const Json doc = obs::read_json_file(trace);
   EXPECT_TRUE(obs::validate_trace_document(doc, &err)) << err;
 
-  std::ifstream errs(errfile);
-  const std::string stderr_text((std::istreambuf_iterator<char>(errs)),
-                                std::istreambuf_iterator<char>());
+  const std::string stderr_text = read_text(errfile);
   EXPECT_NE(stderr_text.find("shutdown signal received"), std::string::npos)
       << stderr_text;
   EXPECT_NE(stderr_text.find("final metrics snapshot"), std::string::npos)
@@ -623,6 +644,31 @@ TEST(ServeTcp, SigtermDrainsFlushesTraceAndSnapshot) {
       << stderr_text;
   EXPECT_NE(stderr_text.find("slow request"), std::string::npos)
       << stderr_text;
+  fs::remove_all(dir);
+}
+
+// An interval too long for the steady clock's deadline (1e10 s overflows
+// its nanosecond count) must not turn into a dump on every wake-up: the
+// dumper stays off with a warning.
+TEST(ServeTcp, HugeMetricsIntervalLeavesDumperOff) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "rdo_serve_huge_interval";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string errfile = (dir / "stderr.log").string();
+  ServeProcess sp;
+  ASSERT_NO_FATAL_FAILURE(
+      spawn_serve("RDO_METRICS_INTERVAL_S=1e10", errfile, sp));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_EQ(::kill(sp.pid, SIGTERM), 0);
+  EXPECT_EQ(::pclose(sp.proc), 0);
+
+  const std::string stderr_text = read_text(errfile);
+  EXPECT_EQ(stderr_text.find("metrics dump"), std::string::npos)
+      << stderr_text.substr(0, 2000);
+  EXPECT_NE(stderr_text.find("RDO_METRICS_INTERVAL_S above one day"),
+            std::string::npos)
+      << stderr_text.substr(0, 2000);
   fs::remove_all(dir);
 }
 #endif  // RDO_SERVE_BIN

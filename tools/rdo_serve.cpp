@@ -25,7 +25,8 @@
 //
 // Operational telemetry (see src/obs/log.h and src/obs/metrics.h):
 // structured log lines go to stderr (RDO_LOG_LEVEL, RDO_LOG_FORMAT);
-// RDO_METRICS_INTERVAL_S > 0 dumps a registry snapshot every interval;
+// RDO_METRICS_INTERVAL_S in (0, 86400] dumps a registry snapshot every
+// interval (larger or non-finite values are refused with a warning);
 // SIGINT/SIGTERM shut down gracefully — stop accepting, drain in-flight
 // requests, flush the trace and log a final metrics snapshot.
 #include <arpa/inet.h>
@@ -85,15 +86,28 @@ void install_signal_handlers() {
 }
 
 /// Background thread logging a metrics snapshot every RDO_METRICS_INTERVAL_S
-/// seconds (fractional values allowed; unset or <= 0 disables it).
+/// seconds, in (0, 86400] (fractional values allowed). Unset or <= 0
+/// disables it; so does a value above one day or a non-finite one, with a
+/// warning: a wait that long overflows the steady clock's deadline and
+/// would return at once, every time.
 class MetricsDumper {
  public:
   explicit MetricsDumper(serve::InferenceService& svc) {
+    constexpr double kMaxIntervalS = 86400.0;
     double interval_s = 0.0;
     if (const char* p = rdo::obs::env_knob("RDO_METRICS_INTERVAL_S")) {
       char* end = nullptr;
       const double v = std::strtod(p, &end);
-      if (end != p && *end == '\0' && v > 0.0) interval_s = v;
+      if (end != p && *end == '\0' && v > 0.0) {
+        if (v <= kMaxIntervalS) {
+          interval_s = v;
+        } else {
+          obs::log_warn("serve",
+                        "RDO_METRICS_INTERVAL_S above one day; periodic "
+                        "snapshots off")
+              .with("value", p);
+        }
+      }
     }
     if (interval_s <= 0.0) return;
     th_ = std::thread([this, &svc, interval_s] {
