@@ -22,9 +22,6 @@ void DeployStats::merge(const DeployStats& other) {
   eval_s += other.eval_s;
   eval_seconds.insert(eval_seconds.end(), other.eval_seconds.begin(),
                       other.eval_seconds.end());
-  lut_cache_hits += other.lut_cache_hits;
-  lut_cache_misses += other.lut_cache_misses;
-  lut_cache_save_failures += other.lut_cache_save_failures;
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
   plan_cache_save_failures += other.plan_cache_save_failures;

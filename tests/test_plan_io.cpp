@@ -27,6 +27,7 @@
 #include "nn/sequential.h"
 #include "nn/serialize.h"
 #include "obs/envvar.h"
+#include "obs/metrics.h"
 #include "rram/rlut.h"
 
 using namespace rdo;
@@ -328,27 +329,35 @@ TEST(PlanCache, SaveFailureIsCountedNotFatal) {
 TEST(LutCache, CountersTrackHitsAndMisses) {
   const TempDir dir("lut_cache");
   const EnvGuard guard("RDO_LUT_CACHE_DIR", dir.path().string());
+  obs::MetricsRegistry& m = obs::global_metrics();
+  obs::Counter& hits = m.counter("deploy_lut_cache_hits");
+  obs::Counter& misses = m.counter("deploy_lut_cache_misses");
+  obs::Counter& save_failures = m.counter("deploy_lut_cache_save_failures");
   const Fixture f = make_fixture();
-  const core::DeploymentPlan cold = core::compile_plan(*f.net, f.opt,
-                                                       f.train());
-  EXPECT_EQ(cold.compile_stats.lut_cache_misses, 1);
-  EXPECT_EQ(cold.compile_stats.lut_cache_hits, 0);
-  const core::DeploymentPlan warm = core::compile_plan(*f.net, f.opt,
-                                                       f.train());
-  EXPECT_EQ(warm.compile_stats.lut_cache_hits, 1);
-  EXPECT_EQ(warm.compile_stats.lut_cache_misses, 0);
-  EXPECT_EQ(warm.compile_stats.lut_cache_save_failures, 0);
+
+  std::int64_t h0 = hits.value(), m0 = misses.value();
+  (void)core::compile_plan(*f.net, f.opt, f.train());
+  EXPECT_EQ(misses.value() - m0, 1);
+  EXPECT_EQ(hits.value() - h0, 0);
+
+  h0 = hits.value();
+  m0 = misses.value();
+  const std::int64_t s0 = save_failures.value();
+  (void)core::compile_plan(*f.net, f.opt, f.train());
+  EXPECT_EQ(hits.value() - h0, 1);
+  EXPECT_EQ(misses.value() - m0, 0);
+  EXPECT_EQ(save_failures.value() - s0, 0);
 }
 
 TEST(DeployStats, CacheCountersMerge) {
   core::DeployStats a;
-  a.lut_cache_hits = 1;
+  a.plan_cache_hits = 1;
   a.plan_cache_misses = 2;
   core::DeployStats b;
-  b.lut_cache_hits = 3;
+  b.plan_cache_hits = 3;
   b.plan_cache_save_failures = 1;
   a.merge(b);
-  EXPECT_EQ(a.lut_cache_hits, 4);
+  EXPECT_EQ(a.plan_cache_hits, 4);
   EXPECT_EQ(a.plan_cache_misses, 2);
   EXPECT_EQ(a.plan_cache_save_failures, 1);
 }
