@@ -25,8 +25,10 @@ struct DvaOptions {
   std::uint64_t seed = 7;
 };
 
-/// Fine-tune `net` with variation-injected training. Returns the final
-/// training accuracy (evaluated with clean weights).
+/// Fine-tune `net` in place with variation-injected training: each batch
+/// copies every crossbar layer's weights(), perturbs them, and copies the
+/// clean weights back before the SGD step. Returns the final epoch's training
+/// accuracy, counted on the perturbed forward passes.
 float dva_train(rdo::nn::Layer& net, const rdo::nn::DataView& train,
                 const DvaOptions& opt);
 

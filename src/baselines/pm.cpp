@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "nn/matrix_op.h"
@@ -52,7 +54,7 @@ std::vector<int> code_states(int mag, const PmOptions& opt) {
 
 }  // namespace
 
-float run_pm(Layer& net, const PmOptions& opt, const DataView& test,
+float run_pm(const Layer& net, const PmOptions& opt, const DataView& test,
              int repeats, std::int64_t eval_batch) {
   // The coding must cover 8-bit magnitudes: the binary cells hold
   // log(lsb_levels) bits and the unary cells need capacity for the rest.
@@ -67,37 +69,23 @@ float run_pm(Layer& net, const PmOptions& opt, const DataView& test,
           "run_pm: unary cell capacity cannot encode 8-bit magnitudes");
     }
   }
-  std::vector<Layer*> all;
-  collect_layers(&net, all);
+  // Program a twin, so the caller's network keeps its float weights.
+  const std::unique_ptr<Layer> twin = net.clone();
   std::vector<CodedLayer> layers;
-  std::vector<std::vector<float>> backup;
-  for (Layer* l : all) {
-    if (auto* op = dynamic_cast<MatrixOp*>(l)) {
-      CodedLayer cl;
-      cl.op = op;
-      layers.push_back(cl);
-    }
-  }
-
-  // Signed symmetric quantization to 8-bit magnitudes.
-  for (CodedLayer& cl : layers) {
-    const std::int64_t rows = cl.op->fan_in(), cols = cl.op->fan_out();
+  for (MatrixOp* op : matrix_ops(*twin)) {
+    // Signed symmetric quantization to 8-bit magnitudes.
+    CodedLayer cl;
+    cl.op = op;
+    const std::span<const float> w = op->weights();
     float maxabs = 0.0f;
-    std::vector<float> w(static_cast<std::size_t>(rows * cols));
-    std::size_t i = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < cols; ++c, ++i) {
-        w[i] = cl.op->weight_at(r, c);
-        maxabs = std::max(maxabs, std::fabs(w[i]));
-      }
-    }
-    backup.push_back(w);
+    for (const float v : w) maxabs = std::max(maxabs, std::fabs(v));
     cl.scale = (maxabs > 0.0f ? maxabs : 1.0f) / 255.0f;
     cl.q.resize(w.size());
     for (std::size_t j = 0; j < w.size(); ++j) {
       cl.q[j] = std::clamp(
           static_cast<int>(std::lround(w[j] / cl.scale)), -255, 255);
     }
+    layers.push_back(std::move(cl));
   }
 
   const std::vector<int> sig = slot_significance(opt);
@@ -121,72 +109,56 @@ float run_pm(Layer& net, const PmOptions& opt, const DataView& test,
     Rng crng = master.split(0xCC00 + static_cast<std::uint64_t>(cycle));
     for (std::size_t li = 0; li < layers.size(); ++li) {
       CodedLayer& cl = layers[li];
-      const std::int64_t rows = cl.op->fan_in(), cols = cl.op->fan_out();
-      std::size_t wi = 0;
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < cols; ++c, ++wi) {
-          const int q = cl.q[wi];
-          std::vector<int> states = code_states(std::abs(q), opt);
-          // Device slots for this weight: [0, slots) on the sign side,
-          // [slots, 2*slots) on the idle side.
-          const std::size_t base = wi * static_cast<std::size_t>(slots) * 2;
-          std::vector<int> slot_of(states.size());
-          std::iota(slot_of.begin(), slot_of.end(), 0);
-          if (opt.priority_mapping && has_ddv) {
-            // Priority mapping: most significant / highest-state cells to
-            // the lowest-|DDV| devices of this weight's device group.
-            std::vector<int> by_importance(states.size());
-            std::iota(by_importance.begin(), by_importance.end(), 0);
-            std::stable_sort(by_importance.begin(), by_importance.end(),
-                             [&](int a, int b) {
-                               return sig[static_cast<std::size_t>(a)] *
-                                          states[static_cast<std::size_t>(a)] >
-                                      sig[static_cast<std::size_t>(b)] *
-                                          states[static_cast<std::size_t>(b)];
-                             });
-            std::vector<int> by_quality(states.size());
-            std::iota(by_quality.begin(), by_quality.end(), 0);
-            std::stable_sort(by_quality.begin(), by_quality.end(),
-                             [&](int a, int b) {
-                               return std::fabs(ddv[li][base + a]) <
-                                      std::fabs(ddv[li][base + b]);
-                             });
-            for (std::size_t k = 0; k < states.size(); ++k) {
-              slot_of[static_cast<std::size_t>(by_importance[k])] =
-                  by_quality[k];
-            }
-          }
-          double active = 0.0, idle = 0.0;
+      const std::span<float> w = cl.op->weights();
+      for (std::size_t wi = 0; wi < w.size(); ++wi) {
+        const int q = cl.q[wi];
+        std::vector<int> states = code_states(std::abs(q), opt);
+        // Device slots for this weight: [0, slots) on the sign side,
+        // [slots, 2*slots) on the idle side.
+        const std::size_t base = wi * static_cast<std::size_t>(slots) * 2;
+        std::vector<int> slot_of(states.size());
+        std::iota(slot_of.begin(), slot_of.end(), 0);
+        if (opt.priority_mapping && has_ddv) {
+          // Priority mapping: most significant / highest-state cells to
+          // the lowest-|DDV| devices of this weight's device group.
+          std::vector<int> by_importance(states.size());
+          std::iota(by_importance.begin(), by_importance.end(), 0);
+          std::stable_sort(by_importance.begin(), by_importance.end(),
+                           [&](int a, int b) {
+                             return sig[static_cast<std::size_t>(a)] *
+                                        states[static_cast<std::size_t>(a)] >
+                                    sig[static_cast<std::size_t>(b)] *
+                                        states[static_cast<std::size_t>(b)];
+                           });
+          std::vector<int> by_quality(states.size());
+          std::iota(by_quality.begin(), by_quality.end(), 0);
+          std::stable_sort(by_quality.begin(), by_quality.end(),
+                           [&](int a, int b) {
+                             return std::fabs(ddv[li][base + a]) <
+                                    std::fabs(ddv[li][base + b]);
+                           });
           for (std::size_t k = 0; k < states.size(); ++k) {
-            const int slot = slot_of[k];
-            const double th_a =
-                (has_ddv ? ddv[li][base + slot] : 0.0) +
-                opt.variation.sample_ccv_theta(crng);
-            active += sig[k] *
-                      opt.cell.read_value(states[k], std::exp(th_a));
-            const double th_i =
-                (has_ddv ? ddv[li][base + slots + slot] : 0.0) +
-                opt.variation.sample_ccv_theta(crng);
-            idle += sig[k] * opt.cell.read_value(0, std::exp(th_i));
+            slot_of[static_cast<std::size_t>(by_importance[k])] =
+                by_quality[k];
           }
-          const double mag = active - idle;
-          cl.op->set_weight_at(
-              r, c, static_cast<float>((q >= 0 ? mag : -mag) * cl.scale));
         }
+        double active = 0.0, idle = 0.0;
+        for (std::size_t k = 0; k < states.size(); ++k) {
+          const int slot = slot_of[k];
+          const double th_a =
+              (has_ddv ? ddv[li][base + slot] : 0.0) +
+              opt.variation.sample_ccv_theta(crng);
+          active += sig[k] * opt.cell.read_value(states[k], std::exp(th_a));
+          const double th_i =
+              (has_ddv ? ddv[li][base + slots + slot] : 0.0) +
+              opt.variation.sample_ccv_theta(crng);
+          idle += sig[k] * opt.cell.read_value(0, std::exp(th_i));
+        }
+        const double mag = active - idle;
+        w[wi] = static_cast<float>((q >= 0 ? mag : -mag) * cl.scale);
       }
     }
-    total_acc += rdo::nn::evaluate(net, test, eval_batch).accuracy;
-  }
-
-  // Restore float weights.
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    CodedLayer& cl = layers[li];
-    std::size_t i = 0;
-    for (std::int64_t r = 0; r < cl.op->fan_in(); ++r) {
-      for (std::int64_t c = 0; c < cl.op->fan_out(); ++c, ++i) {
-        cl.op->set_weight_at(r, c, backup[li][i]);
-      }
-    }
+    total_acc += rdo::nn::evaluate(*twin, test, eval_batch).accuracy;
   }
   return static_cast<float>(total_acc / std::max(1, repeats));
 }

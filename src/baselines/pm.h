@@ -39,8 +39,9 @@ struct PmOptions {
 };
 
 /// Deploy `net` with PM coding for `repeats` programming cycles; returns
-/// the mean test accuracy. The network's weights are restored afterwards.
-float run_pm(rdo::nn::Layer& net, const PmOptions& opt,
+/// the mean test accuracy. Programs and evaluates a clone of `net`, so the
+/// caller's network is left as it was.
+float run_pm(const rdo::nn::Layer& net, const PmOptions& opt,
              const rdo::nn::DataView& test, int repeats,
              std::int64_t eval_batch = 64);
 

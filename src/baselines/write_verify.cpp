@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 
 #include "nn/matrix_op.h"
 #include "quant/quantizer.h"
@@ -38,29 +40,18 @@ WriteVerifyResult write_verify(const rdo::rram::WeightProgrammer& prog,
   return res;
 }
 
-WvDeployResult run_write_verify(Layer& net,
+WvDeployResult run_write_verify(const Layer& net,
                                 const rdo::rram::WeightProgrammer& prog,
                                 const WriteVerifyOptions& opt,
                                 const DataView& test, int repeats,
                                 std::uint64_t seed,
                                 std::int64_t eval_batch) {
-  std::vector<Layer*> all;
-  collect_layers(&net, all);
-  std::vector<MatrixOp*> ops;
-  for (Layer* l : all) {
-    if (auto* op = dynamic_cast<MatrixOp*>(l)) ops.push_back(op);
-  }
-
-  // Quantize once; back up float weights.
+  // Program a twin, so the caller's network keeps its float weights.
+  const std::unique_ptr<Layer> twin = net.clone();
+  const std::vector<MatrixOp*> ops = matrix_ops(*twin);
   std::vector<rdo::quant::LayerQuant> lqs;
-  std::vector<std::vector<float>> backup(ops.size());
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    lqs.push_back(rdo::quant::quantize_matrix(*ops[k], prog.weight_bits()));
-    for (std::int64_t r = 0; r < ops[k]->fan_in(); ++r) {
-      for (std::int64_t c = 0; c < ops[k]->fan_out(); ++c) {
-        backup[k].push_back(ops[k]->weight_at(r, c));
-      }
-    }
+  for (const MatrixOp* op : ops) {
+    lqs.push_back(rdo::quant::quantize_matrix(*op, prog.weight_bits()));
   }
 
   WvDeployResult out;
@@ -71,29 +62,16 @@ WvDeployResult run_write_verify(Layer& net,
     Rng rng = master.split(0x77u + static_cast<std::uint64_t>(cycle));
     for (std::size_t k = 0; k < ops.size(); ++k) {
       const auto& lq = lqs[k];
-      for (std::int64_t r = 0; r < lq.rows; ++r) {
-        for (std::int64_t c = 0; c < lq.cols; ++c) {
-          const WriteVerifyResult wv =
-              write_verify(prog, lq.at(r, c), opt, rng);
-          ops[k]->set_weight_at(
-              r, c, lq.dequant(static_cast<float>(wv.crw)));
-          total_pulses += wv.pulses;
-          total_converged += wv.converged ? 1 : 0;
-          ++total_devices;
-        }
+      const std::span<float> w = ops[k]->weights();
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const WriteVerifyResult wv = write_verify(prog, lq.q[i], opt, rng);
+        w[i] = lq.dequant(static_cast<float>(wv.crw));
+        total_pulses += wv.pulses;
+        total_converged += wv.converged ? 1 : 0;
+        ++total_devices;
       }
     }
-    total_acc += evaluate(net, test, eval_batch).accuracy;
-  }
-
-  // Restore float weights.
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    std::size_t i = 0;
-    for (std::int64_t r = 0; r < ops[k]->fan_in(); ++r) {
-      for (std::int64_t c = 0; c < ops[k]->fan_out(); ++c, ++i) {
-        ops[k]->set_weight_at(r, c, backup[k][i]);
-      }
-    }
+    total_acc += evaluate(*twin, test, eval_batch).accuracy;
   }
   out.mean_accuracy = static_cast<float>(total_acc / std::max(1, repeats));
   out.mean_pulses =

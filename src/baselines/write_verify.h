@@ -43,8 +43,9 @@ struct WvDeployResult {
 };
 
 /// Deploy `net` (plain one-crossbar, no offsets) with write-verify
-/// programming for `repeats` cycles; restores the float weights after.
-WvDeployResult run_write_verify(rdo::nn::Layer& net,
+/// programming for `repeats` cycles. Programs and evaluates a clone of
+/// `net`, so the caller's network is left as it was.
+WvDeployResult run_write_verify(const rdo::nn::Layer& net,
                                 const rdo::rram::WeightProgrammer& prog,
                                 const WriteVerifyOptions& opt,
                                 const rdo::nn::DataView& test, int repeats,

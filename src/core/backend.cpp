@@ -13,18 +13,12 @@ EffectiveWeightBackend::EffectiveWeightBackend(const DeploymentPlan& plan,
                                                const rdo::nn::Layer& src,
                                                bool keep_cell_values)
     : plan_(plan), net_(src.clone()), keep_cells_(keep_cell_values) {
-  std::vector<rdo::nn::Layer*> all;
-  collect_layers(net_.get(), all);
-  for (rdo::nn::Layer* l : all) {
-    if (auto* op = dynamic_cast<rdo::nn::MatrixOp*>(l)) {
-      LayerState ls;
-      ls.op = op;
-      layers_.push_back(std::move(ls));
-    }
-    if (auto* aq = dynamic_cast<rdo::quant::ActQuant*>(l)) {
-      act_quants_.push_back(aq);
-    }
+  for (rdo::nn::MatrixOp* op : rdo::nn::matrix_ops(*net_)) {
+    LayerState ls;
+    ls.op = op;
+    layers_.push_back(std::move(ls));
   }
+  act_quants_ = rdo::nn::layers_of<rdo::quant::ActQuant>(*net_);
   RDO_CHECK(layers_.size() == plan_.layers.size(),
             "EffectiveWeightBackend: network does not match the plan "
             "(crossbar layer count)");

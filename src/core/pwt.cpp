@@ -98,22 +98,16 @@ void EffectiveWeightBackend::run_pwt(const rdo::nn::DataView& train) {
       rdo::obs::TraceSpan batch_span("pwt:batch", "deploy");
       batch_span.arg("start", start);
       const std::int64_t end = std::min(n, start + popt.batch_size);
-      std::vector<std::int64_t> idx(order.begin() + start,
-                                    order.begin() + end);
-      rdo::nn::Tensor batch = gather_batch(*train.images, idx);
-      std::vector<int> labels;
-      labels.reserve(idx.size());
-      for (std::int64_t i : idx) {
-        labels.push_back((*train.labels)[static_cast<std::size_t>(i)]);
-      }
+      const rdo::nn::Batch b = rdo::nn::take_batch(
+          train, std::span(order.begin() + start, order.begin() + end));
 
       for (LayerState& ls : layers_) {
         std::ranges::fill(ls.op->offset_grad(), 0.0f);
       }
       // Eval-mode forward: the deployed accelerator runs with frozen
       // batch-norm statistics; PWT tunes offsets at that operating point.
-      rdo::nn::Tensor logits = net_->forward(batch, /*train=*/false);
-      epoch_loss += loss.forward(logits, labels);
+      rdo::nn::Tensor logits = net_->forward(b.images, /*train=*/false);
+      epoch_loss += loss.forward(logits, b.labels);
       ++epoch_batches;
       net_->backward_params(loss.backward());
 

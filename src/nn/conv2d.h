@@ -46,18 +46,8 @@ class Conv2D : public Layer, public MatrixOp {
     return in_ch_ * kernel_ * kernel_;
   }
   [[nodiscard]] std::int64_t fan_out() const override { return out_ch_; }
-  [[nodiscard]] float weight_at(std::int64_t row,
-                                std::int64_t col) const override {
-    return weight_.value.at(row, col);
-  }
-  void set_weight_at(std::int64_t row, std::int64_t col, float v) override {
-    weight_.value.at(row, col) = v;
-  }
-  [[nodiscard]] float weight_grad_at(std::int64_t row,
-                                     std::int64_t col) const override {
-    return weight_.grad.at(row, col);
-  }
   Param& weight_param() override { return weight_; }
+  [[nodiscard]] const Param& weight_param() const override { return weight_; }
   Param& bias_param() { return bias_; }
 
   [[nodiscard]] std::int64_t kernel() const { return kernel_; }

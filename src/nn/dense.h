@@ -10,7 +10,7 @@ namespace rdo::nn {
 /// Dense (fully connected) layer: y = x W + bias.
 ///
 /// Weight is stored as [in, out] — directly the crossbar matrix orientation
-/// (rows = wordlines, columns = bitlines), so MatrixOp accessors are
+/// (rows = wordlines, columns = bitlines), so MatrixOp::weights() is
 /// trivial.
 class Dense : public Layer, public MatrixOp {
  public:
@@ -28,18 +28,8 @@ class Dense : public Layer, public MatrixOp {
   // MatrixOp
   [[nodiscard]] std::int64_t fan_in() const override { return in_; }
   [[nodiscard]] std::int64_t fan_out() const override { return out_; }
-  [[nodiscard]] float weight_at(std::int64_t row,
-                                std::int64_t col) const override {
-    return weight_.value.at(row, col);
-  }
-  void set_weight_at(std::int64_t row, std::int64_t col, float v) override {
-    weight_.value.at(row, col) = v;
-  }
-  [[nodiscard]] float weight_grad_at(std::int64_t row,
-                                     std::int64_t col) const override {
-    return weight_.grad.at(row, col);
-  }
   Param& weight_param() override { return weight_; }
+  [[nodiscard]] const Param& weight_param() const override { return weight_; }
   Param& bias_param() { return bias_; }
 
  private:

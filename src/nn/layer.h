@@ -64,4 +64,17 @@ using LayerPtr = std::unique_ptr<Layer>;
 /// order.
 void collect_layers(Layer* layer, std::vector<Layer*>& out);
 
+/// Every layer of `net` (itself included) that is a T, in the order of
+/// collect_layers.
+template <class T>
+std::vector<T*> layers_of(Layer& net) {
+  std::vector<Layer*> all;
+  collect_layers(&net, all);
+  std::vector<T*> out;
+  for (Layer* l : all) {
+    if (auto* t = dynamic_cast<T*>(l)) out.push_back(t);
+  }
+  return out;
+}
+
 }  // namespace rdo::nn

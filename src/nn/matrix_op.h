@@ -2,11 +2,16 @@
 //
 // The deployment pipeline (src/core) treats every Dense and Conv2D layer as
 // a fan_in x fan_out weight matrix: rows drive crossbar wordlines, columns
-// drive bitlines. This interface exposes that matrix view plus the matching
-// gradient view, independent of how the layer stores its weights natively.
+// drive bitlines. Both layers store their weight parameter in exactly that
+// orientation, so the matrix has one view: weights(), a row-major span in
+// which element (row, col) is weights()[row * fan_out() + col] (the same
+// arithmetic as Tensor::at), and weight_grads(), the gradient in the same
+// layout. Quantization, compilation, the backends, PWT and the baselines
+// all read and write a layer through these spans. matrix_ops(net) lists a
+// network's crossbar layers in definition order.
 //
 // Gradient modes. Normally backward() accumulates the full weight gradient
-// dW[fan_in, fan_out] into weight_param().grad. Post-writing tuning only
+// dW[fan_in, fan_out] into weight_grads(). Post-writing tuning only
 // trains the digital offsets, one per group of m consecutive rows and per
 // column, and by the column identity sum_i x_i (V_i + b) =
 // sum_i x_i V_i + b sum_i x_i (paper Eq. 8) needs only
@@ -23,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/layer.h"
 #include "nn/param.h"
 
 namespace rdo::nn {
@@ -36,26 +42,25 @@ class MatrixOp {
   /// Number of matrix columns (= output channels / units).
   [[nodiscard]] virtual std::int64_t fan_out() const = 0;
 
-  /// Read weight element at matrix position (row, col).
-  [[nodiscard]] virtual float weight_at(std::int64_t row,
-                                        std::int64_t col) const = 0;
-  /// Write weight element at matrix position (row, col).
-  virtual void set_weight_at(std::int64_t row, std::int64_t col, float v) = 0;
-
-  /// Read the accumulated gradient at matrix position (row, col).
-  [[nodiscard]] virtual float weight_grad_at(std::int64_t row,
-                                             std::int64_t col) const = 0;
-
-  /// The underlying weight parameter (for freezing / optimizer exclusion).
-  /// Its value and grad are stored row-major as [fan_in, fan_out].
+  /// The weight parameter (for freezing / optimizer exclusion). Its value
+  /// and grad are stored row-major as [fan_in, fan_out].
   virtual Param& weight_param() = 0;
+  [[nodiscard]] virtual const Param& weight_param() const = 0;
 
   /// Row-major [fan_in, fan_out] span over the weights: element (row, col)
-  /// is weights()[row * fan_out() + col]. For loops over a whole layer,
-  /// where a virtual call per element would dominate.
+  /// is weights()[row * fan_out() + col].
   std::span<float> weights() {
     Tensor& w = weight_param().value;
     return {w.data(), static_cast<std::size_t>(w.size())};
+  }
+  [[nodiscard]] std::span<const float> weights() const {
+    const Tensor& w = weight_param().value;
+    return {w.data(), static_cast<std::size_t>(w.size())};
+  }
+  /// The accumulated weight gradient, in the layout of weights().
+  std::span<float> weight_grads() {
+    Tensor& g = weight_param().grad;
+    return {g.data(), static_cast<std::size_t>(g.size())};
   }
 
   /// m > 0 enters offset-gradient mode with groups of m consecutive rows
@@ -74,5 +79,10 @@ class MatrixOp {
   std::int64_t offset_m_ = 0;
   std::vector<float> offset_grad_;
 };
+
+/// The crossbar layers of `net`, in definition order.
+inline std::vector<MatrixOp*> matrix_ops(Layer& net) {
+  return layers_of<MatrixOp>(net);
+}
 
 }  // namespace rdo::nn

@@ -24,40 +24,34 @@ LayerQuant quantize_matrix(const rdo::nn::MatrixOp& op, int bits) {
   // signed offset registers regardless of the layer's outlier skew.
   // A NaN would slip past std::max and an inf would make the scale inf;
   // either way the layer would compile to zero points without a word.
+  const std::span<const float> w = op.weights();
   float wabs = 0.0f;
-  for (std::int64_t r = 0; r < lq.rows; ++r) {
-    for (std::int64_t c = 0; c < lq.cols; ++c) {
-      const float w = op.weight_at(r, c);
-      RDO_CHECK(std::isfinite(w),
-                "quantize_matrix: non-finite weight " + std::to_string(w) +
-                    " at row " + std::to_string(r) + ", column " +
-                    std::to_string(c));
-      wabs = std::max(wabs, std::fabs(w));
-    }
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    RDO_CHECK(std::isfinite(w[i]),
+              "quantize_matrix: non-finite weight " + std::to_string(w[i]) +
+                  " at row " + std::to_string(i / lq.cols) + ", column " +
+                  std::to_string(i % lq.cols));
+    wabs = std::max(wabs, std::fabs(w[i]));
   }
   if (wabs <= 0.0f) wabs = 0.5f;
   const int levels = (1 << bits) - 1;
   lq.scale = 2.0f * wabs / static_cast<float>(levels);
   lq.zero = 1 << (bits - 1);
 
-  lq.q.resize(static_cast<std::size_t>(lq.rows * lq.cols));
-  for (std::int64_t r = 0; r < lq.rows; ++r) {
-    for (std::int64_t c = 0; c < lq.cols; ++c) {
-      const float w = op.weight_at(r, c);
-      int v = static_cast<int>(std::lround(w / lq.scale)) + lq.zero;
-      v = std::clamp(v, 0, levels);
-      lq.q[static_cast<std::size_t>(r * lq.cols + c)] = v;
-    }
+  lq.q.resize(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const int v = static_cast<int>(std::lround(w[i] / lq.scale)) + lq.zero;
+    lq.q[i] = std::clamp(v, 0, levels);
   }
   return lq;
 }
 
 void apply_quantized(rdo::nn::MatrixOp& op, const LayerQuant& lq) {
-  for (std::int64_t r = 0; r < lq.rows; ++r) {
-    for (std::int64_t c = 0; c < lq.cols; ++c) {
-      op.set_weight_at(r, c,
-                       lq.dequant(static_cast<float>(lq.at(r, c))));
-    }
+  const std::span<float> w = op.weights();
+  RDO_CHECK(w.size() == lq.q.size(),
+            "apply_quantized: layer shape does not match the quantization");
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = lq.dequant(static_cast<float>(lq.q[i]));
   }
 }
 

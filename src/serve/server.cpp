@@ -180,15 +180,13 @@ Json InferenceService::evaluate(const ServeRequest& req) {
   }
 
   // Resolve the requested samples into a self-contained batch.
-  rdo::nn::Tensor images;
-  std::vector<int> labels;
+  rdo::nn::Batch batch;
   if (req.data.is_inline()) {
     if (req.data.inline_images.dim(0) > cfg_.max_request_samples) {
       throw ProtocolError(ErrorCode::BadRequest,
                           "inline batch exceeds max_request_samples");
     }
-    images = req.data.inline_images;
-    labels = req.data.inline_labels;
+    batch = {req.data.inline_images, req.data.inline_labels};
   } else {
     const rdo::nn::DataView& src =
         req.data.split == "train" ? train_ : test_;
@@ -207,16 +205,10 @@ Json InferenceService::evaluate(const ServeRequest& req) {
       throw ProtocolError(ErrorCode::BadRequest,
                           "count exceeds max_request_samples");
     }
-    std::vector<std::int64_t> idx;
-    idx.reserve(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-      idx.push_back(req.data.offset + i);
-    }
-    images = rdo::nn::gather_batch(*src.images, idx);
-    labels.assign(src.labels->begin() + req.data.offset,
-                  src.labels->begin() + req.data.offset + count);
+    batch = rdo::nn::take_batch(src, req.data.offset,
+                                req.data.offset + count);
   }
-  const rdo::nn::DataView view{&images, &labels};
+  const rdo::nn::DataView view{&batch.images, &batch.labels};
 
   bool lru_hit = false;
   std::shared_ptr<PlanEntry> entry = get_plan(req.options, lru_hit);
@@ -261,7 +253,7 @@ Json InferenceService::evaluate(const ServeRequest& req) {
                 static_cast<unsigned long long>(entry->fp));
   Json r = Json::object();
   r["accuracy"] = static_cast<double>(acc);
-  r["samples"] = images.dim(0);
+  r["samples"] = batch.images.dim(0);
   r["cycle"] = static_cast<std::int64_t>(req.cycle);
   r["plan_fingerprint"] = std::string(hex);
   r["cached_plan"] = lru_hit;

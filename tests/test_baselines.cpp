@@ -59,40 +59,19 @@ namespace {
 
 /// Mean training loss under `draws` independent multiplicative weight
 /// perturbations (the quantity DVA's objective minimizes).
-float noisy_loss(nn::Sequential& net, const nn::DataView& data, double sigma,
-                 std::uint64_t seed, int draws) {
-  std::vector<nn::Layer*> all;
-  collect_layers(&net, all);
-  std::vector<nn::MatrixOp*> ops;
-  for (nn::Layer* l : all) {
-    if (auto* op = dynamic_cast<nn::MatrixOp*>(l)) ops.push_back(op);
-  }
+float noisy_loss(const nn::Sequential& net, const nn::DataView& data,
+                 double sigma, std::uint64_t seed, int draws) {
   rram::VariationModel var{sigma, 0.0};
   double total = 0.0;
   for (int d = 0; d < draws; ++d) {
     nn::Rng rng = nn::Rng(seed).split(static_cast<std::uint64_t>(d));
-    std::vector<std::vector<float>> backup(ops.size());
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      nn::MatrixOp* op = ops[k];
-      for (std::int64_t r = 0; r < op->fan_in(); ++r) {
-        for (std::int64_t c = 0; c < op->fan_out(); ++c) {
-          const float w = op->weight_at(r, c);
-          backup[k].push_back(w);
-          op->set_weight_at(
-              r, c, w * static_cast<float>(var.sample_factor(rng)));
-        }
+    const std::unique_ptr<nn::Layer> twin = net.clone();
+    for (nn::MatrixOp* op : nn::matrix_ops(*twin)) {
+      for (float& w : op->weights()) {
+        w *= static_cast<float>(var.sample_factor(rng));
       }
     }
-    total += nn::evaluate(net, data, 64).loss;
-    for (std::size_t k = 0; k < ops.size(); ++k) {
-      nn::MatrixOp* op = ops[k];
-      std::size_t i = 0;
-      for (std::int64_t r = 0; r < op->fan_in(); ++r) {
-        for (std::int64_t c = 0; c < op->fan_out(); ++c, ++i) {
-          op->set_weight_at(r, c, backup[k][i]);
-        }
-      }
-    }
+    total += nn::evaluate(*twin, data, 64).loss;
   }
   return static_cast<float>(total / draws);
 }

@@ -81,7 +81,8 @@ TEST(Equivalence, EffectiveWeightsImplementEq7WithComplement) {
     // Path 1: effective weights as loaded into the backend's twin.
     double y_eff = 0.0;
     for (std::int64_t r = 0; r < rows; ++r) {
-      y_eff += x[static_cast<std::size_t>(r)] * ls.op->weight_at(r, c);
+      y_eff += x[static_cast<std::size_t>(r)] *
+               ls.op->weights()[static_cast<std::size_t>(r * cols + c)];
     }
     // Path 2: explicit hardware computation.
     double y_hw = 0.0;
@@ -122,12 +123,10 @@ TEST(Equivalence, PlainEffectiveWeightIsCrwPlusOffsetDequantized) {
   backend.program_cycle(0);
   const PlanLayer& pl = plan.layers[0];
   const EffectiveWeightBackend::LayerState& ls = backend.layers()[0];
-  for (std::int64_t r = 0; r < pl.lq.rows; ++r) {
-    for (std::int64_t c = 0; c < pl.lq.cols; ++c) {
-      const double v = ls.crw[static_cast<std::size_t>(r * pl.lq.cols + c)];
-      EXPECT_NEAR(ls.op->weight_at(r, c),
-                  pl.lq.dequant(static_cast<float>(v)), 1e-4f);
-    }
+  const std::span<const float> w = ls.op->weights();
+  ASSERT_EQ(w.size(), ls.crw.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_NEAR(w[i], pl.lq.dequant(static_cast<float>(ls.crw[i])), 1e-4f);
   }
 }
 
@@ -142,11 +141,10 @@ TEST(Equivalence, ZeroVariationPlainMatchesQuantizedRoundTrip) {
   backend.program_cycle(0);
   const PlanLayer& pl = plan.layers[0];
   const EffectiveWeightBackend::LayerState& ls = backend.layers()[0];
-  for (std::int64_t r = 0; r < pl.lq.rows; ++r) {
-    for (std::int64_t c = 0; c < pl.lq.cols; ++c) {
-      EXPECT_NEAR(ls.op->weight_at(r, c),
-                  pl.lq.dequant(static_cast<float>(pl.lq.at(r, c))), 1e-5f);
-    }
+  const std::span<const float> w = ls.op->weights();
+  ASSERT_EQ(w.size(), pl.lq.q.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_NEAR(w[i], pl.lq.dequant(static_cast<float>(pl.lq.q[i])), 1e-5f);
   }
 }
 

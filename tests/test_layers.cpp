@@ -1,6 +1,7 @@
 // Numerical gradient checks and shape/semantics tests for every layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -123,14 +124,28 @@ TEST(Dense, GradCheck) {
   grad_check(d, random_input({3, 6}, 8));
 }
 
-TEST(Dense, MatrixOpViewMatchesStorage) {
+// MatrixOp layout contract: weights()[r * fan_out() + c] is the weight
+// from input row r to output column c. A single unit weight there must
+// route a one-hot input at row r to output column c and nowhere else.
+TEST(Dense, WeightsSpanIsRowMajorInputByOutput) {
   Rng rng(1);
-  Dense d(3, 2, rng);
-  d.set_weight_at(2, 1, 0.5f);
-  EXPECT_FLOAT_EQ(d.weight_at(2, 1), 0.5f);
-  EXPECT_EQ(d.fan_in(), 3);
-  EXPECT_EQ(d.fan_out(), 2);
-  EXPECT_FLOAT_EQ(d.weight_param().value.at(2, 1), 0.5f);
+  Dense d(3, 2, rng, /*bias=*/false);
+  ASSERT_EQ(d.fan_in(), 3);
+  ASSERT_EQ(d.fan_out(), 2);
+  ASSERT_EQ(d.weights().size(), 6u);
+  for (std::int64_t r = 0; r < d.fan_in(); ++r) {
+    for (std::int64_t c = 0; c < d.fan_out(); ++c) {
+      std::ranges::fill(d.weights(), 0.0f);
+      d.weights()[static_cast<std::size_t>(r * d.fan_out() + c)] = 1.0f;
+      Tensor x({1, 3});
+      x[r] = 2.0f;
+      const Tensor y = d.forward(x, /*train=*/false);
+      for (std::int64_t o = 0; o < d.fan_out(); ++o) {
+        EXPECT_EQ(y.at(0, o), o == c ? 2.0f : 0.0f)
+            << "row " << r << ", column " << c << ", output " << o;
+      }
+    }
+  }
 }
 
 TEST(Conv2D, ForwardShape) {
@@ -155,12 +170,38 @@ TEST(Conv2D, MatchesManualConvolution) {
   Rng rng(2);
   Conv2D c(1, 1, 3, 1, 0, rng, /*bias=*/false);
   // Set the kernel to an averaging filter.
-  for (std::int64_t r = 0; r < 9; ++r) c.set_weight_at(r, 0, 1.0f / 9.0f);
+  std::ranges::fill(c.weights(), 1.0f / 9.0f);
   Tensor x({1, 1, 3, 3});
   x.fill(9.0f);
   Tensor y = c.forward(x, true);
   ASSERT_EQ(y.size(), 1);
   EXPECT_NEAR(y[0], 9.0f, 1e-5f);
+}
+
+// Row r of the conv matrix is the kernel tap (channel, ky, kx) with
+// r = (channel * K + ky) * K + kx, as im2col lays it out. An input the size
+// of the kernel has one output position, and its NCHW offset of that tap
+// is r too, so a one-hot input at r meets exactly weights()[r * OC + c].
+TEST(Conv2D, WeightsSpanIsRowMajorTapByOutputChannel) {
+  Rng rng(2);
+  Conv2D conv(2, 3, 2, 1, 0, rng, /*bias=*/false);
+  ASSERT_EQ(conv.fan_in(), 8);
+  ASSERT_EQ(conv.fan_out(), 3);
+  ASSERT_EQ(conv.weights().size(), 24u);
+  for (std::int64_t r = 0; r < conv.fan_in(); ++r) {
+    for (std::int64_t c = 0; c < conv.fan_out(); ++c) {
+      std::ranges::fill(conv.weights(), 0.0f);
+      conv.weights()[static_cast<std::size_t>(r * conv.fan_out() + c)] = 1.0f;
+      Tensor x({1, 2, 2, 2});
+      x[r] = 2.0f;
+      const Tensor y = conv.forward(x, /*train=*/false);
+      ASSERT_EQ(y.size(), conv.fan_out());
+      for (std::int64_t o = 0; o < conv.fan_out(); ++o) {
+        EXPECT_EQ(y[o], o == c ? 2.0f : 0.0f)
+            << "row " << r << ", column " << c << ", output " << o;
+      }
+    }
+  }
 }
 
 TEST(Conv2D, GradCheckNoPad) {

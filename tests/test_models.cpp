@@ -15,23 +15,11 @@ using namespace rdo::models;
 namespace {
 
 int count_matrix_ops(nn::Layer& net) {
-  std::vector<nn::Layer*> all;
-  collect_layers(&net, all);
-  int n = 0;
-  for (nn::Layer* l : all) {
-    if (dynamic_cast<nn::MatrixOp*>(l)) ++n;
-  }
-  return n;
+  return static_cast<int>(nn::matrix_ops(net).size());
 }
 
 int count_act_quants(nn::Layer& net) {
-  std::vector<nn::Layer*> all;
-  collect_layers(&net, all);
-  int n = 0;
-  for (nn::Layer* l : all) {
-    if (dynamic_cast<quant::ActQuant*>(l)) ++n;
-  }
-  return n;
+  return static_cast<int>(nn::layers_of<quant::ActQuant>(net).size());
 }
 
 nn::Tensor random_images(std::int64_t n, std::int64_t c, std::int64_t hw,
@@ -156,20 +144,11 @@ TEST(Models, ResNetGradientsFlowToStem) {
   nn::DataView view{&images, &labels};
   accumulate_mean_gradients(*net, view, 4);
   // The first crossbar layer (stem conv) must receive gradient.
-  std::vector<nn::Layer*> all;
-  collect_layers(net.get(), all);
-  for (nn::Layer* l : all) {
-    if (auto* op = dynamic_cast<nn::MatrixOp*>(l)) {
-      double g = 0.0;
-      for (std::int64_t r = 0; r < op->fan_in(); ++r) {
-        for (std::int64_t c = 0; c < op->fan_out(); ++c) {
-          g += std::abs(op->weight_grad_at(r, c));
-        }
-      }
-      EXPECT_GT(g, 0.0);
-      break;
-    }
+  double g = 0.0;
+  for (const float v : nn::matrix_ops(*net).front()->weight_grads()) {
+    g += std::abs(v);
   }
+  EXPECT_GT(g, 0.0);
 }
 
 TEST(Models, CustomImageSizeLeNet) {

@@ -181,16 +181,6 @@ struct PlanFixture {
   }
 };
 
-std::vector<nn::MatrixOp*> matrix_ops(nn::Layer& net) {
-  std::vector<nn::Layer*> all;
-  nn::collect_layers(&net, all);
-  std::vector<nn::MatrixOp*> ops;
-  for (nn::Layer* l : all) {
-    if (auto* op = dynamic_cast<nn::MatrixOp*>(l)) ops.push_back(op);
-  }
-  return ops;
-}
-
 /// Runs one batch through two copies of the deployed twin, one per
 /// gradient mode, and compares dL/db for every register of every layer.
 void check_plan(const core::DeploymentPlan& plan, const PlanFixture& f) {
@@ -198,15 +188,13 @@ void check_plan(const core::DeploymentPlan& plan, const PlanFixture& f) {
   backend.program_cycle(0);
   std::unique_ptr<nn::Layer> normal = backend.network().clone();
   std::unique_ptr<nn::Layer> offset = backend.network().clone();
-  const std::vector<nn::MatrixOp*> normal_ops = matrix_ops(*normal);
-  const std::vector<nn::MatrixOp*> offset_ops = matrix_ops(*offset);
+  const std::vector<nn::MatrixOp*> normal_ops = nn::matrix_ops(*normal);
+  const std::vector<nn::MatrixOp*> offset_ops = nn::matrix_ops(*offset);
   ASSERT_EQ(normal_ops.size(), plan.layers.size());
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
     offset_ops[li]->set_offset_group_size(plan.layers[li].m);
   }
-  std::vector<std::int64_t> idx;
-  for (std::int64_t i = 0; i < f.ds.train().size(); ++i) idx.push_back(i);
-  const Tensor batch = nn::gather_batch(f.ds.train_images, idx);
+  const Tensor& batch = f.ds.train_images;
   for (nn::Layer* net : {normal.get(), offset.get()}) {
     nn::SoftmaxCrossEntropy loss;
     (void)loss.forward(net->forward(batch, /*train=*/false),

@@ -23,11 +23,7 @@ Dense make_dense_with(const std::vector<float>& w, std::int64_t in,
                       std::int64_t out) {
   Rng rng(1);
   Dense d(in, out, rng);
-  for (std::int64_t r = 0; r < in; ++r) {
-    for (std::int64_t c = 0; c < out; ++c) {
-      d.set_weight_at(r, c, w[static_cast<std::size_t>(r * out + c)]);
-    }
-  }
+  std::ranges::copy(w, d.weights().begin());
   return d;
 }
 
@@ -39,7 +35,7 @@ TEST(Quantizer, RoundTripErrorBoundedByHalfStep) {
   const LayerQuant lq = quantize_matrix(d, 8);
   for (std::int64_t r = 0; r < 16; ++r) {
     for (std::int64_t c = 0; c < 8; ++c) {
-      const float w = d.weight_at(r, c);
+      const float w = d.weights()[static_cast<std::size_t>(r * 8 + c)];
       const float deq = lq.dequant(static_cast<float>(lq.at(r, c)));
       EXPECT_LE(std::fabs(w - deq), 0.5f * lq.scale + 1e-6f);
     }
@@ -106,7 +102,7 @@ TEST(Quantizer, ApplyQuantizedWritesBack) {
   apply_quantized(d, lq);
   for (std::int64_t r = 0; r < 4; ++r) {
     for (std::int64_t c = 0; c < 4; ++c) {
-      EXPECT_FLOAT_EQ(d.weight_at(r, c),
+      EXPECT_FLOAT_EQ(d.weights()[static_cast<std::size_t>(r * 4 + c)],
                       lq.dequant(static_cast<float>(lq.at(r, c))));
     }
   }
