@@ -74,10 +74,8 @@ struct Fixture {
     [[nodiscard]] nn::DataView view() const { return {&images, &labels}; }
   };
   [[nodiscard]] TestSlice test_head(std::int64_t n) const {
-    std::vector<std::int64_t> idx;
-    for (std::int64_t i = 0; i < n; ++i) idx.push_back(i);
-    return {nn::gather_batch(ds.test_images, idx),
-            {ds.test_labels.begin(), ds.test_labels.begin() + n}};
+    nn::Batch b = nn::take_batch(ds.test(), 0, n);
+    return {std::move(b.images), std::move(b.labels)};
   }
 
   /// A backend bundled with the plan it executes (the backend holds a
@@ -213,7 +211,7 @@ TEST(NetworkExecutor, CnnDeviceLogitsMatchFloatOnIdealDevices) {
   auto& f = fx();
   nn::Sequential& cnn = trained_cnn();
   const Fixture::Deployed exec = f.deployed(cnn, 0.0, core::Scheme::Plain);
-  nn::Tensor batch = nn::gather_batch(f.ds.test_images, {0});
+  nn::Tensor batch = nn::gather_batch(f.ds.test_images, std::vector<std::int64_t>{0});
   nn::Tensor logits = cnn.forward(batch, false);
   std::vector<double> x(100);
   for (int j = 0; j < 100; ++j) {

@@ -44,7 +44,7 @@ Sequential make_mlp(Rng& rng) {
 TEST(GatherBatch, CopiesSelectedSamples) {
   Tensor images({3, 1, 1, 2});
   for (std::int64_t i = 0; i < 6; ++i) images[i] = static_cast<float>(i);
-  Tensor batch = gather_batch(images, {2, 0});
+  Tensor batch = gather_batch(images, std::vector<std::int64_t>{2, 0});
   EXPECT_EQ(batch.dim(0), 2);
   EXPECT_FLOAT_EQ(batch[0], 4.0f);  // sample 2 first element
   EXPECT_FLOAT_EQ(batch[2], 0.0f);  // sample 0 first element
