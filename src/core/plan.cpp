@@ -232,24 +232,19 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
   return plan;
 }
 
-}  // namespace
-
-DeploymentPlan compile_plan(const rdo::nn::Layer& net,
-                            const DeployOptions& opt,
-                            const rdo::nn::DataView& train) {
-  // DeployOptions crosses the API boundary (CLI flags, bench configs):
-  // reject hostile offset geometry before anything derives ranges from it.
-  opt.offsets.validate();
-
+/// RDO_PLAN_CACHE_DIR, or nullptr when it is unset or empty.
+const char* plan_cache_dir() {
   const char* dir = rdo::obs::env_knob("RDO_PLAN_CACHE_DIR");
-  if (dir == nullptr || dir[0] == '\0') {
-    return compile_plan_uncached(net, opt, train);
-  }
+  return dir != nullptr && dir[0] != '\0' ? dir : nullptr;
+}
 
-  // Opt-in shared plan cache, mirroring the RDO_LUT_CACHE_DIR protocol:
-  // keyed by the full config fingerprint, stale entries recompiled,
-  // corrupt entries recompiled and healed by the atomic re-save.
-  const std::uint64_t fp = plan_fingerprint(net, opt, train);
+/// Opt-in shared plan cache, mirroring the RDO_LUT_CACHE_DIR protocol:
+/// keyed by the full config fingerprint `fp`, stale entries recompiled,
+/// corrupt entries recompiled and healed by the atomic re-save.
+DeploymentPlan compile_plan_cached(const rdo::nn::Layer& net,
+                                   const DeployOptions& opt,
+                                   const rdo::nn::DataView& train,
+                                   const char* dir, std::uint64_t fp) {
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(fp));
@@ -287,6 +282,35 @@ DeploymentPlan compile_plan(const rdo::nn::Layer& net,
         .with("error", e.what());
   }
   return plan;
+}
+
+}  // namespace
+
+DeploymentPlan compile_plan(const rdo::nn::Layer& net,
+                            const DeployOptions& opt,
+                            const rdo::nn::DataView& train) {
+  // DeployOptions crosses the API boundary (CLI flags, bench configs):
+  // reject hostile offset geometry before anything derives ranges from it.
+  opt.offsets.validate();
+  const char* dir = plan_cache_dir();
+  if (dir == nullptr) return compile_plan_uncached(net, opt, train);
+  return compile_plan_cached(net, opt, train, dir,
+                             plan_fingerprint(net, opt, train));
+}
+
+DeploymentPlan compile_plan(const rdo::nn::Layer& net,
+                            const DeployOptions& opt,
+                            const rdo::nn::DataView& train,
+                            std::uint64_t fingerprint) {
+  opt.offsets.validate();
+#ifdef RDO_CHECK_PLAN_FINGERPRINT
+  RDO_CHECK(fingerprint == plan_fingerprint(net, opt, train),
+            "compile_plan: fingerprint is not plan_fingerprint(net, opt, "
+            "train)");
+#endif
+  const char* dir = plan_cache_dir();
+  if (dir == nullptr) return compile_plan_uncached(net, opt, train);
+  return compile_plan_cached(net, opt, train, dir, fingerprint);
 }
 
 }  // namespace rdo::core

@@ -177,9 +177,22 @@ struct DeploymentPlan {
 /// phase times and plan_cache_hits = 1). A stale or corrupt entry is
 /// recompiled and re-saved over; writes are atomic (temp + rename) so
 /// concurrent compilations sharing a cache directory only ever observe
-/// complete plans.
+/// complete plans. The fingerprint is computed only when the cache
+/// directory is set.
 DeploymentPlan compile_plan(const rdo::nn::Layer& net,
                             const DeployOptions& opt,
                             const rdo::nn::DataView& train);
+
+/// compile_plan for a caller that already holds the config's
+/// fingerprint: the RDO_PLAN_CACHE_DIR lookup and save are keyed by
+/// `fingerprint` instead of hashing net and `train` a second time.
+/// Precondition: fingerprint == plan_fingerprint(net, opt, train).
+/// Debug builds check it (RDO_CHECK_PLAN_FINGERPRINT, see
+/// src/core/CMakeLists.txt); Release builds do not, since the check
+/// costs the very hash this overload saves.
+DeploymentPlan compile_plan(const rdo::nn::Layer& net,
+                            const DeployOptions& opt,
+                            const rdo::nn::DataView& train,
+                            std::uint64_t fingerprint);
 
 }  // namespace rdo::core

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/codec.h"
 #include "core/plan.h"
 #include "nn/dense.h"
@@ -281,6 +282,48 @@ TEST(PlanCache, WarmStartLoadsBitIdenticalPlanAndSkipsCompile) {
                                                         g.train());
   EXPECT_EQ(other.compile_stats.plan_cache_misses, 1);
   EXPECT_FALSE(has_tmp_files(dir.path()));
+}
+
+// A caller that already holds the fingerprint keys the cache with it:
+// same file name, same bytes, and either form reads the stored plan.
+TEST(PlanCache, FingerprintOverloadKeysTheSameEntry) {
+  const Fixture f = make_fixture();
+  const std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(fp));
+  const std::string name = std::string("plan_") + hex + ".bin";
+
+  std::string three_arg_bytes;
+  {
+    const TempDir dir("plan_fp_3arg");
+    const EnvGuard guard("RDO_PLAN_CACHE_DIR", dir.path().string());
+    (void)core::compile_plan(*f.net, f.opt, f.train());
+    three_arg_bytes = slurp(dir.path() / name);
+  }
+  ASSERT_FALSE(three_arg_bytes.empty());
+
+  const TempDir dir("plan_fp_4arg");
+  const EnvGuard guard("RDO_PLAN_CACHE_DIR", dir.path().string());
+  const core::DeploymentPlan cold =
+      core::compile_plan(*f.net, f.opt, f.train(), fp);
+  EXPECT_EQ(cold.compile_stats.plan_cache_misses, 1);
+  EXPECT_EQ(slurp(dir.path() / name), three_arg_bytes);
+
+  const core::DeploymentPlan warm4 =
+      core::compile_plan(*f.net, f.opt, f.train(), fp);
+  const core::DeploymentPlan warm3 =
+      core::compile_plan(*f.net, f.opt, f.train());
+  EXPECT_EQ(warm4.compile_stats.plan_cache_hits, 1);
+  EXPECT_EQ(warm3.compile_stats.plan_cache_hits, 1);
+  EXPECT_EQ(save_bytes(warm4, fp), three_arg_bytes);
+  EXPECT_EQ(save_bytes(warm3, fp), three_arg_bytes);
+
+#ifdef RDO_CHECK_PLAN_FINGERPRINT
+  // Debug builds check the precondition.
+  EXPECT_THROW((void)core::compile_plan(*f.net, f.opt, f.train(), fp ^ 1u),
+               core::ContractViolation);
+#endif
 }
 
 TEST(PlanCache, CorruptEntryIsRecompiledAndHealed) {
