@@ -41,8 +41,8 @@ struct Differ {
   }
 
   void tolerated(const std::string& path, double base, double cur) {
-    out.infos.push_back(path + ": " + Json(base).dump() + " -> " +
-                        Json(cur).dump() + " (within tolerance)");
+    out.drifts.push_back(path + ": " + Json(base).dump() + " -> " +
+                         Json(cur).dump() + " (within tolerance)");
   }
 
   /// Deep compare under gauge/result tolerances. Numbers are compared

@@ -34,7 +34,9 @@ struct DiffReport {
   /// Deterministic-section divergences beyond tolerance; nonempty
   /// means the gate fails.
   std::vector<std::string> regressions;
-  /// Informational lines: volatile-section deltas, tolerated drift.
+  /// Deterministic-section values that differ but lie within tolerance.
+  std::vector<std::string> drifts;
+  /// Informational notes: volatile sections or schema_version differ.
   std::vector<std::string> infos;
 
   [[nodiscard]] bool ok() const { return regressions.empty(); }

@@ -38,6 +38,7 @@ TEST(BenchDiff, SelfCompareIsClean) {
   const DiffReport rep = diff_bench_documents(doc, doc, DiffOptions{});
   EXPECT_TRUE(rep.ok());
   EXPECT_TRUE(rep.regressions.empty());
+  EXPECT_TRUE(rep.drifts.empty());
   EXPECT_TRUE(rep.infos.empty());
 }
 
@@ -50,7 +51,11 @@ TEST(BenchDiff, CountersAreExactUnlessGivenTolerance) {
   loose.counter_rel_tol = 0.05;
   const DiffReport rep = diff_bench_documents(a, b, loose);
   EXPECT_TRUE(rep.ok());
-  EXPECT_FALSE(rep.infos.empty());  // tolerated drift is still reported
+  // Tolerated drift is still reported, as a drift and not as a note.
+  ASSERT_EQ(rep.drifts.size(), 1u);
+  EXPECT_EQ(rep.drifts[0].rfind("counters.device_pulses: ", 0), 0u)
+      << rep.drifts[0];
+  EXPECT_TRUE(rep.infos.empty());
   loose.counter_rel_tol = 0.001;
   EXPECT_FALSE(diff_bench_documents(a, b, loose).ok());
 }
@@ -164,5 +169,7 @@ TEST(BenchDiff, VolatileSectionsAreInformationalOnly) {
   EXPECT_TRUE(rep.ok()) << (rep.regressions.empty()
                                 ? ""
                                 : rep.regressions.front());
-  EXPECT_FALSE(rep.infos.empty());
+  // timing, pool, env and schema_version: notes, none of them a drift.
+  EXPECT_EQ(rep.infos.size(), 4u);
+  EXPECT_TRUE(rep.drifts.empty());
 }

@@ -5,6 +5,7 @@
 //   bench_diff           0 ok / 1 regression / 2 usage / 3 parse-IO
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -16,6 +17,24 @@ int run(const std::string& cmd) {
   const int status = std::system((cmd + " > /dev/null 2>&1").c_str());
   if (status == -1) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// The last line `cmd` prints on stdout (stderr discarded).
+std::string last_line(const std::string& cmd) {
+  FILE* pipe = popen((cmd + " 2> /dev/null").c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string line, last;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+    line += buf;
+    if (!line.empty() && line.back() == '\n') {
+      line.pop_back();
+      last = line;
+      line.clear();
+    }
+  }
+  pclose(pipe);
+  return line.empty() ? last : line;
 }
 
 const std::string kValidate = VALIDATE_BIN;
@@ -69,6 +88,21 @@ TEST(BenchDiffCli, DivergenceExitsOneUnlessTolerated) {
   EXPECT_EQ(run(kBenchDiff + " --abs-tol 1 --counter-rel-tol 1 " + base +
                 " " + cur),
             0);
+}
+
+TEST(BenchDiffCli, SummaryCountsDriftsApartFromNotes) {
+  const std::string base = kData + "/bench_valid.json";
+  const std::string cur = kData + "/bench_diverged.json";
+  EXPECT_EQ(last_line(kBenchDiff + " " + base + " " + base),
+            "bench_diff: deterministic sections match (0 tolerated "
+            "drift(s), 0 informational note(s))");
+  // device_pulses, the accuracy gauge and the three per_cycle results
+  // drift within these tolerances; timing, pool, histograms and env
+  // differ as notes.
+  EXPECT_EQ(last_line(kBenchDiff + " --abs-tol 1 --counter-rel-tol 1 " +
+                      base + " " + cur),
+            "bench_diff: deterministic sections match (5 tolerated "
+            "drift(s), 4 informational note(s))");
 }
 
 TEST(BenchDiffCli, UsageAndIoErrors) {

@@ -99,6 +99,9 @@ int main(int argc, char** argv) {
   for (const std::string& line : report.infos) {
     std::printf("info: %s\n", line.c_str());
   }
+  for (const std::string& line : report.drifts) {
+    std::printf("drift: %s\n", line.c_str());
+  }
   for (const std::string& line : report.regressions) {
     std::printf("REGRESSION: %s\n", line.c_str());
   }
@@ -108,7 +111,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("bench_diff: deterministic sections match (%zu tolerated "
-              "drift(s))\n",
-              report.infos.size());
+              "drift(s), %zu informational note(s))\n",
+              report.drifts.size(), report.infos.size());
   return 0;
 }
