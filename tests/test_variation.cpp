@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "rram/variation.h"
@@ -36,18 +38,6 @@ TEST(Rng, SplitIsDeterministicAndIndependent) {
   Rng c1b = Rng(7).split(3);
   EXPECT_EQ(c1.seed(), c1b.seed());
   EXPECT_NE(c1.seed(), c3.seed());
-}
-
-TEST(Rng, NormalMatchesStdDistributionStream) {
-  // Rng::normal(mean, sd) = z * sd + mean is bit-identical to a
-  // std::normal_distribution(mean, sd) over the same engine.
-  Rng a(13);
-  std::mt19937_64 engine(13);
-  for (int i = 0; i < 100; ++i) {
-    const double mean = 0.1 * i - 3.0, sd = 0.01 + 0.05 * i;
-    std::normal_distribution<double> d(mean, sd);
-    EXPECT_EQ(a.normal(mean, sd), d(engine));
-  }
 }
 
 TEST(Rng, NormalWithZeroStddevReturnsMeanAndAdvancesLikeUnitStddev) {
@@ -122,6 +112,147 @@ TEST(Rng, EngineMeetsStandardCheckValue) {
   EXPECT_EQ(x, 9981545732273789042ull);
 }
 
+// Rng::normal and Rng::uniform are libstdc++'s algorithms written out
+// (nn::draw), so std::normal_distribution, std::uniform_real_distribution
+// and std::generate_canonical under libstdc++ are their oracle. Other
+// standard libraries use other algorithms.
+#ifdef __GLIBCXX__
+
+namespace {
+
+/// A URBG that emits a given list of words, so each draw's edge cases
+/// can be hit on purpose.
+struct ScriptedUrbg {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  std::vector<result_type> words;
+  std::size_t next = 0;
+  result_type operator()() { return words.at(next++); }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+constexpr std::uint64_t kTop = ~std::uint64_t{0};
+
+/// Words at the rounding edges of u * 2^-64: exact small values, the
+/// 53-bit boundary, the top bit, ties, and every value around 2^64 - 1024
+/// (from there up, u rounds to 2^64 and the draw is clamped below 1).
+std::vector<std::uint64_t> edge_words() {
+  std::vector<std::uint64_t> w = {0,
+                                  1,
+                                  2,
+                                  2047,
+                                  2048,
+                                  kTwo53 - 1,
+                                  kTwo53,
+                                  kTwo53 + 1,
+                                  kTwo63 - 1,
+                                  kTwo63,
+                                  kTwo63 + 1,
+                                  kTwo63 + 1024,
+                                  kTwo63 + 1025,
+                                  kTwo63 + 3072,
+                                  0x123456789ABCDEF0ull};
+  for (std::uint64_t d : {0, 1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 2049}) {
+    w.push_back(kTop - d);
+  }
+  return w;
+}
+
+}  // namespace
+
+TEST(RngDraw, CanonicalMatchesGenerateCanonical) {
+  for (std::uint64_t u : edge_words()) {
+    ScriptedUrbg a{{u}}, b{{u}};
+    const double got = rdo::nn::draw::canonical(a);
+    const double want = std::generate_canonical<double, 53>(b);
+    EXPECT_EQ(bits(got), bits(want)) << "u " << u;
+    EXPECT_LT(got, 1.0) << "u " << u;
+    EXPECT_EQ(a.next, 1u);
+  }
+}
+
+TEST(RngDraw, CanonicalClampsWordsThatRoundToOne) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  // 2^64 - 1024 is the tie between 2^64 - 2048 and 2^64; it rounds to
+  // even, 2^64, and so does every larger word.
+  for (std::uint64_t u : {kTop - 1023, kTop - 1000, kTop}) {
+    ScriptedUrbg g{{u}};
+    EXPECT_EQ(bits(rdo::nn::draw::canonical(g)), bits(below_one)) << u;
+  }
+  // One below the tie rounds down to 2^64 - 2048: the same value, reached
+  // without the clamp.
+  ScriptedUrbg g{{kTop - 1024}};
+  EXPECT_EQ(bits(rdo::nn::draw::canonical(g)), bits(below_one));
+  ScriptedUrbg zero{{0}};
+  EXPECT_EQ(bits(rdo::nn::draw::canonical(zero)), bits(0.0));
+}
+
+TEST(RngDraw, UniformMatchesStdUniformRealDistribution) {
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {-2.0, 3.0}, {1e-3, 1e-3 + 1e-12}, {-1e9, 1e9}, {5.0, 5.0}};
+  for (const auto& [lo, hi] : ranges) {
+    for (std::uint64_t u : edge_words()) {
+      ScriptedUrbg a{{u}}, b{{u}};
+      std::uniform_real_distribution<double> d(lo, hi);
+      EXPECT_EQ(bits(rdo::nn::draw::uniform(a, lo, hi)), bits(d(b)))
+          << "u " << u << " range [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(RngDraw, NormalMatchesStdNormalDistributionThroughRejections) {
+  // Word pairs give x = 2c - 1 and y: (0, 0) is x = y = -1, r2 = 2 > 1;
+  // (2^63, 2^63) is x = y = 0, r2 == 0; (2^64-1, 2^64-1) is the clamped
+  // c on both, r2 just under 2; all three are rejected before the pair
+  // that is used.
+  const std::vector<std::uint64_t> script = {
+      0,    0,    kTwo63, kTwo63, kTop, kTop, kTwo63 + (kTwo63 >> 1),
+      kTwo63 - (kTwo63 >> 2)};
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {2.5, 3.0}, {-1.0, 0.0}, {-0.0, 1.0}};
+  for (const auto& [mean, sd] : params) {
+    ScriptedUrbg a{script}, b{script};
+    std::normal_distribution<double> d;
+    EXPECT_EQ(bits(rdo::nn::draw::normal(a, mean, sd)), bits(d(b) * sd + mean))
+        << mean << " " << sd;
+    EXPECT_EQ(a.next, script.size());
+    EXPECT_EQ(b.next, script.size());
+  }
+}
+
+TEST(RngDraw, NormalOfRadiusOneKeepsStdSignOfZero) {
+  // (0, 2^63) is x = -1, y = 0: r2 == 1, so log(r2) is 0, mult is -0.0
+  // and y * mult is -0.0. The default std::normal_distribution adds its
+  // mean 0 and returns +0.0; draw::normal does the same before scaling,
+  // which a mean of -0.0 makes visible.
+  const std::vector<std::uint64_t> script = {0, kTwo63};
+  ScriptedUrbg z{script};
+  EXPECT_EQ(bits(rdo::nn::draw::standard_normal(z)), bits(-0.0));
+  for (const double mean : {0.0, -0.0, 1.0}) {
+    ScriptedUrbg a{script}, b{script};
+    std::normal_distribution<double> d;
+    EXPECT_EQ(bits(rdo::nn::draw::normal(a, mean, 1.0)),
+              bits(d(b) * 1.0 + mean))
+        << mean;
+  }
+}
+
+TEST(Rng, NormalMatchesStdDistributionStream) {
+  // Rng::normal(mean, sd) = z * sd + mean is bit-identical to a
+  // std::normal_distribution(mean, sd) over the same engine.
+  Rng a(13);
+  std::mt19937_64 engine(13);
+  for (int i = 0; i < 100; ++i) {
+    const double mean = 0.1 * i - 3.0, sd = 0.01 + 0.05 * i;
+    std::normal_distribution<double> d(mean, sd);
+    EXPECT_EQ(a.normal(mean, sd), d(engine));
+  }
+}
+
 TEST(Rng, DistributionsMatchStdOverStdEngine) {
   for (std::uint64_t seed : split_seeds()) {
     Rng rng(seed);
@@ -129,8 +260,10 @@ TEST(Rng, DistributionsMatchStdOverStdEngine) {
     std::uniform_real_distribution<double> uniform(-2.0, 3.0);
     std::uniform_int_distribution<std::int64_t> uniform_int(-7, 1000);
     // Interleaved so that every distribution runs across the lazy phase,
-    // word 156 and the first full twist. Rng::normal uses a fresh
-    // std::normal_distribution per call (no cached second value).
+    // word 156 and the first full twist. Each Rng::normal call draws a
+    // polar pair and returns its y value, as a fresh
+    // std::normal_distribution per call does (the x value a kept
+    // distribution would cache is dropped).
     for (int i = 0; i < 400; ++i) {
       std::normal_distribution<double> normal;
       ASSERT_EQ(rng.normal(), normal(oracle)) << "draw " << i;
@@ -140,6 +273,8 @@ TEST(Rng, DistributionsMatchStdOverStdEngine) {
     }
   }
 }
+
+#endif  // __GLIBCXX__
 
 TEST(Rng, ShuffleMatchesStdOverStdEngine) {
   for (std::size_t n : {1u, 10u, 157u, 1000u}) {
