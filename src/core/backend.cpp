@@ -55,37 +55,27 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     layer_span.arg("weights", static_cast<std::int64_t>(pl.assign.ctw.size()));
     rdo::nn::Rng lrng = rng.split(li);
     const std::size_t n = pl.assign.ctw.size();
-    ls.crw.resize(n);
-    // Dead columns (eliminate_dead_tiles) are never programmed: the RNG
-    // draws are consumed and discarded so every live weight sees exactly
-    // the stream it would without the pass, and the column reads back the
-    // zero point exactly (ideal unprogrammed cells).
-    const bool has_dead = !pl.dead_cols.empty();
-    const auto cols = static_cast<std::size_t>(pl.lq.cols);
-    std::vector<double> ideal_zero;
-    if (has_dead) {
-      for (int s : plan_.prog.slice(pl.lq.zero)) {
-        ideal_zero.push_back(static_cast<double>(s));
-      }
-    }
-    // With keep_cells_ every weight programs straight into its slot of
-    // the kept cells; otherwise one weight's buffer is reused.
     const auto cpw = static_cast<std::size_t>(plan_.prog.cells_per_weight());
-    std::vector<double> scratch(keep_cells_ ? 0 : cpw);
+    ls.crw.resize(n);
     if (keep_cells_) ls.cells.resize(n * cpw);
-    std::int64_t live = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<double> cells =
-          keep_cells_ ? std::span<double>(ls.cells).subspan(i * cpw, cpw)
-                      : std::span<double>(scratch);
-      plan_.prog.program_cells(pl.assign.ctw[i], lrng, cells);
-      if (has_dead && pl.dead_cols[i % cols] != 0) {
+    plan_.prog.program_weights(pl.assign.ctw, lrng, ls.cells, ls.crw);
+    // Dead columns (eliminate_dead_tiles) are never programmed: their RNG
+    // draws were consumed above and are discarded, so every live weight
+    // sees exactly the stream it would without the pass, and the column
+    // reads back the zero point exactly (ideal unprogrammed cells).
+    auto live = static_cast<std::int64_t>(n);
+    if (!pl.dead_cols.empty()) {
+      const std::vector<int> zero_states = plan_.prog.slice(pl.lq.zero);
+      const auto cols = static_cast<std::size_t>(pl.lq.cols);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (pl.dead_cols[i % cols] == 0) continue;
         ls.crw[i] = static_cast<double>(pl.lq.zero);
-        std::copy(ideal_zero.begin(), ideal_zero.end(), cells.begin());
-        continue;
+        if (keep_cells_) {
+          std::copy(zero_states.begin(), zero_states.end(),
+                    ls.cells.begin() + static_cast<std::ptrdiff_t>(i * cpw));
+        }
+        --live;
       }
-      ls.crw[i] = plan_.prog.compose(cells);
-      ++live;
     }
     stats_.weights_programmed += live;
     stats_.device_pulses += live * plan_.prog.cells_per_weight();

@@ -16,7 +16,7 @@
 // is all a read sees: program() draws a variation factor per cell,
 // program_ideal() uses none, and the span program_values() returns is
 // overwritten in place with values drawn elsewhere (the device backend
-// replays WeightProgrammer::program_cells, faults included, so both
+// replays WeightProgrammer::program_weights, faults included, so both
 // backends observe the same devices).
 #pragma once
 
@@ -57,7 +57,7 @@ class Crossbar {
   /// for programming the array in place from values drawn elsewhere,
   /// bypassing the cell model's state->value mapping. Lets the device
   /// level replay the exact post-variation (and post-fault) values
-  /// produced by WeightProgrammer::program_cells so both execution
+  /// produced by WeightProgrammer::program_weights so both execution
   /// backends observe bit-identical devices.
   [[nodiscard]] std::span<double> program_values() { return values_; }
 

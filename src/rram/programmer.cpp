@@ -22,17 +22,50 @@ WeightProgrammer::WeightProgrammer(CellModel cell, int weight_bits,
   RDO_CHECK(weight_bits_ <= 30,
             "WeightProgrammer: " + std::to_string(weight_bits_) +
                 " weight bits do not fit an int CTW");
+  const int top = cell_.states() - 1;
+  state_mask_ = top;
+  hrs_ = cell_.hrs_offset();
+  stuck_hrs_value_ = cell_.read_value(0, 1.0);
+  stuck_lrs_value_ = cell_.read_value(top, 1.0);
+  stuck_rate_ = faults_.stuck_hrs_rate + faults_.stuck_lrs_rate;
+  sigma_ccv_ = variation_.sigma_ccv();
+  double radix_pow = 1.0;
+  for (int k = 0; k < cells_; ++k) {
+    radix_pow_[static_cast<std::size_t>(k)] = radix_pow;
+    radix_pow *= cell_.radix();
+  }
+}
+
+namespace {
+
+void check_ctw(int v, int max_weight) {
+  RDO_CHECK(v >= 0 && v <= max_weight,
+            "WeightProgrammer: CTW " + std::to_string(v) + " outside [0, " +
+                std::to_string(max_weight) + "]");
+}
+
+}  // namespace
+
+int WeightProgrammer::state_of(int v, int k) const {
+  return (v >> (k * cell_.bits())) & state_mask_;
+}
+
+double WeightProgrammer::programmed_cell_value(int state, double factor,
+                                               rdo::nn::Rng& rng) const {
+  if (faults_.any()) {
+    const double u = rng.uniform();
+    if (u < faults_.stuck_hrs_rate) return stuck_hrs_value_;
+    if (u < stuck_rate_) return stuck_lrs_value_;
+  }
+  return (static_cast<double>(state) + hrs_) * factor - hrs_;
 }
 
 std::array<int, WeightProgrammer::kMaxCells> WeightProgrammer::slice_states(
     int v) const {
-  RDO_CHECK(v >= 0 && v <= max_weight(),
-            "WeightProgrammer::slice: CTW " + std::to_string(v) +
-                " outside [0, " + std::to_string(max_weight()) + "]");
+  check_ctw(v, max_weight());
   std::array<int, kMaxCells> states{};
-  const int mask = cell_.states() - 1;
   for (int k = 0; k < cells_; ++k) {
-    states[static_cast<std::size_t>(k)] = (v >> (k * cell_.bits())) & mask;
+    states[static_cast<std::size_t>(k)] = state_of(v, k);
   }
   return states;
 }
@@ -43,59 +76,61 @@ std::vector<int> WeightProgrammer::slice(int v) const {
 }
 
 double WeightProgrammer::compose(std::span<const double> cell_values) const {
+  RDO_CHECK(cell_values.size() == static_cast<std::size_t>(cells_),
+            "WeightProgrammer::compose: " +
+                std::to_string(cell_values.size()) + " values for " +
+                std::to_string(cells_) + " cells");
   double crw = 0.0;
-  double radix_pow = 1.0;
-  for (double val : cell_values) {
-    crw += radix_pow * val;
-    radix_pow *= cell_.radix();
+  for (std::size_t k = 0; k < cell_values.size(); ++k) {
+    crw += radix_pow_[k] * cell_values[k];
   }
   return crw;
 }
 
 double WeightProgrammer::composite_leakage() const {
-  const double c = cell_.hrs_offset();
   double leak = 0.0;
-  double radix_pow = 1.0;
   for (int k = 0; k < cells_; ++k) {
-    leak += radix_pow * c;
-    radix_pow *= cell_.radix();
+    leak += radix_pow_[static_cast<std::size_t>(k)] * hrs_;
   }
   return leak;
 }
 
-double WeightProgrammer::programmed_cell_value(int state, double factor,
-                                               rdo::nn::Rng& rng) const {
-  if (faults_.any()) {
-    const double u = rng.uniform();
-    if (u < faults_.stuck_hrs_rate) return cell_.read_value(0, 1.0);
-    if (u < faults_.stuck_hrs_rate + faults_.stuck_lrs_rate) {
-      return cell_.read_value(cell_.states() - 1, 1.0);
+void WeightProgrammer::program_weights(std::span<const int> ctw,
+                                       rdo::nn::Rng& rng,
+                                       std::span<double> cells,
+                                       std::span<double> crw) const {
+  const auto cpw = static_cast<std::size_t>(cells_);
+  const bool keep = !cells.empty();
+  RDO_CHECK(crw.size() == ctw.size() &&
+                (!keep || cells.size() == ctw.size() * cpw),
+            "WeightProgrammer::program_weights: " +
+                std::to_string(ctw.size()) + " CTWs, " +
+                std::to_string(crw.size()) + " CRWs and " +
+                std::to_string(cells.size()) + " cells");
+  const bool shared = variation_.scope == VariationScope::PerWeight;
+  const int vmax = max_weight();
+  for (std::size_t i = 0; i < ctw.size(); ++i) {
+    const int v = ctw[i];
+    check_ctw(v, vmax);
+    // PerWeight scope: one factor for the whole weight, drawn first.
+    const double shared_factor =
+        shared ? variation_.sample_factor(rng) : 1.0;
+    double acc = 0.0;
+    for (std::size_t k = 0; k < cpw; ++k) {
+      const double f = shared ? shared_factor : variation_.sample_factor(rng);
+      const double val =
+          programmed_cell_value(state_of(v, static_cast<int>(k)), f, rng);
+      if (keep) cells[i * cpw + k] = val;
+      acc += radix_pow_[k] * val;
     }
-  }
-  return cell_.read_value(state, factor);
-}
-
-void WeightProgrammer::program_cells(int v, rdo::nn::Rng& rng,
-                                     std::span<double> out) const {
-  RDO_CHECK(out.size() == static_cast<std::size_t>(cells_),
-            "program_cells: buffer of " + std::to_string(out.size()) +
-                " values for " + std::to_string(cells_) + " cells");
-  const std::array<int, kMaxCells> states = slice_states(v);
-  const bool shared =
-      variation_.scope == VariationScope::PerWeight;
-  const double shared_factor = shared ? variation_.sample_factor(rng) : 1.0;
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    const double f = shared ? shared_factor : variation_.sample_factor(rng);
-    out[k] = programmed_cell_value(states[k], f, rng);
+    crw[i] = acc;
   }
 }
 
 double WeightProgrammer::program(int v, rdo::nn::Rng& rng) const {
-  std::array<double, kMaxCells> vals{};
-  const std::span<double> cells(vals.data(),
-                                static_cast<std::size_t>(cells_));
-  program_cells(v, rng, cells);
-  return compose(cells);
+  double crw = 0.0;
+  program_weights({&v, 1}, rng, {}, {&crw, 1});
+  return crw;
 }
 
 double WeightProgrammer::program_with_ddv(
@@ -103,21 +138,22 @@ double WeightProgrammer::program_with_ddv(
   RDO_CHECK(ddv_theta.size() == static_cast<std::size_t>(cells_),
             "program_with_ddv: " + std::to_string(ddv_theta.size()) +
                 " DDV thetas for " + std::to_string(cells_) + " cells");
-  const std::array<int, kMaxCells> states = slice_states(v);
-  std::array<double, kMaxCells> vals{};
+  check_ctw(v, max_weight());
   const bool shared =
       variation_.scope == VariationScope::PerWeight;
   // PerWeight scope: one theta for the whole weight, so one exp.
   const double shared_factor =
-      shared ? std::exp(ddv_theta[0] + variation_.sample_ccv_theta(rng))
-             : 1.0;
+      shared ? std::exp(ddv_theta[0] + rng.normal(0.0, sigma_ccv_)) : 1.0;
+  double crw = 0.0;
   for (std::size_t k = 0; k < ddv_theta.size(); ++k) {
     const double factor =
         shared ? shared_factor
-               : std::exp(ddv_theta[k] + variation_.sample_ccv_theta(rng));
-    vals[k] = programmed_cell_value(states[k], factor, rng);
+               : std::exp(ddv_theta[k] + rng.normal(0.0, sigma_ccv_));
+    crw += radix_pow_[k] *
+           programmed_cell_value(state_of(v, static_cast<int>(k)), factor,
+                                 rng);
   }
-  return compose({vals.data(), ddv_theta.size()});
+  return crw;
 }
 
 double WeightProgrammer::analytic_mean(int v) const {

@@ -40,21 +40,26 @@ class WeightProgrammer {
   /// outside [0, max_weight()].
   [[nodiscard]] std::array<int, kMaxCells> slice_states(int v) const;
 
-  /// Radix-weighted composition of per-cell read values into a CRW.
+  /// Radix-weighted composition of cells_per_weight() per-cell read
+  /// values (LSB cell first) into a CRW.
   [[nodiscard]] double compose(std::span<const double> cell_values) const;
 
-  /// Program CTW `v` once with lumped DDV+CCV variation; returns the CRW.
-  /// PerWeight scope: one factor for the whole weight,
-  /// CRW = (v + C) e^theta - C with C the composite HRS leakage;
-  /// PerCell scope: an independent factor per bit-slice device.
-  [[nodiscard]] double program(int v, rdo::nn::Rng& rng) const;
+  /// Program every CTW of `ctw` once with lumped DDV+CCV variation, in
+  /// order, from `rng`; crw[i] is weight i's CRW, composed as compose()
+  /// does. PerWeight scope: one factor for the whole weight,
+  /// CRW = (v + C) e^theta - C with C the composite HRS leakage; PerCell
+  /// scope: an independent factor per bit-slice device. Per cell (LSB
+  /// first) the draws are its factor (PerCell), then a stuck-at uniform
+  /// when faults are configured. `cells` is either empty (cells are not
+  /// kept) or receives weight i's post-variation read values at
+  /// [i * cells_per_weight(), (i + 1) * cells_per_weight()). Throws
+  /// std::invalid_argument for a CTW outside [0, max_weight()] or
+  /// mismatched spans.
+  void program_weights(std::span<const int> ctw, rdo::nn::Rng& rng,
+                       std::span<double> cells, std::span<double> crw) const;
 
-  /// Program CTW `v` and write the individual post-variation cell read
-  /// values (LSB cell first) into `out` (cells_per_weight() entries,
-  /// caller-owned so a layer is programmed without a per-weight
-  /// allocation). Consumes the exact same random draws as program();
-  /// program(v, rng) is equivalent to compose() over the values written.
-  void program_cells(int v, rdo::nn::Rng& rng, std::span<double> out) const;
+  /// program_weights() of the one CTW `v`; returns its CRW.
+  [[nodiscard]] double program(int v, rdo::nn::Rng& rng) const;
 
   /// Program CTW `v` for a device group whose persistent DDV component is
   /// `ddv_theta` (one theta per cell; PerWeight scope uses ddv_theta[0]);
@@ -81,9 +86,19 @@ class WeightProgrammer {
   VariationModel variation_;
   FaultModel faults_;
   int cells_;
+  // Derived once from the models above (every draw reads them):
+  int state_mask_ = 0;             ///< cell states - 1
+  double hrs_ = 0.0;               ///< cell_.hrs_offset()
+  double stuck_hrs_value_ = 0.0;   ///< read_value(0, 1.0)
+  double stuck_lrs_value_ = 0.0;   ///< read_value(states - 1, 1.0)
+  double stuck_rate_ = 0.0;        ///< stuck_hrs_rate + stuck_lrs_rate
+  double sigma_ccv_ = 0.0;         ///< variation_.sigma_ccv()
+  std::array<double, kMaxCells> radix_pow_{};  ///< radix^k, k < cells_
 
-  /// Per-cell read value after programming: applies a stuck-at fault draw
-  /// (exact stuck state) or the variation factor.
+  /// State of cell k of CTW v (no range check).
+  [[nodiscard]] int state_of(int v, int k) const;
+  /// Read value of a cell in `state` after a fault draw (when faults are
+  /// configured): the exact stuck state, or the variation `factor`.
   [[nodiscard]] double programmed_cell_value(int state, double factor,
                                              rdo::nn::Rng& rng) const;
 };

@@ -28,6 +28,7 @@ RLut RLut::build(const WeightProgrammer& prog, int k_sets, int j_cycles,
   const int samples = k_sets * j_cycles;
   std::vector<double> crw(static_cast<std::size_t>(samples));
   std::vector<double> ddv(static_cast<std::size_t>(prog.cells_per_weight()));
+  const double sigma_ddv = prog.variation().sigma_ddv();
   for (int v = 0; v <= vmax; ++v) {
     // K device sets; each set programmed J times. With the lumped
     // DDV+CCV model every programming is an independent draw, but we keep
@@ -36,7 +37,7 @@ RLut RLut::build(const WeightProgrammer& prog, int k_sets, int j_cycles,
     for (int k = 0; k < k_sets; ++k) {
       rdo::nn::Rng set_rng = rng.split(
           static_cast<std::uint64_t>(v) * 1000003ull + static_cast<std::uint64_t>(k));
-      for (auto& t : ddv) t = prog.variation().sample_ddv_theta(set_rng);
+      for (auto& t : ddv) t = set_rng.normal(0.0, sigma_ddv);
       for (int j = 0; j < j_cycles; ++j) {
         crw[static_cast<std::size_t>(i++)] =
             prog.program_with_ddv(v, ddv, set_rng);

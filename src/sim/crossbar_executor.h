@@ -12,7 +12,7 @@
 //
 // The executor never draws devices itself: program_cell_values() is the
 // only way its crossbars get values, from cells drawn by
-// WeightProgrammer::program_cells (the effective-weight backend's draw).
+// WeightProgrammer::program_weights (the effective-weight backend's draw).
 // The fast path (core::EffectiveWeightBackend) absorbs all of the above
 // into effective weights; tests/test_sim.cpp proves the two paths agree
 // on the same measured CRWs (exactly with an ideal ADC, boundedly with a
@@ -50,7 +50,7 @@ class CrossbarLayerExecutor {
 
   /// Program every device from per-cell read values, flat
   /// [rows * cols * cells_per_weight] (row-major weights, LSB cell first)
-  /// — the exact outputs of WeightProgrammer::program_cells, so the
+  /// — the exact outputs of WeightProgrammer::program_weights, so the
   /// device level observes bit-identical conductances to the
   /// effective-weight path. Padding cells read as ideal HRS.
   void program_cell_values(std::span<const double> cells);

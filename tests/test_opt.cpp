@@ -254,6 +254,71 @@ TEST(OptDeadTiles, SkipsAllZeroColumnsAndPreservesLiveDraws) {
   EXPECT_GE(acc_dead, acc_base);
 }
 
+/// A backend that keeps every cycle's cells, as a device-level backend
+/// does.
+class KeepingBackend : public core::EffectiveWeightBackend {
+ public:
+  KeepingBackend(const core::DeploymentPlan& plan, const nn::Layer& src)
+      : EffectiveWeightBackend(plan, src, /*keep_cell_values=*/true) {}
+};
+
+TEST(OptDeadTiles, DeadColumnsReadTheZeroPointWithIdealCells) {
+  Fixture f = make_fixture(core::Scheme::Plain);
+  {
+    nn::Param* w = f.net->params()[0];
+    for (std::int64_t r = 0; r < 6; ++r) w->value[r * 4 + 1] = 0.0f;
+  }
+  const core::DeploymentPlan base =
+      core::compile_plan(*f.net, f.opt, f.train());
+  core::DeploymentPlan dead = base;
+  core::opt::run_pipeline(dead, {"eliminate_dead_tiles"});
+  const core::PlanLayer& pl = dead.layers[0];
+  ASSERT_EQ(pl.dead_cols.size(), 4u);
+  ASSERT_EQ(pl.dead_cols[1], 1);
+
+  KeepingBackend kbase(base, *f.net);
+  KeepingBackend kdead(dead, *f.net);
+  core::EffectiveWeightBackend plain_dead(dead, *f.net);
+  for (core::EffectiveWeightBackend* b :
+       std::initializer_list<core::EffectiveWeightBackend*>{
+           &kbase, &kdead, &plain_dead}) {
+    b->program_cycle(3);
+  }
+  const auto cpw = static_cast<std::size_t>(dead.prog.cells_per_weight());
+  const std::vector<int> zero_states = dead.prog.slice(pl.lq.zero);
+  const auto& got = kdead.layers()[0];
+  const auto& want = kbase.layers()[0];
+  ASSERT_EQ(got.cells.size(), got.crw.size() * cpw);
+  EXPECT_TRUE(plain_dead.layers()[0].cells.empty());
+  for (std::size_t i = 0; i < got.crw.size(); ++i) {
+    SCOPED_TRACE("weight " + std::to_string(i));
+    const bool is_dead = pl.dead_cols[i % 4] != 0;
+    // Keeping cells never changes the CRWs.
+    EXPECT_EQ(plain_dead.layers()[0].crw[i], got.crw[i]);
+    if (is_dead) {
+      EXPECT_EQ(got.crw[i], static_cast<double>(pl.lq.zero));
+    } else {
+      // Live weights drew exactly the stream they draw without the pass.
+      EXPECT_EQ(got.crw[i], want.crw[i]);
+    }
+    for (std::size_t k = 0; k < cpw; ++k) {
+      const double cell = got.cells[i * cpw + k];
+      EXPECT_EQ(cell, is_dead ? static_cast<double>(zero_states[k])
+                              : want.cells[i * cpw + k]);
+    }
+  }
+  // One 6-row column is skipped: 6 fewer weights and their pulses, with
+  // or without kept cells.
+  for (const core::EffectiveWeightBackend* b :
+       {static_cast<const core::EffectiveWeightBackend*>(&kdead),
+        static_cast<const core::EffectiveWeightBackend*>(&plain_dead)}) {
+    EXPECT_EQ(b->stats().weights_programmed,
+              kbase.stats().weights_programmed - 6);
+    EXPECT_EQ(b->stats().device_pulses,
+              kbase.stats().device_pulses - 6 * static_cast<std::int64_t>(cpw));
+  }
+}
+
 TEST(OptCanonicalize, IdentityOnSolverOutput) {
   Fixture f = make_fixture(core::Scheme::VAWOStar);
   const core::DeploymentPlan base =

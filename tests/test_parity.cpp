@@ -241,9 +241,9 @@ TEST(Parity, SharedPlanSupportsManyIndependentBackends) {
 
 TEST(Parity, ThrowingProgramCycleLeavesBackendDestructibleAndRetryable) {
   // Teardown regression: a plan corrupted to hold an out-of-range CTW
-  // makes WeightProgrammer::slice throw mid-pipeline. The backend must
-  // survive the throw (destruction and retry both safe), and the caller's
-  // network must stay untouched.
+  // makes WeightProgrammer::program_weights throw mid-pipeline. The
+  // backend must survive the throw (destruction and retry both safe), and
+  // the caller's network must stay untouched.
   auto& f = fx();
   const std::vector<float> before = f.param_bytes();
   const DeployOptions o = f.options(Scheme::VAWOStarPWT, rram::CellKind::SLC);

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "rram/programmer.h"
 #include "rram/rlut.h"
 
@@ -29,22 +33,141 @@ TEST(Programmer, RejectsWeightBitsBeyondAnIntCtw) {
   EXPECT_THROW(WeightProgrammer(kSlc, 32, {0.5, 0.0}), std::invalid_argument);
 }
 
-TEST(Programmer, ProgramCellsIntoBufferMatchesProgram) {
-  // program_cells writes into a caller-owned buffer and consumes exactly
-  // the draws program() does, so composing the cells gives the same CRW
-  // and leaves the stream in the same place.
+namespace {
+
+/// The reference draw: one weight at a time, as programming was written
+/// before the layer kernel (program_cells + compose, with the read value
+/// and radix powers recomputed per cell).
+double reference_cell_value(const WeightProgrammer& p, int state,
+                            double factor, Rng& rng) {
+  const FaultModel& faults = p.faults();
+  const CellModel& cell = p.cell();
+  if (faults.any()) {
+    const double u = rng.uniform();
+    if (u < faults.stuck_hrs_rate) return cell.read_value(0, 1.0);
+    if (u < faults.stuck_hrs_rate + faults.stuck_lrs_rate) {
+      return cell.read_value(cell.states() - 1, 1.0);
+    }
+  }
+  return cell.read_value(state, factor);
+}
+
+double reference_weight(const WeightProgrammer& p, int v, Rng& rng,
+                        std::span<double> out) {
+  const auto states = p.slice_states(v);
+  const VariationModel& var = p.variation();
+  const bool shared = var.scope == VariationScope::PerWeight;
+  const double shared_factor = shared ? var.sample_factor(rng) : 1.0;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const double f = shared ? shared_factor : var.sample_factor(rng);
+    out[k] = reference_cell_value(p, states[k], f, rng);
+  }
+  double crw = 0.0;
+  double radix_pow = 1.0;
+  for (double val : out) {
+    crw += radix_pow * val;
+    radix_pow *= p.cell().radix();
+  }
+  return crw;
+}
+
+/// CTWs covering both ends of the range and a seeded spread between.
+std::vector<int> sample_ctws(int max_weight) {
+  std::vector<int> ctw = {0, max_weight, 1, max_weight - 1};
+  Rng rng(99);
+  for (int i = 0; i < 400; ++i) {
+    ctw.push_back(static_cast<int>(rng.uniform_int(0, max_weight)));
+  }
+  return ctw;
+}
+
+}  // namespace
+
+TEST(Programmer, ProgramWeightsMatchesPerWeightReferenceBitForBit) {
+  const FaultModel no_faults{};
+  const FaultModel faults{0.1, 0.05};
   for (const CellModel& cell : {kSlc, kMlc}) {
-    WeightProgrammer p(cell, 8, {0.5, 0.0});
+    for (VariationScope scope :
+         {VariationScope::PerWeight, VariationScope::PerCell}) {
+      for (const FaultModel& fm : {no_faults, faults}) {
+        for (double sigma : {0.5, 0.0}) {
+          const WeightProgrammer p(cell, 8, {sigma, 0.0, scope}, fm);
+          const std::vector<int> ctw = sample_ctws(p.max_weight());
+          const auto cpw = static_cast<std::size_t>(p.cells_per_weight());
+          std::vector<double> want_cells(ctw.size() * cpw);
+          std::vector<double> want_crw(ctw.size());
+          Rng ref(31);
+          for (std::size_t i = 0; i < ctw.size(); ++i) {
+            want_crw[i] = reference_weight(
+                p, ctw[i], ref,
+                std::span<double>(want_cells).subspan(i * cpw, cpw));
+          }
+          for (bool keep : {true, false}) {
+            SCOPED_TRACE(std::string(to_string(cell.kind)) +
+                         (scope == VariationScope::PerWeight ? " per-weight"
+                                                             : " per-cell") +
+                         (fm.any() ? " faults" : "") + " sigma " +
+                         std::to_string(sigma) + (keep ? " kept" : ""));
+            std::vector<double> cells(keep ? ctw.size() * cpw : 0);
+            std::vector<double> crw(ctw.size());
+            Rng rng(31);
+            p.program_weights(ctw, rng, cells, crw);
+            EXPECT_EQ(std::memcmp(crw.data(), want_crw.data(),
+                                  crw.size() * sizeof(double)),
+                      0);
+            if (keep) {
+              EXPECT_EQ(std::memcmp(cells.data(), want_cells.data(),
+                                    cells.size() * sizeof(double)),
+                        0);
+            }
+            // Exactly the reference's draws were consumed.
+            Rng after = ref;
+            EXPECT_EQ(rng.engine()(), after.engine()());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Programmer, ProgramIsTheOneWeightKernelCall) {
+  for (const CellModel& cell : {kSlc, kMlc}) {
+    WeightProgrammer p(cell, 8, {0.5, 0.0, VariationScope::PerCell});
     Rng a(17), b(17);
-    std::vector<double> cells(static_cast<std::size_t>(p.cells_per_weight()));
     for (int v : {0, 1, 77, 200, 255}) {
-      p.program_cells(v, a, cells);
-      EXPECT_EQ(p.compose(cells), p.program(v, b));
+      std::vector<double> cells(static_cast<std::size_t>(p.cells_per_weight()));
+      double crw = 0.0;
+      p.program_weights({&v, 1}, a, cells, {&crw, 1});
+      EXPECT_EQ(crw, p.program(v, b));
+      EXPECT_EQ(p.compose(cells), crw);
     }
     EXPECT_EQ(a.engine()(), b.engine()());
-    std::vector<double> wrong(cells.size() + 1);
-    EXPECT_THROW(p.program_cells(3, a, wrong), std::invalid_argument);
   }
+}
+
+TEST(Programmer, ProgramWeightsRejectsOutOfRangeCtwsAndMismatchedSpans) {
+  WeightProgrammer p(kMlc, 8, {0.5, 0.0});
+  Rng rng(5);
+  std::vector<double> crw(3);
+  std::vector<double> cells(3 * 4);
+  for (int bad : {-1, 256, 1 << 20}) {
+    const std::vector<int> ctw = {3, bad, 7};
+    EXPECT_THROW(p.program_weights(ctw, rng, cells, crw),
+                 rdo::core::ContractViolation)
+        << bad;
+    EXPECT_THROW(p.program_weights(ctw, rng, {}, crw),
+                 rdo::core::ContractViolation)
+        << bad;
+  }
+  const std::vector<int> ctw = {3, 255, 7};
+  std::vector<double> short_crw(2);
+  std::vector<double> short_cells(3 * 4 - 1);
+  EXPECT_THROW(p.program_weights(ctw, rng, cells, short_crw),
+               rdo::core::ContractViolation);
+  EXPECT_THROW(p.program_weights(ctw, rng, short_cells, crw),
+               rdo::core::ContractViolation);
+  std::vector<double> wrong(5);
+  EXPECT_THROW((void)p.compose(wrong), rdo::core::ContractViolation);
 }
 
 TEST(Programmer, SliceLsbFirstSlc) {
@@ -172,7 +295,7 @@ TEST(Programmer, ProgramWithDdvRejectsWrongThetaCount) {
   WeightProgrammer p(kSlc, 8, {0.5, 0.5});
   Rng rng(5);
   std::vector<double> ddv(3);
-  EXPECT_THROW(p.program_with_ddv(10, ddv, rng), std::invalid_argument);
+  EXPECT_THROW((void)p.program_with_ddv(10, ddv, rng), std::invalid_argument);
 }
 
 TEST(Programmer, StuckAtHrsPullsReadbackDown) {

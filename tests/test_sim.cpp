@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <span>
 #include <stdexcept>
 
 #include "sim/crossbar_executor.h"
@@ -69,8 +68,8 @@ std::vector<double> fast_path(const quant::LayerQuant& lq,
 }
 
 /// Builds the executor and programs every device once from `rng` with
-/// the production draw (WeightProgrammer::program_cells, weight by weight
-/// in row-major order).
+/// the production draw (WeightProgrammer::program_weights, weights in
+/// row-major order).
 CrossbarLayerExecutor programmed(const quant::LayerQuant& lq,
                                  const core::VawoResult& assign,
                                  const ExecutorConfig& cfg, Rng& rng) {
@@ -79,10 +78,8 @@ CrossbarLayerExecutor programmed(const quant::LayerQuant& lq,
                                     cfg.xbar.variation);
   const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
   std::vector<double> cells(assign.ctw.size() * cpw);
-  for (std::size_t i = 0; i < assign.ctw.size(); ++i) {
-    prog.program_cells(assign.ctw[i], rng,
-                       std::span<double>(cells).subspan(i * cpw, cpw));
-  }
+  std::vector<double> crw(assign.ctw.size());
+  prog.program_weights(assign.ctw, rng, cells, crw);
   exec.program_cell_values(cells);
   return exec;
 }
@@ -377,13 +374,9 @@ TEST(Sim, CellLayoutAndPaddingReadAsIdealHrs) {
                                     cfg.xbar.variation);
   const int cpw = prog.cells_per_weight();
   std::vector<double> cells(assign.ctw.size() * static_cast<std::size_t>(cpw));
+  std::vector<double> crw(assign.ctw.size());
   Rng rng(19);
-  for (std::size_t i = 0; i < assign.ctw.size(); ++i) {
-    prog.program_cells(
-        assign.ctw[i], rng,
-        std::span<double>(cells).subspan(i * static_cast<std::size_t>(cpw),
-                                         static_cast<std::size_t>(cpw)));
-  }
+  prog.program_weights(assign.ctw, rng, cells, crw);
   CrossbarLayerExecutor exec(lq, assign, cfg);
   exec.program_cell_values(cells);
   ASSERT_EQ(exec.crossbar_count(), 2);
