@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <type_traits>
 
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/plan.h"
 #include "nn/parallel.h"
 #include "obs/report.h"
@@ -93,6 +98,57 @@ std::optional<Scheme> parse_scheme(std::string_view s) {
   if (low == "pwt") return Scheme::PWT;
   if (low == "vawo*+pwt") return Scheme::VAWOStarPWT;
   return std::nullopt;
+}
+
+namespace {
+
+template <typename T>
+std::string show(T v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), v).ptr};
+}
+
+[[noreturn]] void reject(const char* field, const std::string& what) {
+  throw ContractViolation(std::string("DeployOptions: ") + field + " = " +
+                          what);
+}
+
+/// lo <= v <= hi, written so that NaN fails.
+template <typename T>
+void in_range(const char* field, T v, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  if (!(v >= lo && v <= hi)) {
+    reject(field, show(v) + " outside [" + show(lo) + ", " + show(hi) + "]");
+  }
+}
+
+}  // namespace
+
+void check_options(const DeployOptions& o) {
+  in_range("offsets.m", o.offsets.m, 1, kMaxOffsetGroupSize);
+  in_range("offsets.offset_bits", o.offsets.offset_bits, 1, kMaxOffsetBits);
+  in_range("cell.on_off_ratio", o.cell.on_off_ratio, std::nextafter(1.0, 2.0),
+           1e9);
+  in_range("variation.sigma", o.variation.sigma, 0.0, kMaxSigma);
+  in_range("variation.ddv_fraction", o.variation.ddv_fraction, 0.0, 1.0);
+  in_range("faults.stuck_hrs_rate", o.faults.stuck_hrs_rate, 0.0, 1.0);
+  in_range("faults.stuck_lrs_rate", o.faults.stuck_lrs_rate, 0.0, 1.0);
+  in_range("weight_bits", o.weight_bits, 1, 16);
+  if (o.weight_bits % o.cell.bits() != 0) {
+    reject("weight_bits", show(o.weight_bits) + " not a whole number of cells");
+  }
+  in_range("lut_k_sets", o.lut_k_sets, 1);
+  in_range("lut_j_cycles", o.lut_j_cycles, 1);
+  in_range("lut_k_sets * lut_j_cycles",
+           std::int64_t{o.lut_k_sets} * o.lut_j_cycles, 1,
+           rdo::rram::RLut::kMaxSamples);
+  in_range("grad_samples", o.grad_samples, 0);
+  in_range("grad_batch", o.grad_batch, 1);
+  in_range("pwt.epochs", o.pwt.epochs, 0, 1024);
+  in_range("pwt.batch_size", o.pwt.batch_size, 1);
+  in_range("pwt.max_samples", o.pwt.max_samples, 0);
+  in_range("pwt.lr", o.pwt.lr, -std::numeric_limits<float>::max(),
+           std::numeric_limits<float>::max());
 }
 
 std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,

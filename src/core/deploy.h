@@ -102,6 +102,15 @@ struct DeployOptions : PipelineConfig {
   bool penalize_bias = true;  ///< see VawoOptions
 };
 
+/// Bounds that check_options and the rdo_experiment flags share.
+inline constexpr int kMaxOffsetGroupSize = 1 << 20;  ///< offsets.m
+inline constexpr double kMaxSigma = 8.0;
+
+/// The one list of up-front DeployOptions preconditions, each written
+/// once; NaN fails each. Throws ContractViolation naming the field and
+/// its value. Not checked here: the pass list (opt::parse_pass_list).
+void check_options(const DeployOptions& o);
+
 /// Per-deployment observability record, accumulated across the
 /// compile -> program_cycle -> tune -> evaluate pipeline.
 ///

@@ -14,6 +14,9 @@
 
 namespace rdo::core {
 
+/// Widest offset register; VawoTable::build sizes arrays at 2^offset_bits.
+inline constexpr int kMaxOffsetBits = 16;
+
 struct OffsetConfig {
   int m = 16;           ///< sharing granularity (weights per offset)
   int offset_bits = 8;  ///< offset register width (signed)
@@ -23,12 +26,12 @@ struct OffsetConfig {
   /// anything >= 31) is undefined behaviour and a hostile value would
   /// otherwise enumerate an empty (or astronomically large) offset range.
   /// Every consumer of an OffsetConfig that crossed an API boundary
-  /// (solver entry points, compile_plan) calls this before using it.
+  /// (solver entry points; compile_plan through check_options) checks it.
   void validate() const {
     RDO_CHECK(m >= 1, "OffsetConfig: m = " + std::to_string(m) + " < 1");
-    RDO_CHECK(offset_bits >= 1 && offset_bits <= 30,
+    RDO_CHECK(offset_bits >= 1 && offset_bits <= kMaxOffsetBits,
               "OffsetConfig: offset_bits = " + std::to_string(offset_bits) +
-                  " outside [1, 30]");
+                  " outside [1, " + std::to_string(kMaxOffsetBits) + "]");
   }
 
   [[nodiscard]] int offset_min() const { return -(1 << (offset_bits - 1)); }

@@ -289,9 +289,9 @@ DeploymentPlan compile_plan_cached(const rdo::nn::Layer& net,
 DeploymentPlan compile_plan(const rdo::nn::Layer& net,
                             const DeployOptions& opt,
                             const rdo::nn::DataView& train) {
-  // DeployOptions crosses the API boundary (CLI flags, bench configs):
-  // reject hostile offset geometry before anything derives ranges from it.
-  opt.offsets.validate();
+  // DeployOptions crosses the API boundary (CLI flags, bench configs,
+  // serve requests): reject it before anything derives sizes from it.
+  check_options(opt);
   const char* dir = plan_cache_dir();
   if (dir == nullptr) return compile_plan_uncached(net, opt, train);
   return compile_plan_cached(net, opt, train, dir,
@@ -302,7 +302,7 @@ DeploymentPlan compile_plan(const rdo::nn::Layer& net,
                             const DeployOptions& opt,
                             const rdo::nn::DataView& train,
                             std::uint64_t fingerprint) {
-  opt.offsets.validate();
+  check_options(opt);
 #ifdef RDO_CHECK_PLAN_FINGERPRINT
   RDO_CHECK(fingerprint == plan_fingerprint(net, opt, train),
             "compile_plan: fingerprint is not plan_fingerprint(net, opt, "

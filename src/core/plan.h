@@ -167,7 +167,8 @@ struct DeploymentPlan {
 
 /// Compile `net` (unchanged; cloned internally) for deployment under
 /// `opt`. `train` feeds activation calibration and, for VAWO schemes, the
-/// mean gradient estimate. Throws std::invalid_argument when the network
+/// mean gradient estimate. Checks `opt` with check_options first (throws
+/// ContractViolation), and throws std::invalid_argument when the network
 /// has no crossbar-mappable (MatrixOp) layers.
 ///
 /// When the RDO_PLAN_CACHE_DIR environment variable names a directory,

@@ -24,9 +24,10 @@
 // behind the opt-in RDO_PLAN_CACHE_DIR shared cache) and reads through
 // the shared codec (core/codec.h): every read is checked against the
 // stream state, every declared count is bounded by the bytes actually
-// remaining before it is believed, enum and range
-// fields are validated before any object is constructed from them, and
-// trailing bytes are rejected. A damaged file raises PlanError — never a
+// remaining before it is believed, enum fields are validated before
+// their casts, the options block passes check_options (core/deploy.h)
+// before any object is constructed from it, and trailing bytes are
+// rejected. A damaged file raises PlanError — never a
 // partially-initialized plan, an unbounded resize, or a ContractViolation
 // from deeper layers. fuzz/fuzz_plan.cpp hammers exactly this contract.
 //
@@ -135,60 +136,38 @@ DeployOptions read_options(Reader& r) {
   r.require(scheme <= static_cast<std::uint32_t>(Scheme::VAWOStarPWT),
             "unknown scheme");
   o.scheme = static_cast<Scheme>(scheme);
-  const auto m = r.scalar<std::int32_t>();
-  r.require(m >= 1 && static_cast<std::uint64_t>(m) <= kMaxDim,
-            "offset group size out of range");
-  o.offsets.m = m;
-  const auto obits = r.scalar<std::int32_t>();
-  r.require(obits >= 1 && obits <= 30, "offset register width out of range");
-  o.offsets.offset_bits = obits;
+  o.offsets.m = r.scalar<std::int32_t>();
+  o.offsets.offset_bits = r.scalar<std::int32_t>();
   const auto kind = r.scalar<std::uint32_t>();
   r.require(kind <= 1, "unknown cell kind");
   o.cell.kind = static_cast<rdo::rram::CellKind>(kind);
-  o.cell.on_off_ratio = finite<double>(r);
-  r.require(o.cell.on_off_ratio > 1.0, "ON/OFF ratio out of range");
-  o.variation.sigma = finite<double>(r);
-  r.require(o.variation.sigma >= 0.0, "negative sigma");
-  o.variation.ddv_fraction = finite<double>(r);
-  r.require(o.variation.ddv_fraction >= 0.0 && o.variation.ddv_fraction <= 1.0,
-            "DDV fraction out of range");
+  o.cell.on_off_ratio = r.scalar<double>();
+  o.variation.sigma = r.scalar<double>();
+  o.variation.ddv_fraction = r.scalar<double>();
   const auto scope = r.scalar<std::uint32_t>();
   r.require(scope <= 1, "unknown variation scope");
   o.variation.scope = static_cast<rdo::rram::VariationScope>(scope);
-  o.faults.stuck_hrs_rate = finite<double>(r);
-  o.faults.stuck_lrs_rate = finite<double>(r);
-  r.require(o.faults.stuck_hrs_rate >= 0.0 && o.faults.stuck_hrs_rate <= 1.0 &&
-                o.faults.stuck_lrs_rate >= 0.0 &&
-                o.faults.stuck_lrs_rate <= 1.0,
-            "fault rate out of range");
-  const auto wbits = r.scalar<std::int32_t>();
-  r.require(wbits >= 1 && wbits <= 16, "weight bits out of range");
-  r.require(wbits % o.cell.bits() == 0,
-            "weight bits not divisible into cells");
-  o.weight_bits = wbits;
+  o.faults.stuck_hrs_rate = r.scalar<double>();
+  o.faults.stuck_lrs_rate = r.scalar<double>();
+  o.weight_bits = r.scalar<std::int32_t>();
   o.pwt.epochs = r.scalar<std::int32_t>();
-  r.require(o.pwt.epochs >= 0, "negative PWT epoch count");
-  o.pwt.lr = finite<float>(r);
+  o.pwt.lr = r.scalar<float>();
   o.pwt.batch_size = r.scalar<std::int64_t>();
   o.pwt.max_samples = r.scalar<std::int64_t>();
-  r.require(o.pwt.batch_size >= 1 && o.pwt.max_samples >= 0,
-            "PWT batch geometry out of range");
   o.pwt.mean_init = r.scalar<std::uint8_t>() != 0;
   o.quantize_activations = r.scalar<std::uint8_t>() != 0;
   o.penalize_bias = r.scalar<std::uint8_t>() != 0;
   o.lut_k_sets = r.scalar<std::int32_t>();
   o.lut_j_cycles = r.scalar<std::int32_t>();
-  r.require(o.lut_k_sets >= 1 &&
-                static_cast<std::uint64_t>(o.lut_k_sets) <= kMaxDim &&
-                o.lut_j_cycles >= 1 &&
-                static_cast<std::uint64_t>(o.lut_j_cycles) <= kMaxDim,
-            "LUT protocol out of range");
   o.grad_samples = r.scalar<std::int64_t>();
   o.grad_batch = r.scalar<std::int64_t>();
-  r.require(o.grad_samples >= 0 && o.grad_batch >= 1,
-            "gradient budget out of range");
   o.seed = r.scalar<std::uint64_t>();
   std::string spec = r.text(kMaxPassSpec);
+  try {
+    check_options(o);
+  } catch (const ContractViolation& e) {
+    r.fail(e.what());
+  }
   std::string err;
   if (!opt::parse_pass_list(spec, &err)) {
     r.fail("invalid optimizer pass list: " + err);

@@ -1,10 +1,9 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <limits>
 
+#include "core/check.h"
 #include "core/opt/pipeline.h"
-#include "rram/rlut.h"
 
 namespace rdo::serve {
 
@@ -45,9 +44,18 @@ const std::string& as_str(const Json& v, const char* key) {
   return v.as_string();
 }
 
-/// Apply one "config" override onto `o`. Every key is individually
-/// validated so a request can never construct options that deeper layers
-/// would reject with a ContractViolation.
+/// An integer member that fits the int field it sets; the field's range
+/// is check_options'.
+int as_int32(const Json& v, const char* key) {
+  const std::int64_t n = as_int(v, key);
+  if (n != static_cast<int>(n)) {
+    bad(std::string("member \"") + key + "\" out of range");
+  }
+  return static_cast<int>(n);
+}
+
+/// Apply one "config" override onto `o`. Only names and types are checked
+/// here; parse_request holds the merged options to check_options.
 void apply_config_key(rdo::core::DeployOptions& o, const std::string& key,
                       const Json& v) {
   if (key == "scheme") {
@@ -55,13 +63,9 @@ void apply_config_key(rdo::core::DeployOptions& o, const std::string& key,
     if (!s) bad("unknown scheme \"" + v.as_string() + '"');
     o.scheme = *s;
   } else if (key == "sigma") {
-    const double d = as_finite(v, "sigma");
-    if (d < 0.0 || d > 8.0) bad("sigma out of range [0, 8]");
-    o.variation.sigma = d;
+    o.variation.sigma = as_finite(v, "sigma");
   } else if (key == "ddv_fraction") {
-    const double d = as_finite(v, "ddv_fraction");
-    if (d < 0.0 || d > 1.0) bad("ddv_fraction out of range [0, 1]");
-    o.variation.ddv_fraction = d;
+    o.variation.ddv_fraction = as_finite(v, "ddv_fraction");
   } else if (key == "scope") {
     const std::string& s = as_str(v, "scope");
     if (s == "per_weight") {
@@ -81,41 +85,25 @@ void apply_config_key(rdo::core::DeployOptions& o, const std::string& key,
       bad("unknown cell \"" + s + "\" (SLC|MLC2)");
     }
   } else if (key == "on_off_ratio") {
-    const double d = as_finite(v, "on_off_ratio");
-    if (d <= 1.0 || d > 1e9) bad("on_off_ratio out of range (1, 1e9]");
-    o.cell.on_off_ratio = d;
+    o.cell.on_off_ratio = as_finite(v, "on_off_ratio");
   } else if (key == "m") {
-    const std::int64_t n = as_int(v, "m");
-    if (n < 1 || n > (1 << 20)) bad("m out of range [1, 2^20]");
-    o.offsets.m = static_cast<int>(n);
+    o.offsets.m = as_int32(v, "m");
   } else if (key == "offset_bits") {
-    const std::int64_t n = as_int(v, "offset_bits");
-    if (n < 1 || n > 30) bad("offset_bits out of range [1, 30]");
-    o.offsets.offset_bits = static_cast<int>(n);
+    o.offsets.offset_bits = as_int32(v, "offset_bits");
   } else if (key == "weight_bits") {
-    const std::int64_t n = as_int(v, "weight_bits");
-    if (n < 1 || n > 16) bad("weight_bits out of range [1, 16]");
-    o.weight_bits = static_cast<int>(n);
+    o.weight_bits = as_int32(v, "weight_bits");
   } else if (key == "seed") {
     const std::int64_t n = as_int(v, "seed");
     if (n < 0) bad("seed must be non-negative");
     o.seed = static_cast<std::uint64_t>(n);
   } else if (key == "lut_k_sets") {
-    const std::int64_t n = as_int(v, "lut_k_sets");
-    if (n < 1 || n > (1 << 20)) bad("lut_k_sets out of range [1, 2^20]");
-    o.lut_k_sets = static_cast<int>(n);
+    o.lut_k_sets = as_int32(v, "lut_k_sets");
   } else if (key == "lut_j_cycles") {
-    const std::int64_t n = as_int(v, "lut_j_cycles");
-    if (n < 1 || n > (1 << 20)) bad("lut_j_cycles out of range [1, 2^20]");
-    o.lut_j_cycles = static_cast<int>(n);
+    o.lut_j_cycles = as_int32(v, "lut_j_cycles");
   } else if (key == "grad_samples") {
-    const std::int64_t n = as_int(v, "grad_samples");
-    if (n < 0) bad("grad_samples must be non-negative");
-    o.grad_samples = n;
+    o.grad_samples = as_int(v, "grad_samples");
   } else if (key == "pwt_epochs") {
-    const std::int64_t n = as_int(v, "pwt_epochs");
-    if (n < 0 || n > 1024) bad("pwt_epochs out of range [0, 1024]");
-    o.pwt.epochs = static_cast<int>(n);
+    o.pwt.epochs = as_int32(v, "pwt_epochs");
   } else if (key == "opt_passes") {
     const std::string& s = as_str(v, "opt_passes");
     std::string err;
@@ -253,14 +241,12 @@ ServeRequest parse_request(const Json& doc,
     }
   }
 
-  // Cross-field checks the pipeline would otherwise RDO_CHECK on.
-  if (req.options.weight_bits % req.options.cell.bits() != 0) {
-    bad("weight_bits must be divisible by the cell bit width");
-  }
-  if (static_cast<std::int64_t>(req.options.lut_k_sets) *
-          req.options.lut_j_cycles >
-      rdo::rram::RLut::kMaxSamples) {
-    bad("lut_k_sets * lut_j_cycles exceeds 2^20 LUT samples per CTW");
+  // The merged options must pass: weight_bits and cell, say, are checked
+  // together.
+  try {
+    rdo::core::check_options(req.options);
+  } catch (const rdo::core::ContractViolation& e) {
+    bad(e.what());
   }
   return req;
 }

@@ -5,7 +5,9 @@
 // as untrusted input — unknown operations, unknown config keys, wrong
 // types and out-of-range values all raise ProtocolError(BadRequest)
 // before anything touches the deployment pipeline, so hostile requests
-// can never surface a ContractViolation from deeper layers.
+// can never surface a ContractViolation from deeper layers. The ranges
+// of the config values are core::check_options' (core/deploy.h): a
+// request's merged options must pass it.
 //
 // Requests:
 //   {"id": <int|string>, "op": "ping"}

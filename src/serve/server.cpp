@@ -67,6 +67,7 @@ InferenceService::InferenceService(const rdo::nn::Layer& net,
       base_(base),
       cfg_(cfg),
       gate_(cfg.max_active, cfg.max_queued) {
+  rdo::core::check_options(base_);
   const char* p = rdo::obs::env_knob("RDO_SLOW_REQUEST_MS");
   if (p != nullptr && p[0] != '\0') {
     char* end = nullptr;
@@ -245,7 +246,9 @@ Json InferenceService::evaluate(const ServeRequest& req) {
     const std::int64_t count = req.data.count == 0
                                    ? total - req.data.offset
                                    : req.data.count;
-    if (count < 1 || req.data.offset + count > total) {
+    // offset <= total here, so the subtraction cannot overflow where
+    // offset + count could.
+    if (count < 1 || count > total - req.data.offset) {
       throw ProtocolError(ErrorCode::BadRequest,
                           "offset/count outside dataset");
     }

@@ -145,7 +145,9 @@ class InferenceService {
   /// feeds plan compilation and PWT, test/train serve "split" selectors).
   /// The ctor reads RDO_SLOW_REQUEST_MS (milliseconds, fractional ok)
   /// for the slow-request log threshold; unset or empty disables it, and
-  /// so does an unparsable, negative or NaN value, with a warning.
+  /// so does an unparsable, negative or NaN value, with a warning. A
+  /// `base` that fails core::check_options throws ContractViolation here,
+  /// so a misconfigured server fails at start, not as bad_request.
   InferenceService(const rdo::nn::Layer& net, rdo::nn::DataView train,
                    rdo::nn::DataView test, rdo::core::DeployOptions base,
                    ServeConfig cfg);

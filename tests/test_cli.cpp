@@ -69,6 +69,7 @@ TEST(CliArgs, BoundaryValuesAreAccepted) {
   EXPECT_EQ(a.seed, 18446744073709551615ull);
   EXPECT_TRUE(parse({"--ddv", "1"}, a).ok);
   EXPECT_TRUE(parse({"--m", "1"}, a).ok);
+  EXPECT_TRUE(parse({"--m", "1048576"}, a).ok);
   EXPECT_TRUE(parse({"--bits", "1"}, a).ok);
   EXPECT_TRUE(parse({"--bits", "16"}, a).ok);
   EXPECT_TRUE(parse({"--repeats", "1"}, a).ok);
@@ -110,6 +111,8 @@ TEST(CliArgs, RejectsOutOfBoundsValues) {
   EXPECT_FALSE(parse({"--ddv", "-0.5"}).ok);
   EXPECT_FALSE(parse({"--repeats", "0"}).ok);
   EXPECT_FALSE(parse({"--m", "99999999999999999999"}).ok);
+  // core::kMaxGroupSize + 1: the library rejects it too.
+  EXPECT_FALSE(parse({"--m", "1048577"}).ok);
   // The serve protocol's sigma range.
   EXPECT_FALSE(parse({"--sigma", "8.5"}).ok);
   EXPECT_FALSE(parse({"--sigma", "1e300"}).ok);

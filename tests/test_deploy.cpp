@@ -3,7 +3,14 @@
 // EffectiveWeightBackend execution stage.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/deploy.h"
 #include "core/plan.h"
 #include "data/synthetic.h"
@@ -369,4 +376,148 @@ TEST(Deploy, ParseSchemeRejectsUnknownNames) {
   EXPECT_FALSE(parse_scheme("plain ").has_value());
   EXPECT_FALSE(parse_scheme("vawo+pwt").has_value());
   EXPECT_FALSE(parse_scheme("offset").has_value());
+}
+
+namespace {
+
+/// One precondition of check_options at one end of its range: the field
+/// its message names, a setter, the last value that passes and the first
+/// that fails. Integer fields go through the double unchanged.
+struct Bound {
+  const char* field;
+  void (*set)(DeployOptions&, double);
+  double last_valid;
+  double first_invalid;
+};
+
+double above(double v) { return std::nextafter(v, HUGE_VAL); }
+double below(double v) { return std::nextafter(v, -HUGE_VAL); }
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+std::vector<Bound> bounds() {
+  const auto m = [](DeployOptions& o, double v) {
+    o.offsets.m = static_cast<int>(v);
+  };
+  const auto obits = [](DeployOptions& o, double v) {
+    o.offsets.offset_bits = static_cast<int>(v);
+  };
+  const auto ratio = [](DeployOptions& o, double v) {
+    o.cell.on_off_ratio = v;
+  };
+  const auto sigma = [](DeployOptions& o, double v) {
+    o.variation.sigma = v;
+  };
+  const auto ddv = [](DeployOptions& o, double v) {
+    o.variation.ddv_fraction = v;
+  };
+  const auto hrs = [](DeployOptions& o, double v) {
+    o.faults.stuck_hrs_rate = v;
+  };
+  const auto lrs = [](DeployOptions& o, double v) {
+    o.faults.stuck_lrs_rate = v;
+  };
+  const auto wbits = [](DeployOptions& o, double v) {
+    o.weight_bits = static_cast<int>(v);
+  };
+  const auto mlc2_wbits = [](DeployOptions& o, double v) {
+    o.cell.kind = rram::CellKind::MLC2;
+    o.weight_bits = static_cast<int>(v);
+  };
+  const auto k_sets = [](DeployOptions& o, double v) {
+    o.lut_k_sets = static_cast<int>(v);
+  };
+  const auto j_cycles = [](DeployOptions& o, double v) {
+    o.lut_j_cycles = static_cast<int>(v);
+  };
+  const auto k1024_j = [](DeployOptions& o, double v) {
+    o.lut_k_sets = 1024;
+    o.lut_j_cycles = static_cast<int>(v);
+  };
+  const auto gsamples = [](DeployOptions& o, double v) {
+    o.grad_samples = static_cast<std::int64_t>(v);
+  };
+  const auto gbatch = [](DeployOptions& o, double v) {
+    o.grad_batch = static_cast<std::int64_t>(v);
+  };
+  const auto epochs = [](DeployOptions& o, double v) {
+    o.pwt.epochs = static_cast<int>(v);
+  };
+  const auto pbatch = [](DeployOptions& o, double v) {
+    o.pwt.batch_size = static_cast<std::int64_t>(v);
+  };
+  const auto pmax = [](DeployOptions& o, double v) {
+    o.pwt.max_samples = static_cast<std::int64_t>(v);
+  };
+  const auto lr = [](DeployOptions& o, double v) {
+    o.pwt.lr = static_cast<float>(v);
+  };
+  return {
+      {"offsets.m", m, 1, 0},
+      {"offsets.m", m, 1 << 20, (1 << 20) + 1},
+      {"offsets.offset_bits", obits, 1, 0},
+      {"offsets.offset_bits", obits, 16, 17},
+      {"cell.on_off_ratio", ratio, above(1.0), 1.0},
+      {"cell.on_off_ratio", ratio, 1e9, above(1e9)},
+      {"cell.on_off_ratio", ratio, 200.0, kNaN},
+      {"variation.sigma", sigma, 0.0, below(0.0)},
+      {"variation.sigma", sigma, 8.0, above(8.0)},
+      {"variation.sigma", sigma, 0.5, kNaN},
+      {"variation.ddv_fraction", ddv, 0.0, below(0.0)},
+      {"variation.ddv_fraction", ddv, 1.0, above(1.0)},
+      {"variation.ddv_fraction", ddv, 0.5, kNaN},
+      {"faults.stuck_hrs_rate", hrs, 0.0, below(0.0)},
+      {"faults.stuck_hrs_rate", hrs, 1.0, above(1.0)},
+      {"faults.stuck_hrs_rate", hrs, 0.5, kNaN},
+      {"faults.stuck_lrs_rate", lrs, 0.0, below(0.0)},
+      {"faults.stuck_lrs_rate", lrs, 1.0, above(1.0)},
+      {"faults.stuck_lrs_rate", lrs, 0.5, kNaN},
+      {"weight_bits", wbits, 1, 0},
+      {"weight_bits", wbits, 16, 17},
+      {"weight_bits", mlc2_wbits, 16, 15},
+      {"lut_k_sets", k_sets, 1, 0},
+      {"lut_j_cycles", j_cycles, 1, 0},
+      {"lut_k_sets * lut_j_cycles", k1024_j, 1024, 1025},
+      {"grad_samples", gsamples, 0, -1},
+      {"grad_batch", gbatch, 1, 0},
+      {"pwt.epochs", epochs, 0, -1},
+      {"pwt.epochs", epochs, 1024, 1025},
+      {"pwt.batch_size", pbatch, 1, 0},
+      {"pwt.max_samples", pmax, 0, -1},
+      {"pwt.lr", lr, FLT_MAX, HUGE_VAL},
+      {"pwt.lr", lr, 1.0, kNaN},
+  };
+}
+
+}  // namespace
+
+TEST(CheckOptions, EveryBoundPassesItsLastValidValueAndNotTheNext) {
+  for (const Bound& b : bounds()) {
+    DeployOptions ok;
+    b.set(ok, b.last_valid);
+    EXPECT_NO_THROW(check_options(ok)) << b.field << " = " << b.last_valid;
+
+    DeployOptions bad;
+    b.set(bad, b.first_invalid);
+    try {
+      check_options(bad);
+      ADD_FAILURE() << b.field << " = " << b.first_invalid << " passed";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("DeployOptions: ") +
+                                           b.field + " = "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CheckOptions, CompilePlanChecksBeforeCompiling) {
+  // A plain compile never reads the PWT epoch count, so only the
+  // up-front check can reject it.
+  const TrainedMlp& f = fixture();
+  DeployOptions o = f.base_options(Scheme::Plain);
+  o.pwt.epochs = 1025;
+  EXPECT_THROW((void)compile_plan(f.net, o, f.ds.train()), ContractViolation);
+  EXPECT_THROW((void)compile_plan(f.net, o, f.ds.train(),
+                                  plan_fingerprint(f.net, o, f.ds.train())),
+               ContractViolation);
 }

@@ -232,6 +232,32 @@ TEST(PlanIo, TruncationsAndTrailingBytesThrowTyped) {
                core::PlanError);
 }
 
+TEST(PlanIo, StoredOptionsFailingCheckOptionsRaisePlanError) {
+  const Fixture f = make_fixture();
+  const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
+                                                       f.train());
+  const std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
+  std::string bytes = save_bytes(plan, fp);
+  // Header: u32 magic, u64 fingerprint, u32 scheme, i32 m, then the i32
+  // offset register width at byte 20.
+  constexpr std::size_t kOffsetBitsAt = 20;
+  std::int32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + kOffsetBitsAt, sizeof stored);
+  ASSERT_EQ(stored, f.opt.offsets.offset_bits);
+  const std::int32_t hostile = core::kMaxOffsetBits + 1;
+  std::memcpy(bytes.data() + kOffsetBitsAt, &hostile, sizeof hostile);
+
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    (void)core::DeploymentPlan::load(in, fp, "patched");
+    ADD_FAILURE() << "a plan with offset_bits = " << hostile << " loaded";
+  } catch (const core::PlanError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset_bits = 17"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PlanIo, ByteFlipsNeverEscapeAsAnythingButPlanError) {
   const Fixture f = make_fixture();
   const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,

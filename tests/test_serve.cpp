@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/plan.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
@@ -531,6 +532,12 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       R"({"lut_k_sets": 65536, "lut_j_cycles": 65536}})",
       R"({"op": "evaluate", "config": )"
       R"({"lut_k_sets": 1048576, "lut_j_cycles": 2}})",
+      // A 2^17- or 2^30-entry VAWO table per compile.
+      R"({"op": "evaluate", "config": {"offset_bits": 17}})",
+      R"({"op": "evaluate", "config": {"offset_bits": 30}})",
+      // offset + count overflows int64.
+      R"({"op": "evaluate", "data": {"split": "test", "offset": 1,)"
+      R"( "count": 9223372036854775807}})",
   };
   for (const std::string& line : bad) {
     expect_bad_request(reply(svc, line), line);
@@ -541,6 +548,14 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
   // Nothing malformed ever reached the pipeline.
   EXPECT_EQ(c.plan_misses, 0);
   EXPECT_EQ(svc.cached_plans(), 0u);
+}
+
+TEST(Serve, BaseOptionsFailingCheckOptionsFailAtConstruction) {
+  const ServeFixture f;
+  core::DeployOptions base = f.base;
+  base.offsets.offset_bits = 17;
+  EXPECT_THROW(serve::InferenceService(*f.net, f.train(), f.test(), base, {}),
+               core::ContractViolation);
 }
 
 TEST(Serve, OptPassesOverrideCompilesDistinctPlan) {

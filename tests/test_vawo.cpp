@@ -251,7 +251,8 @@ TEST(Vawo, RejectsEmptyOrMismatchedGroup) {
 
 TEST(Vawo, RejectsHostileOffsetConfig) {
   // offset_bits = 0 would shift by -1 (UB) and enumerate nothing, leaving
-  // the out-parameters uninitialized; >= 31 overflows the register range.
+  // the out-parameters uninitialized; >= 31 overflows the register range,
+  // and 17 already asks VawoTable::build for 2^17-entry arrays.
   // Both must fail loudly at the solver boundary, never solve silently:
   // when the table is built, and when a layer is solved against a table
   // built for a legal configuration.
@@ -261,7 +262,7 @@ TEST(Vawo, RejectsHostileOffsetConfig) {
   const VawoOptions legal;
   const VawoTable table =
       VawoTable::build(lut, 255, legal.offsets, legal.penalize_bias);
-  for (int bits : {0, -3, 31, 64}) {
+  for (int bits : {0, -3, 17, 31, 64}) {
     VawoOptions opt;
     opt.offsets.offset_bits = bits;
     EXPECT_THROW(VawoTable::build(lut, 255, opt.offsets, opt.penalize_bias),

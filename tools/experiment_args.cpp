@@ -77,7 +77,7 @@ const char* experiment_usage() {
       "  --scope   per-weight | per-cell             (default per-weight)\n"
       "  --sigma   <double>   log-normal sigma, in [0, 8] (default 0.5)\n"
       "  --ddv     <double>   DDV share, in [0, 1]   (default 0)\n"
-      "  --m       <int>      sharing granularity, >= 1 (default 16)\n"
+      "  --m       <int>      sharing granularity, 1..2^20 (default 16)\n"
       "  --bits    <int>      offset width, 1..16    (default 8)\n"
       "  --repeats <int>      programming cycles, >= 1 (default 3)\n"
       "  --seed    <uint64>\n"
@@ -129,7 +129,7 @@ ParseOutcome parse_experiment_args(int argc, const char* const* argv,
     } else if (flag == "--sigma") {
       if ((value = next()) == nullptr) return missing();
       if (!parse_double(value, out.sigma) || out.sigma < 0.0 ||
-          out.sigma > 8.0) {
+          out.sigma > rdo::core::kMaxSigma) {
         return fail(std::string("--sigma expects a number in [0, 8], got '") +
                     value + "'");
       }
@@ -141,14 +141,15 @@ ParseOutcome parse_experiment_args(int argc, const char* const* argv,
       }
     } else if (flag == "--m") {
       if ((value = next()) == nullptr) return missing();
-      if (!parse_int(value, out.m) || out.m < 1) {
-        return fail(std::string("--m expects an integer >= 1, got '") + value +
-                    "'");
+      if (!parse_int(value, out.m) || out.m < 1 ||
+          out.m > rdo::core::kMaxOffsetGroupSize) {
+        return fail(std::string("--m expects an integer in [1, 2^20], got '") +
+                    value + "'");
       }
     } else if (flag == "--bits") {
       if ((value = next()) == nullptr) return missing();
       if (!parse_int(value, out.offset_bits) || out.offset_bits < 1 ||
-          out.offset_bits > 16) {
+          out.offset_bits > rdo::core::kMaxOffsetBits) {
         return fail(std::string("--bits expects an integer in [1, 16], "
                                 "got '") +
                     value + "'");

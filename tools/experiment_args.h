@@ -5,7 +5,8 @@
 // (end-pointer checked, no atof/atoi silent-zero fallbacks), carry no
 // leading whitespace or sign and be finite, enum-like
 // strings must name a known choice, and every value is bounds-checked
-// (sigma and DDV as the serve protocol bounds them).
+// (sigma, m and the offset width against the constants core::check_options
+// enforces, so the CLI and the library agree).
 // Any violation produces `ok == false` plus a one-line diagnostic; the
 // binary prints it and exits 2.
 #pragma once
@@ -22,7 +23,7 @@ struct ExperimentArgs {
   std::string scope = "per-weight"; // per-weight | per-cell
   double sigma = 0.5;               // in [0, 8]
   double ddv = 0.0;                 // in [0, 1]
-  int m = 16;                       // >= 1
+  int m = 16;                       // in [1, 2^20]
   int repeats = 3;                  // >= 1
   int offset_bits = 8;              // in [1, 16]
   std::uint64_t seed = 1;
