@@ -27,7 +27,9 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
 
 /// C[i, :] += sum_p A(i, p) * B[p, :] over rows [i0, i1), with A(i, p) =
 /// a[i * a_row + p * a_col]. Zero A entries are skipped; the remaining
-/// terms are gathered per row and B panel and applied four at a time as
+/// terms are gathered per row and B panel (every entry is stored, and only
+/// a nonzero one advances the count, so sparse activation rows cost no
+/// mispredicted branch) and applied four at a time as
 /// (((c + t0) + t1) + t2) + t3, which rounds exactly like four separate
 /// `c += t` steps, so every element still sums its terms in ascending p.
 /// The one source body of both instruction-set copies below.
@@ -43,10 +45,9 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
       std::int64_t cnt = 0;
       for (std::int64_t p = p0; p < p1; ++p) {
         const float v = a[i * a_row + p * a_col];
-        // im2col matrices and activations are often sparse (ReLU)
-        if (v == 0.0f) continue;
         av[cnt] = v;
-        brow[cnt++] = b + p * n;
+        brow[cnt] = b + p * n;
+        cnt += v != 0.0f;
       }
       float* __restrict crow = c + i * n;
       std::int64_t t = 0;

@@ -188,24 +188,13 @@ TEST_P(GemmSerialOrder, KernelsRoundLikeTheSerialLoop) {
   EXPECT_EQ(c3, ref_bt);
 }
 
-TEST_P(GemmSerialOrder, ZeroAEntriesSkipInfiniteB) {
-  // A zero A entry is skipped, not multiplied: column p0 of A is all zero
-  // and row p0 of B holds +-inf, so any kernel that forms 0 * inf turns
-  // its C row into NaN. The reference is the serial loop with the skip.
-  const auto [m, k, n] = shape();
-  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n + 1));
-  auto a = random_mat(m, k, rng);
-  for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
-  auto b = random_mat(k, n, rng);
-  const std::int64_t p0 = k / 2;
-  const float inf = std::numeric_limits<float>::infinity();
-  for (std::int64_t i = 0; i < m; ++i) {
-    a[static_cast<std::size_t>(i * k + p0)] = i % 2 == 0 ? 0.0f : -0.0f;
-  }
-  for (std::int64_t j = 0; j < n; ++j) {
-    b[static_cast<std::size_t>(p0 * n + j)] = j % 2 == 0 ? inf : -inf;
-  }
-  const auto c0 = random_mat(m, n, rng);
+/// Runs C += A*B and C += A^T*B on `isa`, and C += A*B^T, from C = c0,
+/// and requires the bytes of the serial loop that skips zero A entries
+/// and adds one product at a time in ascending p.
+void expect_serial_skip_order(KernelIsa isa, const std::vector<float>& a,
+                              const std::vector<float>& b,
+                              const std::vector<float>& c0, std::int64_t m,
+                              std::int64_t k, std::int64_t n) {
   std::vector<float> at(a.size()), bt(b.size());
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t p = 0; p < k; ++p) {
@@ -235,14 +224,55 @@ TEST_P(GemmSerialOrder, ZeroAEntriesSkipInfiniteB) {
     }
   }
   std::vector<float> c1 = c0, c2 = c0, c3 = c0;
-  detail::gemm_accumulate(isa(), a.data(), b.data(), c1.data(), m, k, n);
-  detail::gemm_at_b_accumulate(isa(), at.data(), b.data(), c2.data(), m, k,
-                               n);
+  detail::gemm_accumulate(isa, a.data(), b.data(), c1.data(), m, k, n);
+  detail::gemm_at_b_accumulate(isa, at.data(), b.data(), c2.data(), m, k, n);
   gemm_a_bt_accumulate(a.data(), bt.data(), c3.data(), m, k, n);
   const auto bytes = ref.size() * sizeof(float);
   EXPECT_EQ(std::memcmp(c1.data(), ref.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(c2.data(), ref.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(c3.data(), ref_bt.data(), bytes), 0);
+}
+
+TEST_P(GemmSerialOrder, ZeroAEntriesSkipInfiniteB) {
+  // A zero A entry is skipped, not multiplied: column p0 of A is all zero
+  // and row p0 of B holds +-inf, so any kernel that forms 0 * inf turns
+  // its C row into NaN.
+  const auto [m, k, n] = shape();
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n + 1));
+  auto a = random_mat(m, k, rng);
+  for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+  auto b = random_mat(k, n, rng);
+  const std::int64_t p0 = k / 2;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < m; ++i) {
+    a[static_cast<std::size_t>(i * k + p0)] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    b[static_cast<std::size_t>(p0 * n + j)] = j % 2 == 0 ? inf : -inf;
+  }
+  const auto c0 = random_mat(m, n, rng);
+  expect_serial_skip_order(isa(), a, b, c0, m, k, n);
+}
+
+TEST_P(GemmSerialOrder, AlternatingAndAllZeroARows) {
+  // Row patterns of activation operands: every third row all zero (the
+  // zeros signed +-0 in turn), every third row zero at every other p, and
+  // every third row dense. The kernels store each A entry and advance
+  // only past a nonzero one, so a row of zeros must leave C untouched and
+  // a half-zero row must keep its terms in ascending p.
+  const auto [m, k, n] = shape();
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n + 2));
+  auto a = random_mat(m, k, rng);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      float& v = a[static_cast<std::size_t>(i * k + p)];
+      if (i % 3 == 0) v = p % 2 == 0 ? 0.0f : -0.0f;
+      if (i % 3 == 1 && p % 2 == 0) v = 0.0f;
+    }
+  }
+  const auto b = random_mat(k, n, rng);
+  const auto c0 = random_mat(m, n, rng);
+  expect_serial_skip_order(isa(), a, b, c0, m, k, n);
 }
 
 namespace {
@@ -262,7 +292,8 @@ std::string serial_order_name(
 // conv2 forward and its 400 -> 120 dense forward at batch 32; (2, 784, 6),
 // (10, 100, 16) and (16, 150, 64) are PWT's offset-gradient reductions.
 // n = 8..15 puts every remainder mod 8 behind at least one full AVX
-// vector.
+// vector. (9, 300, 20) gives every row pattern of
+// AlternatingAndAllZeroARows three rows across two B panels.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSerialOrder,
     ::testing::Combine(
@@ -277,5 +308,6 @@ INSTANTIATE_TEST_SUITE_P(
             std::make_tuple(3, 7, 8), std::make_tuple(3, 20, 9),
             std::make_tuple(4, 33, 10), std::make_tuple(3, 17, 11),
             std::make_tuple(5, 12, 12), std::make_tuple(2, 40, 13),
-            std::make_tuple(6, 9, 14), std::make_tuple(7, 31, 15))),
+            std::make_tuple(6, 9, 14), std::make_tuple(7, 31, 15),
+            std::make_tuple(9, 300, 20))),
     serial_order_name);
