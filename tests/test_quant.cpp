@@ -275,6 +275,36 @@ TEST(ActQuant, MatchesOracleAtACalibratedStep) {
   }
 }
 
+TEST(ActQuant, TailPastTheVectorWidthMatchesOracle) {
+  // forward rounds four lanes at a time and the last size % 4 elements
+  // one at a time. Every length from 1 to 13 puts every special value
+  // (ties, both zeros, clamp edges, NaN, infinities) in both parts.
+  ActQuant aq(4);
+  aq.calibrate(15.0f);
+  ASSERT_EQ(aq.step(), 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> special = {
+      0.5f,  1.5f,  2.5f,  -0.5f, -0.25f, -0.0f,       0.0f, 14.5f,
+      15.5f, 16.0f, inf,   -inf,  nan,    7.49999952f, 3.0f};
+  for (std::int64_t n = 1; n <= 13; ++n) {
+    for (std::size_t shift = 0; shift < special.size(); ++shift) {
+      Tensor x({n});
+      for (std::int64_t i = 0; i < n; ++i) {
+        x[i] =
+            special[(static_cast<std::size_t>(i) + shift) % special.size()];
+      }
+      const Tensor y = aq.forward(x, false);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float ref = act_quant_oracle(x[i], 1.0f, 15.0f);
+        const float got = y[i];
+        ASSERT_EQ(std::memcmp(&ref, &got, sizeof ref), 0)
+            << "n = " << n << ", i = " << i << ", x = " << x[i];
+      }
+    }
+  }
+}
+
 TEST(ActQuant, RejectsBitWidthsOutsideTheExactRange) {
   EXPECT_THROW(ActQuant(0), std::invalid_argument);
   EXPECT_THROW(ActQuant(23), std::invalid_argument);
