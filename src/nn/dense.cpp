@@ -1,5 +1,6 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/check.h"
@@ -43,13 +44,19 @@ void Dense::backward_params(const Tensor& grad_out) {
   const std::int64_t n = cached_in_.dim(0);
   if (offset_m_ > 0) {
     // G[groups, out] += Xg^T[groups, n] * dY[n, out], with Xg the inputs
-    // summed over each group of offset_m_ consecutive rows.
+    // summed over each group of offset_m_ consecutive rows, from +0.0 in
+    // ascending row order.
     const std::int64_t groups = (in_ + offset_m_ - 1) / offset_m_;
-    std::vector<float> xg(static_cast<std::size_t>(n * groups), 0.0f);
+    std::vector<float> xg(static_cast<std::size_t>(n * groups));
     for (std::int64_t i = 0; i < n; ++i) {
       const float* x = cached_in_.data() + i * in_;
       float* xs = xg.data() + i * groups;
-      for (std::int64_t r = 0; r < in_; ++r) xs[r / offset_m_] += x[r];
+      for (std::int64_t g = 0; g < groups; ++g) {
+        const std::int64_t r1 = std::min(in_, (g + 1) * offset_m_);
+        float sum = 0.0f;
+        for (std::int64_t r = g * offset_m_; r < r1; ++r) sum += x[r];
+        xs[g] = sum;
+      }
     }
     gemm_at_b_accumulate(xg.data(), grad_out.data(), offset_grad_.data(),
                          groups, n, out_);

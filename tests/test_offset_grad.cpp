@@ -27,6 +27,7 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/gemm.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
@@ -119,6 +120,36 @@ TEST(OffsetGrad, DenseMatchesWeightGradFold) {
   // 1 (one row per group), 16 (ragged last group: 16 + 16 + 4),
   // fan_in (one group), > fan_in (one short group).
   for (std::int64_t m : {1, 16, 36, 50}) check_layer(dense, x, m);
+}
+
+TEST(OffsetGrad, DenseGroupSumsRoundLikeThePerRowLoop) {
+  // Byte oracle of Dense's offset mode: each sample's inputs are added
+  // into their group's sum one row at a time in ascending row order,
+  // starting at +0.0, then G += Xg^T * dY.
+  nn::Rng rng(6);
+  nn::Dense dense(36, 10, rng);
+  const Tensor x = random_tensor({7, 36}, rng);
+  for (std::int64_t m : {1, 5, 16, 36, 50}) {
+    dense.set_offset_group_size(m);
+    const Tensor y = dense.forward(x, /*train=*/false);
+    const Tensor delta = random_tensor(y.shape(), rng);
+    dense.backward_params(delta);
+    const std::int64_t n = x.dim(0), groups = (36 + m - 1) / m;
+    std::vector<float> xg(static_cast<std::size_t>(n * groups), 0.0f);
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t r = 0; r < 36; ++r) {
+        xg[static_cast<std::size_t>(i * groups + r / m)] += x.at(i, r);
+      }
+    }
+    std::vector<float> ref(static_cast<std::size_t>(groups * 10), 0.0f);
+    nn::gemm_at_b_accumulate(xg.data(), delta.data(), ref.data(), groups, n,
+                             10);
+    const std::span<float> got = dense.offset_grad();
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+        << "m = " << m;
+  }
 }
 
 TEST(OffsetGrad, LeNetConv1MatchesWeightGradFold) {
