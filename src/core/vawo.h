@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/offset.h"
+#include "nn/kernel_isa.h"
 #include "quant/quantizer.h"
 #include "rram/rlut.h"
 
@@ -147,5 +148,22 @@ VawoResult vawo_layer(const rdo::quant::LayerQuant& lq,
 /// The "plain" assignment (CTW = NTW, zero offsets) in the same format,
 /// for the baseline scheme.
 VawoResult plain_layer(const rdo::quant::LayerQuant& lq, int m);
+
+namespace detail {
+
+/// vawo_solve_group and vawo_layer on a chosen instruction-set copy of
+/// the offset sweep (nn/kernel_isa.h); the public entries run
+/// rdo::nn::kernel_isa(). Every copy gives the same bytes; the caller
+/// makes sure this CPU can run `isa` (kernel_isa_supported).
+double vawo_solve_group(rdo::nn::KernelIsa isa, const std::vector<int>& ntw,
+                        const std::vector<double>& g2, const VawoTable& table,
+                        bool use_complement, int& best_offset,
+                        bool& best_complemented, std::vector<int>& best_ctw);
+VawoResult vawo_layer(rdo::nn::KernelIsa isa,
+                      const rdo::quant::LayerQuant& lq,
+                      const std::vector<double>& grads,
+                      const VawoTable& table, const VawoOptions& opt);
+
+}  // namespace detail
 
 }  // namespace rdo::core

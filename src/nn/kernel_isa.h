@@ -1,18 +1,26 @@
 // Instruction-set copies of the hot nn kernels.
 //
-// The library builds for the baseline instruction set of its target. On
-// x86 the GEMM row kernel behind gemm, gemm_accumulate and
-// gemm_at_b_accumulate (nn/gemm.h) is compiled a second time for AVX
-// from the same always-inline source body, and kernel_isa() picks the
-// copy once per process with a CPU check (CPUID plus the OS's YMM state
-// support). There is no option or environment variable to choose it.
+// The libraries build for the baseline instruction set of their target.
+// On x86 two kernels have a second copy compiled for AVX:
+//   - the GEMM row kernel behind gemm, gemm_accumulate and
+//     gemm_at_b_accumulate (nn/gemm.h), from the same always-inline
+//     source body (rdo_nn);
+//   - the VAWO offset sweep behind core::vawo_solve_group and
+//     core::vawo_layer (core/vawo.h), on 4-double vectors that keep a
+//     block of offset sums in registers across a group's weights
+//     (rdo_core).
+// kernel_isa() picks the copy once per process with a CPU check (CPUID
+// plus the OS's YMM state support). There is no option or environment
+// variable to choose it; the detail:: entries of both kernels take the
+// copy as an argument so tests run each one.
 //
-// Both copies give the same bytes. Every output element sums its terms in
-// the same order with the same float operations; only the number of
-// elements per vector instruction differs. AVX has no fused multiply-add,
-// and the libraries build with -ffp-contract=off (src/CMakeLists.txt) so
-// no copy fuses a multiply and an add; the tier-1 ctest `no_fma_in_libs`
-// checks the archives for FMA instructions.
+// Every copy gives the same bytes. Every output element sums its terms in
+// the same order with the same floating-point operations; only the number
+// of elements per vector instruction differs. AVX has no fused
+// multiply-add, and the libraries build with -ffp-contract=off
+// (src/CMakeLists.txt) so no copy fuses a multiply and an add; the tier-1
+// ctest `no_fma_in_libs` checks the archives for FMA instructions and, on
+// x86, that rdo_nn and rdo_core hold their AVX copies.
 #pragma once
 
 namespace rdo::nn {

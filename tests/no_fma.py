@@ -5,11 +5,12 @@ A fused a * b + c rounds once where the source rounds twice, so an FMA in
 a kernel would change results against the baseline build (the libraries
 build with -ffp-contract=off; see src/CMakeLists.txt).
 
-Usage: no_fma.py OBJDUMP [--avx-copy ARCHIVE] ARCHIVE...
+Usage: no_fma.py OBJDUMP [--avx-copy ARCHIVE]... ARCHIVE...
 
---avx-copy names an archive that must hold VEX-encoded (AVX) vector
-instructions: the AVX copy of the GEMM kernel (nn/kernel_isa.h). It
-shows the check reads real x86 disassembly and that the copy was built.
+Each --avx-copy names an archive that must hold VEX-encoded (AVX) vector
+instructions: an AVX kernel copy (nn/kernel_isa.h), such as the GEMM row
+kernel in rdo_nn or the VAWO offset sweep in rdo_core. It shows the
+check reads real x86 disassembly and that the copy was built.
 """
 import re
 import subprocess
@@ -27,10 +28,11 @@ def disassemble(objdump, archive):
 
 def main(argv):
     objdump, args = argv[1], argv[2:]
-    avx_copy = None
-    if args[:1] == ["--avx-copy"]:
-        avx_copy = args[1]
-        args = args[2:] + [avx_copy]
+    avx_copies = []
+    while args[:1] == ["--avx-copy"] and len(args) >= 2:
+        avx_copies.append(args[1])
+        args = args[2:]
+    args = avx_copies + [a for a in args if a not in avx_copies]
     if not args:
         print("no_fma.py: no archives given", file=sys.stderr)
         return 2
@@ -42,7 +44,7 @@ def main(argv):
         for line in hits[:5]:
             print(f"{archive}: {line}")
         bad += len(hits)
-        if archive == avx_copy and not VEX.search(text):
+        if archive in avx_copies and not VEX.search(text):
             print(f"{archive}: no VEX instruction, so no AVX copy")
             bad += 1
     print(f"{len(args)} archives, {bad} problems")
