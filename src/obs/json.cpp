@@ -259,6 +259,14 @@ class Parser {
       if (end == tok.c_str() + tok.size() && errno != ERANGE) {
         return Json(static_cast<std::int64_t>(v));
       }
+      if (tok[0] != '-') {
+        // Above INT64_MAX: exact up to 2^64 - 1, a double beyond.
+        errno = 0;
+        const unsigned long long u = std::strtoull(tok.c_str(), &end, 10);
+        if (end == tok.c_str() + tok.size() && errno != ERANGE) {
+          return Json(static_cast<std::uint64_t>(u));
+        }
+      }
     }
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
@@ -279,8 +287,14 @@ std::int64_t Json::as_int() const {
   return int_;
 }
 
+std::uint64_t Json::as_uint() const {
+  if (!is_uint()) type_error("unsigned int", type_);
+  return static_cast<std::uint64_t>(int_);
+}
+
 double Json::as_double() const {
   if (type_ == Type::Int) return static_cast<double>(int_);
+  if (type_ == Type::UInt) return static_cast<double>(as_uint());
   if (type_ != Type::Double) type_error("number", type_);
   return double_;
 }
@@ -343,6 +357,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
     case Type::Int: out += std::to_string(int_); break;
+    case Type::UInt: out += std::to_string(as_uint()); break;
     case Type::Double: out += format_double(double_); break;
     case Type::String: escape_string(str_, out); break;
     case Type::Array: {

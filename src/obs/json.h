@@ -18,13 +18,19 @@ namespace rdo::obs {
 
 class Json {
  public:
-  enum class Type { Null, Bool, Int, Double, String, Array, Object };
+  /// Int holds an integer in [-2^63, 2^63); UInt one in [2^63, 2^64),
+  /// which only an unsigned value (a seed, a hash) reaches. Writer and
+  /// parser keep both exact.
+  enum class Type { Null, Bool, Int, Double, String, Array, Object, UInt };
 
   Json() = default;  // null
   Json(bool b) : type_(Type::Bool), bool_(b) {}
   Json(int v) : type_(Type::Int), int_(v) {}
   Json(std::int64_t v) : type_(Type::Int), int_(v) {}
-  Json(std::uint64_t v) : type_(Type::Int), int_(static_cast<std::int64_t>(v)) {}
+  Json(std::uint64_t v)
+      : type_(v > static_cast<std::uint64_t>(INT64_MAX) ? Type::UInt
+                                                         : Type::Int),
+        int_(static_cast<std::int64_t>(v)) {}
   Json(double v) : type_(Type::Double), double_(v) {}
   Json(const char* s) : type_(Type::String), str_(s) {}
   Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
@@ -44,9 +50,15 @@ class Json {
   [[nodiscard]] bool is_null() const { return type_ == Type::Null; }
   [[nodiscard]] bool is_bool() const { return type_ == Type::Bool; }
   [[nodiscard]] bool is_int() const { return type_ == Type::Int; }
+  /// An integer in [0, 2^64): a non-negative Int, or a UInt.
+  [[nodiscard]] bool is_uint() const {
+    return (type_ == Type::Int && int_ >= 0) || type_ == Type::UInt;
+  }
   [[nodiscard]] bool is_double() const { return type_ == Type::Double; }
-  /// Int or Double.
-  [[nodiscard]] bool is_number() const { return is_int() || is_double(); }
+  /// Int, UInt or Double.
+  [[nodiscard]] bool is_number() const {
+    return is_int() || type_ == Type::UInt || is_double();
+  }
   [[nodiscard]] bool is_string() const { return type_ == Type::String; }
   [[nodiscard]] bool is_array() const { return type_ == Type::Array; }
   [[nodiscard]] bool is_object() const { return type_ == Type::Object; }
@@ -54,7 +66,8 @@ class Json {
   /// Typed accessors; throw std::logic_error on a type mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;
-  [[nodiscard]] double as_double() const;  ///< Int promotes to double
+  [[nodiscard]] std::uint64_t as_uint() const;  ///< requires is_uint()
+  [[nodiscard]] double as_double() const;  ///< Int and UInt promote
   [[nodiscard]] const std::string& as_string() const;
 
   /// Array / object element count (0 for scalars).
@@ -88,7 +101,7 @@ class Json {
  private:
   Type type_ = Type::Null;
   bool bool_ = false;
-  std::int64_t int_ = 0;
+  std::int64_t int_ = 0;  ///< Int, or the bits of a UInt
   double double_ = 0.0;
   std::string str_;
   std::vector<Json> arr_;

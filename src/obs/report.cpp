@@ -163,10 +163,13 @@ bool validate_bench_document(const Json& doc, std::string* err) {
 
   const Json* env = require_member(doc, "env", Json::Type::Object, err);
   if (env == nullptr) return false;
-  for (const char* key : {"threads", "seed"}) {
-    if (require_member(*env, key, Json::Type::Int, err) == nullptr) {
-      return false;
-    }
+  if (require_member(*env, "threads", Json::Type::Int, err) == nullptr) {
+    return false;
+  }
+  const Json* seed = env->find("seed");
+  if (!check(seed != nullptr && seed->is_uint(),
+             "member \"seed\" is not an integer in [0, 2^64)", err)) {
+    return false;
   }
   for (const char* key : {"build_type", "git_sha", "compiler"}) {
     if (require_member(*env, key, Json::Type::String, err) == nullptr) {

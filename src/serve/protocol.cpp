@@ -93,9 +93,8 @@ void apply_config_key(rdo::core::DeployOptions& o, const std::string& key,
   } else if (key == "weight_bits") {
     o.weight_bits = as_int32(v, "weight_bits");
   } else if (key == "seed") {
-    const std::int64_t n = as_int(v, "seed");
-    if (n < 0) bad("seed must be non-negative");
-    o.seed = static_cast<std::uint64_t>(n);
+    if (!v.is_uint()) bad("member \"seed\" must be an integer in [0, 2^64)");
+    o.seed = v.as_uint();
   } else if (key == "lut_k_sets") {
     o.lut_k_sets = as_int32(v, "lut_k_sets");
   } else if (key == "lut_j_cycles") {

@@ -4,6 +4,7 @@
 // of a report are byte-identical across RDO_THREADS settings for a
 // fixed seed, also when pool threads write into one report.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -103,6 +104,38 @@ TEST(Json, NumbersKeepTheirTypeThroughAReparse) {
   // A dumped Double reparses as Double even for integral values.
   const Json round = Json::parse(Json(2.0).dump());
   EXPECT_TRUE(round.is_double());
+}
+
+TEST(Json, Uint64ValuesRoundTripExactly) {
+  // A uint64 above INT64_MAX (a seed, a hash) is written and read back
+  // exactly, as UInt; up to INT64_MAX it stays Int.
+  const std::uint64_t max = UINT64_MAX;
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  for (const std::uint64_t v : {max, top, top + 1, max - 1}) {
+    const Json j(v);
+    EXPECT_EQ(j.type(), Json::Type::UInt);
+    const std::string text = j.dump();
+    EXPECT_EQ(text, std::to_string(v));
+    const Json back = Json::parse(text);
+    EXPECT_EQ(back.type(), Json::Type::UInt) << text;
+    EXPECT_TRUE(back.is_uint());
+    EXPECT_FALSE(back.is_int());
+    EXPECT_TRUE(back.is_number());
+    EXPECT_EQ(back.as_uint(), v) << text;
+    EXPECT_EQ(back.dump(), text);
+    EXPECT_THROW((void)back.as_int(), std::logic_error);
+  }
+  const Json below = Json::parse("9223372036854775807");
+  EXPECT_TRUE(below.is_int());
+  EXPECT_EQ(below.as_uint(), top - 1);
+  EXPECT_EQ(Json(top - 1).type(), Json::Type::Int);
+  EXPECT_EQ(Json::parse("[18446744073709551615]").dump(),
+            "[18446744073709551615]");
+  // Negative integers are no uint; past 2^64 an integer token is a double.
+  EXPECT_FALSE(Json::parse("-1").is_uint());
+  EXPECT_THROW((void)Json::parse("-1").as_uint(), std::logic_error);
+  EXPECT_TRUE(Json::parse("18446744073709551616").is_double());
+  EXPECT_TRUE(Json::parse("-9223372036854775809").is_double());
 }
 
 TEST(Json, DoubleFormattingRoundTripsExactly) {
@@ -214,6 +247,23 @@ TEST(BenchReport, FailuresDriveTheExitCode) {
   EXPECT_TRUE(rdo::obs::validate_bench_document(doc, &err)) << err;
   ASSERT_NE(doc.find("failures"), nullptr);
   EXPECT_EQ(doc.find("failures")->at(0).find("what")->as_string(), "boom");
+}
+
+TEST(BenchReport, LargestSeedIsWrittenExactlyAndValidates) {
+  // rdo_experiment --seed 18446744073709551615 --json once wrote
+  // "seed": -1.
+  const std::uint64_t max = UINT64_MAX;
+  rdo::obs::BenchReport rep("unit_test", max);
+  const Json doc = Json::parse(rep.document().dump(2));
+  std::string err;
+  EXPECT_TRUE(rdo::obs::validate_bench_document(doc, &err)) << err;
+  EXPECT_EQ(doc.find("env")->find("seed")->as_uint(), max);
+  EXPECT_NE(rep.document().dump().find("\"seed\":18446744073709551615"),
+            std::string::npos);
+
+  Json negative = rep.document();
+  negative["env"]["seed"] = -1;
+  EXPECT_FALSE(rdo::obs::validate_bench_document(negative, &err));
 }
 
 TEST(Env, CaptureHasTheContractedKeys) {

@@ -550,6 +550,42 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
   EXPECT_EQ(svc.cached_plans(), 0u);
 }
 
+TEST(Serve, SeedsUpToTwoToThe64MinusOneAreAccepted) {
+  // DeployOptions::seed and rdo_experiment --seed take any uint64; the
+  // protocol's "seed" key takes the same range.
+  const ServeFixture f;
+  const std::uint64_t max = UINT64_MAX;
+  const serve::ServeRequest req = serve::parse_request(
+      Json::parse(R"({"op": "evaluate",)"
+                  R"( "config": {"seed": 18446744073709551615}})"),
+      f.base);
+  EXPECT_EQ(req.options.seed, max);
+
+  serve::InferenceService svc = f.make_service();
+  const Json r = reply(svc,
+                       R"({"id": 1, "op": "evaluate",)"
+                       R"( "config": {"scheme": "VAWO*",)"
+                       R"( "seed": 18446744073709551615},)"
+                       R"( "data": {"split": "test"}})");
+  ASSERT_TRUE(r.find("ok")->as_bool()) << r.dump();
+  core::DeployOptions opt = f.base;
+  opt.scheme = core::Scheme::VAWOStar;
+  opt.seed = max;
+  const core::DeploymentPlan plan = core::compile_plan(*f.net, opt, f.train());
+  core::EffectiveWeightBackend backend(plan, *f.net);
+  backend.program_cycle(0);
+  backend.tune(f.train());
+  EXPECT_EQ(r.find("result")->find("accuracy")->as_double(),
+            static_cast<double>(backend.evaluate(f.test(), 64)));
+
+  for (const char* seed : {"-1", "18446744073709551616", "1.5", "\"7\""}) {
+    const std::string line =
+        std::string(R"({"op": "evaluate", "config": {"seed": )") + seed +
+        "}}";
+    expect_bad_request(reply(svc, line), line);
+  }
+}
+
 TEST(Serve, BaseOptionsFailingCheckOptionsFailAtConstruction) {
   const ServeFixture f;
   core::DeployOptions base = f.base;
