@@ -24,11 +24,6 @@ namespace rdo::core::opt {
 
 namespace {
 
-/// Group sizes stay within one 128-row crossbar: row-blocks of m never
-/// straddle an array boundary, and any divisibility the seed m satisfied
-/// (active wordlines, crossbar rows) is preserved by doubling below it.
-constexpr int kMaxGroupSize = 128;
-
 /// Eq. 9 geometric register count of one layer at its current m.
 std::int64_t geometric_registers(const PlanLayer& pl) {
   return groups_per_column(pl.lq.rows, pl.m) * pl.lq.cols;
@@ -191,6 +186,8 @@ class TuneGroupSize final : public Pass {
       const int m_before = pl.m;
       const auto elems =
           static_cast<std::size_t>(pl.lq.rows * pl.lq.cols);
+      // Doubling below kMaxGroupSize keeps any divisibility the seed m
+      // satisfied (active wordlines, crossbar rows).
       while (pl.m <= kMaxGroupSize / 2) {
         const int m2 = pl.m * 2;
         if (!siblings_agree(pl, m2)) break;

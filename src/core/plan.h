@@ -47,6 +47,13 @@ struct ActCalibration {
   float max_abs = 0.0f;  ///< range observed at the quantized operating point
 };
 
+/// The largest offset-group size the tune_group_size pass gives a layer:
+/// one 128-row crossbar, so row blocks of m never straddle an array. A
+/// compiled layer's m is therefore at most max(kMaxGroupSize,
+/// opt.offsets.m), and DeploymentPlan::load holds a stored layer to the
+/// same bound.
+inline constexpr int kMaxGroupSize = 128;
+
 /// One crossbar-mapped layer of the plan.
 struct PlanLayer {
   std::int64_t fan_in = 0;

@@ -34,6 +34,7 @@
 // compile_stats is intentionally not serialized: wall times are volatile,
 // and a loaded plan reporting zero compile time is precisely what a cache
 // hit means (the warm-start test asserts it).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -283,7 +284,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
               "layer fan geometry out of range");
     const auto layer_m = r.scalar<std::int32_t>();
     r.require(layer_m >= opt.offsets.m && layer_m % opt.offsets.m == 0 &&
-                  static_cast<std::uint64_t>(layer_m) <= kMaxDim,
+                  layer_m <= std::max(kMaxGroupSize, opt.offsets.m),
               "layer group size out of range");
     pl.m = layer_m;
     pl.offset_registers = r.scalar<std::int64_t>();

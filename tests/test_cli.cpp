@@ -111,7 +111,7 @@ TEST(CliArgs, RejectsOutOfBoundsValues) {
   EXPECT_FALSE(parse({"--ddv", "-0.5"}).ok);
   EXPECT_FALSE(parse({"--repeats", "0"}).ok);
   EXPECT_FALSE(parse({"--m", "99999999999999999999"}).ok);
-  // core::kMaxGroupSize + 1: the library rejects it too.
+  // core::kMaxOffsetGroupSize + 1: the library rejects it too.
   EXPECT_FALSE(parse({"--m", "1048577"}).ok);
   // The serve protocol's sigma range.
   EXPECT_FALSE(parse({"--sigma", "8.5"}).ok);

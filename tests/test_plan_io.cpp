@@ -258,6 +258,42 @@ TEST(PlanIo, StoredOptionsFailingCheckOptionsRaisePlanError) {
   }
 }
 
+TEST(PlanIo, StoredGroupSizeAboveWhatCompileMakesRaisesPlanError) {
+  // compile gives a layer at most m = max(kMaxGroupSize, opt m). A plan
+  // patched to a larger m, consistent in every other field, must not
+  // load; one patched to kMaxGroupSize still does.
+  const Fixture f = make_fixture();
+  const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
+                                                       f.train());
+  const std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
+  const auto patched = [&](int m) {
+    core::DeploymentPlan p = plan;
+    for (core::PlanLayer& pl : p.layers) {
+      pl.m = m;
+      pl.assign = core::plain_layer(pl.lq, m);
+      pl.offset_registers =
+          core::groups_per_column(pl.lq.rows, m) * pl.lq.cols;
+    }
+    return save_bytes(p, fp);
+  };
+  ASSERT_LT(f.opt.offsets.m, core::kMaxGroupSize);
+
+  std::istringstream ok(patched(core::kMaxGroupSize), std::ios::binary);
+  const auto loaded = core::DeploymentPlan::load(ok, fp, "patched");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->layers.front().m, core::kMaxGroupSize);
+
+  std::istringstream in(patched(2 * core::kMaxGroupSize), std::ios::binary);
+  try {
+    (void)core::DeploymentPlan::load(in, fp, "patched");
+    ADD_FAILURE() << "a plan with layer m = 256 loaded";
+  } catch (const core::PlanError& e) {
+    EXPECT_NE(std::string(e.what()).find("layer group size out of range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PlanIo, ByteFlipsNeverEscapeAsAnythingButPlanError) {
   const Fixture f = make_fixture();
   const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
