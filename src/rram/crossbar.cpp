@@ -20,35 +20,10 @@ Crossbar::Crossbar(CrossbarConfig cfg) : cfg_(cfg) {
                  cfg_.cell.read_value(0, 1.0));
 }
 
-void Crossbar::program(const std::vector<int>& states, rdo::nn::Rng& rng) {
-  RDO_CHECK(states.size() == values_.size(),
-            "Crossbar::program: got " + std::to_string(states.size()) +
-                " states for " + std::to_string(values_.size()) + " cells");
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[i] =
-        cfg_.cell.read_value(states[i], cfg_.variation.sample_factor(rng));
-  }
-}
-
-void Crossbar::program_ideal(const std::vector<int>& states) {
-  RDO_CHECK(states.size() == values_.size(),
-            "Crossbar::program_ideal: got " + std::to_string(states.size()) +
-                " states for " + std::to_string(values_.size()) + " cells");
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[i] = cfg_.cell.read_value(states[i], 1.0);
-  }
-}
-
 double Crossbar::cell_value(int r, int c) const {
   RDO_DCHECK(r >= 0 && r < cfg_.rows && c >= 0 && c < cfg_.cols,
              "Crossbar::cell_value: (r, c) outside the array");
   return values_[idx(r, c)];
-}
-
-std::vector<double> Crossbar::vmm(const std::vector<double>& x) const {
-  std::vector<double> y(static_cast<std::size_t>(cfg_.cols));
-  vmm_rows(x, 1, 0, cfg_.rows, y);
-  return y;
 }
 
 namespace {

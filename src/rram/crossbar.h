@@ -1,10 +1,9 @@
 // Device-level crossbar array simulation.
 //
 // Models the analog substrate a deployment runs on: a rows x cols grid of
-// RRAM cells, programmed with per-cell log-normal variation, read out
-// group-by-group (only `active_wordlines` wordlines are driven per cycle,
-// as in the paper's 128x128 / 16-active configuration) with an optional
-// finite-resolution ADC per group.
+// RRAM cells read out group-by-group (only `active_wordlines` wordlines
+// are driven per cycle, as in the paper's 128x128 / 16-active
+// configuration) with an optional finite-resolution ADC per group.
 //
 // A read is one batched kernel, vmm_rows(): n inputs share each
 // activation group's conductances, which are loaded once per group and
@@ -12,21 +11,18 @@
 // once per sample. Each output element keeps the single-input summation
 // order, so batching never changes a result.
 //
-// Every programming path fills one store of per-cell read values, which
-// is all a read sees: program() draws a variation factor per cell,
-// program_ideal() uses none, and the span program_values() returns is
-// overwritten in place with values drawn elsewhere (the device backend
-// replays WeightProgrammer::program_weights, faults included, so both
-// backends observe the same devices).
+// The array is a pure read substrate: it draws no devices. Its one store
+// of per-cell read values, which is all a read sees, is written only
+// through program_values(), with cells drawn by
+// WeightProgrammer::program_weights (variation scope and faults
+// included), so every backend observes the same devices.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "nn/rng.h"
 #include "rram/cell.h"
-#include "rram/variation.h"
 
 namespace rdo::rram {
 
@@ -34,7 +30,6 @@ struct CrossbarConfig {
   int rows = 128;
   int cols = 128;
   CellModel cell;
-  VariationModel variation;
   int active_wordlines = 16;  ///< wordlines driven per read cycle
   int adc_bits = 0;           ///< 0 = ideal ADC
 };
@@ -43,28 +38,15 @@ class Crossbar {
  public:
   explicit Crossbar(CrossbarConfig cfg);
 
-  /// Program the whole array from row-major cell states (size rows*cols);
-  /// draws a fresh variation factor per cell, in cell order (one
-  /// programming cycle).
-  void program(const std::vector<int>& states, rdo::nn::Rng& rng);
-  /// Program without variation (ideal device oracle).
-  void program_ideal(const std::vector<int>& states);
-
   /// Digitized read value of one cell (state-units; exact state if ideal).
   [[nodiscard]] double cell_value(int r, int c) const;
 
   /// The per-cell read values (state-units, row-major, size rows*cols),
-  /// for programming the array in place from values drawn elsewhere,
-  /// bypassing the cell model's state->value mapping. Lets the device
-  /// level replay the exact post-variation (and post-fault) values
-  /// produced by WeightProgrammer::program_weights so both execution
-  /// backends observe bit-identical devices.
+  /// the only way to program the array: the caller writes the
+  /// post-variation (and post-fault) values that
+  /// WeightProgrammer::program_weights drew, so both execution backends
+  /// observe bit-identical devices. An HRS array until first written.
   [[nodiscard]] std::span<double> program_values() { return values_; }
-
-  /// y_j = sum_i x_i * cell_value(i, j), computed per activation group and
-  /// accumulated digitally, with optional per-group ADC quantization (the
-  /// n = 1 call of vmm_rows over every wordline).
-  [[nodiscard]] std::vector<double> vmm(const std::vector<double>& x) const;
 
   /// Batched partial VMM over wordlines [r0, r1): the read cycles a
   /// digital offset group of those rows observes, for n inputs `x`
@@ -82,8 +64,8 @@ class Crossbar {
 
  private:
   CrossbarConfig cfg_;
-  std::vector<double> values_;  // row-major read values of the last
-                                // programming (an HRS array until then)
+  std::vector<double> values_;  // row-major read values, written only
+                                // through program_values()
 
   [[nodiscard]] std::size_t idx(int r, int c) const {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(cfg_.cols) +

@@ -19,8 +19,13 @@ CrossbarLayerExecutor::CrossbarLayerExecutor(
     : lq_{lq.bits, lq.scale, lq.zero, lq.rows, lq.cols, {}},
       assign_(assign),
       cfg_(cfg),
-      prog_(cfg.xbar.cell, cfg.weight_bits, cfg.xbar.variation),
       offsets_(assign.offsets) {
+  RDO_CHECK(lq_.bits > 0 && lq_.bits <= 30 &&
+                lq_.bits % cfg_.xbar.cell.bits() == 0,
+            "CrossbarLayerExecutor: " + std::to_string(lq_.bits) +
+                " weight bits do not split into " +
+                std::to_string(cfg_.xbar.cell.bits()) + "-bit cells");
+  cells_per_weight_ = lq_.bits / cfg_.xbar.cell.bits();
   RDO_CHECK(cfg_.offsets.m % cfg_.xbar.active_wordlines == 0,
             "CrossbarLayerExecutor: m must be a multiple of the activated "
             "wordlines (paper Sec. III-A)");
@@ -38,13 +43,12 @@ CrossbarLayerExecutor::CrossbarLayerExecutor(
                 " assigned CTWs for " + std::to_string(lq.q.size()) +
                 " quantized weights");
   for (int v : assign_.ctw) {
-    RDO_CHECK(v >= 0 && v <= prog_.max_weight(),
+    RDO_CHECK(v >= 0 && v <= lq_.levels(),
               "CrossbarLayerExecutor: CTW " + std::to_string(v) +
-                  " outside [0, " + std::to_string(prog_.max_weight()) + "]");
+                  " outside [0, " + std::to_string(lq_.levels()) + "]");
   }
   tiling_ = rdo::rram::compute_tiling(lq_.rows, lq_.cols, cfg_.xbar.rows,
-                                      cfg_.xbar.cols,
-                                      prog_.cells_per_weight());
+                                      cfg_.xbar.cols, cells_per_weight_);
   rdo::obs::TraceSpan span("sim:build_layer", "sim");
   span.arg("rows", lq_.rows);
   span.arg("cols", lq_.cols);
@@ -59,7 +63,7 @@ CrossbarLayerExecutor::CrossbarLayerExecutor(
 
 void CrossbarLayerExecutor::program_cell_values(
     std::span<const double> cells) {
-  const int cpw = prog_.cells_per_weight();
+  const int cpw = cells_per_weight_;
   RDO_CHECK(cells.size() == assign_.ctw.size() * static_cast<std::size_t>(cpw),
             "program_cell_values: " + std::to_string(cells.size()) +
                 " cell values for " + std::to_string(assign_.ctw.size()) +
@@ -122,11 +126,11 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
             "CrossbarLayerExecutor::forward: output length " +
                 std::to_string(y.size()) + " for " + std::to_string(n) +
                 " x " + std::to_string(cols) + " columns");
-  const int cpw = prog_.cells_per_weight();
+  const int cpw = cells_per_weight_;
   const std::int64_t wpr = cfg_.xbar.cols / cpw;
   const std::int64_t xrows = cfg_.xbar.rows;
   const std::int64_t xcols = cfg_.xbar.cols;
-  const double maxw = static_cast<double>(prog_.max_weight());
+  const double maxw = static_cast<double>(lq_.levels());
   const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   std::vector<double> y_int(at(n * cols), 0.0);
   // One row tile of every sample (wordlines past the layer read 0), the
@@ -196,20 +200,23 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
 
 std::vector<double> CrossbarLayerExecutor::measure_crw() const {
   rdo::obs::TraceSpan span("sim:measure_crw", "sim");
-  const std::int64_t wpr = cfg_.xbar.cols / prog_.cells_per_weight();
+  const int cpw = cells_per_weight_;
+  const std::int64_t wpr = cfg_.xbar.cols / cpw;
   std::vector<double> crw(static_cast<std::size_t>(lq_.rows * lq_.cols));
-  std::vector<double> vals(static_cast<std::size_t>(prog_.cells_per_weight()));
   for (std::int64_t r = 0; r < lq_.rows; ++r) {
     const std::int64_t tr = r / cfg_.xbar.rows;
     const int lr = static_cast<int>(r % cfg_.xbar.rows);
     for (std::int64_t c = 0; c < lq_.cols; ++c) {
-      const std::int64_t tc = c / wpr;
-      const std::int64_t wc = c % wpr;
-      for (int k = 0; k < prog_.cells_per_weight(); ++k) {
-        vals[static_cast<std::size_t>(k)] = crossbar(tr, tc).cell_value(
-            lr, static_cast<int>(wc * prog_.cells_per_weight() + k));
+      const Crossbar& xb = crossbar(tr, c / wpr);
+      const int c0 = static_cast<int>((c % wpr) * cpw);
+      // The radix sum of WeightProgrammer::compose: LSB cell first.
+      double z = 0.0;
+      double radix = 1.0;
+      for (int k = 0; k < cpw; ++k) {
+        z += radix * xb.cell_value(lr, c0 + k);
+        radix *= cfg_.xbar.cell.radix();
       }
-      crw[static_cast<std::size_t>(r * lq_.cols + c)] = prog_.compose(vals);
+      crw[static_cast<std::size_t>(r * lq_.cols + c)] = z;
     }
   }
   return crw;

@@ -24,17 +24,15 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
                                    const rdo::nn::Layer& src,
                                    DeviceSimOptions dopt)
     : EffectiveWeightBackend(plan, src, /*keep_cell_values=*/true) {
-  // Device substrate: geometry from dopt, device physics and offset
+  // Device substrate: geometry from dopt, cell model and offset
   // configuration from the shared plan.
   ExecutorConfig cfg;
   cfg.xbar.rows = dopt.xbar_rows;
   cfg.xbar.cols = dopt.xbar_cols;
   cfg.xbar.cell = plan.opt.cell;
-  cfg.xbar.variation = plan.opt.variation;
   cfg.xbar.active_wordlines = dopt.active_wordlines;
   cfg.xbar.adc_bits = dopt.adc_bits;
   cfg.offsets = plan.opt.offsets;
-  cfg.weight_bits = plan.opt.weight_bits;
 
   // Walk the base's twin (same topology as `src`, already moved to the
   // plan's quantized + calibrated operating point) in definition order

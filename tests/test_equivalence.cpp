@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/backend.h"
 #include "core/deploy.h"
@@ -166,18 +168,22 @@ TEST(Equivalence, ComplementIdentityOnDeviceLevelCrossbar) {
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
 
   auto dot_via_crossbar = [&](const std::vector<int>& weights) {
-    std::vector<int> states(8 * 32, 0);
+    // Ideal cells (sigma 0) drawn by the production programmer.
+    std::vector<double> cells(8 * 4);
+    std::vector<double> crw(8);
+    nn::Rng draw(12);
+    prog.program_weights(weights, draw, cells, crw);
+    rram::Crossbar xb(cfg);
+    const std::span<double> values = xb.program_values();
     for (int i = 0; i < 8; ++i) {
-      const auto cells = prog.slice(weights[static_cast<std::size_t>(i)]);
       for (int k = 0; k < 4; ++k) {
         // weight i occupies columns 4i..4i+3, all rows -> row i only here
-        states[static_cast<std::size_t>(i * 32 + i * 4 + k)] =
-            cells[static_cast<std::size_t>(k)];
+        values[static_cast<std::size_t>(i * 32 + i * 4 + k)] =
+            cells[static_cast<std::size_t>(i * 4 + k)];
       }
     }
-    rram::Crossbar xb(cfg);
-    xb.program_ideal(states);
-    const auto y = xb.vmm(x);
+    std::vector<double> y(32);
+    xb.vmm_rows(x, 1, 0, 8, y);
     double z = 0.0;
     for (int i = 0; i < 8; ++i) {
       double radix = 1.0;

@@ -231,12 +231,10 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
     cfg.xbar.rows = 16;
     cfg.xbar.cols = 32;
     cfg.xbar.cell = {rram::CellKind::SLC, 200.0};
-    cfg.xbar.variation.sigma = 0.2;
     cfg.xbar.active_wordlines = 4;
     cfg.offsets.m = 8;
     sim::CrossbarLayerExecutor exec(lq, assign, cfg);
-    const rram::WeightProgrammer prog(cfg.xbar.cell, cfg.weight_bits,
-                                      cfg.xbar.variation);
+    const rram::WeightProgrammer prog(cfg.xbar.cell, lq.bits, {0.2, 0.0});
     const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
     std::vector<double> cells(lq.q.size() * cpw);
     std::vector<double> crw(assign.ctw.size());
