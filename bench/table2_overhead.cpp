@@ -35,7 +35,8 @@ int main() {
   std::printf("%-6s %-10s %-12s %-10s %-12s\n", "m", "area/mm2", "area ovh",
               "power/mW", "power ovh");
   for (int m : {16, 128}) {
-    const std::string tag = "m" + std::to_string(m);
+    std::string tag = "m";
+    tag += std::to_string(m);
     try {
       obs::TraceSpan t("overhead_analysis", "phase",
                        rep.phase("overhead_analysis"));

@@ -63,8 +63,8 @@ TEST(CellModel, VariationScalesAroundState) {
 
 TEST(CellModel, ReadValueRejectsBadState) {
   CellModel c{CellKind::SLC, 200.0};
-  EXPECT_THROW(c.read_value(2, 1.0), std::invalid_argument);
-  EXPECT_THROW(c.read_value(-1, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)c.read_value(2, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)c.read_value(-1, 1.0), std::invalid_argument);
 }
 
 TEST(CellModel, ReadPowerProportionalToConductance) {
