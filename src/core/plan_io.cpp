@@ -26,8 +26,10 @@
 // stream state, every declared count is bounded by the bytes actually
 // remaining before it is believed, enum fields are validated before
 // their casts, the options block passes check_options (core/deploy.h)
-// before any object is constructed from it, and trailing bytes are
-// rejected. A damaged file raises PlanError — never a
+// before any object is constructed from it, each layer holds only what
+// the optimizer's checks accept (integer offsets its register can hold,
+// complement flags only under a complement scheme), and trailing bytes
+// are rejected. A damaged file raises PlanError — never a
 // partially-initialized plan, an unbounded resize, or a ContractViolation
 // from deeper layers. fuzz/fuzz_plan.cpp hammers exactly this contract.
 //
@@ -329,14 +331,20 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
         static_cast<std::uint64_t>(pl.lq.cols);
     pl.assign.offsets = r.array<float>(groups);
     r.require(pl.assign.offsets.size() == groups, "offset count mismatch");
+    // What the layer's register can hold: an integer in [offset_min,
+    // offset_max] (PWT's fractional offsets are never stored).
     for (float b : pl.assign.offsets) {
-      r.require(std::isfinite(b), "non-finite offset");
+      r.require(b == std::floor(b) && b >= opt.offsets.offset_min() &&
+                    b <= opt.offsets.offset_max(),
+                "offset outside the register's integer range");
     }
     pl.assign.complemented = r.array<std::uint8_t>(groups);
     r.require(pl.assign.complemented.size() == groups,
               "complement-flag count mismatch");
     for (std::uint8_t c : pl.assign.complemented) {
       r.require(c <= 1, "complement flag out of range");
+      r.require(c == 0 || scheme_uses_complement(opt.scheme),
+                "complement flag under a non-complement scheme");
     }
     pl.assign.groups_per_col = r.scalar<std::int64_t>();
     r.require(pl.assign.groups_per_col ==
