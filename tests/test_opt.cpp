@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.h"
+#include "core/check.h"
 #include "core/opt/pipeline.h"
 #include "core/plan.h"
 #include "nn/dense.h"
@@ -457,6 +460,60 @@ TEST(OptPipeline, PwtSchemesAreLeftUntouched) {
   EXPECT_EQ(opt.layers[0].m, base.layers[0].m);
   EXPECT_EQ(opt.total_offset_registers(), base.total_offset_registers());
   EXPECT_EQ(opt.passes_applied, core::opt::registered_passes());
+}
+
+TEST(OptPipeline, ChecksRejectMalformedPwtPlans) {
+  // Every pass's run() returns early under PWT, so a malformed PWT plan
+  // reaches the checks untouched: check_layer_geometry must reject the
+  // first three rows (no pass's own check() looks at them) and the
+  // passes' check() the last two.
+  Fixture f = make_fixture(core::Scheme::PWT);
+  const core::DeploymentPlan base =
+      core::compile_plan(*f.net, f.opt, f.train());
+  const std::vector<std::string>& all = core::opt::registered_passes();
+  {
+    core::DeploymentPlan ok = base;
+    EXPECT_NO_THROW(core::opt::run_pipeline(ok, all));
+  }
+  const std::vector<
+      std::pair<const char*, std::function<void(core::PlanLayer&)>>>
+      rows = {
+          {"dead-column mask of the wrong size",
+           [](core::PlanLayer& pl) {
+             pl.dead_cols.assign(static_cast<std::size_t>(pl.lq.cols + 1),
+                                 0);
+           }},
+          {"no offset register",
+           [](core::PlanLayer& pl) { pl.offset_registers = 0; }},
+          {"groups_per_col off by one",
+           [](core::PlanLayer& pl) { ++pl.assign.groups_per_col; }},
+          {"masked column with a nonzero offset",
+           [](core::PlanLayer& pl) {
+             // Column 0 canonically dead but for its first group's offset.
+             pl.dead_cols.assign(static_cast<std::size_t>(pl.lq.cols), 0);
+             pl.dead_cols[0] = 1;
+             for (std::int64_t r = 0; r < pl.lq.rows; ++r) {
+               const auto i = static_cast<std::size_t>(r * pl.lq.cols);
+               pl.lq.q[i] = pl.lq.zero;
+               pl.assign.ctw[i] = pl.lq.zero;
+             }
+             for (std::int64_t g = 0; g < pl.assign.groups_per_col; ++g) {
+               const auto gi = static_cast<std::size_t>(g * pl.lq.cols);
+               pl.assign.offsets[gi] = 0.0f;
+               pl.assign.complemented[gi] = 0;
+             }
+             pl.assign.offsets[0] = 1.0f;
+           }},
+          {"complement flag under PWT",
+           [](core::PlanLayer& pl) { pl.assign.complemented[0] = 1; }},
+      };
+  for (const auto& [what, malform] : rows) {
+    SCOPED_TRACE(what);
+    core::DeploymentPlan plan = base;
+    malform(plan.layers[0]);
+    EXPECT_THROW(core::opt::run_pipeline(plan, all),
+                 core::ContractViolation);
+  }
 }
 
 TEST(OptPlanIo, OptimizedPlanRoundTripsByteIdentical) {
