@@ -28,8 +28,6 @@ void DeployStats::merge(const DeployStats& other) {
   eval_seconds.insert(eval_seconds.end(), other.eval_seconds.begin(),
                       other.eval_seconds.end());
   plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
-  plan_cache_save_failures += other.plan_cache_save_failures;
   cycles += other.cycles;
   weights_programmed += other.weights_programmed;
   device_pulses += other.device_pulses;

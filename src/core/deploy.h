@@ -132,18 +132,15 @@ struct DeployStats {
   /// excluded from deploy_stats_json().
   std::vector<double> eval_seconds;
 
-  // --- cache-effectiveness counters (environment-dependent) ---
-  // Hit/miss/save-failure counts of the opt-in plan cache
-  // (RDO_PLAN_CACHE_DIR); serve reads plan_cache_hits to tell a disk hit.
-  // They depend on the on-disk cache state, not on the seeded
-  // computation, so they belong to the volatile half: excluded from
+  // --- cache effectiveness (environment-dependent) ---
+  // Hits of the opt-in plan cache (RDO_PLAN_CACHE_DIR); serve reads it to
+  // tell a disk hit. It depends on the on-disk cache state, not on the
+  // seeded computation, so it belongs to the volatile half: excluded from
   // deploy_stats_json() and from the deterministic BENCH sections.
-  // Process-wide cache effectiveness, the LUT cache (RDO_LUT_CACHE_DIR)
-  // included, is visible through the deploy_{lut,plan}_cache_* counters
-  // of obs::global_metrics().
+  // Misses and save failures of both caches, the LUT cache
+  // (RDO_LUT_CACHE_DIR) included, are the deploy_{lut,plan}_cache_*
+  // counters of obs::global_metrics().
   std::int64_t plan_cache_hits = 0;
-  std::int64_t plan_cache_misses = 0;
-  std::int64_t plan_cache_save_failures = 0;
 
   // --- deterministic counters and traces ---
   std::int64_t cycles = 0;              ///< program_cycle() calls

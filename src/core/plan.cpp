@@ -268,12 +268,10 @@ DeploymentPlan compile_plan_cached(const rdo::nn::Layer& net,
   }
 
   DeploymentPlan plan = compile_plan_uncached(net, opt, train);
-  plan.compile_stats.plan_cache_misses = 1;
   rdo::obs::global_metrics().counter("deploy_plan_cache_misses").add();
   try {
     plan.save(path, fp);
   } catch (const std::exception& e) {
-    plan.compile_stats.plan_cache_save_failures = 1;
     rdo::obs::global_metrics()
         .counter("deploy_plan_cache_save_failures")
         .add();

@@ -4,8 +4,10 @@
 // RDO_PLAN_CACHE_DIR the parent exported, then prints:
 //
 //   digest <16-hex FNV-1a of the serialized plan bytes>
-//   plan_cache_hits <n>
-//   plan_cache_misses <n>
+//   deploy_plan_cache_hits <n>
+//   deploy_plan_cache_misses <n>
+//
+// (the process-wide plan-cache counters of obs::global_metrics()).
 //
 // Several concurrent workers sharing one cache directory must all print
 // the same digest (atomic temp+rename writes, no torn reads), and a
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "obs/metrics.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
 #include "nn/tensor.h"
@@ -67,10 +70,12 @@ int main() {
     plan.save(bytes, fp);
     std::printf("digest %016llx\n",
                 static_cast<unsigned long long>(fnv1a(bytes.str())));
-    std::printf("plan_cache_hits %lld\n",
-                static_cast<long long>(plan.compile_stats.plan_cache_hits));
-    std::printf("plan_cache_misses %lld\n",
-                static_cast<long long>(plan.compile_stats.plan_cache_misses));
+    for (const char* name :
+         {"deploy_plan_cache_hits", "deploy_plan_cache_misses"}) {
+      std::printf("%s %lld\n", name,
+                  static_cast<long long>(
+                      rdo::obs::global_metrics().counter(name).value()));
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cache_stress_worker: %s\n", e.what());
     return 1;
