@@ -38,4 +38,15 @@ std::unique_ptr<Sequential> make_lenet(const LeNetConfig& cfg, Rng& rng) {
   return net;
 }
 
+std::unique_ptr<Sequential> make_mlp(Rng& rng) {
+  auto net = std::make_unique<Sequential>();
+  net->emplace<Flatten>();
+  net->emplace<rdo::quant::ActQuant>(8);
+  net->emplace<Dense>(28 * 28, 64, rng);
+  net->emplace<ReLU>();
+  net->emplace<rdo::quant::ActQuant>(8);
+  net->emplace<Dense>(64, 10, rng);
+  return net;
+}
+
 }  // namespace rdo::models

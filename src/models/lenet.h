@@ -1,4 +1,5 @@
-// LeNet-5 (the paper's MNIST test case).
+// MNIST models: LeNet-5 (the paper's test case) and the 784-64-10 MLP of
+// the CLI tools and benches.
 #pragma once
 
 #include <memory>
@@ -21,5 +22,9 @@ struct LeNetConfig {
 /// crossbar-mapped layer.
 std::unique_ptr<rdo::nn::Sequential> make_lenet(const LeNetConfig& cfg,
                                                 rdo::nn::Rng& rng);
+
+/// Flatten - ActQuant(8) - fc64 - ReLU - ActQuant(8) - fc10 for 28x28
+/// single-channel images; weights drawn from `rng` in layer order.
+std::unique_ptr<rdo::nn::Sequential> make_mlp(rdo::nn::Rng& rng);
 
 }  // namespace rdo::models
