@@ -24,15 +24,15 @@ EffectiveWeightBackend::EffectiveWeightBackend(const DeploymentPlan& plan,
             "(crossbar layer count)");
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const PlanLayer& pl = plan_.layers[li];
-    RDO_CHECK(layers_[li].op->fan_in() == pl.fan_in &&
-                  layers_[li].op->fan_out() == pl.fan_out,
+    RDO_CHECK(layers_[li].op->fan_in() == pl.lq.rows &&
+                  layers_[li].op->fan_out() == pl.lq.cols,
               "EffectiveWeightBackend: network does not match the plan "
               "(layer geometry)");
     // Move the twin to the plan's quantized operating point.
     rdo::quant::apply_quantized(*layers_[li].op, pl.lq);
   }
   for (auto* aq : act_quants_) aq->disable();
-  if (plan_.opt.quantize_activations && !act_quants_.empty()) {
+  if (!act_quants_.empty()) {
     RDO_CHECK(act_quants_.size() == plan_.act_calib.size(),
               "EffectiveWeightBackend: network does not match the plan "
               "(activation quantizer count)");

@@ -141,12 +141,8 @@ void check_options(const DeployOptions& o) {
            std::int64_t{o.lut_k_sets} * o.lut_j_cycles, 1,
            rdo::rram::RLut::kMaxSamples);
   in_range("grad_samples", o.grad_samples, 0);
-  in_range("grad_batch", o.grad_batch, 1);
   in_range("pwt.epochs", o.pwt.epochs, 0, 1024);
-  in_range("pwt.batch_size", o.pwt.batch_size, 1);
   in_range("pwt.max_samples", o.pwt.max_samples, 0);
-  in_range("pwt.lr", o.pwt.lr, -std::numeric_limits<float>::max(),
-           std::numeric_limits<float>::max());
 }
 
 std::vector<SchemeResult> run_grid(const rdo::nn::Layer& net,

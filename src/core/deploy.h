@@ -56,11 +56,6 @@ inline bool scheme_uses_pwt(Scheme s) {
 
 struct PwtOptions {
   int epochs = 2;
-  /// Base step size in integer-offset units; gradients are RMS-normalized
-  /// per layer each batch, so this is roughly "offset units moved per
-  /// batch" (the practical choice of the paper's learning rate eta).
-  float lr = 1.0f;
-  std::int64_t batch_size = 32;
   std::int64_t max_samples = 0;  ///< 0 = full training set per epoch
   /// Warm-start each offset at the measured group-mean deviation
   /// mean_i(NTW_i - CRW_i) before gradient tuning. Pure posteriori
@@ -70,17 +65,27 @@ struct PwtOptions {
   bool mean_init = true;
 };
 
-/// Knobs of the shared compile/execute pipeline that every deployment
-/// path consumes — the single source of truth for the LUT protocol, the
-/// gradient-estimation budget and the master seed (the device simulator
-/// reads them from the plan instead of carrying shadow copies).
-struct PipelineConfig {
+// Settings the paper fixes. Each keeps its old option's slot in
+// plan_fingerprint and the RDP2 options block; DeploymentPlan::load
+// refuses a plan whose slot holds another value.
+/// PWT's step size in integer-offset units (the paper's eta); gradients
+/// are RMS-normalized per layer each batch, so this is roughly the offset
+/// units moved per batch.
+inline constexpr float kPwtLr = 1.0f;
+inline constexpr std::int64_t kPwtBatchSize = 32;  ///< samples per PWT step
+inline constexpr std::int64_t kGradBatch = 32;  ///< VAWO gradient batch
+/// Compilation always calibrates the activation quantizers.
+inline constexpr bool kQuantizeActivations = true;
+
+/// One deployment: the paper's choices (scheme, sigma, cell, m, register
+/// width) plus the LUT protocol, gradient budget, seed and pass list. The
+/// one source of truth of every deployment path.
+struct DeployOptions {
   /// LUT statistical-testing protocol (K device sets x J cycles per CTW).
   int lut_k_sets = 16;
   int lut_j_cycles = 8;
   /// Samples used to estimate the mean loss gradient for VAWO.
   std::int64_t grad_samples = 256;
-  std::int64_t grad_batch = 32;
   std::uint64_t seed = 1;  ///< master seed (LUT build, programming base)
   /// Comma-separated optimizer pass list run over the compiled plan (see
   /// core/opt/pipeline.h; "" = no passes, plans are byte-identical to a
@@ -88,9 +93,6 @@ struct PipelineConfig {
   /// variable in rdo_experiment and the "opt_passes" serve config key;
   /// covered by plan_fingerprint so on-disk caches key on it.
   std::string opt_passes;
-};
-
-struct DeployOptions : PipelineConfig {
   Scheme scheme = Scheme::Plain;
   OffsetConfig offsets;                 ///< m and offset register width
   rdo::rram::CellModel cell;            ///< SLC or MLC2, ON/OFF ratio
@@ -98,7 +100,6 @@ struct DeployOptions : PipelineConfig {
   rdo::rram::FaultModel faults;         ///< optional stuck-at-fault rates
   int weight_bits = 8;
   PwtOptions pwt;
-  bool quantize_activations = true;
   bool penalize_bias = true;  ///< see VawoOptions
 };
 

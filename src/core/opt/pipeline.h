@@ -19,7 +19,7 @@
 //
 // Pass lists are comma-separated name strings ("a,b,c"; the empty string
 // is the empty list and leaves compiled plans untouched). They enter via
-// PipelineConfig::opt_passes — set from the RDO_OPT_PASSES environment
+// DeployOptions::opt_passes — set from the RDO_OPT_PASSES environment
 // variable by rdo_experiment, or per request through the serve protocol's
 // "opt_passes" config key — and are covered by plan_fingerprint, so
 // cached plans are keyed by the pipeline that produced them.

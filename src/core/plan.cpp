@@ -87,12 +87,10 @@ double read_power_of(const rdo::rram::WeightProgrammer& prog,
 
 }  // namespace
 
-rdo::rram::TilingInfo DeploymentPlan::layer_tiling(std::size_t li,
-                                                   int xbar_rows,
-                                                   int xbar_cols) const {
+rdo::rram::TilingInfo DeploymentPlan::layer_tiling(std::size_t li) const {
   const PlanLayer& pl = layers.at(li);
-  return rdo::rram::compute_tiling(pl.fan_in, pl.fan_out, xbar_rows,
-                                   xbar_cols, prog.cells_per_weight());
+  return rdo::rram::compute_tiling(pl.lq.rows, pl.lq.cols, kCrossbarSize,
+                                   kCrossbarSize, prog.cells_per_weight());
 }
 
 double DeploymentPlan::assigned_read_power() const {
@@ -111,11 +109,10 @@ double DeploymentPlan::plain_read_power() const {
   return p;
 }
 
-std::int64_t DeploymentPlan::total_crossbars(int xbar_rows,
-                                             int xbar_cols) const {
+std::int64_t DeploymentPlan::total_crossbars() const {
   std::int64_t n = 0;
   for (std::size_t li = 0; li < layers.size(); ++li) {
-    n += layer_tiling(li, xbar_rows, xbar_cols).total_crossbars();
+    n += layer_tiling(li).total_crossbars();
   }
   return n;
 }
@@ -153,12 +150,10 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
   plan.layers.resize(ops.size());
   for (std::size_t li = 0; li < ops.size(); ++li) {
     PlanLayer& pl = plan.layers[li];
-    pl.fan_in = ops[li]->fan_in();
-    pl.fan_out = ops[li]->fan_out();
     pl.lq = rdo::quant::quantize_matrix(*ops[li], opt.weight_bits);
     rdo::quant::apply_quantized(*ops[li], pl.lq);
   }
-  if (opt.quantize_activations && !aqs.empty()) {
+  if (!aqs.empty()) {
     // Observe activation ranges on a few batches at the quantized-weight
     // operating point, then freeze the calibration into the plan.
     for (auto* aq : aqs) aq->disable();
@@ -174,7 +169,7 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
 
   // 2. Scheme-dependent CTW/offset assignment.
   if (scheme_uses_vawo(opt.scheme)) {
-    accumulate_mean_gradients(*work, train, opt.grad_batch,
+    accumulate_mean_gradients(*work, train, kGradBatch,
                               opt.grad_samples);
     VawoOptions vopt;
     vopt.offsets = opt.offsets;

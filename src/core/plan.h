@@ -47,18 +47,18 @@ struct ActCalibration {
   float max_abs = 0.0f;  ///< range observed at the quantized operating point
 };
 
+inline constexpr int kCrossbarSize = 128;  ///< rows = columns of an array
+
 /// The largest offset-group size the tune_group_size pass gives a layer:
-/// one 128-row crossbar, so row blocks of m never straddle an array. A
+/// one crossbar's rows, so row blocks of m never straddle an array. A
 /// compiled layer's m is therefore at most max(kMaxGroupSize,
 /// opt.offsets.m), and DeploymentPlan::load holds a stored layer to the
 /// same bound.
-inline constexpr int kMaxGroupSize = 128;
+inline constexpr int kMaxGroupSize = kCrossbarSize;
 
 /// One crossbar-mapped layer of the plan.
 struct PlanLayer {
-  std::int64_t fan_in = 0;
-  std::int64_t fan_out = 0;
-  rdo::quant::LayerQuant lq;       ///< NTWs + scale/zero
+  rdo::quant::LayerQuant lq;  ///< NTWs + scale/zero; rows x cols = shape
   std::vector<double> mean_grads;  ///< row-major dL/dw (VAWO schemes only)
   /// CTWs, base offsets, complement flags, and the in-memory record of
   /// the solve (assign.record). Code that rewrites lq, mean_grads or m
@@ -103,19 +103,15 @@ struct DeploymentPlan {
   /// DeployStats exactly on the deterministic side.
   DeployStats compile_stats;
 
-  /// Row/column tile geometry of layer `li` on xbar_rows x xbar_cols
-  /// arrays of bit-sliced weights.
-  [[nodiscard]] rdo::rram::TilingInfo layer_tiling(std::size_t li,
-                                                   int xbar_rows = 128,
-                                                   int xbar_cols = 128) const;
+  /// Row/column tile geometry of layer `li` on kCrossbarSize arrays.
+  [[nodiscard]] rdo::rram::TilingInfo layer_tiling(std::size_t li) const;
 
   /// Nominal device read power of the assigned CTWs (Table I numerator).
   [[nodiscard]] double assigned_read_power() const;
   /// Nominal device read power of the plain NTW assignment (denominator).
   [[nodiscard]] double plain_read_power() const;
   /// Crossbars needed to hold all layers (Table III accounting).
-  [[nodiscard]] std::int64_t total_crossbars(int xbar_rows = 128,
-                                             int xbar_cols = 128) const;
+  [[nodiscard]] std::int64_t total_crossbars() const;
   /// Offset registers needed across all layers: the sum of the per-layer
   /// PlanLayer::offset_registers counts (Eq. 9 at each layer's own m,
   /// minus whatever the optimizer passes shared away).
@@ -164,10 +160,11 @@ struct DeploymentPlan {
 /// serialization format version, the network (layer structure, shapes and
 /// the bytes of every parameter and buffer), the calibration/gradient
 /// dataset (shape, image bytes and labels) and the full DeployOptions
-/// including its PipelineConfig base (scheme, offsets, cell, variation,
-/// faults, weight bits, PWT knobs, LUT protocol, seed). Two
-/// configurations that would compile different plans never share a
-/// fingerprint (up to hash collisions).
+/// (scheme, offsets, cell, variation, faults, weight bits, PWT knobs, LUT
+/// protocol, gradient budget, seed, pass list), plus the fixed settings
+/// of deploy.h in the slots their old options held. Two configurations
+/// that would compile different plans never share a fingerprint (up to
+/// hash collisions).
 [[nodiscard]] std::uint64_t plan_fingerprint(const rdo::nn::Layer& net,
                                              const DeployOptions& opt,
                                              const rdo::nn::DataView& train);

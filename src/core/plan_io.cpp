@@ -6,12 +6,14 @@
 //   u32  magic "RDP2"
 //   u64  config fingerprint (plan_fingerprint of the compiling caller)
 //   ...  DeployOptions block (fixed-width fields + the length-prefixed
-//        optimizer pass list, see save())
+//        optimizer pass list, see save()); load refuses any value but
+//        deploy.h's fixed settings in their four slots
 //   u64  LUT byte count, then one embedded RLut save() document (RLU2)
-//   u32  layer count, then per layer: geometry, per-layer offset-group
-//        size m and register count (written before the arrays so their
-//        declared counts validate against the layer's own m), LayerQuant,
-//        mean gradients, VawoResult, dead-column mask
+//   u32  layer count, then per layer: fan in/out (= the LayerQuant's
+//        rows/cols), per-layer offset-group size m and register count
+//        (written before the arrays so their declared counts validate
+//        against the layer's own m), LayerQuant, mean gradients,
+//        VawoResult, dead-column mask
 //   u32  activation-calibration count, then {bits, max_abs} entries
 //   u32  applied-pass count, then length-prefixed registered pass names
 //
@@ -79,6 +81,12 @@ T finite(Reader& r) {
   return v;
 }
 
+/// Read the slot of a fixed setting (deploy.h); another value is corrupt.
+template <typename T>
+void fixed(Reader& r, T expected, const char* what) {
+  r.require(r.scalar<T>() == expected, what);
+}
+
 void hash_options(const DeployOptions& o, Fnv1a& h) {
   h.u64(static_cast<std::uint64_t>(o.scheme));
   h.u64(static_cast<std::uint64_t>(o.offsets.m));
@@ -92,16 +100,16 @@ void hash_options(const DeployOptions& o, Fnv1a& h) {
   h.f64(o.faults.stuck_lrs_rate);
   h.u64(static_cast<std::uint64_t>(o.weight_bits));
   h.u64(static_cast<std::uint64_t>(o.pwt.epochs));
-  h.f64(static_cast<double>(o.pwt.lr));
-  h.u64(static_cast<std::uint64_t>(o.pwt.batch_size));
+  h.f64(static_cast<double>(kPwtLr));
+  h.u64(static_cast<std::uint64_t>(kPwtBatchSize));
   h.u64(static_cast<std::uint64_t>(o.pwt.max_samples));
   h.u64(o.pwt.mean_init ? 1u : 0u);
-  h.u64(o.quantize_activations ? 1u : 0u);
+  h.u64(kQuantizeActivations ? 1u : 0u);
   h.u64(o.penalize_bias ? 1u : 0u);
   h.u64(static_cast<std::uint64_t>(o.lut_k_sets));
   h.u64(static_cast<std::uint64_t>(o.lut_j_cycles));
   h.u64(static_cast<std::uint64_t>(o.grad_samples));
-  h.u64(static_cast<std::uint64_t>(o.grad_batch));
+  h.u64(static_cast<std::uint64_t>(kGradBatch));
   h.u64(o.seed);
   h.str(o.opt_passes);
 }
@@ -119,16 +127,16 @@ void write_options(Writer& w, const DeployOptions& o) {
   w.scalar(o.faults.stuck_lrs_rate);
   w.scalar(static_cast<std::int32_t>(o.weight_bits));
   w.scalar(static_cast<std::int32_t>(o.pwt.epochs));
-  w.scalar(o.pwt.lr);
-  w.scalar(o.pwt.batch_size);
+  w.scalar(kPwtLr);
+  w.scalar(kPwtBatchSize);
   w.scalar(o.pwt.max_samples);
   w.scalar(static_cast<std::uint8_t>(o.pwt.mean_init ? 1 : 0));
-  w.scalar(static_cast<std::uint8_t>(o.quantize_activations ? 1 : 0));
+  w.scalar(std::uint8_t{kQuantizeActivations});
   w.scalar(static_cast<std::uint8_t>(o.penalize_bias ? 1 : 0));
   w.scalar(static_cast<std::int32_t>(o.lut_k_sets));
   w.scalar(static_cast<std::int32_t>(o.lut_j_cycles));
   w.scalar(o.grad_samples);
-  w.scalar(o.grad_batch);
+  w.scalar(kGradBatch);
   w.scalar(o.seed);
   w.array(o.opt_passes);
 }
@@ -154,16 +162,17 @@ DeployOptions read_options(Reader& r) {
   o.faults.stuck_lrs_rate = r.scalar<double>();
   o.weight_bits = r.scalar<std::int32_t>();
   o.pwt.epochs = r.scalar<std::int32_t>();
-  o.pwt.lr = r.scalar<float>();
-  o.pwt.batch_size = r.scalar<std::int64_t>();
+  fixed(r, kPwtLr, "pwt.lr slot is not the fixed step size");
+  fixed(r, kPwtBatchSize, "pwt.batch_size slot is not the fixed batch size");
   o.pwt.max_samples = r.scalar<std::int64_t>();
   o.pwt.mean_init = r.scalar<std::uint8_t>() != 0;
-  o.quantize_activations = r.scalar<std::uint8_t>() != 0;
+  fixed(r, std::uint8_t{kQuantizeActivations},
+        "quantize_activations slot is not set");
   o.penalize_bias = r.scalar<std::uint8_t>() != 0;
   o.lut_k_sets = r.scalar<std::int32_t>();
   o.lut_j_cycles = r.scalar<std::int32_t>();
   o.grad_samples = r.scalar<std::int64_t>();
-  o.grad_batch = r.scalar<std::int64_t>();
+  fixed(r, kGradBatch, "grad_batch slot is not the fixed batch size");
   o.seed = r.scalar<std::uint64_t>();
   std::string spec = r.text(kMaxPassSpec);
   try {
@@ -198,8 +207,9 @@ void DeploymentPlan::save(std::ostream& out,
 
   w.scalar(static_cast<std::uint32_t>(layers.size()));
   for (const PlanLayer& pl : layers) {
-    w.scalar(pl.fan_in);
-    w.scalar(pl.fan_out);
+    // Fan in/out, repeated below in the LayerQuant.
+    w.scalar(pl.lq.rows);
+    w.scalar(pl.lq.cols);
     // Per-layer execution metadata goes before the arrays so the loader
     // can validate their declared counts against this layer's own m.
     w.scalar(static_cast<std::int32_t>(pl.m));
@@ -277,13 +287,8 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
   const int levels = (1 << opt.weight_bits) - 1;
   for (std::uint32_t li = 0; li < n_layers; ++li) {
     PlanLayer& pl = plan.layers[li];
-    pl.fan_in = r.scalar<std::int64_t>();
-    pl.fan_out = r.scalar<std::int64_t>();
-    r.require(pl.fan_in >= 1 &&
-                  static_cast<std::uint64_t>(pl.fan_in) <= kMaxDim &&
-                  pl.fan_out >= 1 &&
-                  static_cast<std::uint64_t>(pl.fan_out) <= kMaxDim,
-              "layer fan geometry out of range");
+    const auto fan_in = r.scalar<std::int64_t>();
+    const auto fan_out = r.scalar<std::int64_t>();
     const auto layer_m = r.scalar<std::int32_t>();
     r.require(layer_m >= opt.offsets.m && layer_m % opt.offsets.m == 0 &&
                   layer_m <= std::max(kMaxGroupSize, opt.offsets.m),
@@ -302,6 +307,8 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
                   pl.lq.cols >= 1 &&
                   static_cast<std::uint64_t>(pl.lq.cols) <= kMaxDim,
               "layer matrix shape out of range");
+    r.require(fan_in == pl.lq.rows && fan_out == pl.lq.cols,
+              "layer fan slots do not match the matrix shape");
     const std::uint64_t elems = static_cast<std::uint64_t>(pl.lq.rows) *
                                 static_cast<std::uint64_t>(pl.lq.cols);
     r.require(elems <= kMaxLayerElems, "layer element count out of range");

@@ -87,17 +87,17 @@ void EffectiveWeightBackend::run_pwt(const rdo::nn::DataView& train) {
 
   const OffsetGradMode offset_mode(layers_, plan_);
 
-  float lr = popt.lr;
+  float lr = kPwtLr;
   for (int epoch = 0; epoch < popt.epochs; ++epoch) {
     rdo::obs::TraceSpan epoch_span("pwt:epoch", "deploy");
     epoch_span.arg("epoch", epoch);
     double epoch_loss = 0.0;
     std::int64_t epoch_batches = 0;
     std::shuffle(order.begin(), order.end(), rng.engine());
-    for (std::int64_t start = 0; start < n; start += popt.batch_size) {
+    for (std::int64_t start = 0; start < n; start += kPwtBatchSize) {
       rdo::obs::TraceSpan batch_span("pwt:batch", "deploy");
       batch_span.arg("start", start);
-      const std::int64_t end = std::min(n, start + popt.batch_size);
+      const std::int64_t end = std::min(n, start + kPwtBatchSize);
       const rdo::nn::Batch b = rdo::nn::take_batch(
           train, std::span(order.begin() + start, order.begin() + end));
 

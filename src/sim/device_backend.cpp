@@ -31,7 +31,6 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
   cfg.xbar.cols = dopt.xbar_cols;
   cfg.xbar.cell = plan.opt.cell;
   cfg.xbar.active_wordlines = dopt.active_wordlines;
-  cfg.xbar.adc_bits = dopt.adc_bits;
   cfg.offsets = plan.opt.offsets;
 
   // Walk the base's twin (same topology as `src`, already moved to the
@@ -95,9 +94,9 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
     lcfg.offsets.m = pl.m;
     stage.exec = std::make_unique<CrossbarLayerExecutor>(pl.lq, pl.assign,
                                                          lcfg);
-    stage.bias.assign(static_cast<std::size_t>(pl.fan_out), 0.0f);
-    if (bias_param != nullptr && bias_param->value.size() == pl.fan_out) {
-      for (std::int64_t c = 0; c < pl.fan_out; ++c) {
+    stage.bias.assign(static_cast<std::size_t>(pl.lq.cols), 0.0f);
+    if (bias_param != nullptr && bias_param->value.size() == pl.lq.cols) {
+      for (std::int64_t c = 0; c < pl.lq.cols; ++c) {
         stage.bias[static_cast<std::size_t>(c)] = bias_param->value[c];
       }
     }

@@ -19,7 +19,7 @@
 // those cells and offsets into the executors, and evaluate() runs the
 // test set through them. There is one programmed state and one
 // DeployStats record, so the deterministic counters equal the fast
-// path's by construction; only the ADC model and floating-point
+// path's by construction; with its ideal ADC, only floating-point
 // summation order can move the reported accuracy.
 #pragma once
 
@@ -33,14 +33,14 @@
 
 namespace rdo::sim {
 
-/// Device geometry of the simulated substrate. Everything else — cell
-/// model, variation, weight bits, offset geometry, LUT protocol, seed —
-/// comes from the shared DeploymentPlan so the two backends cannot drift.
+/// Device geometry of the simulated substrate. The ADC is ideal; everything
+/// else — cell model, variation, weight bits, offset geometry, LUT
+/// protocol, seed — comes from the shared DeploymentPlan so the two
+/// backends cannot drift.
 struct DeviceSimOptions {
   int xbar_rows = 128;
   int xbar_cols = 128;
   int active_wordlines = 16;  ///< wordlines driven per read cycle
-  int adc_bits = 0;           ///< 0 = ideal ADC
 };
 
 class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {

@@ -3,7 +3,6 @@
 // EffectiveWeightBackend execution stage.
 #include <gtest/gtest.h>
 
-#include <cfloat>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -194,7 +193,7 @@ TEST(Deploy, CrossbarCountMatchesTiling) {
   const DeploymentPlan plan = compile_plan(f.net, o, f.ds.train());
   // Layer 1: 144x32 -> rows 2 tiles... 144 rows > 128 -> 2 row tiles;
   // 32 cols * 4 cells = 128 -> 1 col tile. Layer 2: 32x10 -> 1.
-  EXPECT_EQ(plan.total_crossbars(128, 128), 3);
+  EXPECT_EQ(plan.total_crossbars(), 3);
 }
 
 TEST(Deploy, OffsetRegisterCountFollowsEq9) {
@@ -436,20 +435,11 @@ std::vector<Bound> bounds() {
   const auto gsamples = [](DeployOptions& o, double v) {
     o.grad_samples = static_cast<std::int64_t>(v);
   };
-  const auto gbatch = [](DeployOptions& o, double v) {
-    o.grad_batch = static_cast<std::int64_t>(v);
-  };
   const auto epochs = [](DeployOptions& o, double v) {
     o.pwt.epochs = static_cast<int>(v);
   };
-  const auto pbatch = [](DeployOptions& o, double v) {
-    o.pwt.batch_size = static_cast<std::int64_t>(v);
-  };
   const auto pmax = [](DeployOptions& o, double v) {
     o.pwt.max_samples = static_cast<std::int64_t>(v);
-  };
-  const auto lr = [](DeployOptions& o, double v) {
-    o.pwt.lr = static_cast<float>(v);
   };
   return {
       {"offsets.m", m, 1, 0},
@@ -478,13 +468,9 @@ std::vector<Bound> bounds() {
       {"lut_j_cycles", j_cycles, 1, 0},
       {"lut_k_sets * lut_j_cycles", k1024_j, 1024, 1025},
       {"grad_samples", gsamples, 0, -1},
-      {"grad_batch", gbatch, 1, 0},
       {"pwt.epochs", epochs, 0, -1},
       {"pwt.epochs", epochs, 1024, 1025},
-      {"pwt.batch_size", pbatch, 1, 0},
       {"pwt.max_samples", pmax, 0, -1},
-      {"pwt.lr", lr, FLT_MAX, HUGE_VAL},
-      {"pwt.lr", lr, 1.0, kNaN},
   };
 }
 

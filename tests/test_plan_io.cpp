@@ -14,12 +14,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.h"
@@ -180,6 +182,39 @@ std::string load_error(const std::string& bytes, std::uint64_t fp) {
     return e.what();
   }
   return "";
+}
+
+/// The fixture's compiled VAWO* plan, saved, with its fingerprint.
+struct SavedFixture {
+  std::string bytes;
+  std::uint64_t fp = 0;
+};
+
+SavedFixture saved_fixture() {
+  const Fixture f = make_fixture();
+  const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
+                                                       f.train());
+  const std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
+  return {save_bytes(plan, fp), fp};
+}
+
+// Byte offsets in a saved plan (u32 magic, u64 fingerprint, then the
+// options block in write order) of the slots that hold deploy.h's fixed
+// settings, and of the pass list that ends the block.
+constexpr std::size_t kPwtLrAt = 80;
+constexpr std::size_t kPwtBatchSizeAt = 84;
+constexpr std::size_t kQuantizeActivationsAt = 101;
+constexpr std::size_t kGradBatchAt = 119;
+constexpr std::size_t kPassListAt = 135;
+
+/// `bytes` with the T at `at`, which must hold `stored`, set to `v`.
+template <typename T>
+std::string patch_at(std::string bytes, std::size_t at, T stored, T v) {
+  T old{};
+  std::memcpy(&old, bytes.data() + at, sizeof old);
+  EXPECT_EQ(old, stored) << "at byte " << at;
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+  return bytes;
 }
 
 bool has_tmp_files(const fs::path& dir) {
@@ -379,6 +414,69 @@ TEST(PlanIo, StoredOffsetTheRegisterCannotHoldRaisesPlanError) {
     EXPECT_NE(err.find("offset outside the register's integer range"),
               std::string::npos)
         << "offset " << b << ": " << err;
+  }
+}
+
+TEST(PlanIo, StoredPwtLrOtherThanTheFixedStepRaisesPlanError) {
+  const SavedFixture s = saved_fixture();
+  for (const float lr : {0.5f, std::numeric_limits<float>::quiet_NaN()}) {
+    const std::string err = load_error(
+        patch_at(s.bytes, kPwtLrAt, core::kPwtLr, lr), s.fp);
+    EXPECT_NE(err.find("pwt.lr slot"), std::string::npos)
+        << "lr " << lr << ": " << err;
+  }
+}
+
+TEST(PlanIo, StoredPwtBatchSizeOtherThanTheFixedSizeRaisesPlanError) {
+  const SavedFixture s = saved_fixture();
+  const std::string err = load_error(
+      patch_at(s.bytes, kPwtBatchSizeAt, core::kPwtBatchSize,
+               std::int64_t{16}),
+      s.fp);
+  EXPECT_NE(err.find("pwt.batch_size slot"), std::string::npos) << err;
+}
+
+TEST(PlanIo, StoredGradBatchOtherThanTheFixedSizeRaisesPlanError) {
+  const SavedFixture s = saved_fixture();
+  const std::string err = load_error(
+      patch_at(s.bytes, kGradBatchAt, core::kGradBatch, std::int64_t{16}),
+      s.fp);
+  EXPECT_NE(err.find("grad_batch slot"), std::string::npos) << err;
+}
+
+TEST(PlanIo, ClearedQuantizeActivationsByteRaisesPlanError) {
+  const SavedFixture s = saved_fixture();
+  const std::string err = load_error(
+      patch_at(s.bytes, kQuantizeActivationsAt, std::uint8_t{1},
+               std::uint8_t{0}),
+      s.fp);
+  EXPECT_NE(err.find("quantize_activations slot"), std::string::npos)
+      << err;
+}
+
+TEST(PlanIo, FanSlotsThatDisagreeWithTheMatrixShapeRaisePlanError) {
+  // The fixture's one layer is a 6x4 matrix. After the pass list come the
+  // u64 LUT byte count, the LUT, the u32 layer count, then the layer's
+  // i64 fan in and fan out.
+  const SavedFixture s = saved_fixture();
+  std::uint64_t passes = 0;
+  std::memcpy(&passes, s.bytes.data() + kPassListAt, sizeof passes);
+  const std::size_t lut_at = kPassListAt + 8 + passes;
+  std::uint64_t lut_bytes = 0;
+  std::memcpy(&lut_bytes, s.bytes.data() + lut_at, sizeof lut_bytes);
+  const std::size_t fan_in_at = lut_at + 8 + lut_bytes + 4;
+  const std::size_t fan_out_at = fan_in_at + 8;
+  const auto fan = [&](std::int64_t in, std::int64_t out) {
+    return patch_at(patch_at(s.bytes, fan_in_at, std::int64_t{6}, in),
+                    fan_out_at, std::int64_t{4}, out);
+  };
+  EXPECT_EQ(load_error(fan(6, 4), s.fp), "");
+  for (const auto& [in, out] : {std::pair<std::int64_t, std::int64_t>{7, 4},
+                                {6, 3}, {4, 6}}) {
+    const std::string err = load_error(fan(in, out), s.fp);
+    EXPECT_NE(err.find("layer fan slots do not match the matrix shape"),
+              std::string::npos)
+        << "fan " << in << "x" << out << ": " << err;
   }
 }
 
