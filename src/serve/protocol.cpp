@@ -12,7 +12,7 @@ namespace {
 using rdo::obs::Json;
 
 // Request-level structural ceilings (service-level sample budgets are
-// enforced separately by ServeConfig::max_request_samples).
+// enforced separately by serve::kMaxRequestSamples).
 constexpr std::int64_t kMaxInlineValues = std::int64_t{1} << 24;
 constexpr std::int64_t kMaxBatch = 1 << 16;
 constexpr int kMaxLabelClasses = 1 << 16;

@@ -231,11 +231,22 @@ Json InferenceService::evaluate(const ServeRequest& req) {
   // Resolve the requested samples into a self-contained batch.
   rdo::nn::Batch batch;
   if (req.data.is_inline()) {
-    if (req.data.inline_images.dim(0) > cfg_.max_request_samples) {
+    const rdo::nn::Tensor& images = req.data.inline_images;
+    const std::int64_t n = images.dim(0);
+    if (n > kMaxRequestSamples) {
       throw ProtocolError(ErrorCode::BadRequest,
-                          "inline batch exceeds max_request_samples");
+                          "inline batch exceeds kMaxRequestSamples");
     }
-    batch = {req.data.inline_images, req.data.inline_labels};
+    // The batch runs in the registered samples' shape, so a flat
+    // [N, features] batch serves any network.
+    std::vector<std::int64_t> shape = test_.images->shape();
+    shape[0] = n;
+    if (rdo::nn::Tensor::numel(shape) != images.size()) {
+      throw ProtocolError(ErrorCode::BadRequest,
+                          "inline sample size differs from the registered "
+                          "data's");
+    }
+    batch = {images.reshaped(std::move(shape)), req.data.inline_labels};
   } else {
     const rdo::nn::DataView& src =
         req.data.split == "train" ? train_ : test_;
@@ -252,9 +263,9 @@ Json InferenceService::evaluate(const ServeRequest& req) {
       throw ProtocolError(ErrorCode::BadRequest,
                           "offset/count outside dataset");
     }
-    if (count > cfg_.max_request_samples) {
+    if (count > kMaxRequestSamples) {
       throw ProtocolError(ErrorCode::BadRequest,
-                          "count exceeds max_request_samples");
+                          "count exceeds kMaxRequestSamples");
     }
     batch = rdo::nn::take_batch(src, req.data.offset,
                                 req.data.offset + count);

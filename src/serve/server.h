@@ -65,12 +65,17 @@
 
 namespace rdo::serve {
 
+/// Evaluation budget per request: an inline batch or a dataset slice of
+/// more samples is a bad request.
+inline constexpr std::int64_t kMaxRequestSamples = std::int64_t{1} << 16;
+
+/// Capacity limits of one service: the plan LRU, the backend pools and
+/// admission control.
 struct ServeConfig {
   std::size_t max_plans = 4;             ///< LRU capacity (hot plans)
   std::size_t max_backends_per_plan = 2; ///< idle pool cap per (plan, cycle)
   int max_active = 4;                    ///< requests evaluating at once
   int max_queued = 16;                   ///< requests waiting for a slot
-  std::int64_t max_request_samples = 1 << 16;  ///< eval budget per request
 };
 
 /// Service-level counters (monotonic; snapshot via counters()). This is

@@ -389,32 +389,35 @@ TEST(Serve, InlineDataMatchesSplitSlice) {
   const ServeFixture f;
   serve::InferenceService svc = f.make_service();
 
-  // First 6 test samples shipped inline.
-  std::ostringstream req;
-  req << R"({"id": 1, "op": "evaluate", "data": {"shape": [6, 6],)"
-      << R"( "images": [)";
-  for (std::int64_t i = 0; i < 36; ++i) {
-    if (i > 0) req << ", ";
-    req << static_cast<double>(f.test_images[i]);
-  }
-  req << R"(], "labels": [)";
-  for (int i = 0; i < 6; ++i) {
-    if (i > 0) req << ", ";
-    req << f.test_labels[static_cast<std::size_t>(i)];
-  }
-  req << "]}}";
-  const Json inline_r = reply(svc, req.str());
-  ASSERT_TRUE(inline_r.find("ok")->as_bool()) << inline_r.dump();
-
   const Json slice_r = reply(
       svc,
       R"({"id": 2, "op": "evaluate",)"
       R"( "data": {"split": "test", "offset": 0, "count": 6}})");
   ASSERT_TRUE(slice_r.find("ok")->as_bool()) << slice_r.dump();
 
-  EXPECT_EQ(inline_r.find("result")->find("accuracy")->as_double(),
-            slice_r.find("result")->find("accuracy")->as_double());
-  EXPECT_EQ(inline_r.find("result")->find("samples")->as_int(), 6);
+  // First 6 test samples shipped inline, flat and as 2x3 samples: both
+  // run in the registered sample shape.
+  for (const char* shape : {"[6, 6]", "[6, 2, 3]"}) {
+    std::ostringstream req;
+    req << R"({"id": 1, "op": "evaluate", "data": {"shape": )" << shape
+        << R"(, "images": [)";
+    for (std::int64_t i = 0; i < 36; ++i) {
+      if (i > 0) req << ", ";
+      req << static_cast<double>(f.test_images[i]);
+    }
+    req << R"(], "labels": [)";
+    for (int i = 0; i < 6; ++i) {
+      if (i > 0) req << ", ";
+      req << f.test_labels[static_cast<std::size_t>(i)];
+    }
+    req << "]}}";
+    const Json inline_r = reply(svc, req.str());
+    ASSERT_TRUE(inline_r.find("ok")->as_bool()) << inline_r.dump();
+    EXPECT_EQ(inline_r.find("result")->find("accuracy")->as_double(),
+              slice_r.find("result")->find("accuracy")->as_double())
+        << shape;
+    EXPECT_EQ(inline_r.find("result")->find("samples")->as_int(), 6);
+  }
 }
 
 TEST(Serve, LruEvictsLeastRecentlyUsedPlan) {
@@ -522,6 +525,9 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       R"({"op": "evaluate", "data": {"split": "test", "count": 99}})",
       R"({"op": "evaluate", "data": {"shape": [2, 6], "images": [0.0],)"
       R"( "labels": [0, 1]}})",
+      // Samples of 5 values where the registered data's hold 6.
+      R"({"op": "evaluate", "data": {"shape": [2, 5], "images": [0, 0, 0,)"
+      R"( 0, 0, 0, 0, 0, 0, 0], "labels": [0, 1]}})",
       R"({"op": "evaluate", "batch": 0})",
       R"({"op": "evaluate", "config": {"opt_passes": "bogus_pass"}})",
       R"({"op": "evaluate", "config": {"opt_passes": 3}})",
