@@ -83,27 +83,4 @@ bool load_params(Layer& net, const std::string& path) {
   return true;
 }
 
-void copy_state(Layer& dst, Layer& src) {
-  const auto dst_params = dst.params();
-  const auto src_params = src.params();
-  const auto dst_buffers = dst.buffers();
-  const auto src_buffers = src.buffers();
-  if (dst_params.size() != src_params.size() ||
-      dst_buffers.size() != src_buffers.size()) {
-    throw std::runtime_error("copy_state: networks do not match");
-  }
-  for (std::size_t i = 0; i < dst_params.size(); ++i) {
-    if (dst_params[i]->value.size() != src_params[i]->value.size()) {
-      throw std::runtime_error("copy_state: parameter size mismatch");
-    }
-    dst_params[i]->value = src_params[i]->value;
-  }
-  for (std::size_t i = 0; i < dst_buffers.size(); ++i) {
-    if (dst_buffers[i]->size() != src_buffers[i]->size()) {
-      throw std::runtime_error("copy_state: buffer size mismatch");
-    }
-    *dst_buffers[i] = *src_buffers[i];
-  }
-}
-
 }  // namespace rdo::nn

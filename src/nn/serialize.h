@@ -47,11 +47,4 @@ bool load_params(Layer& net, const std::string& path);
 /// parsing path — the path overload and the fuzz harness both call it.
 void load_params(Layer& net, std::istream& in, const std::string& source);
 
-/// Copy every parameter and buffer (e.g. batch-norm running statistics)
-/// from `src` into the identically-constructed network `dst`. Used to
-/// clone a trained network for parallel Monte-Carlo deployment trials;
-/// `src` is only read, so several clones may be taken concurrently.
-/// Throws if the two networks do not match.
-void copy_state(Layer& dst, Layer& src);
-
 }  // namespace rdo::nn
