@@ -40,10 +40,6 @@ void Tensor::kaiming_init(Rng& rng, std::int64_t fan_in) {
   }
 }
 
-void Tensor::uniform_init(Rng& rng, float lo, float hi) {
-  for (auto& x : data_) x = static_cast<float>(rng.uniform(lo, hi));
-}
-
 void Tensor::axpy(float a, const Tensor& other) {
   RDO_CHECK(other.size() == size(),
             "Tensor::axpy: " + shape_str() + " += a * " + other.shape_str());
@@ -61,12 +57,6 @@ float Tensor::max_abs() const {
   float m = 0.0f;
   for (float x : data_) m = std::max(m, std::fabs(x));
   return m;
-}
-
-float Tensor::sum() const {
-  double s = 0.0;
-  for (float x : data_) s += x;
-  return static_cast<float>(s);
 }
 
 std::string Tensor::shape_str() const {

@@ -95,8 +95,6 @@ class Tensor {
 
   /// Kaiming-uniform initialization with the given fan-in.
   void kaiming_init(Rng& rng, std::int64_t fan_in);
-  /// Uniform init in [lo, hi).
-  void uniform_init(Rng& rng, float lo, float hi);
 
   /// Elementwise accumulate: *this += a * other.
   void axpy(float a, const Tensor& other);
@@ -104,7 +102,6 @@ class Tensor {
   void scale(float a);
 
   [[nodiscard]] float max_abs() const;
-  [[nodiscard]] float sum() const;
   [[nodiscard]] std::string shape_str() const;
 
   static std::int64_t numel(const std::vector<std::int64_t>& shape) {

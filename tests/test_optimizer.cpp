@@ -82,6 +82,6 @@ TEST(SGD, ZeroGradClearsAll) {
   b.grad.fill(2.0f);
   SGD opt({&a, &b}, 0.1f);
   opt.zero_grad();
-  EXPECT_FLOAT_EQ(a.grad.sum(), 0.0f);
-  EXPECT_FLOAT_EQ(b.grad.sum(), 0.0f);
+  for (std::int64_t i = 0; i < a.grad.size(); ++i) EXPECT_EQ(a.grad[i], 0.0f);
+  for (std::int64_t i = 0; i < b.grad.size(); ++i) EXPECT_EQ(b.grad[i], 0.0f);
 }

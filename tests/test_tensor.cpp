@@ -63,9 +63,9 @@ TEST(Tensor, ReshapeRejectsSizeMismatch) {
 TEST(Tensor, FillAndZero) {
   Tensor t({4});
   t.fill(2.5f);
-  EXPECT_EQ(t.sum(), 10.0f);
+  for (std::int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 2.5f);
   t.zero();
-  EXPECT_EQ(t.sum(), 0.0f);
+  for (std::int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
 TEST(Tensor, AxpyAccumulates) {
@@ -110,21 +110,6 @@ TEST(Tensor, KaimingInitStatistics) {
   var /= static_cast<double>(t.size());
   EXPECT_NEAR(mean, 0.0, 0.01);
   EXPECT_NEAR(std::sqrt(var), target_std, 0.01);
-}
-
-TEST(Tensor, UniformInitRange) {
-  Rng rng(4);
-  Tensor t({1000});
-  t.uniform_init(rng, -0.25f, 0.75f);
-  float mn = 1e9f, mx = -1e9f;
-  for (std::int64_t i = 0; i < t.size(); ++i) {
-    mn = std::min(mn, t[i]);
-    mx = std::max(mx, t[i]);
-  }
-  EXPECT_GE(mn, -0.25f);
-  EXPECT_LT(mx, 0.75f);
-  EXPECT_LT(mn, -0.1f);  // actually explores the range
-  EXPECT_GT(mx, 0.6f);
 }
 
 TEST(Tensor, ShapeStr) {
