@@ -119,12 +119,6 @@ void log_set_sink(std::FILE* sink) {
   s.sink = sink;
 }
 
-double log_uptime_seconds() {
-  auto& s = log_internal::state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return log_internal::uptime_locked(s);
-}
-
 namespace {
 
 /// Level tag for the text format: fixed width so columns line up.
@@ -202,15 +196,6 @@ LogLine::LogLine(LogLevel level, const char* subsystem, std::string message)
       level_(level),
       subsystem_(subsystem),
       message_(std::move(message)) {}
-
-LogLine::LogLine(LogLine&& other) noexcept
-    : live_(other.live_),
-      level_(other.level_),
-      subsystem_(other.subsystem_),
-      message_(std::move(other.message_)),
-      fields_(std::move(other.fields_)) {
-  other.live_ = false;
-}
 
 LogLine::~LogLine() {
   if (!live_) return;

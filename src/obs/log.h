@@ -78,10 +78,6 @@ void log_set_format(LogFormat format);
 /// The caller keeps ownership of the stream.
 void log_set_sink(std::FILE* sink);
 
-/// Seconds since the logger epoch (first log call or first query);
-/// monotonic, the same clock log lines stamp as `ts`.
-double log_uptime_seconds();
-
 /// One structured log line. Built by log_debug()/log_info()/log_warn()/
 /// log_error(); emits on destruction unless the level is filtered.
 class LogLine {
@@ -90,8 +86,6 @@ class LogLine {
   ~LogLine();
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  LogLine(LogLine&& other) noexcept;
-  LogLine& operator=(LogLine&&) = delete;
 
   /// Attach one key/value field (insertion order preserved; no-op when
   /// the line is filtered out).

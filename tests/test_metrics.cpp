@@ -312,10 +312,3 @@ TEST(Log, EmitsToRedirectedSinkAndFiltersBelowLevel) {
       << content;
   EXPECT_EQ(content.find("filtered out"), std::string::npos) << content;
 }
-
-TEST(Log, UptimeIsMonotonic) {
-  const double a = obs::log_uptime_seconds();
-  const double b = obs::log_uptime_seconds();
-  EXPECT_GE(a, 0.0);
-  EXPECT_GE(b, a);
-}
