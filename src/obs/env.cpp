@@ -16,10 +16,6 @@
 
 namespace rdo::obs {
 
-const char* build_git_sha() { return RDO_GIT_SHA; }
-
-const char* build_type() { return RDO_BUILD_TYPE; }
-
 Json capture_env(std::uint64_t seed) {
   Json env = Json::object();
   env["threads"] = rdo::nn::thread_count();
@@ -27,8 +23,8 @@ Json capture_env(std::uint64_t seed) {
   env["rdo_threads_env"] = raw != nullptr ? raw : "";
   env["hardware_concurrency"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  env["build_type"] = build_type();
-  env["git_sha"] = build_git_sha();
+  env["build_type"] = RDO_BUILD_TYPE;  // CMAKE_BUILD_TYPE of the build
+  env["git_sha"] = RDO_GIT_SHA;  // configured-from sha, or "unknown"
   env["seed"] = seed;
   env["kernel_isa"] = rdo::nn::kernel_isa_name(rdo::nn::kernel_isa());
 #if defined(__clang__)

@@ -19,10 +19,4 @@ namespace rdo::obs {
 /// Capture the current process environment as a JSON object.
 [[nodiscard]] Json capture_env(std::uint64_t seed);
 
-/// Git sha the build was configured from ("unknown" outside a checkout).
-[[nodiscard]] const char* build_git_sha();
-
-/// CMAKE_BUILD_TYPE the binaries were compiled with.
-[[nodiscard]] const char* build_type();
-
 }  // namespace rdo::obs
