@@ -31,8 +31,6 @@ class Sequential : public Layer {
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
-  [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
-
  private:
   std::vector<LayerPtr> layers_;
 };

@@ -54,10 +54,9 @@ class Json {
   [[nodiscard]] bool is_uint() const {
     return (type_ == Type::Int && int_ >= 0) || type_ == Type::UInt;
   }
-  [[nodiscard]] bool is_double() const { return type_ == Type::Double; }
   /// Int, UInt or Double.
   [[nodiscard]] bool is_number() const {
-    return is_int() || type_ == Type::UInt || is_double();
+    return is_int() || type_ == Type::UInt || type_ == Type::Double;
   }
   [[nodiscard]] bool is_string() const { return type_ == Type::String; }
   [[nodiscard]] bool is_array() const { return type_ == Type::Array; }

@@ -58,10 +58,6 @@ class RLut {
     return var_[static_cast<std::size_t>(v)];
   }
 
-  /// Smallest achievable E[R(v)] (v = 0) and largest (v = max).
-  [[nodiscard]] double mean_lo() const { return mean_.front(); }
-  [[nodiscard]] double mean_hi() const { return mean_.back(); }
-
   /// The CTW whose E[R(v)] is closest to `target` (monotone inversion;
   /// clamps outside the representable range).
   [[nodiscard]] int invert_mean(double target) const;

@@ -474,7 +474,7 @@ TEST(Sequential, ChainsAndCollects) {
   s.emplace<Dense>(4, 8, rng);
   s.emplace<ReLU>();
   s.emplace<Dense>(8, 2, rng);
-  EXPECT_EQ(s.layer_count(), 3u);
+  EXPECT_EQ(s.children().size(), 3u);
   EXPECT_EQ(s.params().size(), 4u);  // two weights + two biases
   Tensor y = s.forward(random_input({2, 4}, 15), true);
   EXPECT_EQ(y.dim(1), 2);

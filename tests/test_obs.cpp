@@ -99,11 +99,11 @@ TEST(Json, NumbersKeepTheirTypeThroughAReparse) {
   EXPECT_TRUE(i.is_int());
   EXPECT_EQ(i.as_int(), 7);
   const Json d = Json::parse("7.0");
-  EXPECT_TRUE(d.is_double());
+  EXPECT_EQ(d.type(), Json::Type::Double);
   EXPECT_DOUBLE_EQ(d.as_double(), 7.0);
   // A dumped Double reparses as Double even for integral values.
   const Json round = Json::parse(Json(2.0).dump());
-  EXPECT_TRUE(round.is_double());
+  EXPECT_EQ(round.type(), Json::Type::Double);
 }
 
 TEST(Json, Uint64ValuesRoundTripExactly) {
@@ -134,8 +134,8 @@ TEST(Json, Uint64ValuesRoundTripExactly) {
   // Negative integers are no uint; past 2^64 an integer token is a double.
   EXPECT_FALSE(Json::parse("-1").is_uint());
   EXPECT_THROW((void)Json::parse("-1").as_uint(), std::logic_error);
-  EXPECT_TRUE(Json::parse("18446744073709551616").is_double());
-  EXPECT_TRUE(Json::parse("-9223372036854775809").is_double());
+  EXPECT_EQ(Json::parse("18446744073709551616").type(), Json::Type::Double);
+  EXPECT_EQ(Json::parse("-9223372036854775809").type(), Json::Type::Double);
 }
 
 TEST(Json, DoubleFormattingRoundTripsExactly) {

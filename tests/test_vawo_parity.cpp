@@ -84,8 +84,8 @@ TEST_P(VawoIsaParity, ExhaustiveSingleWeightSweepCoversEveryTableEntry) {
   // One-weight groups over every NTW value x every configuration: with
   // the full signed 8-bit offset range this exercises every target value
   // the table can index, including both invert_mean clamp regions
-  // (target < mean_lo for ntw = 0 at b = offset_max, target > mean_hi for
-  // ntw = levels at b = offset_min).
+  // (target < mean(0) for ntw = 0 at b = offset_max, target >
+  // mean(levels) for ntw = levels at b = offset_min).
   for (const Config& cfg : all_configs()) {
     const RLut lut = lut_for(0.5, cfg.kind);
     VawoOptions opt;
