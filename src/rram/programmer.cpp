@@ -75,18 +75,6 @@ std::vector<int> WeightProgrammer::slice(int v) const {
   return {states.begin(), states.begin() + cells_};
 }
 
-double WeightProgrammer::compose(std::span<const double> cell_values) const {
-  RDO_CHECK(cell_values.size() == static_cast<std::size_t>(cells_),
-            "WeightProgrammer::compose: " +
-                std::to_string(cell_values.size()) + " values for " +
-                std::to_string(cells_) + " cells");
-  double crw = 0.0;
-  for (std::size_t k = 0; k < cell_values.size(); ++k) {
-    crw += radix_pow_[k] * cell_values[k];
-  }
-  return crw;
-}
-
 double WeightProgrammer::composite_leakage() const {
   double leak = 0.0;
   for (int k = 0; k < cells_; ++k) {

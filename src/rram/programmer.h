@@ -40,18 +40,15 @@ class WeightProgrammer {
   /// outside [0, max_weight()].
   [[nodiscard]] std::array<int, kMaxCells> slice_states(int v) const;
 
-  /// Radix-weighted composition of cells_per_weight() per-cell read
-  /// values (LSB cell first) into a CRW.
-  [[nodiscard]] double compose(std::span<const double> cell_values) const;
-
   /// Program every CTW of `ctw` once with lumped DDV+CCV variation, in
-  /// order, from `rng`; crw[i] is weight i's CRW, composed as compose()
-  /// does. PerWeight scope: one factor for the whole weight,
-  /// CRW = (v + C) e^theta - C with C the composite HRS leakage; PerCell
-  /// scope: an independent factor per bit-slice device. Per cell (LSB
-  /// first) the draws are its factor (PerCell), then a stuck-at uniform
-  /// when faults are configured. `cells` is either empty (cells are not
-  /// kept) or receives weight i's post-variation read values at
+  /// order, from `rng`; crw[i] is weight i's CRW, the radix-weighted sum
+  /// of its per-cell read values (LSB cell first). PerWeight scope: one
+  /// factor for the whole weight, CRW = (v + C) e^theta - C with C the
+  /// composite HRS leakage; PerCell scope: an independent factor per
+  /// bit-slice device. Per cell (LSB first) the draws are its factor
+  /// (PerCell), then a stuck-at uniform when faults are configured.
+  /// `cells` is either empty (cells are not kept) or receives weight i's
+  /// post-variation read values at
   /// [i * cells_per_weight(), (i + 1) * cells_per_weight()). Throws
   /// std::invalid_argument for a CTW outside [0, max_weight()] or
   /// mismatched spans.
@@ -67,9 +64,6 @@ class WeightProgrammer {
   [[nodiscard]] double program_with_ddv(int v,
                                         const std::vector<double>& ddv_theta,
                                         rdo::nn::Rng& rng) const;
-
-  /// Composite HRS leakage of a whole weight: C = c * sum_k B^k.
-  [[nodiscard]] double composite_leakage() const;
 
   /// Closed-form E[R(v)] (used for the analytic LUT and as a test
   /// oracle). Only valid with a zero fault rate; the Monte-Carlo LUT
@@ -95,6 +89,8 @@ class WeightProgrammer {
   double sigma_ccv_ = 0.0;         ///< variation_.sigma_ccv()
   std::array<double, kMaxCells> radix_pow_{};  ///< radix^k, k < cells_
 
+  /// Composite HRS leakage of a whole weight: C = c * sum_k B^k.
+  [[nodiscard]] double composite_leakage() const;
   /// State of cell k of CTW v (no range check).
   [[nodiscard]] int state_of(int v, int k) const;
   /// Read value of a cell in `state` after a fault draw (when faults are

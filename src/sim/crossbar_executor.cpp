@@ -106,13 +106,6 @@ void CrossbarLayerExecutor::set_offsets(std::vector<float> offsets) {
   offsets_ = std::move(offsets);
 }
 
-std::vector<double> CrossbarLayerExecutor::forward(
-    const std::vector<double>& x) const {
-  std::vector<double> y(static_cast<std::size_t>(lq_.cols));
-  forward(x, 1, y);
-  return y;
-}
-
 void CrossbarLayerExecutor::forward(std::span<const double> x,
                                     std::int64_t n,
                                     std::span<double> y) const {
@@ -196,30 +189,6 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
                        static_cast<double>(lq_.zero) * sum_x_total);
     }
   }
-}
-
-std::vector<double> CrossbarLayerExecutor::measure_crw() const {
-  rdo::obs::TraceSpan span("sim:measure_crw", "sim");
-  const int cpw = cells_per_weight_;
-  const std::int64_t wpr = cfg_.xbar.cols / cpw;
-  std::vector<double> crw(static_cast<std::size_t>(lq_.rows * lq_.cols));
-  for (std::int64_t r = 0; r < lq_.rows; ++r) {
-    const std::int64_t tr = r / cfg_.xbar.rows;
-    const int lr = static_cast<int>(r % cfg_.xbar.rows);
-    for (std::int64_t c = 0; c < lq_.cols; ++c) {
-      const Crossbar& xb = crossbar(tr, c / wpr);
-      const int c0 = static_cast<int>((c % wpr) * cpw);
-      // The radix sum of WeightProgrammer::compose: LSB cell first.
-      double z = 0.0;
-      double radix = 1.0;
-      for (int k = 0; k < cpw; ++k) {
-        z += radix * xb.cell_value(lr, c0 + k);
-        radix *= cfg_.xbar.cell.radix();
-      }
-      crw[static_cast<std::size_t>(r * lq_.cols + c)] = z;
-    }
-  }
-  return crw;
 }
 
 }  // namespace rdo::sim

@@ -124,14 +124,9 @@ void DeviceSimBackend::tune(const rdo::nn::DataView& train) {
   }
 }
 
-std::vector<double> DeviceSimBackend::forward(
-    const std::vector<double>& x) const {
-  return forward_image(x, /*channels=*/0, /*height=*/0, /*width=*/0);
-}
-
-std::vector<double> DeviceSimBackend::forward_image(
-    const std::vector<double>& x, int channels, int height,
-    int width) const {
+std::vector<double> DeviceSimBackend::forward(const std::vector<double>& x,
+                                              int channels, int height,
+                                              int width) const {
   return forward_batch(x, 1, channels, height, width);
 }
 

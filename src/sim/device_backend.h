@@ -70,19 +70,16 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
                  std::int64_t batch = 64) override;
   [[nodiscard]] const char* name() const override { return "device-sim"; }
 
-  /// Device-level logits for one flat sample (MLPs; no conv stages).
-  [[nodiscard]] std::vector<double> forward(
-      const std::vector<double>& x) const;
-  /// Device-level logits for one image of the given shape (CNNs); the
-  /// n = 1 case of the batched forward evaluate() runs.
+  /// Device-level logits for one sample: an image of the given shape
+  /// (CNNs), or a flat sample when channels is 0 (MLPs; no conv stages).
+  /// The n = 1 case of the batched forward evaluate() runs.
   /// Thread-safe: const, and every stage reads only state frozen since
   /// the last program_cycle()/tune().
-  [[nodiscard]] std::vector<double> forward_image(
-      const std::vector<double>& x, int channels, int height,
-      int width) const;
+  [[nodiscard]] std::vector<double> forward(const std::vector<double>& x,
+                                            int channels = 0, int height = 0,
+                                            int width = 0) const;
 
   [[nodiscard]] std::int64_t crossbar_count() const;
-  [[nodiscard]] std::size_t layer_count() const { return stages_.size(); }
 
  private:
   struct Stage {

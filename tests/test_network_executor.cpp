@@ -217,7 +217,7 @@ TEST(NetworkExecutor, CnnDeviceLogitsMatchFloatOnIdealDevices) {
   for (int j = 0; j < 100; ++j) {
     x[static_cast<std::size_t>(j)] = f.ds.test_images[j];
   }
-  const auto dev = exec->forward_image(x, 1, 10, 10);
+  const auto dev = exec->forward(x, 1, 10, 10);
   for (int k = 0; k < 5; ++k) {
     EXPECT_NEAR(dev[static_cast<std::size_t>(k)], logits[k],
                 0.1 * std::max(1.0f, std::abs(logits[k])));
@@ -292,7 +292,6 @@ TEST(NetworkExecutor, CrossbarCountAccounting) {
   // Layer 1: 100x24 weights, 4 cells each on 32x32 arrays: 8 weights/row
   // -> 3 col tiles x 4 row tiles = 12. Layer 2: 24x5 -> 1.
   EXPECT_EQ(exec->crossbar_count(), 13);
-  EXPECT_EQ(exec->layer_count(), 3u);  // dense, relu, dense
 }
 
 TEST(NetworkExecutor, NetworkWeightsUntouched) {

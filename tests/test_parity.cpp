@@ -330,7 +330,7 @@ TEST(Parity, DeviceLogitsReplayAnIndependentEffectiveTwin) {
           x[static_cast<std::size_t>(j)] = batch[n * features + j];
         }
         const std::vector<double> got =
-            dev.forward_image(x, net.channels, net.height, net.width);
+            dev.forward(x, net.channels, net.height, net.width);
         ASSERT_EQ(static_cast<std::int64_t>(got.size()), classes);
         for (std::int64_t k = 0; k < classes; ++k) {
           const double w = want[n * classes + k];

@@ -241,7 +241,6 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
     nn::Rng xrng(17);
     prog.program_weights(assign.ctw, xrng, cells, crw);
     exec.program_cell_values(cells);
-    (void)exec.measure_crw();
   }
   ASSERT_EQ(rdo::obs::trace_stop(), path);
 
@@ -262,7 +261,6 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
   EXPECT_GE(spans.at("program:layer"), 4);  // 2 layers x 2 cycles
   EXPECT_GE(spans.at("sim:build_layer"), 1);
   EXPECT_GE(spans.at("sim:program_tile"), 1);
-  EXPECT_GE(spans.at("sim:measure_crw"), 1);
 
   // Counter tracks and thread metadata: one named track per pool worker
   // (4 threads -> 3 helpers), plus the main thread; tids unique.
