@@ -76,9 +76,9 @@ struct ForLoop {
       }
       // Stats are bumped per chunk, sequenced before this chunk's `done`
       // increment: once the waiter has observed every chunk retire, every
-      // stats increment happened-before it as well, so a
-      // reset_pool_stats() issued after the loop returns can never race a
-      // straggler's deferred flush and leak counts into the next window.
+      // stats increment happened-before it as well, so a pool_stats()
+      // snapshot taken after the loop returns already holds every count
+      // of the loop and none leaks into the next window.
       g_chunks_executed.fetch_add(1, std::memory_order_relaxed);
       if (helper) g_chunks_stolen.fetch_add(1, std::memory_order_relaxed);
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == num_chunks) {
@@ -178,13 +178,6 @@ PoolStats pool_stats() {
   s.chunks_executed = g_chunks_executed.load(std::memory_order_relaxed);
   s.chunks_stolen = g_chunks_stolen.load(std::memory_order_relaxed);
   return s;
-}
-
-void reset_pool_stats() {
-  g_parallel_loops.store(0, std::memory_order_relaxed);
-  g_inline_loops.store(0, std::memory_order_relaxed);
-  g_chunks_executed.store(0, std::memory_order_relaxed);
-  g_chunks_stolen.store(0, std::memory_order_relaxed);
 }
 
 void parallel_for(std::int64_t n,

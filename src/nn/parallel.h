@@ -36,8 +36,8 @@ void set_thread_count(int n);
 /// nested parallel_for calls detect this and run inline.
 [[nodiscard]] bool in_parallel_region();
 
-/// Cumulative execution-layer statistics since process start (or the
-/// last reset_pool_stats()). Counters are advisory observability data:
+/// Cumulative execution-layer statistics since process start; a window
+/// is the difference of two pool_stats() snapshots. Counters are advisory observability data:
 /// they vary with thread count and load and belong in the *volatile*
 /// `pool` section of structured reports, never in deterministic results.
 struct PoolStats {
@@ -48,7 +48,6 @@ struct PoolStats {
 };
 
 [[nodiscard]] PoolStats pool_stats();
-void reset_pool_stats();
 
 /// Chunked parallel loop over [0, n). `body(begin, end)` receives
 /// half-open disjoint ranges covering [0, n); chunks are claimed by an
