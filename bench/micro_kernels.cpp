@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulation kernels: device
 // programming, the batched crossbar VMM, a device-level evaluate, LUT
 // construction, the VAWO group solver, the GEMM kernels, and conv
-// lowering (LeNet's im2col, and its convolutions in forward, training
-// backward and PWT offset-gradient backward).
+// lowering (LeNet's zero-padded input planes, and its convolutions in
+// forward, training backward and PWT offset-gradient backward).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -235,7 +235,9 @@ BENCHMARK(BM_VawoLayer)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
 // sweep (asserted in tests/test_parallel.cpp). The LeNet shapes (PWT
 // batch 32): BM_Gemm {32, 400, 120} is the 400 -> 120 dense forward and
 // {150, 16, 100} conv2's input gradient; BM_GemmAtB {6, 25, 784} and
-// {16, 150, 100} are the conv1 and conv2 forwards.
+// {16, 150, 100} are the conv1 and conv2 shapes over im2col. The conv
+// forwards themselves run the same kernel over tap rows (nn/im2col.h
+// ConvPlanes) at N = 28 x 32 = 896 and 10 x 14 = 140.
 template <bool kAtB>
 void gemm_bench(benchmark::State& state, std::uint64_t seed) {
   const std::int64_t m = state.range(0), k = state.range(1),
@@ -372,27 +374,25 @@ nn::Conv2D lenet_conv(std::int64_t which, Rng& rng, nn::Tensor& x) {
   return conv;
 }
 
-// The lowering alone: one im2col per image of a LeNet batch of 32.
-void BM_Im2col(benchmark::State& state) {
+// The lowering alone: the zero-padded input planes of each image of a
+// LeNet batch of 32, as Conv2D builds them per sample.
+void BM_ConvPlanes(benchmark::State& state) {
   Rng rng(13);
   nn::Tensor x;
   const nn::Conv2D conv = lenet_conv(state.range(0), rng, x);
   const std::int64_t c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t k = conv.kernel(), pad = conv.pad();
-  const std::int64_t positions = nn::conv_out_dim(h, k, 1, pad) *
-                                 nn::conv_out_dim(w, k, 1, pad);
-  std::vector<float> cols(static_cast<std::size_t>(conv.fan_in() * positions));
+  const nn::ConvPlanes g(c, h, w, conv.kernel(), conv.stride(), conv.pad());
+  std::vector<float> planes(static_cast<std::size_t>(g.size()));
   for (auto _ : state) {
     for (std::int64_t s = 0; s < x.dim(0); ++s) {
-      nn::im2col(x.data() + s * c * h * w, c, h, w, k, k, 1, pad,
-                 cols.data());
-      benchmark::DoNotOptimize(cols.data());
+      g.lower(x.data() + s * c * h * w, planes.data());
+      benchmark::DoNotOptimize(planes.data());
     }
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * x.dim(0) *
-                          static_cast<std::int64_t>(cols.size()));
+  state.SetItemsProcessed(state.iterations() * x.dim(0) * g.size());
 }
-BENCHMARK(BM_Im2col)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ConvPlanes)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 void BM_LeNetConvForward(benchmark::State& state) {
   Rng rng(10);

@@ -23,33 +23,71 @@ Conv2D::Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,
   bias_.trainable = bias;
 }
 
+namespace {
+
+/// Start of every tap's run in `planes`, in weight-row order (ch, ky, kx).
+std::vector<const float*> tap_rows(const ConvPlanes& g, const float* planes) {
+  std::vector<const float*> rows;
+  rows.reserve(static_cast<std::size_t>(g.c * g.k * g.k));
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    for (std::int64_t ky = 0; ky < g.k; ++ky) {
+      for (std::int64_t kx = 0; kx < g.k; ++kx) {
+        rows.push_back(planes + g.tap_offset(ch, ky, kx));
+      }
+    }
+  }
+  return rows;
+}
+
+/// Compacts `rows` runs [rows, oh * wq] into [rows, oh * ow], dropping
+/// the spill columns ow..wq of each output row, and adds bias[r] to row r
+/// when `bias` is given.
+void compact(const ConvPlanes& g, const float* src, std::int64_t rows,
+             const float* bias, float* dst) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+      const float* __restrict in = src + (r * g.oh + oy) * g.wq;
+      float* __restrict out = dst + (r * g.oh + oy) * g.ow;
+      if (bias != nullptr) {
+        const float b = bias[r];
+        for (std::int64_t ox = 0; ox < g.ow; ++ox) out[ox] = in[ox] + b;
+      } else {
+        std::copy(in, in + g.ow, out);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
   RDO_CHECK(x.rank() == 4 && x.dim(1) == in_ch_,
             "Conv2D::forward: bad input " + x.shape_str() + " for " +
                 std::to_string(in_ch_) + " input channels");
-  cached_in_ = x;
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = conv_out_dim(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_dim(w, kernel_, stride_, pad_);
-  const std::int64_t positions = oh * ow;
-  const std::int64_t fin = fan_in();
+  // Every tap run of ConvPlanes stays inside its buffer only when the
+  // kernel fits the padded image.
+  RDO_CHECK(h + 2 * pad_ >= kernel_ && w + 2 * pad_ >= kernel_,
+            "Conv2D::forward: input " + x.shape_str() +
+                " is smaller than the kernel " + std::to_string(kernel_) +
+                " with padding " + std::to_string(pad_));
+  cached_in_ = x;
+  const ConvPlanes g(in_ch_, h, w, kernel_, stride_, pad_);
+  const std::int64_t positions = g.oh * g.ow, run = g.run();
 
-  Tensor y({n, out_ch_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(fin * positions));
+  Tensor y({n, out_ch_, g.oh, g.ow});
+  std::vector<float> planes(static_cast<std::size_t>(g.size()));
+  std::vector<float> wide(static_cast<std::size_t>(out_ch_ * run));
+  const std::vector<const float*> taps = tap_rows(g, planes.data());
   for (std::int64_t s = 0; s < n; ++s) {
-    im2col(x.data() + s * in_ch_ * h * w, in_ch_, h, w, kernel_, kernel_,
-           stride_, pad_, cols.data());
-    // y[s] = W^T * cols: [out_ch, positions], already NCHW.
-    float* ys = y.data() + s * out_ch_ * positions;
-    gemm_at_b_accumulate(weight_.value.data(), cols.data(), ys, out_ch_, fin,
-                         positions);
-    if (has_bias_) {
-      for (std::int64_t oc = 0; oc < out_ch_; ++oc) {
-        const float b = bias_.value[oc];
-        float* row = ys + oc * positions;
-        for (std::int64_t p = 0; p < positions; ++p) row[p] += b;
-      }
-    }
+    g.lower(x.data() + s * in_ch_ * h * w, planes.data());
+    // wide = W^T * taps: [out_ch, oh * wq], channel-major like NCHW.
+    std::fill(wide.begin(), wide.end(), 0.0f);
+    gemm_at_b_rows_accumulate(weight_.value.data(), taps.data(), wide.data(),
+                              out_ch_, fan_in(), run);
+    compact(g, wide.data(), out_ch_,
+            has_bias_ ? bias_.value.data() : nullptr,
+            y.data() + s * out_ch_ * positions);
   }
   return y;
 }
@@ -68,30 +106,46 @@ void Conv2D::backward_params(const Tensor& grad_out) {
 void Conv2D::backward_into(const Tensor& grad_out, Tensor* grad_in) {
   const Tensor& x = cached_in_;
   const std::int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const std::int64_t positions = oh * ow;
+  const ConvPlanes g(in_ch_, h, w, kernel_, stride_, pad_);
+  const std::int64_t positions = g.oh * g.ow, run = g.run();
   const std::int64_t fin = fan_in();
   const bool offset_mode = offset_m_ > 0;
 
   const std::int64_t groups =
       offset_mode ? (fin + offset_m_ - 1) / offset_m_ : 0;
-  // cols [fin, positions] and gmat [positions, out_ch] in dW mode;
-  // gcols [groups, positions] in offset mode.
+  // Offset mode: the input planes, the group sums as runs [groups, run]
+  // and compacted [groups, positions]. dW mode: cols [fin, positions] and
+  // gmat [positions, out_ch].
+  std::vector<float> planes(
+      offset_mode ? static_cast<std::size_t>(g.size()) : 0);
+  std::vector<float> group_runs(static_cast<std::size_t>(groups * run));
   std::vector<float> cols(
       offset_mode ? 0 : static_cast<std::size_t>(fin * positions));
   std::vector<float> work(
       offset_mode ? static_cast<std::size_t>(groups * positions)
                   : static_cast<std::size_t>(positions * out_ch_));
+  // Input gradient: dcols [fin, positions] and its padded planes.
   std::vector<float> dcols(
       grad_in != nullptr ? static_cast<std::size_t>(fin * positions) : 0);
+  std::vector<float> grad_planes(
+      grad_in != nullptr ? static_cast<std::size_t>(g.size()) : 0);
+  const std::vector<const float*> taps =
+      offset_mode ? tap_rows(g, planes.data())
+                  : std::vector<const float*>{};
   for (std::int64_t s = 0; s < n; ++s) {
     const float* xs = x.data() + s * in_ch_ * h * w;
     const float* gs = grad_out.data() + s * out_ch_ * positions;
     if (offset_mode) {
-      // G[groups, out_ch] += Cg * grad_out[s]^T, with Cg[g, :] the sum of
-      // the im2col rows of group g.
-      im2col_group_sum(xs, in_ch_, h, w, kernel_, kernel_, stride_, pad_,
-                       offset_m_, work.data());
+      // G[groups, out_ch] += Cg * grad_out[s]^T, with Cg[grp, :] the sum
+      // of group grp's tap runs, added in ascending tap order onto +0.0.
+      g.lower(xs, planes.data());
+      std::fill(group_runs.begin(), group_runs.end(), 0.0f);
+      for (std::int64_t t = 0; t < fin; ++t) {
+        float* __restrict dst = group_runs.data() + t / offset_m_ * run;
+        const float* __restrict src = taps[static_cast<std::size_t>(t)];
+        for (std::int64_t j = 0; j < run; ++j) dst[j] += src[j];
+      }
+      compact(g, group_runs.data(), groups, nullptr, work.data());
       gemm_a_bt_accumulate(work.data(), gs, offset_grad_.data(), groups,
                            positions, out_ch_);
     } else {
@@ -100,10 +154,26 @@ void Conv2D::backward_into(const Tensor& grad_out, Tensor* grad_in) {
       accumulate_weight_grad(cols.data(), gs, positions, work.data());
     }
     if (grad_in == nullptr) continue;
-    // dcols = W * G, then scatter back to the input gradient.
+    // dcols = W * G, scatter-added into the padded planes one tap at a
+    // time with (ky, kx) descending, so every pixel receives its terms in
+    // ascending output-position order; the padding is then dropped.
     gemm(weight_.value.data(), gs, dcols.data(), fin, out_ch_, positions);
-    col2im(dcols.data(), in_ch_, h, w, kernel_, kernel_, stride_, pad_,
-           grad_in->data() + s * in_ch_ * h * w);
+    std::fill(grad_planes.begin(), grad_planes.end(), 0.0f);
+    for (std::int64_t ch = 0; ch < in_ch_; ++ch) {
+      for (std::int64_t ky = kernel_ - 1; ky >= 0; --ky) {
+        for (std::int64_t kx = kernel_ - 1; kx >= 0; --kx) {
+          const float* src =
+              dcols.data() + ((ch * kernel_ + ky) * kernel_ + kx) * positions;
+          float* dst = grad_planes.data() + g.tap_offset(ch, ky, kx);
+          for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+            float* __restrict d = dst + oy * g.wq;
+            const float* __restrict r = src + oy * g.ow;
+            for (std::int64_t ox = 0; ox < g.ow; ++ox) d[ox] += r[ox];
+          }
+        }
+      }
+    }
+    g.unpad(grad_planes.data(), grad_in->data() + s * in_ch_ * h * w);
   }
 }
 

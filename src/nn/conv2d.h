@@ -1,4 +1,5 @@
-// 2-D convolution layer lowered to GEMM via a channel-major im2col.
+// 2-D convolution layer lowered to GEMMs over shifted rows of zero-padded
+// input planes.
 #pragma once
 
 #include "nn/layer.h"
@@ -15,18 +16,25 @@ namespace rdo::nn {
 /// output channels (bitlines). This makes the MatrixOp view an identity
 /// mapping, exactly how ISAAC maps convolutions onto crossbars.
 ///
-/// Per sample the input is lowered to cols[fan_in, positions] (see
-/// nn/im2col.h), so every kernel is a GEMM over rows of length
-/// `positions` and the output lands in NCHW order without a transpose:
-///   forward      y[oc, :]     = sum_k  W[k, oc] * cols[k, :]
-///   input grad   dcols[k, :]  = sum_oc W[k, oc] * g[oc, :]  -> col2im
-///   weight grad  dW[k, oc]   += sum_p  cols[k, p] * g[oc, p]
+/// Per sample the input is lowered once into zero-padded input planes
+/// (nn/im2col.h, ConvPlanes), in which tap k = (ch, ky, kx) reads one
+/// contiguous run P_k of oh * wq floats. The kernels are GEMMs over those
+/// runs; only training's weight gradient builds the im2col matrix
+/// cols[fan_in, positions] (cols[k, :] is P_k without the spill columns
+/// ow..wq of each row):
+///   forward      y[oc, :]     = sum_k  W[k, oc] * P_k, compacted to NCHW
+///                               with the bias added
+///   input grad   dcols[k, :]  = sum_oc W[k, oc] * g[oc, :], scatter-added
+///                               onto P_k with (ky, kx) descending, then
+///                               the padding dropped
+///   weight grad  dW[k, oc]   += sum_p  cols[k, p] * g[oc, p]  (im2col)
 /// Each output element accumulates its terms in the same order as a
 /// position-major lowering would, so results do not depend on the layout.
 /// In MatrixOp's offset-gradient mode the weight gradient is replaced by
 ///   offset grad  G[grp, oc]  += sum_p (sum_{k in grp} cols[k, p]) * g[oc, p]
-/// where the group sums come straight from the image (im2col_group_sum),
-/// so `cols` is never built.
+/// where each group sum adds the group's runs P_k in ascending k onto
+/// +0.0 (padding taps add +0.0 to a sum that is never -0.0, exactly as
+/// summing im2col rows would).
 class Conv2D : public Layer, public MatrixOp {
  public:
   Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,

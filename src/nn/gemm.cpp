@@ -25,6 +25,17 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
   return std::max<std::int64_t>(1, kGrainFlops / per_row);
 }
 
+/// Row p of B: b_rows[p] when given (rows may overlap, like the tap rows
+/// of a conv's input planes), else b + p * n.
+struct BRows {
+  const float* b;
+  const float* const* b_rows;
+  [[gnu::always_inline]] const float* row(std::int64_t p,
+                                          std::int64_t n) const {
+    return b_rows != nullptr ? b_rows[p] : b + p * n;
+  }
+};
+
 /// C[i, :] += sum_p A(i, p) * B[p, :] over rows [i0, i1), with A(i, p) =
 /// a[i * a_row + p * a_col]. Zero A entries are skipped; the remaining
 /// terms are gathered per row and B panel (every entry is stored, and only
@@ -34,7 +45,7 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
 /// `c += t` steps, so every element still sums its terms in ascending p.
 /// The one source body of both instruction-set copies below.
 [[gnu::always_inline]] inline void gemm_rows_body(
-    const float* a, std::int64_t a_row, std::int64_t a_col, const float* b,
+    const float* a, std::int64_t a_row, std::int64_t a_col, BRows b,
     float* c, std::int64_t i0, std::int64_t i1, std::int64_t k,
     std::int64_t n) {
   float av[kPanelK];
@@ -46,7 +57,7 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
       for (std::int64_t p = p0; p < p1; ++p) {
         const float v = a[i * a_row + p * a_col];
         av[cnt] = v;
-        brow[cnt] = b + p * n;
+        brow[cnt] = b.row(p, n);
         cnt += v != 0.0f;
       }
       float* __restrict crow = c + i * n;
@@ -70,12 +81,12 @@ std::int64_t row_grain(std::int64_t k, std::int64_t n) {
   }
 }
 
-using RowsFn = void (*)(const float*, std::int64_t, std::int64_t,
-                       const float*, float*, std::int64_t, std::int64_t,
-                       std::int64_t, std::int64_t);
+using RowsFn = void (*)(const float*, std::int64_t, std::int64_t, BRows,
+                       float*, std::int64_t, std::int64_t, std::int64_t,
+                       std::int64_t);
 
 void gemm_rows_baseline(const float* a, std::int64_t a_row,
-                        std::int64_t a_col, const float* b, float* c,
+                        std::int64_t a_col, BRows b, float* c,
                         std::int64_t i0, std::int64_t i1, std::int64_t k,
                         std::int64_t n) {
   gemm_rows_body(a, a_row, a_col, b, c, i0, i1, k, n);
@@ -83,7 +94,7 @@ void gemm_rows_baseline(const float* a, std::int64_t a_row,
 
 #if RDO_NN_AVX_COPY
 [[gnu::target("avx")]] void gemm_rows_avx(const float* a, std::int64_t a_row,
-                                          std::int64_t a_col, const float* b,
+                                          std::int64_t a_col, BRows b,
                                           float* c, std::int64_t i0,
                                           std::int64_t i1, std::int64_t k,
                                           std::int64_t n) {
@@ -159,6 +170,19 @@ void a_bt_rows(const float* a, const float* bt, float* c, std::int64_t i,
   }
 }
 
+/// C += A^T * B with A stored [K, M]: A(i, p) = a[p * m + i]. Each chunk
+/// owns rows [i0, i1) of C and walks p in the serial order.
+void gemm_at_b_rows(KernelIsa isa, const float* a, BRows b, float* c,
+                    std::int64_t m, std::int64_t k, std::int64_t n) {
+  const RowsFn rows = gemm_rows(isa);
+  parallel_for(
+      m,
+      [&](std::int64_t i0, std::int64_t i1) {
+        rows(a, 1, m, b, c, i0, i1, k, n);
+      },
+      row_grain(k, n));
+}
+
 }  // namespace
 
 namespace detail {
@@ -169,7 +193,7 @@ void gemm_accumulate(KernelIsa isa, const float* a, const float* b, float* c,
   parallel_for(
       m,
       [&](std::int64_t i0, std::int64_t i1) {
-        rows(a, k, 1, b, c, i0, i1, k, n);
+        rows(a, k, 1, {b, nullptr}, c, i0, i1, k, n);
       },
       row_grain(k, n));
 }
@@ -177,15 +201,14 @@ void gemm_accumulate(KernelIsa isa, const float* a, const float* b, float* c,
 void gemm_at_b_accumulate(KernelIsa isa, const float* a, const float* b,
                           float* c, std::int64_t m, std::int64_t k,
                           std::int64_t n) {
-  // A is [K, M]: A(i, p) = a[p * m + i]. Each chunk owns rows [i0, i1)
-  // of C and walks p in the serial order.
-  const RowsFn rows = gemm_rows(isa);
-  parallel_for(
-      m,
-      [&](std::int64_t i0, std::int64_t i1) {
-        rows(a, 1, m, b, c, i0, i1, k, n);
-      },
-      row_grain(k, n));
+  gemm_at_b_rows(isa, a, {b, nullptr}, c, m, k, n);
+}
+
+void gemm_at_b_rows_accumulate(KernelIsa isa, const float* a,
+                               const float* const* b_rows, float* c,
+                               std::int64_t m, std::int64_t k,
+                               std::int64_t n) {
+  gemm_at_b_rows(isa, a, {nullptr, b_rows}, c, m, k, n);
 }
 
 }  // namespace detail
@@ -204,6 +227,12 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_at_b_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n) {
   detail::gemm_at_b_accumulate(kernel_isa(), a, b, c, m, k, n);
+}
+
+void gemm_at_b_rows_accumulate(const float* a, const float* const* b_rows,
+                               float* c, std::int64_t m, std::int64_t k,
+                               std::int64_t n) {
+  detail::gemm_at_b_rows_accumulate(kernel_isa(), a, b_rows, c, m, k, n);
 }
 
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c,

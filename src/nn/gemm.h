@@ -4,8 +4,10 @@
 // inner j loop), block over k to keep the B panel cache-resident, skip
 // zero A entries, and apply the remaining terms of a C row four at a time
 // (one load/store of C per four terms, same rounding as four separate
-// updates). Every element sums its terms onto C in ascending k. Their
-// row kernel has one source body compiled twice, for the baseline
+// updates). Every element sums its terms onto C in ascending k. The row
+// kernel reads B by the start address of each row, b + k * N for a plain
+// B or a caller's list (Conv2D's shifted tap rows). It has one source
+// body compiled twice, for the baseline
 // instruction set and for AVX; kernel_isa() (nn/kernel_isa.h) picks the
 // copy once per process. Vector width changes how many elements one
 // instruction updates, not any element's arithmetic, and no copy fuses a
@@ -43,20 +45,31 @@ void gemm(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_at_b_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n);
 
+/// C[M,N] += A^T[M,K] * B[K,N] where A is stored as [K,M] row-major and
+/// row p of B is the N floats from b_rows[p]. Rows may overlap: Conv2D
+/// passes the shifted tap rows of one input plane (nn/im2col.h).
+void gemm_at_b_rows_accumulate(const float* a, const float* const* b_rows,
+                               float* c, std::int64_t m, std::int64_t k,
+                               std::int64_t n);
+
 /// C[M,N] += A[M,K] * B^T[K,N] where B is stored as [N,K] row-major.
 void gemm_a_bt_accumulate(const float* a, const float* b, float* c,
                           std::int64_t m, std::int64_t k, std::int64_t n);
 
 namespace detail {
 
-/// The public C += A*B and C += A^T*B above on one instruction-set copy;
-/// they call these with kernel_isa(). `isa` must be supported
+/// The public C += A*B, C += A^T*B and its row-start form above on one
+/// instruction-set copy; they call these with kernel_isa(). `isa` must be supported
 /// (kernel_isa_supported), so tests can hold both copies to one oracle.
 void gemm_accumulate(KernelIsa isa, const float* a, const float* b, float* c,
                      std::int64_t m, std::int64_t k, std::int64_t n);
 void gemm_at_b_accumulate(KernelIsa isa, const float* a, const float* b,
                           float* c, std::int64_t m, std::int64_t k,
                           std::int64_t n);
+void gemm_at_b_rows_accumulate(KernelIsa isa, const float* a,
+                               const float* const* b_rows, float* c,
+                               std::int64_t m, std::int64_t k,
+                               std::int64_t n);
 
 }  // namespace detail
 

@@ -1,16 +1,64 @@
-// im2col / col2im transforms for convolution lowering.
+// Convolution lowerings: zero-padded input planes, which Conv2D runs its
+// GEMMs over, and the im2col matrix, which the device simulator drives its
+// wordlines from.
 //
-// The kernels carry no per-element bounds test: each kernel tap's valid
-// output rows and columns (those whose input pixel lies inside the image)
-// are computed once, so a tap row is a zero fill plus a contiguous copy
-// or add (stride 1) or a strided gather. tests/test_im2col.cpp compares
-// them byte for byte, accumulation order included, with per-element
-// oracles that test every element's bounds.
+// Neither kernel carries a per-element bounds test. ConvPlanes copies the
+// image rows into a zeroed buffer once; im2col computes each kernel tap's
+// valid output rows and columns (those whose input pixel lies inside the
+// image) once, so a tap row is a zero fill plus a contiguous copy (stride
+// 1) or a strided gather. tests/test_im2col.cpp compares both byte for
+// byte with per-element oracles that test every element's bounds.
 #pragma once
 
 #include <cstdint>
 
 namespace rdo::nn {
+
+/// Output spatial size of a convolution dimension.
+inline std::int64_t conv_out_dim(std::int64_t in, std::int64_t k,
+                                 std::int64_t stride, std::int64_t pad) {
+  return (in + 2 * pad - k) / stride + 1;
+}
+
+/// The zero-padded input planes of one image [C, H, W] for a k x k
+/// convolution with stride s and padding p.
+///
+/// The padded image [C, H + 2p, W + 2p] is split into the s x s phase
+/// planes of each channel (polyphase): phase (ry, rx) of channel ch holds
+/// padded pixel (u * s + ry, v * s + rx) at row u, column v of an hq x wq
+/// plane. At stride 1 that is one plane per channel, (H + 2p) x (W + 2p).
+/// Tap (ch, ky, kx) reads padded pixel (oy * s + ky, ox * s + kx) for
+/// output (oy, ox), which sits at tap_offset(ch, ky, kx) + oy * wq + ox: one
+/// contiguous run of run() = oh * wq floats holds the tap at every output
+/// position. Columns ox >= ow of a run spill into the next plane row and
+/// are discarded by the caller; (k - 1) / s zero floats of slack after the
+/// last plane keep every run inside the buffer.
+struct ConvPlanes {
+  ConvPlanes(std::int64_t c, std::int64_t h, std::int64_t w, std::int64_t k,
+             std::int64_t stride, std::int64_t pad);
+
+  std::int64_t c, h, w, k, stride, pad;
+  std::int64_t oh, ow;  // output rows and columns
+  std::int64_t hq, wq;  // rows and columns of one phase plane
+
+  /// Floats of all planes, slack included.
+  [[nodiscard]] std::int64_t size() const {
+    return c * stride * stride * hq * wq + (k - 1) / stride;
+  }
+  /// Length of one tap run: oh rows of wq columns, ow of them valid.
+  [[nodiscard]] std::int64_t run() const { return oh * wq; }
+  /// Where tap (ch, ky, kx)'s run starts.
+  [[nodiscard]] std::int64_t tap_offset(std::int64_t ch, std::int64_t ky,
+                                        std::int64_t kx) const {
+    return ((ch * stride + ky % stride) * stride + kx % stride) * hq * wq +
+           ky / stride * wq + kx / stride;
+  }
+
+  /// Writes the planes of image `in` [C, H, W], padding and slack zero.
+  void lower(const float* in, float* planes) const;
+  /// Reads the image [C, H, W] back out of `planes`, padding dropped.
+  void unpad(const float* planes, float* out) const;
+};
 
 /// Expand input patches, channel-major:
 ///   in  : [C, H, W] (single image)
@@ -22,31 +70,5 @@ namespace rdo::nn {
 void im2col(const float* in, std::int64_t c, std::int64_t h, std::int64_t w,
             std::int64_t kh, std::int64_t kw, std::int64_t stride,
             std::int64_t pad, float* out);
-
-/// The im2col rows summed over each run of `group` consecutive taps:
-///   out : [ceil(C*KH*KW / group), OH*OW], row g = sum of im2col rows
-///         [g * group, (g + 1) * group), added in ascending tap order onto
-///         +0.0, without materialising the im2col matrix.
-/// Byte-identical to summing the rows of im2col's output that way: the
-/// padding taps it skips would add +0.0 to a sum that, starting at +0.0,
-/// is never -0.0.
-void im2col_group_sum(const float* in, std::int64_t c, std::int64_t h,
-                      std::int64_t w, std::int64_t kh, std::int64_t kw,
-                      std::int64_t stride, std::int64_t pad,
-                      std::int64_t group, float* out);
-
-/// Inverse scatter-add of im2col: accumulates the [C*KH*KW, OH*OW] columns
-/// back into the image gradient. `in_grad` must be pre-zeroed by the
-/// caller. Taps are visited with (ky, kx) descending, so every pixel
-/// receives its contributions in ascending output-position order.
-void col2im(const float* cols, std::int64_t c, std::int64_t h, std::int64_t w,
-            std::int64_t kh, std::int64_t kw, std::int64_t stride,
-            std::int64_t pad, float* in_grad);
-
-/// Output spatial size of a convolution dimension.
-inline std::int64_t conv_out_dim(std::int64_t in, std::int64_t k,
-                                 std::int64_t stride, std::int64_t pad) {
-  return (in + 2 * pad - k) / stride + 1;
-}
 
 }  // namespace rdo::nn

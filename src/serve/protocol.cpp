@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <limits>
 
 #include "core/check.h"
 #include "core/opt/pipeline.h"
@@ -37,6 +38,15 @@ double as_finite(const Json& v, const char* key) {
   const double d = v.as_double();
   if (!std::isfinite(d)) bad(std::string("member \"") + key + "\" must be finite");
   return d;
+}
+
+/// A finite number that a float holds without overflowing to +-inf.
+float as_finite_float(const Json& v, const char* key) {
+  const double d = as_finite(v, key);
+  if (std::fabs(d) > std::numeric_limits<float>::max()) {
+    bad(std::string("member \"") + key + "\" is out of float range");
+  }
+  return static_cast<float>(d);
 }
 
 const std::string& as_str(const Json& v, const char* key) {
@@ -160,7 +170,7 @@ DataSelector parse_data(const Json& d) {
   sel.inline_images = rdo::nn::Tensor(dims);
   for (std::size_t i = 0; i < images.size(); ++i) {
     sel.inline_images[static_cast<std::int64_t>(i)] =
-        static_cast<float>(as_finite(images.at(i), "images"));
+        as_finite_float(images.at(i), "images");
   }
   const Json& labels = member(d, "labels");
   if (!labels.is_array() ||

@@ -1,6 +1,7 @@
 // GEMM kernels vs. a naive triple-loop reference, across shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -275,6 +276,47 @@ TEST_P(GemmSerialOrder, AlternatingAndAllZeroARows) {
   expect_serial_skip_order(isa(), a, b, c0, m, k, n);
 }
 
+TEST_P(GemmSerialOrder, RowStartEntryReadsOverlappingRows) {
+  // C += A^T * B with row p of B given by its start address, as Conv2D
+  // passes the tap rows of its input planes: row p starts `step` floats
+  // after row p - 1 in one buffer, so consecutive rows overlap by n - step
+  // floats. A is sparse (every third entry +-0) and the result must be
+  // the serial loop's bytes, the same as C += A^T * B on a copy of B.
+  const auto [m, k, n] = shape();
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + k * 10 + n + 3));
+  auto at = random_mat(k, m, rng);  // A^T, [k, m]
+  for (std::size_t i = 0; i < at.size(); i += 3) {
+    at[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  const std::int64_t step = std::max<std::int64_t>(1, n / 3);
+  const auto buf = random_mat(1, (k - 1) * step + n, rng);
+  std::vector<const float*> rows;
+  std::vector<float> b;  // the same rows, copied out to [k, n]
+  for (std::int64_t p = 0; p < k; ++p) {
+    rows.push_back(buf.data() + p * step);
+    b.insert(b.end(), rows.back(), rows.back() + n);
+  }
+  const auto c0 = random_mat(m, n, rng);
+  std::vector<float> ref = c0;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float& c = ref[static_cast<std::size_t>(i * n + j)];
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = at[static_cast<std::size_t>(p * m + i)];
+        if (av != 0.0f) c += av * rows[static_cast<std::size_t>(p)][j];
+      }
+    }
+  }
+  std::vector<float> c1 = c0, c2 = c0;
+  detail::gemm_at_b_rows_accumulate(isa(), at.data(), rows.data(), c1.data(),
+                                    m, k, n);
+  detail::gemm_at_b_accumulate(isa(), at.data(), b.data(), c2.data(), m, k,
+                               n);
+  const auto bytes = ref.size() * sizeof(float);
+  EXPECT_EQ(std::memcmp(c1.data(), ref.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(c2.data(), ref.data(), bytes), 0);
+}
+
 namespace {
 
 /// "avx_6x25x784": the copy and the shape.
@@ -289,7 +331,9 @@ std::string serial_order_name(
 }  // namespace
 
 // (6, 25, 784), (16, 150, 100) and (32, 400, 120) are LeNet's conv1 and
-// conv2 forward and its 400 -> 120 dense forward at batch 32; (2, 784, 6),
+// conv2 forward over im2col and its 400 -> 120 dense forward at batch 32;
+// (6, 25, 896) and (16, 150, 140) are the conv forwards over tap rows
+// (28 x 32 and 10 x 14 positions, nn/im2col.h ConvPlanes); (2, 784, 6),
 // (10, 100, 16) and (16, 150, 64) are PWT's offset-gradient reductions.
 // n = 8..15 puts every remainder mod 8 behind at least one full AVX
 // vector. (9, 300, 20) gives every row pattern of
@@ -309,5 +353,6 @@ INSTANTIATE_TEST_SUITE_P(
             std::make_tuple(4, 33, 10), std::make_tuple(3, 17, 11),
             std::make_tuple(5, 12, 12), std::make_tuple(2, 40, 13),
             std::make_tuple(6, 9, 14), std::make_tuple(7, 31, 15),
-            std::make_tuple(9, 300, 20))),
+            std::make_tuple(9, 300, 20), std::make_tuple(6, 25, 896),
+            std::make_tuple(16, 150, 140))),
     serial_order_name);

@@ -1,9 +1,12 @@
-// im2col / col2im / im2col_group_sum: correctness, adjointness, and
-// byte-for-byte agreement with per-element oracles.
+// im2col and the ConvPlanes lowering: correctness and byte-for-byte
+// agreement with a per-element oracle. Conv2D's use of the planes (forward,
+// input gradient and offset gradient) is checked byte for byte in
+// tests/test_conv_lowering.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
-#include <tuple>
+#include <iterator>
 #include <vector>
 
 #include "nn/im2col.h"
@@ -32,30 +35,6 @@ void im2col_oracle(const float* in, std::int64_t c, std::int64_t h,
             row[oy * ow + ox] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
                                     ? img[iy * w + ix]
                                     : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im_oracle(const float* cols, std::int64_t c, std::int64_t h,
-                   std::int64_t w, std::int64_t kh, std::int64_t kw,
-                   std::int64_t stride, std::int64_t pad, float* in_grad) {
-  const std::int64_t oh = conv_out_dim(h, kh, stride, pad);
-  const std::int64_t ow = conv_out_dim(w, kw, stride, pad);
-  for (std::int64_t ch = 0; ch < c; ++ch) {
-    float* img = in_grad + ch * h * w;
-    for (std::int64_t ky = kh - 1; ky >= 0; --ky) {
-      for (std::int64_t kx = kw - 1; kx >= 0; --kx) {
-        const float* row = cols + ((ch * kh + ky) * kw + kx) * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * stride - pad + ky;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * stride - pad + kx;
-            if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-              img[iy * w + ix] += row[oy * ow + ox];
-            }
           }
         }
       }
@@ -109,61 +88,11 @@ TEST(Im2Col, PaddingProducesZeros) {
   EXPECT_FLOAT_EQ(cols[4 * positions], 1.0f);  // tap 4 = pixel (0,0)
 }
 
-class Im2ColAdjoint
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
-
-TEST_P(Im2ColAdjoint, Col2ImIsAdjointOfIm2Col) {
-  // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining property
-  // that makes the conv backward pass correct.
-  const auto [c, h, k, stride, pad] = GetParam();
-  const std::int64_t w = h;
-  const std::int64_t oh = conv_out_dim(h, k, stride, pad);
-  const std::int64_t ow = conv_out_dim(w, k, stride, pad);
-  const std::int64_t cols_size = oh * ow * c * k * k;
-  Rng rng(static_cast<std::uint64_t>(c * 100 + h * 10 + k));
-
-  std::vector<float> x(static_cast<std::size_t>(c * h * w));
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
-  std::vector<float> y(static_cast<std::size_t>(cols_size));
-  for (auto& v : y) v = static_cast<float>(rng.uniform(-1, 1));
-
-  std::vector<float> cols(static_cast<std::size_t>(cols_size));
-  im2col(x.data(), c, h, w, k, k, stride, pad, cols.data());
-  std::vector<float> xg(x.size(), 0.0f);
-  col2im(y.data(), c, h, w, k, k, stride, pad, xg.data());
-
-  double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < cols.size(); ++i) lhs += cols[i] * y[i];
-  for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * xg[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, Im2ColAdjoint,
-    ::testing::Values(std::make_tuple(1, 5, 3, 1, 0),
-                      std::make_tuple(2, 6, 3, 1, 1),
-                      std::make_tuple(3, 8, 3, 2, 1),
-                      std::make_tuple(1, 7, 5, 1, 2),
-                      std::make_tuple(4, 4, 1, 1, 0),
-                      std::make_tuple(2, 9, 3, 3, 0)));
-
-TEST(Col2Im, AccumulatesOverlaps) {
-  // k=2, stride 1 on 3x3: center pixel participates in all 4 windows.
-  const std::int64_t oh = 2, ow = 2;
-  std::vector<float> cols(static_cast<std::size_t>(oh * ow * 4), 1.0f);
-  std::vector<float> grad(9, 0.0f);
-  col2im(cols.data(), 1, 3, 3, 2, 2, 1, 0, grad.data());
-  EXPECT_FLOAT_EQ(grad[4], 4.0f);  // center
-  EXPECT_FLOAT_EQ(grad[0], 1.0f);  // corner
-  EXPECT_FLOAT_EQ(grad[1], 2.0f);  // edge
-}
-
 TEST(Im2Col, FastPathMatchesPerElementOracle) {
   // Every geometry with c in {1, 3}, h and w in 1..9 and 28, k in
   // {1, 2, 3, 5, 7}, stride 1..3 and pad 0..k that has at least one
   // output position. Large pads and strides include taps that never land
-  // inside the image. Both directions must match the oracle byte for
-  // byte, so the accumulation order of col2im is pinned too.
+  // inside the image. The lowering must match the oracle byte for byte.
   std::vector<std::int64_t> sizes{1, 2, 3, 4, 5, 6, 7, 8, 9, 28};
   Rng rng(18);
   int geometries = 0, dead_taps = 0;
@@ -189,18 +118,6 @@ TEST(Im2Col, FastPathMatchesPerElementOracle) {
                   << "im2col c=" << c << " h=" << h << " w=" << w
                   << " k=" << k << " stride=" << stride << " pad=" << pad;
 
-              std::vector<float> cols(n_cols);
-              for (float& v : cols) v = static_cast<float>(rng.uniform(-1, 1));
-              std::vector<float> g_fast(img.size()), g_ref(img.size());
-              for (std::size_t i = 0; i < img.size(); ++i) {
-                g_fast[i] = g_ref[i] = static_cast<float>(rng.uniform(-1, 1));
-              }
-              col2im(cols.data(), c, h, w, k, k, stride, pad, g_fast.data());
-              col2im_oracle(cols.data(), c, h, w, k, k, stride, pad,
-                            g_ref.data());
-              ASSERT_TRUE(same_bytes(g_fast, g_ref))
-                  << "col2im c=" << c << " h=" << h << " w=" << w
-                  << " k=" << k << " stride=" << stride << " pad=" << pad;
 
               ++geometries;
               // A tap row that is all padding: (ky, kx) = (0, 0) at
@@ -223,51 +140,81 @@ TEST(Im2Col, FastPathMatchesPerElementOracle) {
   EXPECT_GT(dead_taps, 0);
 }
 
-TEST(Im2Col, GroupSumMatchesSummedOracleRows) {
-  // PWT's offset-gradient lowering: each group's im2col rows summed in
-  // ascending tap order onto +0.0, the way Conv2D summed the rows of a
-  // materialised im2col. Inputs include -0.0 and exact zeros.
+TEST(ConvPlanes, TapRunsMatchPerElementOracle) {
+  // Over the geometries of FastPathMatchesPerElementOracle: every tap run
+  // holds the oracle's im2col row at each valid output position, byte for
+  // byte; every run ends inside the buffer; the planes hold the image's
+  // pixels and zeros only; and unpad() gives the image back. Inputs
+  // include -0.0 and exact zeros.
   std::vector<std::int64_t> sizes{1, 2, 3, 4, 5, 6, 7, 8, 9, 28};
-  Rng rng(19);
+  Rng rng(20);
+  int geometries = 0;
   for (const std::int64_t c : {1, 3}) {
     for (const std::int64_t h : sizes) {
-      for (const std::int64_t k : {1, 2, 3, 5, 7}) {
-        for (std::int64_t stride = 1; stride <= 3; ++stride) {
-          for (std::int64_t pad = 0; pad <= k; ++pad) {
-            if (h + 2 * pad < k) continue;
-            const std::int64_t w = h == 28 ? 28 : 10 - h;
-            if (w + 2 * pad < k) continue;
-            const std::int64_t positions = conv_out_dim(h, k, stride, pad) *
-                                           conv_out_dim(w, k, stride, pad);
-            const std::int64_t taps = c * k * k;
-            std::vector<float> img(static_cast<std::size_t>(c * h * w));
-            for (std::size_t i = 0; i < img.size(); ++i) {
-              const float v = static_cast<float>(rng.uniform(-1, 1));
-              img[i] = i % 5 == 0 ? 0.0f : i % 7 == 0 ? -0.0f : v;
-            }
-            std::vector<float> cols(static_cast<std::size_t>(taps * positions));
-            im2col_oracle(img.data(), c, h, w, k, k, stride, pad, cols.data());
-            for (const std::int64_t group : {1, 2, 5, 16}) {
-              const std::int64_t groups = (taps + group - 1) / group;
-              std::vector<float> ref(
-                  static_cast<std::size_t>(groups * positions), 0.0f);
-              for (std::int64_t t = 0; t < taps; ++t) {
-                for (std::int64_t p = 0; p < positions; ++p) {
-                  ref[static_cast<std::size_t>(t / group * positions + p)] +=
-                      cols[static_cast<std::size_t>(t * positions + p)];
+      for (const std::int64_t w : sizes) {
+        for (const std::int64_t k : {1, 2, 3, 5, 7}) {
+          for (std::int64_t stride = 1; stride <= 3; ++stride) {
+            for (std::int64_t pad = 0; pad <= k; ++pad) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const ConvPlanes g(c, h, w, k, stride, pad);
+              ASSERT_EQ(g.oh, conv_out_dim(h, k, stride, pad));
+              ASSERT_EQ(g.ow, conv_out_dim(w, k, stride, pad));
+              std::vector<float> img(static_cast<std::size_t>(c * h * w));
+              for (std::size_t i = 0; i < img.size(); ++i) {
+                const float v = static_cast<float>(rng.uniform(-1, 1));
+                img[i] = i % 5 == 0 ? 0.0f : i % 7 == 0 ? -0.0f : v;
+              }
+              // Poisoned: lower() must write every float.
+              std::vector<float> planes(static_cast<std::size_t>(g.size()),
+                                        7.0f);
+              g.lower(img.data(), planes.data());
+              std::vector<float> cols(
+                  static_cast<std::size_t>(c * k * k * g.oh * g.ow));
+              im2col_oracle(img.data(), c, h, w, k, k, stride, pad,
+                            cols.data());
+              const auto at = [](const std::vector<float>& v,
+                                 std::int64_t i) {
+                std::uint32_t bits = 0;
+                std::memcpy(&bits, &v[static_cast<std::size_t>(i)],
+                            sizeof bits);
+                return bits;
+              };
+              std::int64_t row = 0;
+              for (std::int64_t ch = 0; ch < c; ++ch) {
+                for (std::int64_t ky = 0; ky < k; ++ky) {
+                  for (std::int64_t kx = 0; kx < k; ++kx, ++row) {
+                    const std::int64_t start = g.tap_offset(ch, ky, kx);
+                    ASSERT_LE(start + g.run(), g.size());
+                    for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+                      for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+                        ASSERT_EQ(at(planes, start + oy * g.wq + ox),
+                                  at(cols, (row * g.oh + oy) * g.ow + ox))
+                            << "c=" << c << " h=" << h << " w=" << w
+                            << " k=" << k << " stride=" << stride
+                            << " pad=" << pad << " tap " << row;
+                      }
+                    }
+                  }
                 }
               }
-              std::vector<float> fast(ref.size(), 7.0f);
-              im2col_group_sum(img.data(), c, h, w, k, k, stride, pad, group,
-                               fast.data());
-              ASSERT_TRUE(same_bytes(fast, ref))
-                  << "c=" << c << " h=" << h << " w=" << w << " k=" << k
-                  << " stride=" << stride << " pad=" << pad
-                  << " group=" << group;
+              // Each pixel lands once; everything else is +0.0.
+              const auto nonzero_bits = [&](const std::vector<float>& v) {
+                std::int64_t count = 0;
+                for (std::int64_t i = 0; i < std::ssize(v); ++i) {
+                  count += at(v, i) != 0 ? 1 : 0;
+                }
+                return count;
+              };
+              ASSERT_EQ(nonzero_bits(planes), nonzero_bits(img));
+              std::vector<float> back(img.size(), 7.0f);
+              g.unpad(planes.data(), back.data());
+              ASSERT_TRUE(same_bytes(back, img));
+              ++geometries;
             }
           }
         }
       }
     }
   }
+  EXPECT_GT(geometries, 5000);
 }

@@ -166,6 +166,21 @@ TEST(Conv2D, StrideShape) {
   EXPECT_EQ(y.dim(3), 4);
 }
 
+TEST(Conv2D, RejectsInputSmallerThanKernel) {
+  // A 3x3 kernel at stride 2 without padding does not fit a 2x2 or a 3x2
+  // image; conv_out_dim alone would still report one output position.
+  Rng rng(1);
+  Conv2D c(1, 1, 3, 2, 0, rng);
+  EXPECT_THROW(c.forward(random_input({1, 1, 2, 2}, 2), false),
+               std::invalid_argument);
+  EXPECT_THROW(c.forward(random_input({1, 1, 3, 2}, 2), false),
+               std::invalid_argument);
+  // With one pixel of padding it fits a 1x1 image exactly.
+  Conv2D padded(1, 1, 3, 2, 1, rng);
+  EXPECT_EQ(padded.forward(random_input({1, 1, 1, 1}, 2), false).shape(),
+            (std::vector<std::int64_t>{1, 1, 1, 1}));
+}
+
 TEST(Conv2D, MatchesManualConvolution) {
   Rng rng(2);
   Conv2D c(1, 1, 3, 1, 0, rng, /*bias=*/false);

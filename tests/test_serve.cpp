@@ -528,6 +528,11 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       // Samples of 5 values where the registered data's hold 6.
       R"({"op": "evaluate", "data": {"shape": [2, 5], "images": [0, 0, 0,)"
       R"( 0, 0, 0, 0, 0, 0, 0], "labels": [0, 1]}})",
+      // Finite as a double, +-inf as a float.
+      R"({"op": "evaluate", "data": {"shape": [1, 6], "images": [1e39, 0,)"
+      R"( 0, 0, 0, 0], "labels": [0]}})",
+      R"({"op": "evaluate", "data": {"shape": [1, 6], "images": [0, 0, 0,)"
+      R"( 0, 0, -1e39], "labels": [0]}})",
       R"({"op": "evaluate", "batch": 0})",
       R"({"op": "evaluate", "config": {"opt_passes": "bogus_pass"}})",
       R"({"op": "evaluate", "config": {"opt_passes": 3}})",
