@@ -47,7 +47,7 @@ void gemm_at_b_accumulate(const float* a, const float* b, float* c,
 
 /// C[M,N] += A^T[M,K] * B[K,N] where A is stored as [K,M] row-major and
 /// row p of B is the N floats from b_rows[p]. Rows may overlap: Conv2D
-/// passes the shifted tap rows of one input plane (nn/im2col.h).
+/// passes the shifted tap rows of one input plane (nn/conv_planes.h).
 void gemm_at_b_rows_accumulate(const float* a, const float* const* b_rows,
                                float* c, std::int64_t m, std::int64_t k,
                                std::int64_t n);

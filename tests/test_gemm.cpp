@@ -333,7 +333,7 @@ std::string serial_order_name(
 // (6, 25, 784), (16, 150, 100) and (32, 400, 120) are LeNet's conv1 and
 // conv2 forward over im2col and its 400 -> 120 dense forward at batch 32;
 // (6, 25, 896) and (16, 150, 140) are the conv forwards over tap rows
-// (28 x 32 and 10 x 14 positions, nn/im2col.h ConvPlanes); (2, 784, 6),
+// (28 x 32 and 10 x 14 positions, nn/conv_planes.h ConvPlanes); (2, 784, 6),
 // (10, 100, 16) and (16, 150, 64) are PWT's offset-gradient reductions.
 // n = 8..15 puts every remainder mod 8 behind at least one full AVX
 // vector. (9, 300, 20) gives every row pattern of
