@@ -1,6 +1,7 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -134,6 +135,20 @@ void Conv2D::backward_into(const Tensor& grad_out, Tensor* grad_in) {
       grad_in != nullptr ? static_cast<std::size_t>(fin * positions) : 0);
   std::vector<float> grad_planes(
       grad_in != nullptr ? static_cast<std::size_t>(g.size()) : 0);
+  // The scatter's taps in its order, (ch, ky descending, kx descending):
+  // each tap's dcols row and where its run starts in the planes.
+  std::vector<std::pair<std::int64_t, std::int64_t>> scatter;
+  if (grad_in != nullptr) {
+    scatter.reserve(static_cast<std::size_t>(fin));
+    for (std::int64_t ch = 0; ch < in_ch_; ++ch) {
+      for (std::int64_t ky = kernel_ - 1; ky >= 0; --ky) {
+        for (std::int64_t kx = kernel_ - 1; kx >= 0; --kx) {
+          scatter.emplace_back((ch * kernel_ + ky) * kernel_ + kx,
+                               g.tap_offset(ch, ky, kx));
+        }
+      }
+    }
+  }
   std::vector<const float*> taps;
   for (std::int64_t s = 0; s < n; ++s) {
     const float* gs = grad_out.data() + s * out_ch_ * positions;
@@ -161,18 +176,13 @@ void Conv2D::backward_into(const Tensor& grad_out, Tensor* grad_in) {
     // ascending output-position order; the padding is then dropped.
     gemm(weight_.value.data(), gs, dcols.data(), fin, out_ch_, positions);
     std::fill(grad_planes.begin(), grad_planes.end(), 0.0f);
-    for (std::int64_t ch = 0; ch < in_ch_; ++ch) {
-      for (std::int64_t ky = kernel_ - 1; ky >= 0; --ky) {
-        for (std::int64_t kx = kernel_ - 1; kx >= 0; --kx) {
-          const float* src =
-              dcols.data() + ((ch * kernel_ + ky) * kernel_ + kx) * positions;
-          float* dst = grad_planes.data() + g.tap_offset(ch, ky, kx);
-          for (std::int64_t oy = 0; oy < g.oh; ++oy) {
-            float* __restrict d = dst + oy * g.wq;
-            const float* __restrict r = src + oy * g.ow;
-            for (std::int64_t ox = 0; ox < g.ow; ++ox) d[ox] += r[ox];
-          }
-        }
+    for (const auto& [row, offset] : scatter) {
+      const float* src = dcols.data() + row * positions;
+      float* dst = grad_planes.data() + offset;
+      for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+        float* __restrict d = dst + oy * g.wq;
+        const float* __restrict r = src + oy * g.ow;
+        for (std::int64_t ox = 0; ox < g.ow; ++ox) d[ox] += r[ox];
       }
     }
     g.unpad(grad_planes.data(), grad_in->data() + s * in_ch_ * h * w);
