@@ -65,20 +65,22 @@ void BM_ProgramLayer(benchmark::State& state) {
 BENCHMARK(BM_ProgramLayer)->Unit(benchmark::kMicrosecond);
 
 // Args: {active wordlines, batch n}. One batched read of n inputs over
-// every wordline of a 128x128 MLC2 array.
+// every wordline of a 128x128 MLC2 array, its cells held row-major.
 void BM_CrossbarVmm(benchmark::State& state) {
   rram::CrossbarConfig cfg;
   cfg.cell = {rram::CellKind::MLC2, 200.0};
   cfg.active_wordlines = static_cast<int>(state.range(0));
   const std::int64_t n = state.range(1);
-  rram::Crossbar xb(cfg);
+  const rram::Crossbar xb(cfg);
   Rng rng(3);
-  for (double& g : xb.program_values()) g = rng.uniform(0.0, 3.0);
+  std::vector<double> cells(128 * 128);
+  for (double& g : cells) g = rng.uniform(0.0, 3.0);
+  const rram::CellWindow window{cells.data(), 128, 128};
   std::vector<double> x(static_cast<std::size_t>(n * 128));
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
   std::vector<double> y(static_cast<std::size_t>(n * 128));
   for (auto _ : state) {
-    xb.vmm_rows(x, n, 0, 128, y);
+    xb.vmm_rows(window, x, n, 0, 128, y);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }

@@ -11,10 +11,10 @@
 // EffectiveWeightBackend below is the one programmed state: it draws
 // every cycle's cells, runs PWT and keeps one DeployStats record. A
 // backend that evaluates on another substrate derives from it and
-// overrides evaluate() (sim::DeviceSimBackend in src/sim/device_backend.h
-// replays the kept cells and offsets onto simulated crossbars), so its
-// deterministic counters and seeded RNG streams equal the fast path's by
-// construction.
+// overrides only evaluate() and name(), reading the kept cells and
+// offsets in place (sim::DeviceSimBackend in src/sim/device_backend.h
+// reads them through simulated crossbars), so its deterministic counters
+// and seeded RNG streams equal the fast path's by construction.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ class EffectiveWeightBackend {
     std::vector<double> crw;          ///< measured CRWs of the current cycle
     /// Post-variation cell read values, flat [rows * cols *
     /// cells_per_weight] (row-major weights, LSB cell first); kept only
-    /// for a derived backend that replays the devices elsewhere, empty
+    /// for a derived backend that reads the devices themselves, empty
     /// otherwise.
     std::vector<double> cells;
   };
@@ -65,10 +65,10 @@ class EffectiveWeightBackend {
 
   /// Program every CTW once (one CCV cycle; `cycle_salt` selects the
   /// cycle's device draws deterministically from the plan seed).
-  virtual void program_cycle(std::uint64_t cycle_salt);
+  void program_cycle(std::uint64_t cycle_salt);
   /// Post-writing tuning of the digital offsets (no-op unless the plan's
   /// scheme includes PWT). Rounds offsets to the register grid when done.
-  virtual void tune(const rdo::nn::DataView& train);
+  void tune(const rdo::nn::DataView& train);
   /// Test accuracy of the currently deployed state.
   virtual float evaluate(const rdo::nn::DataView& test,
                          std::int64_t batch = 64);

@@ -82,6 +82,10 @@ void ActQuant::calibrate(float max_abs) {
   enabled_ = true;
 }
 
+float ActQuant::quantize(float x) const {
+  return round_clamp(x / step_, static_cast<float>((1 << bits_) - 1)) * step_;
+}
+
 Tensor ActQuant::forward(const Tensor& x, bool /*train*/) {
   if (!enabled_) {
     observed_max_ = std::max(observed_max_, x.max_abs());
@@ -102,7 +106,7 @@ Tensor ActQuant::forward(const Tensor& x, bool /*train*/) {
     const F4 q = round_clamp4(u / step4, levels4) * step4;
     std::memcpy(yd + i, &q, sizeof q);
   }
-  for (; i < n; ++i) yd[i] = round_clamp(xd[i] / step_, levels) * step_;
+  for (; i < n; ++i) yd[i] = quantize(xd[i]);
   return y;
 }
 

@@ -31,6 +31,10 @@ class ActQuant : public rdo::nn::Layer {
   [[nodiscard]] float observed_max() const { return observed_max_; }
   /// Quantization step of the calibrated grid (meaningful when enabled).
   [[nodiscard]] float step() const { return step_; }
+  /// One activation on the calibrated grid, the scalar form of forward()
+  /// when enabled: round_clamp(x / step, levels) * step, i.e.
+  /// std::clamp(std::round(x / step), 0, 2^bits - 1) * step bit for bit.
+  [[nodiscard]] float quantize(float x) const;
 
  private:
   int bits_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/check.h"
 
@@ -15,8 +17,6 @@ Crossbar::Crossbar(CrossbarConfig cfg) : cfg_(cfg) {
             "Crossbar: active_wordlines " +
                 std::to_string(cfg_.active_wordlines) + " outside [1, " +
                 std::to_string(cfg_.rows) + "]");
-  values_.assign(static_cast<std::size_t>(cfg_.rows) * cfg_.cols,
-                 cfg_.cell.read_value(0, 1.0));
 }
 
 namespace {
@@ -55,10 +55,16 @@ void tail_sums(const double* const* row, const double* xv, int count,
 
 }  // namespace
 
-void Crossbar::vmm_rows(std::span<const double> x, std::int64_t n, int r0,
-                        int r1, std::span<double> y) const {
+void Crossbar::vmm_rows(CellWindow g, std::span<const double> x,
+                        std::int64_t n, int r0, int r1,
+                        std::span<double> y) const {
   const auto rows = static_cast<std::size_t>(cfg_.rows);
-  const auto cols = static_cast<std::size_t>(cfg_.cols);
+  const auto cols = static_cast<std::size_t>(g.width);
+  RDO_CHECK(g.at != nullptr && g.width > 0 && g.width <= cfg_.cols &&
+                g.stride >= cols,
+            "Crossbar::vmm_rows: a window of " + std::to_string(g.width) +
+                " bitlines at row stride " + std::to_string(g.stride) +
+                " on a " + std::to_string(cfg_.cols) + "-column array");
   RDO_CHECK(n >= 0 && x.size() == static_cast<std::size_t>(n) * rows,
             "Crossbar::vmm: input length " + std::to_string(x.size()) +
                 " for " + std::to_string(n) + " x " +
@@ -66,7 +72,7 @@ void Crossbar::vmm_rows(std::span<const double> x, std::int64_t n, int r0,
   RDO_CHECK(y.size() == static_cast<std::size_t>(n) * cols,
             "Crossbar::vmm: output length " + std::to_string(y.size()) +
                 " for " + std::to_string(n) + " x " +
-                std::to_string(cfg_.cols) + " columns");
+                std::to_string(g.width) + " columns");
   RDO_CHECK(r0 >= 0 && r1 <= cfg_.rows && r0 % cfg_.active_wordlines == 0,
             "Crossbar::vmm_rows: bad row range [" + std::to_string(r0) +
                 ", " + std::to_string(r1) + ")");
@@ -85,7 +91,8 @@ void Crossbar::vmm_rows(std::span<const double> x, std::int64_t n, int r0,
       int live = 0;
       for (int r = g0; r < g1; ++r) {
         if (xs[r] == 0.0) continue;
-        live_row[static_cast<std::size_t>(live)] = &values_[idx(r, 0)];
+        live_row[static_cast<std::size_t>(live)] =
+            g.at + static_cast<std::size_t>(r) * g.stride;
         live_x[static_cast<std::size_t>(live)] = xs[r];
         ++live;
       }

@@ -3,8 +3,8 @@
 // Each n-bit weight occupies cells_per_weight adjacent bitlines (bit
 // slices); matrix rows are chunked across crossbar wordlines. Used for
 // crossbar-count accounting (Table III) and to size the device-level
-// simulation, whose CrossbarLayerExecutor::program_cell_values lays the
-// cells out tile by tile.
+// simulation, whose CrossbarLayerExecutor reads array (tr, tc) as a
+// window onto the layer's flat cells.
 #pragma once
 
 #include <cstdint>

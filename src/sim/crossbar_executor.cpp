@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "core/check.h"
 #include "core/offset.h"
@@ -11,15 +11,14 @@
 namespace rdo::sim {
 
 using rdo::core::group_of_row;
-using rdo::rram::Crossbar;
 
 CrossbarLayerExecutor::CrossbarLayerExecutor(
     const rdo::quant::LayerQuant& lq, const rdo::core::VawoResult& assign,
     const ExecutorConfig& cfg)
     : lq_{lq.bits, lq.scale, lq.zero, lq.rows, lq.cols, {}},
-      assign_(assign),
+      complemented_(assign.complemented),
       cfg_(cfg),
-      offsets_(assign.offsets) {
+      xbar_(cfg.xbar) {
   RDO_CHECK(lq_.bits > 0 && lq_.bits <= 30 &&
                 lq_.bits % cfg_.xbar.cell.bits() == 0,
             "CrossbarLayerExecutor: " + std::to_string(lq_.bits) +
@@ -38,11 +37,11 @@ CrossbarLayerExecutor::CrossbarLayerExecutor(
             "CrossbarLayerExecutor: crossbar rows must be a multiple of m "
             "so offset groups never straddle a row-tile boundary (paper "
             "Sec. III-A)");
-  RDO_CHECK(assign_.ctw.size() == lq.q.size(),
-            "CrossbarLayerExecutor: " + std::to_string(assign_.ctw.size()) +
+  RDO_CHECK(assign.ctw.size() == lq.q.size(),
+            "CrossbarLayerExecutor: " + std::to_string(assign.ctw.size()) +
                 " assigned CTWs for " + std::to_string(lq.q.size()) +
                 " quantized weights");
-  for (int v : assign_.ctw) {
+  for (int v : assign.ctw) {
     RDO_CHECK(v >= 0 && v <= lq_.levels(),
               "CrossbarLayerExecutor: CTW " + std::to_string(v) +
                   " outside [0, " + std::to_string(lq_.levels()) + "]");
@@ -53,64 +52,28 @@ CrossbarLayerExecutor::CrossbarLayerExecutor(
   span.arg("rows", lq_.rows);
   span.arg("cols", lq_.cols);
   span.arg("m", cfg_.offsets.m);
-  span.arg("groups", assign_.groups_per_col);
+  span.arg("groups", assign.groups_per_col);
   span.arg("row_tiles", tiling_.row_tiles);
   span.arg("col_tiles", tiling_.col_tiles);
-  xbars_.assign(static_cast<std::size_t>(tiling_.row_tiles *
-                                         tiling_.col_tiles),
-                Crossbar(cfg_.xbar));
 }
 
-void CrossbarLayerExecutor::program_cell_values(
-    std::span<const double> cells) {
-  const int cpw = cells_per_weight_;
-  RDO_CHECK(cells.size() == assign_.ctw.size() * static_cast<std::size_t>(cpw),
-            "program_cell_values: " + std::to_string(cells.size()) +
-                " cell values for " + std::to_string(assign_.ctw.size()) +
-                " weights of " + std::to_string(cpw) + " cells");
-  const std::int64_t wpr = cfg_.xbar.cols / cpw;
-  // Padding cells (beyond the layer's rows/cols) read as an ideally
-  // programmed HRS device.
-  const double pad = cfg_.xbar.cell.read_value(0, 1.0);
-  for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
-    for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
-      rdo::obs::TraceSpan tile_span("sim:program_tile", "sim");
-      tile_span.arg("tr", tr);
-      tile_span.arg("tc", tc);
-      const std::span<double> values =
-          xbars_[static_cast<std::size_t>(tr * tiling_.col_tiles + tc)]
-              .program_values();
-      std::fill(values.begin(), values.end(), pad);
-      for (std::int64_t r = 0; r < cfg_.xbar.rows; ++r) {
-        const std::int64_t mr = tr * cfg_.xbar.rows + r;
-        if (mr >= lq_.rows) break;
-        for (std::int64_t wc = 0; wc < wpr; ++wc) {
-          const std::int64_t mc = tc * wpr + wc;
-          if (mc >= lq_.cols) break;
-          const std::span<const double> cv = cells.subspan(
-              static_cast<std::size_t>((mr * lq_.cols + mc) * cpw),
-              static_cast<std::size_t>(cpw));
-          std::copy(cv.begin(), cv.end(),
-                    values.begin() + r * cfg_.xbar.cols + wc * cpw);
-        }
-      }
-    }
-  }
-}
-
-void CrossbarLayerExecutor::set_offsets(std::vector<float> offsets) {
-  RDO_CHECK(offsets.size() == offsets_.size(),
-            "set_offsets: " + std::to_string(offsets.size()) +
-                " offsets for " + std::to_string(offsets_.size()) +
-                " registers");
-  offsets_ = std::move(offsets);
-}
-
-void CrossbarLayerExecutor::forward(std::span<const double> x,
+void CrossbarLayerExecutor::forward(std::span<const double> cells,
+                                    std::span<const float> offsets,
+                                    std::span<const double> x,
                                     std::int64_t n,
                                     std::span<double> y) const {
   const std::int64_t rows = lq_.rows;
   const std::int64_t cols = lq_.cols;
+  const int cpw = cells_per_weight_;
+  RDO_CHECK(static_cast<std::int64_t>(cells.size()) == rows * cols * cpw,
+            "CrossbarLayerExecutor::forward: " +
+                std::to_string(cells.size()) + " cell values for " +
+                std::to_string(rows * cols) + " weights of " +
+                std::to_string(cpw) + " cells");
+  RDO_CHECK(offsets.size() == complemented_.size(),
+            "CrossbarLayerExecutor::forward: " +
+                std::to_string(offsets.size()) + " offsets for " +
+                std::to_string(complemented_.size()) + " registers");
   RDO_CHECK(n >= 0 && static_cast<std::int64_t>(x.size()) == n * rows,
             "CrossbarLayerExecutor::forward: input length " +
                 std::to_string(x.size()) + " for " + std::to_string(n) +
@@ -119,10 +82,9 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
             "CrossbarLayerExecutor::forward: output length " +
                 std::to_string(y.size()) + " for " + std::to_string(n) +
                 " x " + std::to_string(cols) + " columns");
-  const int cpw = cells_per_weight_;
   const std::int64_t wpr = cfg_.xbar.cols / cpw;
   const std::int64_t xrows = cfg_.xbar.rows;
-  const std::int64_t xcols = cfg_.xbar.cols;
+  const auto stride = static_cast<std::size_t>(cols * cpw);
   const double maxw = static_cast<double>(lq_.levels());
   const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   std::vector<double> y_int(at(n * cols), 0.0);
@@ -131,7 +93,7 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
   // bitline sums per sample; all reused across the batch.
   std::vector<double> x_slice(at(n * xrows), 0.0);
   std::vector<double> sum_x_g(at(n));
-  std::vector<double> cell_sums(at(n * xcols));
+  std::vector<double> cell_sums(at(n * wpr * cpw));
   for (std::int64_t tr = 0; tr < tiling_.row_tiles; ++tr) {
     const std::int64_t row_base = tr * xrows;
     const std::int64_t rows_here = std::min(xrows, rows - row_base);
@@ -153,15 +115,22 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
         sum_x_g[at(s)] = sum;
       }
       for (std::int64_t tc = 0; tc < tiling_.col_tiles; ++tc) {
-        crossbar(tr, tc).vmm_rows(x_slice, n, static_cast<int>(g0),
-                                 static_cast<int>(g1), cell_sums);
+        // Array (tr, tc): the weights of columns tc * wpr.. of rows
+        // row_base.., each cpw cells wide, read in place.
+        const std::int64_t col0 = tc * wpr;
+        const std::int64_t width = std::min(wpr, cols - col0) * cpw;
+        const rdo::rram::CellWindow window{
+            cells.data() + at(row_base) * stride + at(col0 * cpw), stride,
+            static_cast<int>(width)};
+        const std::span<double> sums(cell_sums.data(), at(n * width));
+        xbar_.vmm_rows(window, x_slice, n, static_cast<int>(g0),
+                       static_cast<int>(g1), sums);
         for (std::int64_t s = 0; s < n; ++s) {
-          const double* cs = cell_sums.data() + s * xcols;
+          const double* cs = sums.data() + s * width;
           double* yi = y_int.data() + s * cols;
           const double sx = sum_x_g[at(s)];
-          for (std::int64_t wc = 0; wc < wpr; ++wc) {
-            const std::int64_t col = tc * wpr + wc;
-            if (col >= cols) break;
+          for (std::int64_t wc = 0; wc * cpw < width; ++wc) {
+            const std::int64_t col = col0 + wc;
             // Shift-and-add across the weight's bit-slice columns.
             double z = 0.0;
             double radix = 1.0;
@@ -171,9 +140,9 @@ void CrossbarLayerExecutor::forward(std::span<const double> x,
             }
             const std::size_t gi = at(group * cols + col);
             // Digital offset unit: + b * sum(x)  (Eq. 1).
-            const double zc = z + offsets_[gi] * sx;
+            const double zc = z + offsets[gi] * sx;
             // Complement post-processing (Sec. III-C).
-            yi[col] += assign_.complemented[gi] ? maxw * sx - zc : zc;
+            yi[col] += complemented_[gi] ? maxw * sx - zc : zc;
           }
         }
       }

@@ -1,7 +1,6 @@
 #include "sim/device_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -104,26 +103,6 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
   }
 }
 
-void DeviceSimBackend::program_cycle(std::uint64_t cycle_salt) {
-  EffectiveWeightBackend::program_cycle(cycle_salt);
-  for (Stage& s : stages_) {
-    if (!s.exec) continue;
-    s.exec->program_cell_values(layers()[s.plan_index].cells);
-    s.exec->set_offsets(layers()[s.plan_index].offsets);
-  }
-}
-
-void DeviceSimBackend::tune(const rdo::nn::DataView& train) {
-  EffectiveWeightBackend::tune(train);
-  if (!rdo::core::scheme_uses_pwt(plan().opt.scheme)) return;
-  // Install the tuned (register-snapped) offsets into the digital offset
-  // units; the devices themselves are untouched by tuning.
-  for (Stage& s : stages_) {
-    if (!s.exec) continue;
-    s.exec->set_offsets(layers()[s.plan_index].offsets);
-  }
-}
-
 std::vector<double> DeviceSimBackend::forward(const std::vector<double>& x,
                                               int channels, int height,
                                               int width) const {
@@ -145,13 +124,8 @@ std::vector<double> DeviceSimBackend::forward_batch(std::vector<double> h,
         // Digital activation quantization in front of the DACs; same
         // float grid as the twin's ActQuant layer so the paths agree.
         if (s.aq != nullptr && s.aq->enabled()) {
-          const float step = s.aq->step();
-          const float levels =
-              static_cast<float>((1 << s.aq->bits()) - 1);
           for (auto& v : h) {
-            float q = std::round(static_cast<float>(v) / step);
-            q = std::clamp(q, 0.0f, levels);
-            v = static_cast<double>(q * step);
+            v = static_cast<double>(s.aq->quantize(static_cast<float>(v)));
           }
         }
         break;
@@ -176,6 +150,7 @@ std::vector<double> DeviceSimBackend::forward_batch(std::vector<double> h,
       case Stage::Kind::Conv: {
         RDO_CHECK(c > 0, "DeviceSimBackend: conv needs an image");
         const rdo::core::PlanLayer& pl = plan().layers[s.plan_index];
+        const LayerState& state = layers()[s.plan_index];
         rdo::obs::TraceSpan stage_span("sim:conv_stage", "sim");
         stage_span.arg("kernel", s.kernel);
         stage_span.arg("out_channels", pl.lq.cols);
@@ -212,7 +187,7 @@ std::vector<double> DeviceSimBackend::forward_batch(std::vector<double> h,
               }
             }
           }
-          s.exec->forward(x, positions, out);
+          s.exec->forward(state.cells, state.offsets, x, positions, out);
           double* yi = y.data() + i * oc * positions;
           for (std::int64_t p = 0; p < positions; ++p) {
             for (std::int64_t k = 0; k < oc; ++k) {
@@ -228,13 +203,14 @@ std::vector<double> DeviceSimBackend::forward_batch(std::vector<double> h,
       }
       case Stage::Kind::Crossbar: {
         const rdo::core::PlanLayer& pl = plan().layers[s.plan_index];
+        const LayerState& state = layers()[s.plan_index];
         rdo::obs::TraceSpan stage_span("sim:crossbar_stage", "sim");
         stage_span.arg("rows", pl.lq.rows);
         stage_span.arg("cols", pl.lq.cols);
         stage_span.arg("n", n);
         const std::int64_t oc = pl.lq.cols;
         std::vector<double> y(at(n * oc));
-        s.exec->forward(h, n, y);
+        s.exec->forward(state.cells, state.offsets, h, n, y);
         for (std::int64_t i = 0; i < n; ++i) {
           for (std::int64_t k = 0; k < oc; ++k) {
             y[at(i * oc + k)] += s.bias[at(k)];

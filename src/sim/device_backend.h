@@ -14,13 +14,15 @@
 // sample's logits do not depend on the batch it rides in.
 //
 // The backend is a core::EffectiveWeightBackend that evaluates on
-// crossbars: the base draws each cycle's per-cell conductances (kept
-// cells) and runs PWT on its twin; program_cycle() and tune() then push
-// those cells and offsets into the executors, and evaluate() runs the
-// test set through them. There is one programmed state and one
-// DeployStats record, so the deterministic counters equal the fast
-// path's by construction; with its ideal ADC, only floating-point
-// summation order can move the reported accuracy.
+// crossbars and overrides only evaluate() and name(): the base's
+// program_cycle() draws each cycle's per-cell conductances (kept cells)
+// and its tune() runs PWT on the twin, and evaluate() runs the test set
+// through executors that read those cells and tuned offsets where the
+// base keeps them (LayerState::cells and ::offsets) and the complement
+// flags from the plan. There is one programmed state and one DeployStats
+// record, so the deterministic counters equal the fast path's by
+// construction; with its ideal ADC, only floating-point summation order
+// can move the reported accuracy.
 #pragma once
 
 #include <cstdint>
@@ -52,14 +54,6 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
   DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
                    const rdo::nn::Layer& src, DeviceSimOptions dopt = {});
 
-  /// One CCV cycle: the base draws every weight's cell conductances from
-  /// the plan's seeded stream; they are programmed into the simulated
-  /// crossbars with the a-priori offsets.
-  void program_cycle(std::uint64_t cycle_salt) override;
-  /// PWT on the cycle's measured conductances (the base's gradient loop
-  /// on its twin), then the tuned offsets go into the digital offset
-  /// units.
-  void tune(const rdo::nn::DataView& train) override;
   /// Device-level test accuracy over every sample of `test`: images of
   /// shape [N, C, H, W] or flat samples [N, features] (MLPs); any other
   /// rank, an empty set, fewer labels than images or a batch below 1
@@ -73,8 +67,9 @@ class DeviceSimBackend : public rdo::core::EffectiveWeightBackend {
   /// Device-level logits for one sample: an image of the given shape
   /// (CNNs), or a flat sample when channels is 0 (MLPs; no conv stages).
   /// The n = 1 case of the batched forward evaluate() runs.
-  /// Thread-safe: const, and every stage reads only state frozen since
-  /// the last program_cycle()/tune().
+  /// Throws before the first program_cycle(). Thread-safe: const, and
+  /// every stage reads only state frozen since the last
+  /// program_cycle()/tune().
   [[nodiscard]] std::vector<double> forward(const std::vector<double>& x,
                                             int channels = 0, int height = 0,
                                             int width = 0) const;

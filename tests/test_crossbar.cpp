@@ -1,6 +1,6 @@
 // Device-level crossbar simulation: VMM, equivalence with the
-// composed-CRW fast path used by the deployment pipeline. Arrays are
-// programmed through program_values() with the production draw
+// composed-CRW fast path used by the deployment pipeline. An array reads
+// cells that the test holds, drawn with the production draw
 // (WeightProgrammer::program_weights).
 #include <gtest/gtest.h>
 
@@ -30,22 +30,32 @@ CrossbarConfig small_cfg(CellKind kind = CellKind::SLC, int rows = 16,
 
 const VariationModel kIdeal{0.0, 0.0};
 
-/// Programs every cell of `xb` from row-major `states` (size rows*cols)
-/// with the production draw: WeightProgrammer::program_weights of
-/// one-cell weights, so cell i holds state states[i] under `variation`
-/// (sigma 0 reads each state's ideal value).
-void program_states(Crossbar& xb, const std::vector<int>& states,
-                    const VariationModel& variation, Rng& rng) {
-  const CellModel& cell = xb.config().cell;
+/// Cells for row-major `states` with the production draw:
+/// WeightProgrammer::program_weights of one-cell weights, so cell i holds
+/// state states[i] under `variation` (sigma 0 reads each state's ideal
+/// value).
+std::vector<double> program_states(const CellModel& cell,
+                                   const std::vector<int>& states,
+                                   const VariationModel& variation,
+                                   Rng& rng) {
   const WeightProgrammer prog(cell, cell.bits(), variation);
+  std::vector<double> cells(states.size());
   std::vector<double> crw(states.size());
-  prog.program_weights(states, rng, xb.program_values(), crw);
+  prog.program_weights(states, rng, cells, crw);
+  return cells;
+}
+
+/// The whole array over row-major `cells`.
+CellWindow whole(const Crossbar& xb, const std::vector<double>& cells) {
+  const auto cols = static_cast<std::size_t>(xb.config().cols);
+  return {cells.data(), cols, xb.config().cols};
 }
 
 /// One input read over every wordline: the n = 1 call of vmm_rows.
-std::vector<double> vmm(const Crossbar& xb, const std::vector<double>& x) {
+std::vector<double> vmm(const Crossbar& xb, const std::vector<double>& cells,
+                        const std::vector<double>& x) {
   std::vector<double> y(static_cast<std::size_t>(xb.config().cols));
-  xb.vmm_rows(x, 1, 0, xb.config().rows, y);
+  xb.vmm_rows(whole(xb, cells), x, 1, 0, xb.config().rows, y);
   return y;
 }
 
@@ -68,9 +78,13 @@ TEST(Crossbar, IdealProgramReadsExactStates) {
     states[i] = static_cast<int>(i % 4);
   }
   Rng rng(1);
-  program_states(xb, states, kIdeal, rng);
-  EXPECT_DOUBLE_EQ(xb.values()[1], 1.0);  // row 0, column 1
-  EXPECT_DOUBLE_EQ(xb.values()[3], 3.0);
+  const std::vector<double> cells =
+      program_states(cfg.cell, states, kIdeal, rng);
+  std::vector<double> x(16, 0.0);
+  x[0] = 1.0;  // read row 0 alone
+  const auto y = vmm(xb, cells, x);
+  EXPECT_DOUBLE_EQ(y[1], 1.0);  // row 0, column 1
+  EXPECT_DOUBLE_EQ(y[3], 3.0);
 }
 
 TEST(Crossbar, IdealVmmEqualsIntegerMatrixProduct) {
@@ -79,10 +93,11 @@ TEST(Crossbar, IdealVmmEqualsIntegerMatrixProduct) {
   Rng rng(2);
   std::vector<int> states(16 * 16);
   for (auto& s : states) s = static_cast<int>(rng.uniform_int(0, 3));
-  program_states(xb, states, kIdeal, rng);
+  const std::vector<double> cells =
+      program_states(cfg.cell, states, kIdeal, rng);
   std::vector<double> x(16);
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
-  const auto y = vmm(xb, x);
+  const auto y = vmm(xb, cells, x);
   for (int c = 0; c < 16; ++c) {
     double expect = 0.0;
     for (int r = 0; r < 16; ++r) {
@@ -101,7 +116,8 @@ TEST(Crossbar, VmmInvariantToActivationGrouping) {
   Rng rng(3);
   std::vector<int> states(16 * 16);
   for (auto& s : states) s = static_cast<int>(rng.uniform_int(0, 1));
-  program_states(xb, states, {0.7, 0.0}, rng);
+  const std::vector<double> cells =
+      program_states(cfg.cell, states, {0.7, 0.0}, rng);
   std::vector<double> x(16);
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
 
@@ -109,16 +125,14 @@ TEST(Crossbar, VmmInvariantToActivationGrouping) {
   CrossbarConfig cfg16 = cfg;
   cfg16.active_wordlines = 16;
   Crossbar xb16(cfg16);
-  const std::span<double> cells = xb.program_values();
-  std::copy(cells.begin(), cells.end(), xb16.program_values().begin());
 
-  const auto y4 = vmm(xb, x);
-  const auto y16 = vmm(xb16, x);
+  const auto y4 = vmm(xb, cells, x);
+  const auto y16 = vmm(xb16, cells, x);
   for (int c = 0; c < 16; ++c) {
     double expect = 0.0;
     for (int r = 0; r < 16; ++r) {
       expect += x[static_cast<std::size_t>(r)] *
-                xb.values()[static_cast<std::size_t>(r * 16 + c)];
+                cells[static_cast<std::size_t>(r * 16 + c)];
     }
     EXPECT_NEAR(y4[static_cast<std::size_t>(c)], expect, 1e-9);
     EXPECT_NEAR(y16[static_cast<std::size_t>(c)], expect, 1e-9);
@@ -127,8 +141,9 @@ TEST(Crossbar, VmmInvariantToActivationGrouping) {
 
 TEST(Crossbar, VmmRejectsWrongInputLength) {
   Crossbar xb(small_cfg());
+  const std::vector<double> cells(16 * 16, 1.0);
   std::vector<double> x(5, 1.0);
-  EXPECT_THROW(vmm(xb, x), std::invalid_argument);
+  EXPECT_THROW(vmm(xb, cells, x), std::invalid_argument);
 }
 
 TEST(Crossbar, EquivalenceWithComposedCrwPath) {
@@ -145,11 +160,12 @@ TEST(Crossbar, EquivalenceWithComposedCrwPath) {
   Rng rng(9);
   prog.program_weights({&v, 1}, rng, cells, {&crw, 1});
   // Row 0 holds the weight's four cells, LSB first.
-  std::copy(cells.begin(), cells.end(), xb.program_values().begin());
+  std::vector<double> array(4 * 4, 0.0);
+  std::copy(cells.begin(), cells.end(), array.begin());
   // Read them back with a one-hot input on row 0.
   std::vector<double> x(4, 0.0);
   x[0] = 1.0;
-  const auto y = vmm(xb, x);
+  const auto y = vmm(xb, array, x);
   double recombined = 0.0, radix = 1.0;
   for (int k = 0; k < 4; ++k) {
     recombined += radix * y[static_cast<std::size_t>(k)];
@@ -162,14 +178,24 @@ TEST(Crossbar, BatchedVmmMatchesPerSampleOracle) {
   // The batched kernel (group, sample, row, column tile) reproduces the
   // per-sample column-outer loop byte for byte: batches of 1, 3 and 64,
   // all-zero, partly zero and negative inputs, row ranges with an
-  // unaligned end, and column counts below, at and past the kernel's
-  // column tile.
-  for (int cols : {5, 16, 37, 128}) {
-    Crossbar xb(small_cfg(CellKind::MLC2, 40, cols, 8));
-    Rng rng(50 + static_cast<std::uint64_t>(cols));
-    std::vector<int> states(static_cast<std::size_t>(40 * cols));
+  // unaligned end, and windows below, at and past the kernel's column
+  // tile, read from a wider buffer (row stride width + 3, first column 2)
+  // on a 128-column array.
+  const Crossbar xb(small_cfg(CellKind::MLC2, 40, 128, 8));
+  for (int width : {5, 16, 37, 128}) {
+    Rng rng(50 + static_cast<std::uint64_t>(width));
+    std::vector<int> states(static_cast<std::size_t>(40 * width));
     for (auto& s : states) s = static_cast<int>(rng.uniform_int(0, 3));
-    program_states(xb, states, {0.5, 0.0}, rng);
+    const std::vector<double> cells =
+        program_states(xb.config().cell, states, {0.5, 0.0}, rng);
+    const auto stride = static_cast<std::size_t>(width + 3);
+    std::vector<double> buffer(40 * stride, -7.0);
+    for (std::size_t r = 0; r < 40; ++r) {
+      std::copy(cells.begin() + static_cast<std::ptrdiff_t>(r) * width,
+                cells.begin() + static_cast<std::ptrdiff_t>(r + 1) * width,
+                buffer.begin() + static_cast<std::ptrdiff_t>(r * stride + 2));
+    }
+    const CellWindow window{buffer.data() + 2, stride, width};
     for (int n : {1, 3, 64}) {
       std::vector<double> x(static_cast<std::size_t>(n * 40));
       for (auto& v : x) {
@@ -182,17 +208,17 @@ TEST(Crossbar, BatchedVmmMatchesPerSampleOracle) {
       for (const auto& [r0, r1] :
            {std::pair{0, 40}, std::pair{8, 29}, std::pair{16, 17},
             std::pair{24, 24}}) {
-        SCOPED_TRACE("cols " + std::to_string(cols) + " n " +
+        SCOPED_TRACE("width " + std::to_string(width) + " n " +
                      std::to_string(n) + " rows [" + std::to_string(r0) +
                      ", " + std::to_string(r1) + ")");
-        std::vector<double> y(static_cast<std::size_t>(n * cols), -1.0);
-        xb.vmm_rows(x, n, r0, r1, y);
+        std::vector<double> y(static_cast<std::size_t>(n * width), -1.0);
+        xb.vmm_rows(window, x, n, r0, r1, y);
         for (int i = 0; i < n; ++i) {
           const std::vector<double> xi(x.begin() + i * 40,
                                        x.begin() + (i + 1) * 40);
           const std::vector<double> want =
-              rdo::oracle::vmm_rows(xb, xi, r0, r1);
-          EXPECT_EQ(0, std::memcmp(want.data(), y.data() + i * cols,
+              rdo::oracle::vmm_rows(xb.config(), cells, width, xi, r0, r1);
+          EXPECT_EQ(0, std::memcmp(want.data(), y.data() + i * width,
                                    want.size() * sizeof(double)))
               << "sample " << i;
         }
@@ -203,10 +229,24 @@ TEST(Crossbar, BatchedVmmMatchesPerSampleOracle) {
 
 TEST(Crossbar, BatchedVmmRejectsMismatchedBuffers) {
   Crossbar xb(small_cfg());
+  const std::vector<double> cells(16 * 16, 1.0);
+  const CellWindow g = whole(xb, cells);
   std::vector<double> x(2 * 16, 1.0), y(2 * 16);
-  EXPECT_NO_THROW(xb.vmm_rows(x, 2, 0, 16, y));
-  EXPECT_THROW(xb.vmm_rows(x, 3, 0, 16, y), std::invalid_argument);
+  EXPECT_NO_THROW(xb.vmm_rows(g, x, 2, 0, 16, y));
+  EXPECT_THROW(xb.vmm_rows(g, x, 3, 0, 16, y), std::invalid_argument);
   std::vector<double> short_y(16);
-  EXPECT_THROW(xb.vmm_rows(x, 2, 0, 16, short_y), std::invalid_argument);
-  EXPECT_THROW(xb.vmm_rows(x, 2, 2, 16, y), std::invalid_argument);
+  EXPECT_THROW(xb.vmm_rows(g, x, 2, 0, 16, short_y), std::invalid_argument);
+  EXPECT_THROW(xb.vmm_rows(g, x, 2, 2, 16, y), std::invalid_argument);
+  // A window wider than the array, an empty or null one, and one whose
+  // rows overlap.
+  std::vector<double> wide_y(2 * 17);
+  EXPECT_THROW(xb.vmm_rows({cells.data(), 17, 17}, x, 2, 0, 15, wide_y),
+               std::invalid_argument);
+  EXPECT_THROW(xb.vmm_rows({cells.data(), 16, 0}, x, 2, 0, 16, {}),
+               std::invalid_argument);
+  std::vector<double> narrow_y(2 * 8);
+  EXPECT_THROW(xb.vmm_rows({cells.data(), 4, 8}, x, 2, 0, 16, narrow_y),
+               std::invalid_argument);
+  EXPECT_THROW(xb.vmm_rows({nullptr, 16, 16}, x, 2, 0, 16, y),
+               std::invalid_argument);
 }

@@ -173,8 +173,8 @@ TEST(Equivalence, ComplementIdentityOnDeviceLevelCrossbar) {
     std::vector<double> crw(8);
     nn::Rng draw(12);
     prog.program_weights(weights, draw, cells, crw);
-    rram::Crossbar xb(cfg);
-    const std::span<double> values = xb.program_values();
+    const rram::Crossbar xb(cfg);
+    std::vector<double> values(8 * 32, 0.0);
     for (int i = 0; i < 8; ++i) {
       for (int k = 0; k < 4; ++k) {
         // weight i occupies columns 4i..4i+3, all rows -> row i only here
@@ -183,7 +183,7 @@ TEST(Equivalence, ComplementIdentityOnDeviceLevelCrossbar) {
       }
     }
     std::vector<double> y(32);
-    xb.vmm_rows(x, 1, 0, 8, y);
+    xb.vmm_rows({values.data(), 32, 32}, x, 1, 0, 8, y);
     double z = 0.0;
     for (int i = 0; i < 8; ++i) {
       double radix = 1.0;

@@ -283,12 +283,12 @@ TEST(Parity, ThrowingProgramCycleLeavesBackendDestructibleAndRetryable) {
 TEST(Parity, DeviceLogitsReplayAnIndependentEffectiveTwin) {
   // Whole-network replay oracle: with an ideal ADC, the device backend's
   // logits equal those of an independently built effective-weight twin
-  // at the same plan and cycle salt, so the crossbars hold exactly the
+  // at the same plan and cycle salt, so the crossbars read exactly the
   // twin's cells, tuned offsets and dead columns. VAWO*+PWT pins the
   // tuned offsets; eliminate_dead_tiles skips PWT schemes, so VAWO* with
   // the pass pins the MLP's dead column. The conv net covers the conv
-  // stage (im2col lowering, one VMM per output position), ReLU and
-  // max-pooling.
+  // stage (tap runs of the padded planes, all output positions of an
+  // image in one batched VMM), ReLU and max-pooling.
   auto& f = fx();
   struct Net {
     const char* name;
@@ -395,9 +395,8 @@ TEST(Parity, DeviceConvStageMatchesIm2colOracleByteForByte) {
         cfg.xbar.active_wordlines = f.geometry().active_wordlines;
         cfg.offsets = plan.opt.offsets;
         cfg.offsets.m = pl.m;
-        sim::CrossbarLayerExecutor exec(pl.lq, pl.assign, cfg);
-        exec.program_cell_values(dev.layers()[0].cells);
-        exec.set_offsets(dev.layers()[0].offsets);
+        const sim::CrossbarLayerExecutor exec(pl.lq, pl.assign, cfg);
+        const auto& state = dev.layers()[0];
         const nn::Tensor& bias =
             nn::layers_of<nn::Conv2D>(dev.network())[0]->bias_param().value;
 
@@ -422,7 +421,8 @@ TEST(Parity, DeviceConvStageMatchesIm2colOracleByteForByte) {
               x[static_cast<std::size_t>(j)] =
                   cols[static_cast<std::size_t>(j * positions + p)];
             }
-            const std::vector<double> y = oracle::forward_one(exec, x);
+            const std::vector<double> y =
+                oracle::forward_one(exec, state.cells, state.offsets, x);
             for (std::int64_t c = 0; c < kOut; ++c) {
               want[static_cast<std::size_t>(c * positions + p)] =
                   y[static_cast<std::size_t>(c)] + bias[c];

@@ -272,6 +272,9 @@ TEST(ActQuant, MatchesOracleAtACalibratedStep) {
     const float ref = act_quant_oracle(x[i], aq.step(), levels);
     const float got = y[i];
     ASSERT_EQ(std::memcmp(&ref, &got, sizeof ref), 0) << "x = " << x[i];
+    // The scalar form the device simulator calls: the same grid.
+    const float one = aq.quantize(x[i]);
+    ASSERT_EQ(std::memcmp(&ref, &one, sizeof ref), 0) << "x = " << x[i];
   }
 }
 

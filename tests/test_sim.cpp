@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "rram/programmer.h"
 #include "sim/crossbar_executor.h"
 #include "sim_oracles.h"
 
@@ -19,16 +20,16 @@ using rdo::nn::Rng;
 namespace {
 
 quant::LayerQuant make_lq(std::int64_t rows, std::int64_t cols,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, int bits = 8) {
   quant::LayerQuant lq;
-  lq.bits = 8;
+  lq.bits = bits;
   lq.rows = rows;
   lq.cols = cols;
   lq.scale = 0.01f;
-  lq.zero = 128;
+  lq.zero = 1 << (bits - 1);
   Rng rng(seed);
   lq.q.resize(static_cast<std::size_t>(rows * cols));
-  for (auto& v : lq.q) v = static_cast<int>(rng.uniform_int(0, 255));
+  for (auto& v : lq.q) v = static_cast<int>(rng.uniform_int(0, lq.levels()));
   return lq;
 }
 
@@ -67,29 +68,43 @@ std::vector<double> fast_path(const quant::LayerQuant& lq,
 
 const rram::VariationModel kIdeal{0.0, 0.0};
 
+/// An executor and the programmed state its forward reads, as
+/// core::EffectiveWeightBackend keeps it: the flat cells, the CRWs
+/// composed from them and the working offsets.
+struct Programmed {
+  CrossbarLayerExecutor exec;
+  std::vector<double> cells;
+  std::vector<double> crw;
+  std::vector<float> offsets;
+
+  [[nodiscard]] std::vector<double> forward(
+      const std::vector<double>& x) const {
+    return oracle::forward_one(exec, cells, offsets, x);
+  }
+};
+
 /// Builds the executor and programs every device once from `rng` with
 /// the production draw (WeightProgrammer::program_weights under
-/// `variation`, weights in row-major order).
-CrossbarLayerExecutor programmed(const quant::LayerQuant& lq,
-                                 const core::VawoResult& assign,
-                                 const ExecutorConfig& cfg,
-                                 const rram::VariationModel& variation,
-                                 Rng& rng) {
-  CrossbarLayerExecutor exec(lq, assign, cfg);
+/// `variation`, weights in row-major order); the offsets start at the
+/// assignment's.
+Programmed programmed(const quant::LayerQuant& lq,
+                      const core::VawoResult& assign,
+                      const ExecutorConfig& cfg,
+                      const rram::VariationModel& variation, Rng& rng) {
+  Programmed p{CrossbarLayerExecutor(lq, assign, cfg), {}, {}, assign.offsets};
   const rram::WeightProgrammer prog(cfg.xbar.cell, lq.bits, variation);
   const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
-  std::vector<double> cells(assign.ctw.size() * cpw);
-  std::vector<double> crw(assign.ctw.size());
-  prog.program_weights(assign.ctw, rng, cells, crw);
-  exec.program_cell_values(cells);
-  return exec;
+  p.cells.resize(assign.ctw.size() * cpw);
+  p.crw.resize(assign.ctw.size());
+  prog.program_weights(assign.ctw, rng, p.cells, p.crw);
+  return p;
 }
 
 /// ISAAC bit-serial forward, the DAC oracle: inputs are quantized to
 /// `input_bits` levels over [0, x_max] and streamed one bit per read
 /// pass; partial results are shifted-and-added. The whole pipeline is
 /// linear in x, so this equals forward() on the quantized inputs.
-std::vector<double> forward_bit_serial(const CrossbarLayerExecutor& exec,
+std::vector<double> forward_bit_serial(const Programmed& dev,
                                        const std::vector<double>& x,
                                        int input_bits, double x_max) {
   if (input_bits < 1 || input_bits > 16 || !(x_max > 0.0)) {
@@ -107,13 +122,13 @@ std::vector<double> forward_bit_serial(const CrossbarLayerExecutor& exec,
     xq[i] = static_cast<int>(std::clamp(q, 0.0, static_cast<double>(levels)));
   }
   std::vector<double> acc(
-      static_cast<std::size_t>(exec.tiling().matrix_cols), 0.0);
+      static_cast<std::size_t>(dev.exec.tiling().matrix_cols), 0.0);
   std::vector<double> xbit(x.size());
   for (int b = 0; b < input_bits; ++b) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       xbit[i] = static_cast<double>((xq[i] >> b) & 1);
     }
-    const std::vector<double> partial = oracle::forward_one(exec, xbit);
+    const std::vector<double> partial = dev.forward(xbit);
     const double weight = static_cast<double>(1 << b);  // shift-and-add
     for (std::size_t c = 0; c < acc.size(); ++c) {
       acc[c] += weight * partial[c];
@@ -155,11 +170,11 @@ TEST(Sim, IdealDevicesReproduceIntegerMatrixProduct) {
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(4);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
   Rng xr(5);
   std::vector<double> x(16);
   for (auto& v : x) v = xr.uniform(0.0, 1.0);
-  const auto y = oracle::forward_one(exec, x);
+  const auto y = dev.forward(x);
   for (std::int64_t c = 0; c < 4; ++c) {
     double expect = 0.0, sum_x = 0.0;
     for (std::int64_t r = 0; r < 16; ++r) {
@@ -172,15 +187,27 @@ TEST(Sim, IdealDevicesReproduceIntegerMatrixProduct) {
 }
 
 TEST(Sim, MeasuredCrwMatchesCtwOnIdealDevices) {
-  const auto lq = make_lq(16, 4, 6);
-  const auto assign = core::plain_layer(lq, 8);
-  ExecutorConfig cfg = small_cfg(rram::CellKind::SLC);
-  cfg.xbar.cols = 64;  // 8 SLC cells per weight, 8 weights per row
+  // Each weight read back through the crossbars with a one-hot input on
+  // its row (plain scheme: zero offsets, nothing complemented), so the
+  // output is scale * (CRW - zero): ideal devices give back every CTW,
+  // wherever its window puts it. 20 x 12 weights of 8 SLC cells on
+  // 16 x 64 arrays: 2 row tiles, 2 column tiles of 8 and 4 weights.
+  const auto lq = make_lq(20, 12, 6);
+  const auto assign = core::plain_layer(lq, 4);
+  ExecutorConfig cfg = small_cfg(rram::CellKind::SLC, 4);
+  cfg.xbar.cols = 64;
   Rng rng(7);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
-  const auto crw = oracle::measure_crw(exec);
-  for (std::size_t i = 0; i < crw.size(); ++i) {
-    EXPECT_NEAR(crw[i], static_cast<double>(lq.q[i]), 1e-9);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
+  ASSERT_EQ(dev.exec.crossbar_count(), 4);
+  for (std::int64_t r = 0; r < lq.rows; ++r) {
+    std::vector<double> x(static_cast<std::size_t>(lq.rows), 0.0);
+    x[static_cast<std::size_t>(r)] = 1.0;
+    const auto y = dev.forward(x);
+    for (std::int64_t c = 0; c < lq.cols; ++c) {
+      EXPECT_NEAR(y[static_cast<std::size_t>(c)] / lq.scale + lq.zero,
+                  static_cast<double>(lq.at(r, c)), 1e-9)
+          << r << "," << c;
+    }
   }
 }
 
@@ -211,15 +238,13 @@ TEST_P(SimEquivalence, DeviceLevelForwardEqualsFastPathOnMeasuredCrws) {
   ExecutorConfig cfg = small_cfg(kind);
   if (kind == rram::CellKind::SLC) cfg.xbar.cols = 64;
   Rng rng(9);
-  CrossbarLayerExecutor exec =
-      programmed(lq, assign, cfg, {0.5, 0.0, scope}, rng);
-  const auto crw = oracle::measure_crw(exec);
+  const Programmed dev = programmed(lq, assign, cfg, {0.5, 0.0, scope}, rng);
 
   Rng xr(10);
   std::vector<double> x(24);
   for (auto& v : x) v = xr.uniform(0.0, 1.0);
-  const auto y_device = oracle::forward_one(exec, x);
-  const auto y_fast = fast_path(lq, assign, crw, 8, 255, x);
+  const auto y_device = dev.forward(x);
+  const auto y_fast = fast_path(lq, assign, dev.crw, 8, 255, x);
   for (std::int64_t c = 0; c < 4; ++c) {
     EXPECT_NEAR(y_device[static_cast<std::size_t>(c)],
                 y_fast[static_cast<std::size_t>(c)],
@@ -235,17 +260,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          rram::VariationScope::PerCell),
                        ::testing::Bool()));
 
-TEST(Sim, SetOffsetsChangesOutput) {
+TEST(Sim, WorkingOffsetsChangeOutput) {
   const auto lq = make_lq(16, 2, 14);
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(15);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
+  Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
   std::vector<double> x(16, 1.0);
-  const auto y0 = oracle::forward_one(exec, x);
-  std::vector<float> offs(assign.offsets.size(), 5.0f);
-  exec.set_offsets(offs);
-  const auto y1 = oracle::forward_one(exec, x);
+  const auto y0 = dev.forward(x);
+  std::fill(dev.offsets.begin(), dev.offsets.end(), 5.0f);
+  const auto y1 = dev.forward(x);
   // b = 5 shared by all groups with sum(x) = 8 per group, 2 groups:
   // integer output rises by 5 * 16; effective by scale * 80.
   EXPECT_NEAR(y1[0] - y0[0], 0.01 * 5 * 16, 1e-6);
@@ -259,7 +283,7 @@ TEST(Sim, BitSerialEqualsDirectOnQuantizedInputs) {
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(21);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, {0.4, 0.0}, rng);
+  const Programmed dev = programmed(lq, assign, cfg, {0.4, 0.0}, rng);
   Rng xr(22);
   std::vector<double> x(16);
   for (auto& v : x) v = xr.uniform(0.0, 1.0);
@@ -271,8 +295,8 @@ TEST(Sim, BitSerialEqualsDirectOnQuantizedInputs) {
   for (std::size_t i = 0; i < 16; ++i) {
     xq[i] = std::round(x[i] * levels) / levels;
   }
-  const auto y_serial = forward_bit_serial(exec, x, input_bits, x_max);
-  const auto y_direct = oracle::forward_one(exec, xq);
+  const auto y_serial = forward_bit_serial(dev, x, input_bits, x_max);
+  const auto y_direct = dev.forward(xq);
   for (std::int64_t c = 0; c < 4; ++c) {
     EXPECT_NEAR(y_serial[static_cast<std::size_t>(c)],
                 y_direct[static_cast<std::size_t>(c)], 1e-6);
@@ -284,10 +308,10 @@ TEST(Sim, BitSerialRejectsBadFormat) {
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(24);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
   std::vector<double> x(16, 0.5);
-  EXPECT_THROW(forward_bit_serial(exec, x, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(forward_bit_serial(exec, x, 8, 0.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(dev, x, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(dev, x, 8, 0.0), std::invalid_argument);
 }
 
 TEST(Sim, RejectsGroupStraddlingRowTileBoundary) {
@@ -319,12 +343,12 @@ TEST(Sim, BitSerialRejectsNegativeInputs) {
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(30);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
   std::vector<double> x(16, 0.5);
   x[3] = -0.25;
-  EXPECT_THROW(forward_bit_serial(exec, x, 8, 1.0), std::invalid_argument);
+  EXPECT_THROW(forward_bit_serial(dev, x, 8, 1.0), std::invalid_argument);
   x[3] = 0.25;
-  EXPECT_NO_THROW(forward_bit_serial(exec, x, 8, 1.0));
+  EXPECT_NO_THROW(forward_bit_serial(dev, x, 8, 1.0));
 }
 
 TEST(Sim, CrossbarCountMatchesTiling) {
@@ -333,67 +357,36 @@ TEST(Sim, CrossbarCountMatchesTiling) {
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   // 16 rows/tile -> 3 row tiles; 8 weights per tile row -> 2 col tiles.
   Rng rng(17);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
-  EXPECT_EQ(exec.crossbar_count(), 6);
-}
-
-TEST(Sim, CellLayoutAndPaddingReadAsIdealHrs) {
-  // 20 x 5 MLC2 weights on 16 x 32 crossbars: 2 row tiles of 8 weights
-  // per row. Weight (mr, mc)'s cells sit LSB first at row mr % 16,
-  // columns 4 * mc.. of tile mr / 16; every other cell is padding and
-  // reads as an ideally programmed HRS device even under variation.
-  const auto lq = make_lq(20, 5, 18);
-  const auto assign = core::plain_layer(lq, 8);
-  const ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
-  const rram::WeightProgrammer prog(
-      cfg.xbar.cell, lq.bits, {0.5, 0.0, rram::VariationScope::PerCell});
-  const int cpw = prog.cells_per_weight();
-  std::vector<double> cells(assign.ctw.size() * static_cast<std::size_t>(cpw));
-  std::vector<double> crw(assign.ctw.size());
-  Rng rng(19);
-  prog.program_weights(assign.ctw, rng, cells, crw);
-  CrossbarLayerExecutor exec(lq, assign, cfg);
-  exec.program_cell_values(cells);
-  ASSERT_EQ(exec.crossbar_count(), 2);
-  const double hrs = cfg.xbar.cell.read_value(0, 1.0);
-  int padding = 0;
-  for (int tr = 0; tr < 2; ++tr) {
-    const std::span<const double> values = exec.crossbar(tr, 0).values();
-    for (int r = 0; r < cfg.xbar.rows; ++r) {
-      const std::int64_t mr = tr * cfg.xbar.rows + r;
-      for (int c = 0; c < cfg.xbar.cols; ++c) {
-        const std::int64_t mc = c / cpw;
-        if (mr < lq.rows && mc < lq.cols) {
-          const auto i = static_cast<std::size_t>((mr * lq.cols + mc) * cpw +
-                                                  c % cpw);
-          EXPECT_EQ(values[static_cast<std::size_t>(r * cfg.xbar.cols + c)],
-                    cells[i])
-              << r << "," << c;
-        } else {
-          EXPECT_EQ(values[static_cast<std::size_t>(r * cfg.xbar.cols + c)],
-                    hrs)
-              << r << "," << c;
-          ++padding;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(padding, 2 * 16 * 32 - 20 * 5 * 4);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
+  EXPECT_EQ(dev.exec.crossbar_count(), 6);
 }
 
 TEST(Sim, ForwardBatchMatchesPerSampleOracle) {
   // The batched forward (tile, group, sample) reproduces the per-sample
-  // loop byte for byte: SLC and MLC2 on 128x128 crossbars with 16 active
-  // wordlines, m = 16, 64 and 128, a layer whose 200 rows leave a partial
-  // last row tile (and a partial last offset group for m = 64 and 128),
-  // nonzero offsets, complemented groups, inputs with exact zeros and an
-  // all-zero sample, and batches of 1, 5 and 64 samples.
-  const std::int64_t rows = 200, cols = 20;
-  const auto lq = make_lq(rows, cols, 40);
-  for (rram::CellKind kind : {rram::CellKind::SLC, rram::CellKind::MLC2}) {
+  // oracle, which reads the flat cells by index, byte for byte: 8-bit
+  // weights on SLC and MLC2 cells and 6-bit weights on SLC cells (21
+  // weights and 2 unused bitlines per array row, so array (tr, tc) starts
+  // at cell column 126 * tc, not 128 * tc) on 128x128 crossbars with 16
+  // active wordlines, m = 16, 64 and 128, a layer whose 200 rows leave a
+  // partial last row tile (and a partial last offset group for m = 64
+  // and 128) and whose columns leave a partial last column tile, nonzero
+  // offsets, complemented groups, inputs with exact zeros and an all-zero
+  // sample, and batches of 1, 5 and 64 samples.
+  const std::int64_t rows = 200;
+  struct Leg {
+    rram::CellKind kind;
+    int bits;
+    std::int64_t cols;
+  };
+  for (const Leg& leg : {Leg{rram::CellKind::SLC, 8, 20},
+                         Leg{rram::CellKind::MLC2, 8, 20},
+                         Leg{rram::CellKind::SLC, 6, 50}}) {
+    const std::int64_t cols = leg.cols;
+    const auto lq = make_lq(rows, cols, 40, leg.bits);
     for (int m : {16, 64, 128}) {
-      SCOPED_TRACE(std::string(kind == rram::CellKind::SLC ? "SLC" : "MLC2") +
-                   " m = " + std::to_string(m));
+      SCOPED_TRACE(
+          std::string(leg.kind == rram::CellKind::SLC ? "SLC" : "MLC2") +
+          " " + std::to_string(leg.bits) + "-bit m = " + std::to_string(m));
       core::VawoResult assign = core::plain_layer(lq, m);
       Rng pick(41);
       for (auto& flag : assign.complemented) {
@@ -403,14 +396,16 @@ TEST(Sim, ForwardBatchMatchesPerSampleOracle) {
                            assign.complemented.end(), 1),
                 0);
       ExecutorConfig cfg;
-      cfg.xbar.cell = {kind, 200.0};
+      cfg.xbar.cell = {leg.kind, 200.0};
       cfg.offsets.m = m;
       Rng rng(42);
-      CrossbarLayerExecutor exec =
-          programmed(lq, assign, cfg, {0.5, 0.0}, rng);
-      std::vector<float> offsets(assign.offsets.size());
-      for (auto& b : offsets) b = static_cast<float>(pick.uniform(-6.0, 6.0));
-      exec.set_offsets(offsets);
+      Programmed dev = programmed(lq, assign, cfg, {0.5, 0.0}, rng);
+      for (auto& b : dev.offsets) {
+        b = static_cast<float>(pick.uniform(-6.0, 6.0));
+      }
+      if (leg.bits == 6) {
+        ASSERT_EQ(dev.exec.tiling().col_tiles, 3);
+      }
 
       for (std::int64_t n : {1, 5, 64}) {
         SCOPED_TRACE("n = " + std::to_string(n));
@@ -421,12 +416,12 @@ TEST(Sim, ForwardBatchMatchesPerSampleOracle) {
         }
         if (n > 1) std::fill(x.begin() + rows, x.begin() + 2 * rows, 0.0);
         std::vector<double> y(static_cast<std::size_t>(n * cols));
-        exec.forward(x, n, y);
+        dev.exec.forward(dev.cells, dev.offsets, x, n, y);
         for (std::int64_t i = 0; i < n; ++i) {
           const std::vector<double> xi(x.begin() + i * rows,
                                        x.begin() + (i + 1) * rows);
-          const std::vector<double> want =
-              oracle::forward(exec, lq, assign, offsets, cfg, xi);
+          const std::vector<double> want = oracle::forward(
+              lq, assign, dev.cells, dev.offsets, cfg, xi);
           EXPECT_EQ(0, std::memcmp(want.data(), y.data() + i * cols,
                                    want.size() * sizeof(double)))
               << "sample " << i;
@@ -441,10 +436,20 @@ TEST(Sim, ForwardRejectsMismatchedBatchBuffers) {
   const auto assign = core::plain_layer(lq, 8);
   ExecutorConfig cfg = small_cfg(rram::CellKind::MLC2);
   Rng rng(45);
-  CrossbarLayerExecutor exec = programmed(lq, assign, cfg, kIdeal, rng);
+  const Programmed dev = programmed(lq, assign, cfg, kIdeal, rng);
+  const CrossbarLayerExecutor& exec = dev.exec;
   std::vector<double> x(3 * 16, 0.5), y(3 * 4);
-  EXPECT_NO_THROW(exec.forward(x, 3, y));
-  EXPECT_THROW(exec.forward(x, 2, y), std::invalid_argument);
+  EXPECT_NO_THROW(exec.forward(dev.cells, dev.offsets, x, 3, y));
+  EXPECT_THROW(exec.forward(dev.cells, dev.offsets, x, 2, y),
+               std::invalid_argument);
   std::vector<double> short_y(2 * 4);
-  EXPECT_THROW(exec.forward(x, 3, short_y), std::invalid_argument);
+  EXPECT_THROW(exec.forward(dev.cells, dev.offsets, x, 3, short_y),
+               std::invalid_argument);
+  // The programmed state must be the layer's: before the first program,
+  // and with a register missing.
+  EXPECT_THROW(exec.forward({}, dev.offsets, x, 3, y), std::invalid_argument);
+  const std::span<const float> short_offsets(dev.offsets.data(),
+                                             dev.offsets.size() - 1);
+  EXPECT_THROW(exec.forward(dev.cells, short_offsets, x, 3, y),
+               std::invalid_argument);
 }

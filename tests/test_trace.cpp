@@ -218,7 +218,7 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
       },
       /*grain=*/1);
   {
-    // Device-level layer: per-layer / per-tile sim spans.
+    // Device-level layer: its build span.
     quant::LayerQuant lq;
     lq.bits = 8;
     lq.rows = 16;
@@ -233,14 +233,7 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
     cfg.xbar.cell = {rram::CellKind::SLC, 200.0};
     cfg.xbar.active_wordlines = 4;
     cfg.offsets.m = 8;
-    sim::CrossbarLayerExecutor exec(lq, assign, cfg);
-    const rram::WeightProgrammer prog(cfg.xbar.cell, lq.bits, {0.2, 0.0});
-    const auto cpw = static_cast<std::size_t>(prog.cells_per_weight());
-    std::vector<double> cells(lq.q.size() * cpw);
-    std::vector<double> crw(assign.ctw.size());
-    nn::Rng xrng(17);
-    prog.program_weights(assign.ctw, xrng, cells, crw);
-    exec.program_cell_values(cells);
+    const sim::CrossbarLayerExecutor exec(lq, assign, cfg);
   }
   ASSERT_EQ(rdo::obs::trace_stop(), path);
 
@@ -260,7 +253,6 @@ TEST(Trace, DeploymentTraceCoversEveryPhaseAndWorkerTrack) {
   EXPECT_GE(spans.at("vawo:layer"), 2);
   EXPECT_GE(spans.at("program:layer"), 4);  // 2 layers x 2 cycles
   EXPECT_GE(spans.at("sim:build_layer"), 1);
-  EXPECT_GE(spans.at("sim:program_tile"), 1);
 
   // Counter tracks and thread metadata: one named track per pool worker
   // (4 threads -> 3 helpers), plus the main thread; tids unique.
