@@ -5,7 +5,9 @@
 // forward, training backward and PWT offset-gradient backward).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 
 #include "core/plan.h"
@@ -201,12 +203,16 @@ void BM_VawoSolveGroup(benchmark::State& state) {
 }
 BENCHMARK(BM_VawoSolveGroup)->Arg(16)->Arg(64)->Arg(128);
 
-// Full-layer solve over a prebuilt table, as compile_plan runs it. Arg:
-// group size m.
+// Full-layer solve over a prebuilt table, as compile_plan runs it. Args:
+// group size m, and the NTW distribution: 0 draws NTWs uniformly over
+// [0, 255], 1 clusters them around the zero point as a trained layer's
+// are (normal, sigma 12 levels), the objective the pruned offset search
+// meets in compile_plan.
 void BM_VawoLayer(benchmark::State& state) {
   rram::WeightProgrammer prog({rram::CellKind::SLC, 200.0}, 8, {0.5, 0.0});
   const rram::RLut lut = rram::RLut::build_analytic(prog);
   const std::int64_t rows = 256, cols = 64;
+  const bool trained = state.range(1) != 0;
   rdo::quant::LayerQuant lq;
   lq.bits = 8;
   lq.rows = rows;
@@ -217,8 +223,14 @@ void BM_VawoLayer(benchmark::State& state) {
   std::vector<double> grads(lq.q.size());
   Rng rng(9);
   for (std::size_t i = 0; i < lq.q.size(); ++i) {
-    lq.q[i] = static_cast<int>(rng.uniform_int(0, lq.levels()));
-    grads[i] = rng.uniform(0.0, 1.0);
+    if (trained) {
+      const double w = std::round(lq.zero + rng.normal(0.0, 12.0));
+      lq.q[i] = static_cast<int>(std::clamp(w, 0.0, 255.0));
+      grads[i] = rng.normal(0.0, 1.0);
+    } else {
+      lq.q[i] = static_cast<int>(rng.uniform_int(0, lq.levels()));
+      grads[i] = rng.uniform(0.0, 1.0);
+    }
   }
   core::VawoOptions opt;
   opt.use_complement = true;
@@ -230,7 +242,10 @@ void BM_VawoLayer(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_VawoLayer)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VawoLayer)
+    ->ArgNames({"m", "trained"})
+    ->ArgsProduct({{16, 128}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // Args: {m, k, n, pool threads}. The square thread sweep is the speedup
 // table recorded in EXPERIMENTS.md; results are bit-identical across the

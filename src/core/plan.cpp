@@ -22,7 +22,8 @@ namespace {
 /// Build the deployment LUT, timing the construction. When the
 /// RDO_LUT_CACHE_DIR environment variable names a directory, tables are
 /// cached there under their config fingerprint: a stale or corrupt
-/// entry is rebuilt (never silently reused — see RLut::load), and the
+/// entry, or one whose entry count does not match the weight bits, is
+/// rebuilt (never silently reused — see RLut::load), and the
 /// file is written atomically (temp + rename) so concurrent deployments
 /// sharing a cache directory only ever observe complete tables.
 rdo::rram::RLut make_lut(const rdo::rram::WeightProgrammer& prog,
@@ -44,6 +45,13 @@ rdo::rram::RLut make_lut(const rdo::rram::WeightProgrammer& prog,
     rdo::rram::RLut cached;
     try {
       if (rdo::rram::RLut::load(path, fp, cached)) {
+        // As plan load checks its embedded table: an entry of the wrong
+        // size is corrupt, whatever its header says.
+        if (cached.max_weight() != prog.max_weight()) {
+          throw rdo::rram::LutError(path +
+                                    ": entry count does not match the "
+                                    "weight bits");
+        }
         span.arg("cache_hit", std::int64_t{1});
         rdo::obs::global_metrics().counter("deploy_lut_cache_hits").add();
         return cached;

@@ -5,10 +5,16 @@
 //   - the GEMM row kernel behind gemm, gemm_accumulate and
 //     gemm_at_b_accumulate (nn/gemm.h), from the same always-inline
 //     source body (rdo_nn);
-//   - the VAWO offset sweep behind core::vawo_solve_group and
-//     core::vawo_layer (core/vawo.h), on 4-double vectors that keep a
-//     block of offset sums in registers across a group's weights
-//     (rdo_core).
+//   - the VAWO offset block sweep behind core::vawo_solve_group and
+//     core::vawo_layer (core/vawo.h), one always-inline source body on
+//     4-double vectors that keeps a block of 16 offset sums in registers
+//     across a group's weights (rdo_core). The search around it is
+//     pruned and exact: each per-weight term is >= +0 and rounding is
+//     monotone, so a block whose running sums, or whose lower bound,
+//     exceed the best finished objective (a strict >) can neither win
+//     nor tie, and the winner scan walks the finished blocks in the
+//     oracle's enumeration order with a strict <. Both copies prune the
+//     same blocks, since they compute the same sums.
 // kernel_isa() picks the copy once per process with a CPU check (CPUID
 // plus the OS's YMM state support). There is no option or environment
 // variable to choose it; the detail:: entries of both kernels take the

@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "core/codec.h"
 
@@ -142,10 +143,20 @@ bool RLut::load(std::istream& in, std::uint64_t fingerprint, RLut& out,
     // rebuilds and overwrites.
     return false;
   }
-  out.mean_.resize(n);
-  out.var_.resize(n);
-  r.raw(out.mean_.data(), n * sizeof(double));
-  r.raw(out.var_.data(), n * sizeof(double));
+  std::vector<double> mean(n), var(n);
+  r.raw(mean.data(), n * sizeof(double));
+  r.raw(var.data(), n * sizeof(double));
+  // Values the solver trusts: invert_mean's lower_bound needs a
+  // non-decreasing mean curve, and the pruned VAWO search needs every
+  // variance >= 0 (core/vawo.h).
+  for (std::uint64_t v = 0; v < n; ++v) {
+    r.require(std::isfinite(mean[v]), "non-finite mean");
+    r.require(std::isfinite(var[v]), "non-finite variance");
+    r.require(var[v] >= 0.0, "negative variance");
+    r.require(v == 0 || mean[v] >= mean[v - 1], "decreasing mean");
+  }
+  out.mean_ = std::move(mean);
+  out.var_ = std::move(var);
   return true;
 }
 

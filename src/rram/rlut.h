@@ -85,7 +85,9 @@ class RLut {
   /// Load a table saved by save(). Returns false if the file does not
   /// exist, or if its stored fingerprint differs from `fingerprint`
   /// (stale cache for another device configuration — the caller
-  /// rebuilds); throws LutError on a corrupt or truncated file.
+  /// rebuilds); throws LutError on a corrupt or truncated file, or on a
+  /// table the solver cannot trust: a non-finite mean or variance, a
+  /// negative variance or a decreasing mean.
   static bool load(const std::string& path, std::uint64_t fingerprint,
                    RLut& out);
 

@@ -480,6 +480,25 @@ TEST(PlanIo, FanSlotsThatDisagreeWithTheMatrixShapeRaisePlanError) {
   }
 }
 
+TEST(PlanIo, EmbeddedLutWithANegativeVarianceRaisesPlanError) {
+  // The embedded LUT (u64 byte count, then magic, fingerprint, entry
+  // count, the means and the variances) goes through RLut::load's value
+  // checks; its LutError reaches the caller as PlanError.
+  const SavedFixture s = saved_fixture();
+  std::uint64_t passes = 0;
+  std::memcpy(&passes, s.bytes.data() + kPassListAt, sizeof passes);
+  const std::size_t lut_at = kPassListAt + 8 + passes + 8;
+  std::uint64_t entries = 0;
+  std::memcpy(&entries, s.bytes.data() + lut_at + 12, sizeof entries);
+  const std::size_t var1_at = lut_at + 20 + (entries + 1) * sizeof(double);
+  double var1 = 0.0;
+  std::memcpy(&var1, s.bytes.data() + var1_at, sizeof var1);
+  ASSERT_GT(var1, 0.0);
+  const std::string err =
+      load_error(patch_at(s.bytes, var1_at, var1, -var1), s.fp);
+  EXPECT_NE(err.find("negative variance"), std::string::npos) << err;
+}
+
 TEST(PlanIo, ByteFlipsNeverEscapeAsAnythingButPlanError) {
   const Fixture f = make_fixture();
   const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
@@ -647,6 +666,42 @@ TEST(LutCache, CountersTrackHitsAndMisses) {
   EXPECT_EQ(hits.value() - h0, 1);
   EXPECT_EQ(misses.value() - m0, 0);
   EXPECT_EQ(save_failures.value() - s0, 0);
+}
+
+TEST(LutCache, EntryOfTheWrongSizeIsRebuiltAndResaved) {
+  // A cache entry under the right fingerprint whose entry count does not
+  // match the weight bits is corrupt: the compile rebuilds it, counts a
+  // miss and re-saves it, so the next compile hits.
+  const TempDir dir("lut_cache_size");
+  const EnvGuard guard("RDO_LUT_CACHE_DIR", dir.path().string());
+  obs::MetricsRegistry& m = obs::global_metrics();
+  obs::Counter& hits = m.counter("deploy_lut_cache_hits");
+  obs::Counter& misses = m.counter("deploy_lut_cache_misses");
+  const Fixture f = make_fixture();
+  const core::DeploymentPlan cold =
+      core::compile_plan(*f.net, f.opt, f.train());
+  fs::path entry;
+  for (const auto& e : fs::directory_iterator(dir.path())) entry = e.path();
+  ASSERT_FALSE(entry.empty());
+  // The entry is named rlut_<fingerprint in hex>.bin.
+  const std::uint64_t fp =
+      std::stoull(entry.stem().string().substr(5), nullptr, 16);
+  const rram::WeightProgrammer wider({rram::CellKind::SLC, 200.0},
+                                     f.opt.weight_bits + 1, {0.5, 0.0});
+  rram::RLut::build_analytic(wider).save(entry.string(), fp);
+
+  std::int64_t h0 = hits.value(), m0 = misses.value();
+  const core::DeploymentPlan rebuilt =
+      core::compile_plan(*f.net, f.opt, f.train());
+  EXPECT_EQ(hits.value() - h0, 0);
+  EXPECT_EQ(misses.value() - m0, 1);
+  EXPECT_EQ(rebuilt.lut.max_weight(), cold.lut.max_weight());
+
+  h0 = hits.value();
+  m0 = misses.value();
+  (void)core::compile_plan(*f.net, f.opt, f.train());
+  EXPECT_EQ(hits.value() - h0, 1);
+  EXPECT_EQ(misses.value() - m0, 0);
 }
 
 TEST(DeployStats, CacheCountersMerge) {

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -122,6 +123,30 @@ void make_rlut_seeds(const fs::path& dir) {
   const std::uint64_t other_fp = fp ^ 0xDEADBEEFull;
   std::memcpy(stale.data() + 4, &other_fp, sizeof(other_fp));
   spit(dir / "lut_stale_fp.bin", stale);
+
+  // Well-formed tables whose values the solver cannot trust. Header: magic
+  // 4 + fingerprint 8 + count 8, then the 16 means, then the 16 variances.
+  constexpr std::size_t kMeanAt = 20;
+  constexpr std::size_t kVarAt = kMeanAt + 16 * sizeof(double);
+  const auto with_value = [&](std::size_t at, double v) {
+    std::vector<char> t = valid;
+    std::memcpy(t.data() + at, &v, sizeof(v));
+    return t;
+  };
+  spit(dir / "lut_nan_mean.bin",
+       with_value(kMeanAt + 3 * sizeof(double),
+                  std::numeric_limits<double>::quiet_NaN()));
+  spit(dir / "lut_inf_var.bin",
+       with_value(kVarAt + 5 * sizeof(double),
+                  std::numeric_limits<double>::infinity()));
+  spit(dir / "lut_negative_var.bin",
+       with_value(kVarAt + 7 * sizeof(double), -1.0));
+  // Mean 9 below mean 8.
+  double mean8 = 0.0;
+  std::memcpy(&mean8, valid.data() + kMeanAt + 8 * sizeof(double),
+              sizeof(mean8));
+  spit(dir / "lut_decreasing_mean.bin",
+       with_value(kMeanAt + 9 * sizeof(double), mean8 - 1.0));
 }
 
 void make_plan_seeds(const fs::path& dir) {
@@ -175,6 +200,15 @@ void make_plan_seeds(const fs::path& dir) {
   const std::uint64_t huge = 1ull << 40;
   std::memcpy(huge_lut.data() + 143, &huge, sizeof(huge));
   spit(dir / "plan_huge_lut.bin", huge_lut);
+
+  // A negative second variance in the embedded LUT, which starts after
+  // its length field (byte 151) with a 20-byte header and 16 means:
+  // rejected as PlanError.
+  std::vector<char> bad_var = valid;
+  const double negative = -1.0;
+  std::memcpy(bad_var.data() + 151 + 20 + 16 * 8 + 8, &negative,
+              sizeof(negative));
+  spit(dir / "plan_lut_negative_var.bin", bad_var);
 
   // RDP2 fixtures: a plan carrying the full optimizer pipeline (tuned
   // per-layer m, colored registers, provenance record), its corrupt
