@@ -401,11 +401,6 @@ VawoResult vawo_layer(rdo::nn::KernelIsa isa,
           form == 1 ? 1 : 0;
     }
   }
-  res.record.m = opt.offsets.m;
-  res.record.use_complement = opt.use_complement;
-  res.record.offsets = res.offsets;
-  res.record.complemented = res.complemented;
-  res.record.total_objective = res.total_objective;
   return res;
 }
 

@@ -141,21 +141,6 @@ class VawoTable {
   }
 };
 
-/// What vawo_layer chose for every group of a layer, kept in memory only:
-/// it is never written to RDP2 and is not covered by plan_fingerprint.
-/// With the layer's NTWs and a VawoTable of the same configuration it
-/// determines the whole solver output (CTW = ctw_row(tau)[offset_max - b]),
-/// so canonicalize_complement rebuilds the canonical assignment from it
-/// instead of re-solving. Whatever rewrites a layer's NTWs, gradients or
-/// group size must refresh the record (re-solve) or drop it.
-struct VawoRecord {
-  int m = 0;  ///< group size the layer was solved at; 0 = no record
-  bool use_complement = false;
-  std::vector<float> offsets;              ///< winning b per group
-  std::vector<std::uint8_t> complemented;  ///< winning form per group
-  double total_objective = 0.0;
-};
-
 /// VAWO output for one layer.
 struct VawoResult {
   std::vector<int> ctw;              ///< [rows*cols] crossbar target weights
@@ -163,7 +148,6 @@ struct VawoResult {
   std::vector<std::uint8_t> complemented;  ///< per group, 1 = stored inverted
   std::int64_t groups_per_col = 0;
   double total_objective = 0.0;
-  VawoRecord record;  ///< set by vawo_layer; empty for plain_layer and loads
 };
 
 /// Solve one offset group.
