@@ -537,7 +537,7 @@ TEST(Serve, MalformedRequestsGetTypedBadRequestErrors) {
       R"({"op": "evaluate", "config": {"opt_passes": "bogus_pass"}})",
       R"({"op": "evaluate", "config": {"opt_passes": 3}})",
       R"({"op": "evaluate", "config": )"
-      R"({"opt_passes": "tune_group_size,tune_group_size"}})",
+      R"({"opt_passes": "color_offset_registers,color_offset_registers"}})",
       R"({"op": "evaluate", "config": {"lut_k_sets": 0}})",
       R"({"op": "evaluate", "config": )"
       R"({"lut_k_sets": 65536, "lut_j_cycles": 65536}})",
