@@ -9,7 +9,7 @@
 //      one pass at a time (cumulative prefixes) and after each step the
 //      plan's offset-register count, Table II overhead area/power
 //      (arch::plan_overhead) and per-inference offset energy
-//      (arch::vmm_energy at each layer's own m) are recorded.
+//      (arch::vmm_energy at the plan's m) are recorded.
 // Everything recorded here is compile-time deterministic: same binary,
 // same numbers, any RDO_THREADS (the CI opt-parity job relies on this).
 #include <cstdio>
@@ -70,7 +70,7 @@ struct Fixture {
 
 /// Deterministic hardware accounting of one (possibly optimized) plan:
 /// registers kept, Table II area/power and the offset share of one
-/// inference's energy, each layer priced at its own m.
+/// inference's energy, every crossbar priced at the plan's m.
 struct PlanCost {
   long long registers = 0;
   double area_mm2 = 0.0;
@@ -84,19 +84,19 @@ PlanCost plan_cost(const core::DeploymentPlan& plan, int offset_bits) {
   const double state_sum =
       plan.assigned_read_power() /
       static_cast<double>(plan.total_crossbars());
+  arch::VmmGeometry g;
+  g.m = plan.opt.offsets.m;
+  const double offset_pj_per_xbar = arch::vmm_energy(g, state_sum).offset_pj;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
     const core::PlanLayer& pl = plan.layers[li];
     const auto xbars =
         static_cast<long long>(plan.layer_tiling(li).total_crossbars());
-    lc.push_back({pl.m, xbars,
-                  static_cast<long long>(pl.offset_registers)});
-    arch::VmmGeometry g;
-    g.m = pl.m;
-    c.offset_pj += arch::vmm_energy(g, state_sum).offset_pj *
-                   static_cast<double>(xbars);
+    lc.push_back({xbars, static_cast<long long>(pl.offset_registers)});
+    c.offset_pj += offset_pj_per_xbar * static_cast<double>(xbars);
   }
   const double ratio = plan.assigned_read_power() / plan.plain_read_power();
-  const arch::PlanOverhead ov = arch::plan_overhead(lc, offset_bits, ratio);
+  const arch::PlanOverhead ov =
+      arch::plan_overhead(lc, plan.opt.offsets.m, offset_bits, ratio);
   c.registers = ov.registers;
   c.area_mm2 = ov.area_mm2;
   c.power_mw = ov.power_mw;

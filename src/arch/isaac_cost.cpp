@@ -59,24 +59,22 @@ long long layer_offset_registers(long long rows, long long cols, int m) {
 }
 
 PlanOverhead plan_overhead(const std::vector<LayerOffsetCost>& layers,
-                           int offset_bits, double read_power_ratio,
+                           int m, int offset_bits, double read_power_ratio,
                            const TileParams& tp, const GateCosts& g) {
-  RDO_CHECK(offset_bits > 0,
-            "plan_overhead: offset_bits = " + std::to_string(offset_bits));
+  // Adder + multiplier per crossbar at the plan's m; the register file
+  // is priced at the registers the plan actually keeps (shared registers
+  // are fabricated once), not the Eq. 9 count.
+  OffsetHardware hw = offset_hardware(m, offset_bits, tp);
+  hw.register_bits = 0;
   PlanOverhead o;
   long long crossbars = 0;
   double gate_area_um2 = 0.0;
   double gate_power_uw = 0.0;
   for (const LayerOffsetCost& lc : layers) {
-    RDO_CHECK(lc.m > 0 && lc.crossbars >= 0 && lc.registers >= 0,
+    RDO_CHECK(lc.crossbars >= 0 && lc.registers >= 0,
               "plan_overhead: bad layer cost entry");
     crossbars += lc.crossbars;
     o.registers += lc.registers;
-    // Adder + multiplier per crossbar at this layer's own m; the
-    // register file is priced at the registers the plan actually keeps
-    // (shared registers are fabricated once), not the Eq. 9 count.
-    OffsetHardware hw = offset_hardware(lc.m, offset_bits, tp);
-    hw.register_bits = 0;
     gate_area_um2 += hw.area_um2(g) * static_cast<double>(lc.crossbars);
     gate_power_uw += hw.power_uw(g) * static_cast<double>(lc.crossbars);
   }

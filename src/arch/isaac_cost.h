@@ -82,24 +82,23 @@ TileOverhead tile_overhead(int m, int offset_bits, double read_power_ratio,
 /// Eq. 9 generalized to one layer's own matrix: ceil(rows / m) offset
 /// groups per column, one register each. This is what
 /// core::DeploymentPlan::total_offset_registers() sums before the
-/// optimizer passes shrink it (asserted in tests/test_arch.cpp), so the
+/// optimizer pass shrinks it (asserted in tests/test_arch.cpp), so the
 /// cost model and the plan accounting cannot drift apart.
 long long layer_offset_registers(long long rows, long long cols, int m);
 
 /// Per-layer slice of a compiled plan, as consumed by plan_overhead():
-/// the layer's own offset-group size (tune_group_size may have raised it
-/// above the global m), the crossbars it tiles onto, and the registers
-/// it actually needs (color_offset_registers may have shrunk them below
-/// the Eq. 9 geometric count).
+/// the crossbars the layer tiles onto and the registers it actually
+/// needs (color_offset_registers may have shrunk them below the Eq. 9
+/// geometric count).
 struct LayerOffsetCost {
-  int m = 1;
   long long crossbars = 0;
   long long registers = 0;
 };
 
 /// Plan-aware Table II accounting: the per-layer generalization of
-/// tile_overhead() that prices each layer's adder at its own m and the
-/// register file at the registers the plan actually keeps.
+/// tile_overhead() that prices every crossbar's adder at the plan's one
+/// offset-group size `m` and the register file at the registers the
+/// plan actually keeps.
 struct PlanOverhead {
   long long registers = 0;      ///< sum of LayerOffsetCost::registers
   long long register_bits = 0;  ///< registers * offset_bits
@@ -111,7 +110,7 @@ struct PlanOverhead {
 };
 
 PlanOverhead plan_overhead(const std::vector<LayerOffsetCost>& layers,
-                           int offset_bits, double read_power_ratio,
+                           int m, int offset_bits, double read_power_ratio,
                            const TileParams& tp = {},
                            const GateCosts& g = {});
 

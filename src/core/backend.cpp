@@ -59,26 +59,9 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
     ls.crw.resize(n);
     if (keep_cells_) ls.cells.resize(n * cpw);
     plan_.prog.program_weights(pl.assign.ctw, lrng, ls.cells, ls.crw);
-    // Dead columns (eliminate_dead_tiles) are never programmed: their RNG
-    // draws were consumed above and are discarded, so every live weight
-    // sees exactly the stream it would without the pass, and the column
-    // reads back the zero point exactly (ideal unprogrammed cells).
-    auto live = static_cast<std::int64_t>(n);
-    if (!pl.dead_cols.empty()) {
-      const std::vector<int> zero_states = plan_.prog.slice(pl.lq.zero);
-      const auto cols = static_cast<std::size_t>(pl.lq.cols);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pl.dead_cols[i % cols] == 0) continue;
-        ls.crw[i] = static_cast<double>(pl.lq.zero);
-        if (keep_cells_) {
-          std::copy(zero_states.begin(), zero_states.end(),
-                    ls.cells.begin() + static_cast<std::ptrdiff_t>(i * cpw));
-        }
-        --live;
-      }
-    }
-    stats_.weights_programmed += live;
-    stats_.device_pulses += live * plan_.prog.cells_per_weight();
+    const auto programmed = static_cast<std::int64_t>(n);
+    stats_.weights_programmed += programmed;
+    stats_.device_pulses += programmed * plan_.prog.cells_per_weight();
     // Each cycle starts from the a-priori (VAWO or zero) offsets; PWT then
     // adapts them to this cycle's CRWs.
     ls.offsets = pl.assign.offsets;
@@ -90,13 +73,14 @@ void EffectiveWeightBackend::program_cycle(std::uint64_t cycle_salt) {
 
 void EffectiveWeightBackend::apply_effective_weights() {
   const float maxw = static_cast<float>(plan_.prog.max_weight());
+  const int m = plan_.opt.offsets.m;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const PlanLayer& pl = plan_.layers[li];
     LayerState& ls = layers_[li];
     const std::int64_t rows = pl.lq.rows, cols = pl.lq.cols;
     const std::span<float> w = ls.op->weights();
     for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int64_t g = group_of_row(r, pl.m);
+      const std::int64_t g = group_of_row(r, m);
       for (std::int64_t c = 0; c < cols; ++c) {
         const std::size_t gi = static_cast<std::size_t>(g * cols + c);
         const std::size_t wi = static_cast<std::size_t>(r * cols + c);
@@ -122,8 +106,9 @@ void EffectiveWeightBackend::apply_group_delta(std::size_t li,
   const std::size_t gi = static_cast<std::size_t>(g * cols + c);
   const float sign = pl.assign.complemented[gi] ? -1.0f : 1.0f;
   const float dw = sign * pl.lq.scale * delta_b;
-  const std::int64_t r0 = g * pl.m;
-  const std::int64_t r1 = std::min<std::int64_t>(pl.lq.rows, r0 + pl.m);
+  const int m = plan_.opt.offsets.m;
+  const std::int64_t r0 = g * m;
+  const std::int64_t r1 = std::min<std::int64_t>(pl.lq.rows, r0 + m);
   const std::span<float> w = ls.op->weights();
   for (std::int64_t r = r0; r < r1; ++r) {
     w[static_cast<std::size_t>(r * cols + c)] += dw;
@@ -141,6 +126,7 @@ void EffectiveWeightBackend::tune(const rdo::nn::DataView& train) {
     // Closed-form warm start from the measured CRWs: the offset that
     // zeroes the mean NRW deviation of each group.
     const int maxw = plan_.prog.max_weight();
+    const int m = plan_.opt.offsets.m;
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       const PlanLayer& pl = plan_.layers[li];
       LayerState& ls = layers_[li];
@@ -148,8 +134,8 @@ void EffectiveWeightBackend::tune(const rdo::nn::DataView& train) {
       for (std::int64_t c = 0; c < cols; ++c) {
         for (std::int64_t g = 0; g < pl.assign.groups_per_col; ++g) {
           const std::size_t gi = static_cast<std::size_t>(g * cols + c);
-          const std::int64_t r0 = g * pl.m;
-          const std::int64_t r1 = std::min<std::int64_t>(rows, r0 + pl.m);
+          const std::int64_t r0 = g * m;
+          const std::int64_t r1 = std::min<std::int64_t>(rows, r0 + m);
           double acc = 0.0;
           for (std::int64_t r = r0; r < r1; ++r) {
             const int ntw = pl.lq.at(r, c);

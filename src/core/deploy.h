@@ -65,9 +65,9 @@ struct PwtOptions {
   bool mean_init = true;
 };
 
-// Settings the paper fixes. Each keeps its old option's slot in
-// plan_fingerprint and the RDP2 options block; DeploymentPlan::load
-// refuses a plan whose slot holds another value.
+// Settings the paper fixes. They have no slot in the plan file or in
+// plan_fingerprint, so changing one changes what a stored plan means:
+// bump the plan magic (core/plan_io.cpp) with it.
 /// PWT's step size in integer-offset units (the paper's eta); gradients
 /// are RMS-normalized per layer each batch, so this is roughly the offset
 /// units moved per batch.

@@ -16,8 +16,8 @@
 //     for any thread count (passes run single-threaded on purpose).
 //   * Passes that need per-group tuning freedom at execution time skip
 //     PWT schemes (scheme_uses_pwt): PWT re-tunes every offset after
-//     each programming cycle, so compile-time register sharing or group
-//     merging would change its counters and tuning head-room.
+//     each programming cycle, so compile-time register sharing would
+//     change its counters and tuning head-room.
 #pragma once
 
 #include "core/plan.h"

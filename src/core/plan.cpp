@@ -195,6 +195,7 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
                                 opt.offsets, opt.penalize_bias);
       table_span.arg("entries", static_cast<std::int64_t>(vtable.size()));
     }
+    std::vector<double> grads;
     for (std::size_t li = 0; li < plan.layers.size(); ++li) {
       PlanLayer& pl = plan.layers[li];
       rdo::obs::TraceSpan layer_span("vawo:layer", "deploy");
@@ -202,8 +203,8 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
       layer_span.arg("rows", pl.lq.rows);
       layer_span.arg("cols", pl.lq.cols);
       const std::span<const float> g = ops[li]->weight_grads();
-      pl.mean_grads.assign(g.begin(), g.end());
-      pl.assign = vawo_layer(pl.lq, pl.mean_grads, vtable, vopt);
+      grads.assign(g.begin(), g.end());
+      pl.assign = vawo_layer(pl.lq, grads, vtable, vopt);
       layer_span.arg("groups", pl.assign.groups_per_col);
     }
   } else {
@@ -212,14 +213,14 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
     }
   }
 
-  // 3. Seed the per-layer execution metadata (the optimizer passes refine
-  //    it), then run the configured pass pipeline over the frozen plan.
+  // 3. Seed the per-layer register counts (the optimizer passes refine
+  //    them), then run the configured pass pipeline over the frozen plan.
   //    The pipeline runs inside the uncached path on purpose: the plan
   //    cache stores optimized plans, keyed by a fingerprint that covers
   //    the pass list.
   for (PlanLayer& pl : plan.layers) {
-    pl.m = opt.offsets.m;
-    pl.offset_registers = groups_per_column(pl.lq.rows, pl.m) * pl.lq.cols;
+    pl.offset_registers =
+        groups_per_column(pl.lq.rows, opt.offsets.m) * pl.lq.cols;
   }
   if (!opt.opt_passes.empty()) {
     std::string err;

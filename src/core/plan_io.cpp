@@ -1,26 +1,25 @@
 // DeploymentPlan serialization (save/load/fingerprint) — the on-disk half
 // of the compile-once/execute-many story.
 //
-// Format ("RDP2", version-in-magic like the RLut's "RLU2"):
+// Format ("RDP3", version-in-magic like the RLut's "RLU2"):
 //
-//   u32  magic "RDP2"
+//   u32  magic "RDP3"
 //   u64  config fingerprint (plan_fingerprint of the compiling caller)
 //   ...  DeployOptions block (fixed-width fields + the length-prefixed
-//        optimizer pass list, see save()); load refuses any value but
-//        deploy.h's fixed settings in their four slots
+//        optimizer pass list, see save()); deploy.h's fixed settings
+//        have no slot
 //   u64  LUT byte count, then one embedded RLut save() document (RLU2)
-//   u32  layer count, then per layer: fan in/out (= the LayerQuant's
-//        rows/cols), per-layer offset-group size m and register count
-//        (written before the arrays so their declared counts validate
-//        against the layer's own m), LayerQuant, mean gradients,
-//        VawoResult, dead-column mask
+//   u32  layer count, then per layer: LayerQuant header (bits, scale,
+//        zero, rows, cols), register count, NTWs, then the VawoResult
+//        (CTWs, offsets, complement flags, groups per column, objective);
+//        every layer's offset-group size is the options block's m
 //   u32  activation-calibration count, then {bits, max_abs} entries
 //   u32  applied-pass count, then length-prefixed registered pass names
 //
-// RDP1 files fail the magic check and raise PlanError ("bad magic") —
-// the cache-recovery path then recompiles and overwrites them; since the
-// magic participates in plan_fingerprint, stale RDP1 cache entries can
-// never alias an RDP2 fingerprint either.
+// Files of an earlier layout (RDP1, RDP2) fail the magic check and raise
+// PlanError ("bad magic") — the cache-recovery path then recompiles and
+// overwrites them; since the magic participates in plan_fingerprint,
+// stale entries can never alias an RDP3 fingerprint either.
 //
 // The load path treats the file as untrusted input (it is the payload
 // behind the opt-in RDO_PLAN_CACHE_DIR shared cache) and reads through
@@ -38,7 +37,6 @@
 // compile_stats is intentionally not serialized: wall times are volatile,
 // and a loaded plan reporting zero compile time is precisely what a cache
 // hit means (the warm-start test asserts it).
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -58,7 +56,7 @@ namespace rdo::core {
 
 namespace {
 
-constexpr std::uint32_t kPlanMagic = 0x52445032;  // "RDP2" (little-endian "2PDR" on disk; a tag, not text)
+constexpr std::uint32_t kPlanMagic = 0x52445033;  // "RDP3" (little-endian "3PDR" on disk; a tag, not text)
 
 // Structural ceilings for hostile headers. Far above anything a real
 // network produces, far below anything that could drive a multi-GB
@@ -81,12 +79,6 @@ T finite(Reader& r) {
   return v;
 }
 
-/// Read the slot of a fixed setting (deploy.h); another value is corrupt.
-template <typename T>
-void fixed(Reader& r, T expected, const char* what) {
-  r.require(r.scalar<T>() == expected, what);
-}
-
 void hash_options(const DeployOptions& o, Fnv1a& h) {
   h.u64(static_cast<std::uint64_t>(o.scheme));
   h.u64(static_cast<std::uint64_t>(o.offsets.m));
@@ -100,16 +92,12 @@ void hash_options(const DeployOptions& o, Fnv1a& h) {
   h.f64(o.faults.stuck_lrs_rate);
   h.u64(static_cast<std::uint64_t>(o.weight_bits));
   h.u64(static_cast<std::uint64_t>(o.pwt.epochs));
-  h.f64(static_cast<double>(kPwtLr));
-  h.u64(static_cast<std::uint64_t>(kPwtBatchSize));
   h.u64(static_cast<std::uint64_t>(o.pwt.max_samples));
   h.u64(o.pwt.mean_init ? 1u : 0u);
-  h.u64(kQuantizeActivations ? 1u : 0u);
   h.u64(o.penalize_bias ? 1u : 0u);
   h.u64(static_cast<std::uint64_t>(o.lut_k_sets));
   h.u64(static_cast<std::uint64_t>(o.lut_j_cycles));
   h.u64(static_cast<std::uint64_t>(o.grad_samples));
-  h.u64(static_cast<std::uint64_t>(kGradBatch));
   h.u64(o.seed);
   h.str(o.opt_passes);
 }
@@ -127,16 +115,12 @@ void write_options(Writer& w, const DeployOptions& o) {
   w.scalar(o.faults.stuck_lrs_rate);
   w.scalar(static_cast<std::int32_t>(o.weight_bits));
   w.scalar(static_cast<std::int32_t>(o.pwt.epochs));
-  w.scalar(kPwtLr);
-  w.scalar(kPwtBatchSize);
   w.scalar(o.pwt.max_samples);
   w.scalar(static_cast<std::uint8_t>(o.pwt.mean_init ? 1 : 0));
-  w.scalar(std::uint8_t{kQuantizeActivations});
   w.scalar(static_cast<std::uint8_t>(o.penalize_bias ? 1 : 0));
   w.scalar(static_cast<std::int32_t>(o.lut_k_sets));
   w.scalar(static_cast<std::int32_t>(o.lut_j_cycles));
   w.scalar(o.grad_samples);
-  w.scalar(kGradBatch);
   w.scalar(o.seed);
   w.array(o.opt_passes);
 }
@@ -162,17 +146,12 @@ DeployOptions read_options(Reader& r) {
   o.faults.stuck_lrs_rate = r.scalar<double>();
   o.weight_bits = r.scalar<std::int32_t>();
   o.pwt.epochs = r.scalar<std::int32_t>();
-  fixed(r, kPwtLr, "pwt.lr slot is not the fixed step size");
-  fixed(r, kPwtBatchSize, "pwt.batch_size slot is not the fixed batch size");
   o.pwt.max_samples = r.scalar<std::int64_t>();
   o.pwt.mean_init = r.scalar<std::uint8_t>() != 0;
-  fixed(r, std::uint8_t{kQuantizeActivations},
-        "quantize_activations slot is not set");
   o.penalize_bias = r.scalar<std::uint8_t>() != 0;
   o.lut_k_sets = r.scalar<std::int32_t>();
   o.lut_j_cycles = r.scalar<std::int32_t>();
   o.grad_samples = r.scalar<std::int64_t>();
-  fixed(r, kGradBatch, "grad_batch slot is not the fixed batch size");
   o.seed = r.scalar<std::uint64_t>();
   std::string spec = r.text(kMaxPassSpec);
   try {
@@ -207,26 +186,18 @@ void DeploymentPlan::save(std::ostream& out,
 
   w.scalar(static_cast<std::uint32_t>(layers.size()));
   for (const PlanLayer& pl : layers) {
-    // Fan in/out, repeated below in the LayerQuant.
-    w.scalar(pl.lq.rows);
-    w.scalar(pl.lq.cols);
-    // Per-layer execution metadata goes before the arrays so the loader
-    // can validate their declared counts against this layer's own m.
-    w.scalar(static_cast<std::int32_t>(pl.m));
-    w.scalar(pl.offset_registers);
     w.scalar(static_cast<std::int32_t>(pl.lq.bits));
     w.scalar(pl.lq.scale);
     w.scalar(static_cast<std::int32_t>(pl.lq.zero));
     w.scalar(pl.lq.rows);
     w.scalar(pl.lq.cols);
+    w.scalar(pl.offset_registers);
     w.array(pl.lq.q);
-    w.array(pl.mean_grads);
     w.array(pl.assign.ctw);
     w.array(pl.assign.offsets);
     w.array(pl.assign.complemented);
     w.scalar(pl.assign.groups_per_col);
     w.scalar(pl.assign.total_objective);
-    w.array(pl.dead_cols);
   }
 
   w.scalar(static_cast<std::uint32_t>(act_calib.size()));
@@ -287,14 +258,6 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
   const int levels = (1 << opt.weight_bits) - 1;
   for (std::uint32_t li = 0; li < n_layers; ++li) {
     PlanLayer& pl = plan.layers[li];
-    const auto fan_in = r.scalar<std::int64_t>();
-    const auto fan_out = r.scalar<std::int64_t>();
-    const auto layer_m = r.scalar<std::int32_t>();
-    r.require(layer_m >= opt.offsets.m && layer_m % opt.offsets.m == 0 &&
-                  layer_m <= std::max(kMaxGroupSize, opt.offsets.m),
-              "layer group size out of range");
-    pl.m = layer_m;
-    pl.offset_registers = r.scalar<std::int64_t>();
     const auto bits = r.scalar<std::int32_t>();
     r.require(bits == opt.weight_bits, "layer bit width mismatch");
     pl.lq.bits = bits;
@@ -307,8 +270,12 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
                   pl.lq.cols >= 1 &&
                   static_cast<std::uint64_t>(pl.lq.cols) <= kMaxDim,
               "layer matrix shape out of range");
-    r.require(fan_in == pl.lq.rows && fan_out == pl.lq.cols,
-              "layer fan slots do not match the matrix shape");
+    const std::int64_t groups_per_col =
+        groups_per_column(pl.lq.rows, opt.offsets.m);
+    pl.offset_registers = r.scalar<std::int64_t>();
+    r.require(pl.offset_registers >= 1 &&
+                  pl.offset_registers <= groups_per_col * pl.lq.cols,
+              "layer register count out of range");
     const std::uint64_t elems = static_cast<std::uint64_t>(pl.lq.rows) *
                                 static_cast<std::uint64_t>(pl.lq.cols);
     r.require(elems <= kMaxLayerElems, "layer element count out of range");
@@ -318,24 +285,13 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
     for (int v : pl.lq.q) {
       r.require(v >= 0 && v <= levels, "NTW value out of range");
     }
-    pl.mean_grads = r.array<double>(elems);
-    r.require(pl.mean_grads.empty() || pl.mean_grads.size() == elems,
-              "gradient count mismatch");
-    for (double g : pl.mean_grads) {
-      r.require(std::isfinite(g), "non-finite gradient");
-    }
     pl.assign.ctw = r.array<int>(elems);
     r.require(pl.assign.ctw.size() == elems, "CTW count mismatch");
     for (int v : pl.assign.ctw) {
       r.require(v >= 0 && v <= levels, "CTW value out of range");
     }
-    r.require(pl.offset_registers >= 1 &&
-                  pl.offset_registers <=
-                      groups_per_column(pl.lq.rows, pl.m) * pl.lq.cols,
-              "layer register count out of range");
-    const std::uint64_t groups =
-        static_cast<std::uint64_t>(groups_per_column(pl.lq.rows, pl.m)) *
-        static_cast<std::uint64_t>(pl.lq.cols);
+    const std::uint64_t groups = static_cast<std::uint64_t>(groups_per_col) *
+                                 static_cast<std::uint64_t>(pl.lq.cols);
     pl.assign.offsets = r.array<float>(groups);
     r.require(pl.assign.offsets.size() == groups, "offset count mismatch");
     // What the layer's register can hold: an integer in [offset_min,
@@ -354,36 +310,9 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
                 "complement flag under a non-complement scheme");
     }
     pl.assign.groups_per_col = r.scalar<std::int64_t>();
-    r.require(pl.assign.groups_per_col ==
-                  groups_per_column(pl.lq.rows, pl.m),
+    r.require(pl.assign.groups_per_col == groups_per_col,
               "group count does not match geometry");
     pl.assign.total_objective = finite<double>(r);
-    pl.dead_cols = r.array<std::uint8_t>(
-        static_cast<std::uint64_t>(pl.lq.cols));
-    r.require(pl.dead_cols.empty() ||
-                  pl.dead_cols.size() ==
-                      static_cast<std::size_t>(pl.lq.cols),
-              "dead-column mask size mismatch");
-    for (std::int64_t c = 0;
-         c < static_cast<std::int64_t>(pl.dead_cols.size()); ++c) {
-      const std::uint8_t flag = pl.dead_cols[static_cast<std::size_t>(c)];
-      r.require(flag <= 1, "dead-column flag out of range");
-      if (flag == 0) continue;
-      // A marked column must actually be canonically dead: backends skip
-      // its programming, so believing a hostile flag would silently zero
-      // live weights.
-      for (std::int64_t row = 0; row < pl.lq.rows; ++row) {
-        const auto e = static_cast<std::size_t>(row * pl.lq.cols + c);
-        r.require(pl.lq.q[e] == pl.lq.zero && pl.assign.ctw[e] == pl.lq.zero,
-                  "dead-column flag over a live weight");
-      }
-      for (std::int64_t g = 0; g < pl.assign.groups_per_col; ++g) {
-        const auto gi = static_cast<std::size_t>(g * pl.lq.cols + c);
-        r.require(pl.assign.offsets[gi] == 0.0f &&
-                      pl.assign.complemented[gi] == 0,
-                  "dead-column flag over a nonzero offset");
-      }
-    }
   }
 
   const auto n_calib = r.scalar<std::uint32_t>();

@@ -38,8 +38,8 @@ class OffsetGradMode {
   OffsetGradMode(std::vector<EffectiveWeightBackend::LayerState>& layers,
                  const DeploymentPlan& plan)
       : layers_(layers) {
-    for (std::size_t li = 0; li < layers_.size(); ++li) {
-      layers_[li].op->set_offset_group_size(plan.layers[li].m);
+    for (EffectiveWeightBackend::LayerState& ls : layers_) {
+      ls.op->set_offset_group_size(plan.opt.offsets.m);
     }
   }
   ~OffsetGradMode() {

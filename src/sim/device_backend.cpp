@@ -87,12 +87,8 @@ DeviceSimBackend::DeviceSimBackend(const rdo::core::DeploymentPlan& plan,
     stage.plan_index = mi;
     const rdo::core::PlanLayer& pl = plan.layers[mi];
     ++mi;
-    // Per-layer executor config: the tune_group_size pass may have raised
-    // this layer's offset-group size above the global opt.offsets.m.
-    ExecutorConfig lcfg = cfg;
-    lcfg.offsets.m = pl.m;
     stage.exec = std::make_unique<CrossbarLayerExecutor>(pl.lq, pl.assign,
-                                                         lcfg);
+                                                         cfg);
     stage.bias.assign(static_cast<std::size_t>(pl.lq.cols), 0.0f);
     if (bias_param != nullptr && bias_param->value.size() == pl.lq.cols) {
       for (std::int64_t c = 0; c < pl.lq.cols; ++c) {

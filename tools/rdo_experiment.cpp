@@ -204,13 +204,12 @@ int main(int argc, char** argv) {
       std::vector<arch::LayerOffsetCost> lc;
       for (std::size_t li = 0; li < plan.layers.size(); ++li) {
         const core::PlanLayer& pl = plan.layers[li];
-        lc.push_back({pl.m,
-                      static_cast<long long>(
+        lc.push_back({static_cast<long long>(
                           plan.layer_tiling(li).total_crossbars()),
                       static_cast<long long>(pl.offset_registers)});
       }
       const arch::PlanOverhead pov =
-          arch::plan_overhead(lc, a.offset_bits, ratio);
+          arch::plan_overhead(lc, a.m, a.offset_bits, ratio);
       std::printf("optimized plan (passes: %s):\n", o.opt_passes.c_str());
       std::printf("  offset registers after passes: %lld\n",
                   static_cast<long long>(pov.registers));
@@ -224,11 +223,6 @@ int main(int argc, char** argv) {
       hw["opt_passes_applied"] = std::move(applied);
       hw["plan_area_mm2"] = pov.area_mm2;
       hw["plan_power_mw"] = pov.power_mw;
-      obs::Json per_layer_m = obs::Json::array();
-      for (const core::PlanLayer& pl : plan.layers) {
-        per_layer_m.push_back(static_cast<std::int64_t>(pl.m));
-      }
-      hw["per_layer_m"] = std::move(per_layer_m);
     }
   } catch (const std::exception& e) {
     rep.add_failure("deployment", e.what());
