@@ -33,11 +33,11 @@ EffectiveWeightBackend::EffectiveWeightBackend(const DeploymentPlan& plan,
   }
   for (auto* aq : act_quants_) aq->disable();
   if (!act_quants_.empty()) {
-    RDO_CHECK(act_quants_.size() == plan_.act_calib.size(),
+    RDO_CHECK(act_quants_.size() == plan_.act_max_abs.size(),
               "EffectiveWeightBackend: network does not match the plan "
               "(activation quantizer count)");
     for (std::size_t i = 0; i < act_quants_.size(); ++i) {
-      act_quants_[i]->calibrate(plan_.act_calib[i].max_abs);
+      act_quants_[i]->calibrate(plan_.act_max_abs[i]);
     }
   }
 }

@@ -1,7 +1,7 @@
 // The one binary codec behind the repo's three on-disk formats: model
 // parameters (nn/serialize.cpp, "RDO2"), the statistical LUT
 // (rram/rlut.cpp, "RLU2") and the deployment plan (core/plan_io.cpp,
-// "RDP3"). This is the single place that decides how untrusted bytes are
+// "RDP4"). This is the single place that decides how untrusted bytes are
 // read and how a cache file is published:
 //
 //   Writer     checked native-endian writes (scalar, length-prefixed

@@ -168,9 +168,9 @@ DeploymentPlan compile_plan_uncached(const rdo::nn::Layer& net,
     const std::int64_t n = std::min<std::int64_t>(train.size(), 128);
     (void)work->forward(rdo::nn::take_batch(train, 0, n).images,
                         /*train=*/false);
-    plan.act_calib.reserve(aqs.size());
+    plan.act_max_abs.reserve(aqs.size());
     for (auto* aq : aqs) {
-      plan.act_calib.push_back({aq->bits(), aq->observed_max()});
+      plan.act_max_abs.push_back(aq->observed_max());
       aq->calibrate(aq->observed_max());
     }
   }

@@ -40,13 +40,6 @@ class PlanError : public std::runtime_error {
   explicit PlanError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Activation-quantizer calibration captured at compile time (one entry
-/// per ActQuant layer in network traversal order).
-struct ActCalibration {
-  int bits = 8;
-  float max_abs = 0.0f;  ///< range observed at the quantized operating point
-};
-
 inline constexpr int kCrossbarSize = 128;  ///< rows = columns of an array
 
 /// One crossbar-mapped layer of the plan. Every layer groups its rows by
@@ -72,16 +65,16 @@ struct DeploymentPlan {
   rdo::rram::WeightProgrammer prog;
   rdo::rram::RLut lut;
   std::vector<PlanLayer> layers;
-  std::vector<ActCalibration> act_calib;
-  /// Pass-provenance record: the optimizer passes (core/opt) that ran
-  /// over this plan, in execution order. Empty for an unoptimized plan.
-  /// Serialized with the plan, so a cache hit reports the pipeline that
-  /// produced it.
-  std::vector<std::string> passes_applied;
+  /// Activation-quantizer calibration captured at compile time: the
+  /// full-scale range (ActQuant::calibrate's max_abs) observed at the
+  /// quantized operating point, one per ActQuant layer in network
+  /// traversal order.
+  std::vector<float> act_max_abs;
   /// Wall times of the compile stage (lut_build_s, prepare_s,
-  /// vawo_solve_s). Compilation contributes no deterministic counters, so
-  /// merging this into backend stats reproduces the legacy single-object
-  /// DeployStats exactly on the deterministic side.
+  /// vawo_solve_s) and plan_cache_hits. Compilation adds no deterministic
+  /// counter (cycles, pulses, PWT counts), so run_grid merging these
+  /// ahead of its trials' stats leaves those counters as the trials made
+  /// them.
   DeployStats compile_stats;
 
   /// Row/column tile geometry of layer `li` on kCrossbarSize arrays.
@@ -100,13 +93,13 @@ struct DeploymentPlan {
 
   // --- serialization (src/core/plan_io.cpp) ---
   //
-  // A plan file stores everything the backends read — the full
-  // DeployOptions (including the optimizer pass list), the embedded RLut
-  // (reusing the RLU2 document), every PlanLayer (with its register
-  // count) and the activation calibration — under a "RDP3" header
-  // carrying the caller's config fingerprint (see plan_fingerprint).
-  // Files of an earlier layout (RDP1, RDP2) are rejected cleanly ("bad
-  // magic").
+  // A plan file stores everything the backends read that the loader
+  // cannot derive — the full DeployOptions (including the optimizer pass
+  // list), the embedded RLut (reusing the RLU2 document), every PlanLayer
+  // (with its register count) and the activation calibration — under an
+  // "RDP4" header carrying the caller's config fingerprint (see
+  // plan_fingerprint). Files of an earlier layout (RDP1 to RDP3) are
+  // rejected cleanly ("bad magic").
   // compile_stats is wall-clock-only and is NOT serialized: a loaded
   // plan reports zero compile time, which is exactly what a cache hit
   // means. Serialization is byte-stable: save(load(save(p))) is

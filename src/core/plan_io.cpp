@@ -1,25 +1,30 @@
 // DeploymentPlan serialization (save/load/fingerprint) — the on-disk half
 // of the compile-once/execute-many story.
 //
-// Format ("RDP3", version-in-magic like the RLut's "RLU2"):
+// Format ("RDP4", version-in-magic like the RLut's "RLU2"):
 //
-//   u32  magic "RDP3"
+//   u32  magic "RDP4"
 //   u64  config fingerprint (plan_fingerprint of the compiling caller)
 //   ...  DeployOptions block (fixed-width fields + the length-prefixed
 //        optimizer pass list, see save()); deploy.h's fixed settings
 //        have no slot
 //   u64  LUT byte count, then one embedded RLut save() document (RLU2)
-//   u32  layer count, then per layer: LayerQuant header (bits, scale,
-//        zero, rows, cols), register count, NTWs, then the VawoResult
-//        (CTWs, offsets, complement flags, groups per column, objective);
-//        every layer's offset-group size is the options block's m
-//   u32  activation-calibration count, then {bits, max_abs} entries
-//   u32  applied-pass count, then length-prefixed registered pass names
+//   u32  layer count, then per layer: LayerQuant header (scale, zero,
+//        rows, cols), register count, NTWs, then the VawoResult's CTWs,
+//        offsets and complement flags
+//   u32  activation-calibration count, then one f32 max_abs per ActQuant
 //
-// Files of an earlier layout (RDP1, RDP2) fail the magic check and raise
-// PlanError ("bad magic") — the cache-recovery path then recompiles and
-// overwrites them; since the magic participates in plan_fingerprint,
-// stale entries can never alias an RDP3 fingerprint either.
+// Each fact is stored once. The loader derives what the file leaves out:
+// every layer's weight bits are the options block's weight_bits, its
+// groups per column are groups_per_column(rows, m) at the options
+// block's one m, and its solve objective (VawoResult::total_objective,
+// read by nothing after compile) loads as 0. The optimizer passes a plan
+// ran are exactly the options block's pass list.
+//
+// Files of an earlier layout (RDP1 to RDP3) fail the magic check and
+// raise PlanError ("bad magic") — the cache-recovery path then recompiles
+// and overwrites them; since the magic participates in plan_fingerprint,
+// stale entries can never alias an RDP4 fingerprint either.
 //
 // The load path treats the file as untrusted input (it is the payload
 // behind the opt-in RDO_PLAN_CACHE_DIR shared cache) and reads through
@@ -56,7 +61,7 @@ namespace rdo::core {
 
 namespace {
 
-constexpr std::uint32_t kPlanMagic = 0x52445033;  // "RDP3" (little-endian "3PDR" on disk; a tag, not text)
+constexpr std::uint32_t kPlanMagic = 0x52445034;  // "RDP4" (little-endian "4PDR" on disk; a tag, not text)
 
 // Structural ceilings for hostile headers. Far above anything a real
 // network produces, far below anything that could drive a multi-GB
@@ -66,7 +71,6 @@ constexpr std::uint64_t kMaxLayerElems = std::uint64_t{1} << 28;
 constexpr std::uint64_t kMaxCalib = 4096;
 constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 24;
 constexpr std::uint64_t kMaxPassSpec = 4096;  ///< pass-list string bytes
-constexpr std::uint64_t kMaxPasses = 64;      ///< applied-pass record entries
 
 using codec::Fnv1a;
 using codec::Writer;
@@ -186,7 +190,6 @@ void DeploymentPlan::save(std::ostream& out,
 
   w.scalar(static_cast<std::uint32_t>(layers.size()));
   for (const PlanLayer& pl : layers) {
-    w.scalar(static_cast<std::int32_t>(pl.lq.bits));
     w.scalar(pl.lq.scale);
     w.scalar(static_cast<std::int32_t>(pl.lq.zero));
     w.scalar(pl.lq.rows);
@@ -196,18 +199,10 @@ void DeploymentPlan::save(std::ostream& out,
     w.array(pl.assign.ctw);
     w.array(pl.assign.offsets);
     w.array(pl.assign.complemented);
-    w.scalar(pl.assign.groups_per_col);
-    w.scalar(pl.assign.total_objective);
   }
 
-  w.scalar(static_cast<std::uint32_t>(act_calib.size()));
-  for (const ActCalibration& ac : act_calib) {
-    w.scalar(static_cast<std::int32_t>(ac.bits));
-    w.scalar(ac.max_abs);
-  }
-
-  w.scalar(static_cast<std::uint32_t>(passes_applied.size()));
-  for (const std::string& name : passes_applied) w.array(name);
+  w.scalar(static_cast<std::uint32_t>(act_max_abs.size()));
+  for (float max_abs : act_max_abs) w.scalar(max_abs);
 }
 
 void DeploymentPlan::save(const std::string& path,
@@ -258,9 +253,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
   const int levels = (1 << opt.weight_bits) - 1;
   for (std::uint32_t li = 0; li < n_layers; ++li) {
     PlanLayer& pl = plan.layers[li];
-    const auto bits = r.scalar<std::int32_t>();
-    r.require(bits == opt.weight_bits, "layer bit width mismatch");
-    pl.lq.bits = bits;
+    pl.lq.bits = opt.weight_bits;
     pl.lq.scale = finite<float>(r);
     pl.lq.zero = r.scalar<std::int32_t>();
     pl.lq.rows = r.scalar<std::int64_t>();
@@ -272,6 +265,7 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
               "layer matrix shape out of range");
     const std::int64_t groups_per_col =
         groups_per_column(pl.lq.rows, opt.offsets.m);
+    pl.assign.groups_per_col = groups_per_col;
     pl.offset_registers = r.scalar<std::int64_t>();
     r.require(pl.offset_registers >= 1 &&
                   pl.offset_registers <= groups_per_col * pl.lq.cols,
@@ -309,39 +303,14 @@ std::optional<DeploymentPlan> DeploymentPlan::load(std::istream& in,
       r.require(c == 0 || scheme_uses_complement(opt.scheme),
                 "complement flag under a non-complement scheme");
     }
-    pl.assign.groups_per_col = r.scalar<std::int64_t>();
-    r.require(pl.assign.groups_per_col == groups_per_col,
-              "group count does not match geometry");
-    pl.assign.total_objective = finite<double>(r);
   }
 
   const auto n_calib = r.scalar<std::uint32_t>();
   r.require(n_calib <= kMaxCalib, "calibration count out of range");
-  plan.act_calib.resize(n_calib);
-  for (std::uint32_t i = 0; i < n_calib; ++i) {
-    const auto bits = r.scalar<std::int32_t>();
-    r.require(bits >= 1 && bits <= 16, "calibration bits out of range");
-    plan.act_calib[i].bits = bits;
-    plan.act_calib[i].max_abs = finite<float>(r);
-    r.require(plan.act_calib[i].max_abs >= 0.0f,
-              "negative calibration range");
-  }
-
-  const auto n_passes = r.scalar<std::uint32_t>();
-  r.require(n_passes <= kMaxPasses, "applied-pass count out of range");
-  plan.passes_applied.reserve(n_passes);
-  for (std::uint32_t i = 0; i < n_passes; ++i) {
-    std::string name = r.text(kMaxPassSpec);
-    r.require(!name.empty(), "empty pass name");
-    bool known = false;
-    for (const std::string& reg : opt::registered_passes()) {
-      if (reg == name) {
-        known = true;
-        break;
-      }
-    }
-    r.require(known, "unregistered pass in provenance record");
-    plan.passes_applied.push_back(std::move(name));
+  plan.act_max_abs.resize(n_calib);
+  for (float& max_abs : plan.act_max_abs) {
+    max_abs = finite<float>(r);
+    r.require(max_abs >= 0.0f, "negative calibration range");
   }
 
   r.finish();

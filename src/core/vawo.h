@@ -147,6 +147,8 @@ struct VawoResult {
   std::vector<float> offsets;        ///< [groups_per_col*cols], value of b
   std::vector<std::uint8_t> complemented;  ///< per group, 1 = stored inverted
   std::int64_t groups_per_col = 0;
+  /// Summed group objective of the solve. Not serialized: a plan loaded
+  /// from disk holds 0 here.
   double total_objective = 0.0;
 };
 

@@ -1,6 +1,5 @@
 // Optimizer pass pipeline (core/opt): parse_pass_list, the shipped pass
-// (parity + improvement), provenance, and the RDP3 round-trip of an
-// optimized plan.
+// (parity + improvement) and the RDP4 round-trip of an optimized plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -131,15 +130,6 @@ TEST(OptPipeline, EmptyListLeavesPlanByteIdentical) {
   const core::DeploymentPlan same =
       core::compile_plan(*g.net, g.opt, g.train());
   EXPECT_EQ(save_bytes(base, 1), save_bytes(same, 1));
-  EXPECT_TRUE(base.passes_applied.empty());
-}
-
-TEST(OptPipeline, RecordsProvenanceInOrder) {
-  Fixture f = make_fixture(core::Scheme::VAWOStar);
-  f.opt.opt_passes = kAllPasses;
-  const core::DeploymentPlan plan =
-      core::compile_plan(*f.net, f.opt, f.train());
-  EXPECT_EQ(plan.passes_applied, core::opt::registered_passes());
 }
 
 TEST(OptPipeline, OptimizedCompileIsDeterministic) {
@@ -177,10 +167,10 @@ TEST(OptPipeline, PwtSchemesAreLeftUntouched) {
   const core::DeploymentPlan opt =
       core::compile_plan(*g.net, g.opt, g.train());
   // Every pass skips PWT schemes (compile-time sharing would change
-  // the tuning head-room and counters); only provenance differs.
+  // the tuning head-room and counters); only the options' pass list
+  // differs.
   EXPECT_TRUE(assign_equal(opt.layers[0].assign, base.layers[0].assign));
   EXPECT_EQ(opt.total_offset_registers(), base.total_offset_registers());
-  EXPECT_EQ(opt.passes_applied, core::opt::registered_passes());
 }
 
 TEST(OptPipeline, ChecksRejectMalformedPwtPlans) {
@@ -226,7 +216,6 @@ TEST(OptPlanIo, OptimizedPlanRoundTripsByteIdentical) {
   auto loaded = core::DeploymentPlan::load(in, fp, "test");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(save_bytes(*loaded, fp), bytes);
-  EXPECT_EQ(loaded->passes_applied, plan.passes_applied);
   EXPECT_EQ(loaded->total_offset_registers(),
             plan.total_offset_registers());
   EXPECT_EQ(eval_once(*loaded, f), eval_once(plan, f));
@@ -247,18 +236,6 @@ TEST(OptPlanIo, RejectsBadStoredPassList) {
   core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt, f.train());
   plan.opt.opt_passes = "bogus_pass";  // save() does not re-validate
   const std::string bytes = save_bytes(plan, 3);
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW(core::DeploymentPlan::load(in, 3, "test"), core::PlanError);
-}
-
-TEST(OptPlanIo, RejectsTamperedProvenance) {
-  Fixture f = make_fixture(core::Scheme::VAWOStar);
-  f.opt.opt_passes = "color_offset_registers";
-  const core::DeploymentPlan plan =
-      core::compile_plan(*f.net, f.opt, f.train());
-  std::string bytes = save_bytes(plan, 3);
-  ASSERT_FALSE(plan.passes_applied.empty());
-  bytes.back() ^= 0x01;  // last byte of the last recorded pass name
   std::istringstream in(bytes, std::ios::binary);
   EXPECT_THROW(core::DeploymentPlan::load(in, 3, "test"), core::PlanError);
 }

@@ -27,11 +27,13 @@
 #include "core/check.h"
 #include "core/codec.h"
 #include "core/plan.h"
+#include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/sequential.h"
 #include "nn/serialize.h"
 #include "obs/envvar.h"
 #include "obs/metrics.h"
+#include "quant/act_quant.h"
 #include "rram/rlut.h"
 
 using namespace rdo;
@@ -100,12 +102,21 @@ struct Fixture {
 
 /// Tiny deterministic compile fixture: one Dense layer, VAWO* so the
 /// gradient/offset/complement sections are all populated, a cheap LUT
-/// protocol.
-Fixture make_fixture(double sigma = 0.5) {
+/// protocol. With `act_quant`, two Dense layers each behind an ActQuant,
+/// so the plan also carries an activation calibration.
+Fixture make_fixture(double sigma = 0.5, bool act_quant = false) {
   Fixture f;
   nn::Rng rng(11);
   f.net = std::make_unique<nn::Sequential>();
-  f.net->emplace<nn::Dense>(6, 4, rng);
+  if (act_quant) {
+    f.net->emplace<quant::ActQuant>(8);
+    f.net->emplace<nn::Dense>(6, 5, rng);
+    f.net->emplace<nn::ReLU>();
+    f.net->emplace<quant::ActQuant>(8);
+    f.net->emplace<nn::Dense>(5, 4, rng);
+  } else {
+    f.net->emplace<nn::Dense>(6, 4, rng);
+  }
   f.images = nn::Tensor({12, 6});
   for (std::int64_t i = 0; i < f.images.size(); ++i) {
     f.images[i] = 0.2f * static_cast<float>(i % 7) - 0.6f;
@@ -206,12 +217,12 @@ SavedFixture saved_fixture() {
 // gradient samples (106) and u64 seed (114).
 constexpr std::size_t kPassListAt = 114;
 
-/// The plan magic of the previous layout, "RDP2".
-constexpr std::uint32_t kRdp2Magic = 0x52445032;
+/// The plan magic of the previous layout, "RDP3".
+constexpr std::uint32_t kRdp3Magic = 0x52445033;
 
 /// `bytes` with its leading magic replaced by the previous layout's.
-std::string with_rdp2_magic(std::string bytes) {
-  std::memcpy(bytes.data(), &kRdp2Magic, sizeof kRdp2Magic);
+std::string with_rdp3_magic(std::string bytes) {
+  std::memcpy(bytes.data(), &kRdp3Magic, sizeof kRdp3Magic);
   return bytes;
 }
 
@@ -237,7 +248,7 @@ bool has_tmp_files(const fs::path& dir) {
 }  // namespace
 
 TEST(PlanIo, SaveLoadRoundTripIsByteIdentical) {
-  const Fixture f = make_fixture();
+  const Fixture f = make_fixture(0.5, /*act_quant=*/true);
   const core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt,
                                                        f.train());
   const std::uint64_t fp = core::plan_fingerprint(*f.net, f.opt, f.train());
@@ -251,11 +262,26 @@ TEST(PlanIo, SaveLoadRoundTripIsByteIdentical) {
   EXPECT_EQ(save_bytes(*loaded, fp), bytes);
 
   // Structure survives.
+  ASSERT_EQ(plan.layers.size(), 2u);
   ASSERT_EQ(loaded->layers.size(), plan.layers.size());
   EXPECT_EQ(loaded->layers[0].lq.q, plan.layers[0].lq.q);
   EXPECT_EQ(loaded->layers[0].assign.ctw, plan.layers[0].assign.ctw);
   EXPECT_EQ(loaded->layers[0].assign.offsets, plan.layers[0].assign.offsets);
   EXPECT_EQ(loaded->lut.max_weight(), plan.lut.max_weight());
+
+  // What the file does not store, the loader derives: every layer's
+  // weight bits and groups per column, as compiled.
+  for (std::size_t li = 0; li < plan.layers.size(); ++li) {
+    SCOPED_TRACE(li);
+    EXPECT_EQ(loaded->layers[li].lq.bits, plan.layers[li].lq.bits);
+    EXPECT_EQ(loaded->layers[li].assign.groups_per_col,
+              plan.layers[li].assign.groups_per_col);
+    // The solve objective is not stored: a loaded plan holds 0.
+    EXPECT_EQ(loaded->layers[li].assign.total_objective, 0.0);
+  }
+  // One calibration range per ActQuant layer, as compiled.
+  ASSERT_EQ(plan.act_max_abs.size(), 2u);
+  EXPECT_EQ(loaded->act_max_abs, plan.act_max_abs);
 
   // compile_stats is not serialized: a loaded plan reports zero compile
   // time (that is what a cache hit means).
@@ -321,7 +347,7 @@ TEST(PlanIo, TruncationsAndTrailingBytesThrowTyped) {
   bad_magic[0] ^= 0x5A;
   // A file of the previous layout is refused on its magic, before its
   // fingerprint is read.
-  for (const std::string& magic : {bad_magic, with_rdp2_magic(bytes)}) {
+  for (const std::string& magic : {bad_magic, with_rdp3_magic(bytes)}) {
     std::istringstream bm(magic, std::ios::binary);
     EXPECT_THROW((void)core::DeploymentPlan::load(bm, fp, "magic"),
                  core::PlanError);
@@ -531,7 +557,7 @@ TEST(PlanCache, CorruptEntryIsRecompiledAndHealed) {
   ASSERT_FALSE(entry.empty());
   const std::string good = slurp(entry);
   for (const std::string& damaged :
-       {good.substr(0, good.size() / 2), with_rdp2_magic(good)}) {
+       {good.substr(0, good.size() / 2), with_rdp3_magic(good)}) {
     {
       std::ofstream out(entry, std::ios::binary | std::ios::trunc);
       out.write(damaged.data(), static_cast<std::streamsize>(damaged.size()));
@@ -789,7 +815,7 @@ const Format kLut{
       });
     }};
 
-// Deployment plan ("RDP3"), compiled once from make_fixture().
+// Deployment plan ("RDP4"), compiled once from make_fixture().
 struct SavedPlan {
   Fixture f = make_fixture();
   core::DeploymentPlan plan = core::compile_plan(*f.net, f.opt, f.train());

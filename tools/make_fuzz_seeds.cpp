@@ -210,15 +210,15 @@ void make_plan_seeds(const fs::path& dir) {
               sizeof(negative));
   spit(dir / "plan_lut_negative_var.bin", bad_var);
 
-  // The previous layout's magic ("RDP2") over a valid plan: refused as
+  // The previous layout's magic ("RDP3") over a valid plan: refused as
   // "bad magic" before the fingerprint is read.
-  std::vector<char> rdp2 = valid;
-  const std::uint32_t rdp2_magic = 0x52445032;
-  std::memcpy(rdp2.data(), &rdp2_magic, sizeof(rdp2_magic));
-  spit(dir / "plan_rdp2_magic.bin", rdp2);
+  std::vector<char> rdp3 = valid;
+  const std::uint32_t rdp3_magic = 0x52445033;
+  std::memcpy(rdp3.data(), &rdp3_magic, sizeof(rdp3_magic));
+  spit(dir / "plan_rdp3_magic.bin", rdp3);
 
-  // A plan that ran the optimizer pipeline (colored registers, provenance
-  // record), its corrupt variants, and pass-list rejection cases.
+  // A plan that ran the optimizer pipeline (colored registers), its
+  // corrupt variants, and pass-list rejection cases.
   rdo::core::DeployOptions oopt = opt;
   oopt.opt_passes = "color_offset_registers";
   const rdo::core::DeploymentPlan optimized =
@@ -233,12 +233,6 @@ void make_plan_seeds(const fs::path& dir) {
   const std::uint64_t opt_other = opt_fp ^ 0xDEADBEEFull;
   std::memcpy(opt_stale.data() + 4, &opt_other, sizeof(opt_other));
   spit(dir / "optimized_stale_fp.bin", opt_stale);
-
-  // Unregistered name in the trailing pass-provenance record (the file
-  // ends with the last pass name's bytes): must raise PlanError.
-  std::vector<char> bad_prov = opt_bytes;
-  bad_prov.back() ^= 0x01;
-  spit(dir / "optimized_bad_provenance.bin", bad_prov);
 
   // Unparseable optimizer pass list in the options block: the loader
   // must reject it before anything downstream consumes the options.

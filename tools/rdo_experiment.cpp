@@ -216,11 +216,6 @@ int main(int argc, char** argv) {
       std::printf("  plan overhead: +%.3f mm^2 (%.1f%%), %+.2f mW (%.1f%%)\n",
                   pov.area_mm2, pov.area_pct, pov.power_mw, pov.power_pct);
       rep.results()["config"]["opt_passes"] = o.opt_passes;
-      obs::Json applied = obs::Json::array();
-      for (const std::string& name : plan.passes_applied) {
-        applied.push_back(name);
-      }
-      hw["opt_passes_applied"] = std::move(applied);
       hw["plan_area_mm2"] = pov.area_mm2;
       hw["plan_power_mw"] = pov.power_mw;
     }
