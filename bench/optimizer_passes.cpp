@@ -5,11 +5,10 @@
 //   1. Parity — enabling the full pass pipeline must not cost accuracy:
 //      every scheme x cell grid point is deployed with the pipeline off
 //      and on, and both mean accuracies are recorded side by side.
-//   2. Savings — how much each pass contributes: the pass list is grown
-//      one pass at a time (cumulative prefixes) and after each step the
-//      plan's offset-register count, Table II overhead area/power
-//      (arch::plan_overhead) and per-inference offset energy
-//      (arch::vmm_energy at the plan's m) are recorded.
+//   2. Savings — what the pipeline saves: the plan's offset-register
+//      count, Table II overhead area/power (arch::plan_overhead) and
+//      per-inference offset energy (arch::vmm_energy at the plan's m)
+//      are recorded without and with it.
 // Everything recorded here is compile-time deterministic: same binary,
 // same numbers, any RDO_THREADS (the CI opt-parity job relies on this).
 #include <cstdio>
@@ -152,9 +151,8 @@ int main() {
     }
   }
 
-  // [2] Cumulative per-pass savings on the VAWO*/SLC plan. Compiled
-  // once, then each pass prefix is re-applied to a fresh copy so every
-  // row isolates the marginal contribution of one pass.
+  // [2] Savings of the pipeline on the VAWO*/SLC plan, compiled once
+  // without passes and then run through the pipeline on a copy.
   std::printf("\n[2] per-pass savings (VAWO*, SLC): registers / area / "
               "power / offset energy\n");
   const auto base_opt =
@@ -164,48 +162,34 @@ int main() {
                      rep.phase("compile_base_plan"));
     return core::compile_plan(f->net, base_opt, f->ds.train());
   }();
-  const PlanCost c0 = plan_cost(base, base_opt.offsets.offset_bits);
-  std::printf("  %-28s %8lld  %7.4f mm^2  %7.2f mW  %9.1f pJ\n",
-              "(no passes)", c0.registers, c0.area_mm2, c0.power_mw,
-              c0.offset_pj);
-  rep.results()["savings"] = obs::Json::array();
+  core::DeploymentPlan full = base;
   {
-    obs::Json row = obs::Json::object();
-    row["passes"] = std::string("");
-    row["offset_registers"] = static_cast<std::int64_t>(c0.registers);
-    row["area_mm2"] = c0.area_mm2;
-    row["power_mw"] = c0.power_mw;
-    row["offset_energy_pj"] = c0.offset_pj;
-    rep.results()["savings"].push_back(std::move(row));
+    obs::TraceSpan t("run_pipeline", "phase", rep.phase("run_pipeline"));
+    core::opt::run_pipeline(full, passes);
   }
-  for (std::size_t n = 1; n <= passes.size(); ++n) {
-    const std::vector<std::string> prefix(passes.begin(),
-                                          passes.begin() +
-                                              static_cast<long>(n));
-    core::DeploymentPlan p = base;
-    {
-      obs::TraceSpan t("run_pass_prefix", "phase",
-                       rep.phase("run_pass_prefix"));
-      core::opt::run_pipeline(p, prefix);
-    }
+  rep.results()["savings"] = obs::Json::array();
+  // Prints the plan's costs after its label and records them as one row.
+  const auto add_row = [&](const std::string& applied,
+                           const core::DeploymentPlan& p) {
     const PlanCost c = plan_cost(p, base_opt.offsets.offset_bits);
-    std::printf("  + %-26s %8lld  %7.4f mm^2  %7.2f mW  %9.1f pJ\n",
-                passes[n - 1].c_str(), c.registers, c.area_mm2, c.power_mw,
-                c.offset_pj);
+    std::printf("%8lld  %7.4f mm^2  %7.2f mW  %9.1f pJ\n", c.registers,
+                c.area_mm2, c.power_mw, c.offset_pj);
     obs::Json row = obs::Json::object();
-    row["passes"] = prefix.back();
+    row["passes"] = applied;
     row["offset_registers"] = static_cast<std::int64_t>(c.registers);
     row["area_mm2"] = c.area_mm2;
     row["power_mw"] = c.power_mw;
     row["offset_energy_pj"] = c.offset_pj;
     rep.results()["savings"].push_back(std::move(row));
-  }
+  };
+  std::printf("  %-28s ", "(no passes)");
+  add_row("", base);
+  std::printf("  + %-26s ", all_passes.c_str());
+  add_row(all_passes, full);
 
   // The acceptance invariant, checked here so a regression turns the
-  // bench red: the full pipeline must strictly shrink the register
-  // count on this committed model.
-  core::DeploymentPlan full = base;
-  core::opt::run_pipeline(full, passes);
+  // bench red: the pipeline must strictly shrink the register count on
+  // this committed model.
   if (full.total_offset_registers() >= base.total_offset_registers()) {
     rep.add_failure("savings",
                     "full pipeline did not reduce offset registers");
