@@ -18,6 +18,11 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
   correct_ = 0;
   double total = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
+    // Labels are input from outside the program (a dataset file, a serve
+    // request's inline batch), so their range is checked here in every
+    // build, not by Tensor::at's debug-only check.
+    const int label = labels[static_cast<std::size_t>(i)];
+    RDO_BOUNDS(label, k);
     float maxv = logits.at(i, 0);
     std::int64_t arg = 0;
     for (std::int64_t j = 1; j < k; ++j) {
@@ -26,7 +31,7 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
         arg = j;
       }
     }
-    if (arg == labels[static_cast<std::size_t>(i)]) ++correct_;
+    if (arg == label) ++correct_;
     double z = 0.0;
     for (std::int64_t j = 0; j < k; ++j) {
       const double e = std::exp(static_cast<double>(logits.at(i, j) - maxv));
@@ -36,7 +41,7 @@ float SoftmaxCrossEntropy::forward(const Tensor& logits,
     for (std::int64_t j = 0; j < k; ++j) {
       probs_.at(i, j) = static_cast<float>(probs_.at(i, j) / z);
     }
-    const float p = probs_.at(i, labels[static_cast<std::size_t>(i)]);
+    const float p = probs_.at(i, label);
     total += -std::log(std::max(p, 1e-12f));
   }
   return static_cast<float>(total / static_cast<double>(n));
